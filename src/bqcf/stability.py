@@ -16,16 +16,23 @@ to the complement, which is why the projection sits on both sides).
 
 Small problems (2M <= dense_cutoff) go through a dense generalized
 eigensolver; larger ones use shift-invert Lanczos with the shift placed
-safely below the spectrum, warm-started along parameter sweeps.
+safely below the spectrum.
 
 A uniform stretch gamma enters the operators through their coefficients;
 the critical strain is the largest grid point gamma = 1 + i*dgamma at
-which c_min stays positive, located by a coarse scan plus bisection
-(or an exact grid walk on request).
+which the operator stays stable, located by a coarse scan plus bisection
+(or an exact grid walk on request).  A sweep needs only the sign of
+c_min, and stability_at decides it without an eigensolve: G is positive
+definite on mean-zero fields, so c_min > 0 exactly when S has no negative
+eigenvalue there, and by Sylvester's law of inertia for the bordered
+matrix K = [[S, e], [e^T, 0]] that count is neg(K) - 1.  neg(K) is read
+off the pivots of one sparse LU of K taken without pivoting: for the
+symmetric K that factorization is L D L^T with D the diagonal of U.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -82,6 +89,29 @@ class CoercivityReport:
     iterations: int
     residual: float
     mode: np.ndarray = field(repr=False)
+
+
+@dataclass(frozen=True)
+class StabilityRecord:
+    """How one stretch of a sweep was decided.
+
+    neg_count is the number of negative eigenvalues of S on mean-zero
+    fields (None unless the inertia path ran); c_min is set where an
+    eigenvalue was computed.  path is 'inertia' (pivot signs of the
+    bordered factorization), 'circulant' (exact Fourier minimum) or
+    'eigen' (coercivity_constant, the fallback of the inertia path).
+    """
+
+    gamma: float
+    stable: bool
+    neg_count: int | None
+    c_min: float | None
+    path: str
+
+    def detail(self) -> str:
+        if self.c_min is not None:
+            return f"c_min = {self.c_min:.6g}"
+        return f"{self.neg_count} negative eigenvalues"
 
 
 def h1_gram_sparse(config: ChainConfig):
@@ -161,6 +191,10 @@ def _circulant_cmin(op: BandedPeriodicOperator):
     return lam, v, res, 0
 
 
+def _is_circulant(op: BandedPeriodicOperator) -> bool:
+    return all(np.ptp(d) == 0.0 for d in op.diagonals.values())
+
+
 def _dense_cmin(op: BandedPeriodicOperator):
     from scipy.linalg import eigh, null_space
 
@@ -187,17 +221,18 @@ def _dense_cmin(op: BandedPeriodicOperator):
     return lam, v, res, 0
 
 
+def _bordered(B, ebar):
+    """[[B, e], [e^T, 0]] as sparse CSC."""
+    return bmat([[B, ebar.reshape(-1, 1)], [ebar.reshape(1, -1), None]], format="csc")
+
+
 def _bordered_lu(S, G, sigma, ebar):
     """Factor [[S - sigma G, e], [e^T, 0]]; natural ordering keeps the
     band structure (the matrix is strongly dominant at the safe shift)."""
-    K = bmat(
-        [[S - sigma * G, ebar.reshape(-1, 1)], [ebar.reshape(1, -1), None]],
-        format="csc",
-    )
-    return splu(K, permc_spec="NATURAL")
+    return splu(_bordered(S - sigma * G, ebar), permc_spec="NATURAL")
 
 
-def _iterative_cmin(op, x0, tol, maxiter):
+def _iterative_cmin(op, tol, maxiter):
     config = op.config
     n = config.n_atoms
     a = config.a
@@ -227,15 +262,8 @@ def _iterative_cmin(op, x0, tol, maxiter):
     tau_g = 1.0
     tau_s = 100.0 * (2.0 * fb + 100.0)  # pinned eigenvalue, far above the physical ones
 
-    if x0 is not None and np.shape(x0) == (n,):
-        v0 = project(np.asarray(x0, dtype=float))
-    else:
-        rng = np.random.default_rng(7)
-        v0 = project(rng.standard_normal(n))
-    nv0 = np.linalg.norm(v0)
-    if nv0 == 0.0:
-        raise ValueError("initial vector has no mean-zero component")
-    v0 = v0 / nv0
+    v0 = project(np.random.default_rng(7).standard_normal(n))
+    v0 = v0 / np.linalg.norm(v0)
 
     lu = _bordered_lu(S, G, sigma, ebar)
     counter = {"solves": 0}
@@ -306,7 +334,6 @@ def coercivity_constant(
     gamma: float = 1.0,
     L: int = 0,
     family: str = "",
-    x0: np.ndarray | None = None,
     dense_cutoff: int = 256,
     tol: float = 1e-10,
     maxiter: int = 10000,
@@ -314,20 +341,20 @@ def coercivity_constant(
     """Minimal H1 Rayleigh quotient of the operator over mean-zero fields.
 
     gamma, L and family are carried through into the report for sweep
-    bookkeeping.  x0 warm-starts the iterative eigensolver.  Raises
-    EigenSolveError when the eigen-residual cannot be driven down.
+    bookkeeping.  Raises EigenSolveError when the eigen-residual cannot be
+    driven down.
 
     Constant-coefficient operators (pure atomistic and continuum) take an
     exact Fourier route; otherwise small chains use a dense generalized
     eigensolver and large ones shift-invert Lanczos.
     """
     config = op.config
-    if all(np.ptp(d) == 0.0 for d in op.diagonals.values()):
+    if _is_circulant(op):
         lam, v, res, iters = _circulant_cmin(op)
     elif config.M <= dense_cutoff:
         lam, v, res, iters = _dense_cmin(op)
     else:
-        lam, v, res, iters = _iterative_cmin(op, x0, tol, maxiter)
+        lam, v, res, iters = _iterative_cmin(op, tol, maxiter)
     report = CoercivityReport(
         c_min=lam,
         gamma=gamma,
@@ -346,6 +373,65 @@ def coercivity_constant(
     return report
 
 
+def _inertia_count(op: BandedPeriodicOperator) -> int | None:
+    """Negative eigenvalues of S on mean-zero fields, from one factorization.
+
+    Factors K = [[S, e], [e^T, 0]] in its natural order with diagonal
+    pivots only, so U's diagonal is the D of K = L D L^T and
+    neg(K) = #{d_i < 0}; the border adds exactly one, so the count on
+    mean-zero fields is neg(K) - 1.  Returns None when the signs cannot be
+    trusted: SuperLU reports a singular factor or permuted anyway, a
+    pivot is not finite, one of the first n - 1 chain pivots is below
+    n * eps * max|d| over them, or no pivot is negative (the border gives
+    K one negative eigenvalue whatever S is).  The last chain pivot is exempt: it
+    carries the near-constant direction and is small by construction
+    (down to ~1e-7 of the largest pivot at M = 8000, pure roundoff when
+    S 1 = 0).  With the border it forms the trailing 2x2 block
+    [[d, c], [c, t]], with c of order sqrt(n) since e^T 1 = sqrt(n) and
+    S 1 ~ 0.  While |d t| < c^2 the block's determinant is negative, so
+    the two pivots hold exactly one negative sign between them whatever
+    sign roundoff gives d; a larger d has a resolved sign of its own.
+    """
+    n = op.config.n_atoms
+    ebar = np.full(n, 1.0 / np.sqrt(n))
+    try:
+        lu = splu(
+            _bordered(_weighted_sym_sparse(op), ebar),
+            permc_spec="NATURAL",
+            diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True),
+        )
+    except RuntimeError:  # exactly singular factor
+        return None
+    order = np.arange(n + 1)
+    if not (np.array_equal(lu.perm_r, order) and np.array_equal(lu.perm_c, order)):
+        return None
+    d = lu.U.diagonal()
+    chain = np.abs(d[: n - 1])
+    if not (np.isfinite(d).all() and chain.min() > n * np.finfo(float).eps * chain.max()):
+        return None
+    neg = int(np.count_nonzero(d < 0.0)) - 1
+    return neg if neg >= 0 else None
+
+
+def stability_at(op: BandedPeriodicOperator, gamma: float = 1.0) -> StabilityRecord:
+    """Decide whether c_min > 0, without an eigensolve where possible.
+
+    Constant-coefficient operators take the exact Fourier minimum; every
+    other operator is decided by the inertia count of one bordered
+    factorization (_inertia_count), falling back to coercivity_constant
+    when that count cannot be trusted.
+    """
+    if _is_circulant(op):
+        c = _circulant_cmin(op)[0]
+        return StabilityRecord(gamma, c > 0.0, None, c, "circulant")
+    neg = _inertia_count(op)
+    if neg is not None:
+        return StabilityRecord(gamma, neg == 0, neg, None, "inertia")
+    c = coercivity_constant(op, gamma=gamma).c_min
+    return StabilityRecord(gamma, c > 0.0, None, c, "eigen")
+
+
 def critical_strain(
     build_operator,
     dgamma: float = 1e-5,
@@ -354,70 +440,99 @@ def critical_strain(
     coarse: float = 1e-3,
     scan_exact: bool = False,
     report_sink=None,
-    coercivity_kwargs: dict | None = None,
 ) -> float:
-    """Largest grid stretch gamma = 1 + i*dgamma with positive coercivity.
+    """Largest grid stretch gamma = 1 + i*dgamma at which the operator is stable.
 
     build_operator(gamma) must return the assembled operator at that
-    stretch.  The scan walks a coarse grid (default 1e-3) until the first
-    non-positive c_min and bisects the bracketing cell down to the dgamma
-    grid; detection therefore assumes a single sign change (the coarse
-    values are monitored and a non-monotone step triggers a warning).
-    With scan_exact the grid is walked in steps of dgamma directly.
+    stretch, and each stretch is decided once by stability_at: the exact
+    Fourier route for constant-coefficient operators, otherwise the
+    inertia count of one bordered factorization, with coercivity_constant
+    as the fallback when a pivot is tiny or pivoting happened.
+    report_sink, if given, receives that StabilityRecord once per
+    evaluated stretch, right after it is decided.
+
+    The scan walks a coarse grid (default 1e-3) until the first unstable
+    stretch and bisects the bracketing cell down to the dgamma grid;
+    detection therefore assumes a single sign change.  That assumption is
+    checked where the evaluations allow: a negative-eigenvalue count that
+    falls between neighbouring evaluated stretches, or a c_min that rises
+    between coarse steps, triggers a RuntimeWarning.  A blended sweep
+    computes no c_min, so it cannot see c_min rise while it is still
+    positive; only a loss that recovers shows there.  With scan_exact the
+    grid is walked in steps of dgamma directly.
     """
+    for name, value in (("dgamma", dgamma), ("gamma_max", gamma_max), ("coarse", coarse)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if dgamma <= 0:
         raise ValueError(f"dgamma must be positive, got {dgamma}")
     if gamma_max <= 1.0:
         raise ValueError(f"gamma_max must exceed 1, got {gamma_max}")
-    kwargs = dict(coercivity_kwargs or {})
-    state = {"mode": None}
+    counts = {}  # grid units -> negative-eigenvalue count, inertia path only
 
-    def evaluate(i_units: int) -> CoercivityReport:
-        gamma = 1.0 + i_units * dgamma
-        rep = coercivity_constant(
-            build_operator(gamma), gamma=gamma, x0=state["mode"], **kwargs
-        )
-        state["mode"] = rep.mode
+    def check_counts(i: int) -> None:
+        below = max((j for j in counts if j < i), default=None)
+        above = min((j for j in counts if j > i), default=None)
+        for lo, hi in ((below, i), (i, above)):
+            if lo is not None and hi is not None and counts[lo] > counts[hi]:
+                warnings.warn(
+                    f"negative-eigenvalue count falls from {counts[lo]} at "
+                    f"gamma={1 + lo * dgamma:.6f} to {counts[hi]} at "
+                    f"gamma={1 + hi * dgamma:.6f}; sweep assumes a single sign change",
+                    RuntimeWarning,
+                    stacklevel=4,
+                )
+
+    def evaluate(i: int) -> StabilityRecord:
+        gamma = 1.0 + i * dgamma
+        rec = stability_at(build_operator(gamma), gamma)
         if report_sink is not None:
-            report_sink(rep)
-        return rep
+            report_sink(rec)
+        if rec.neg_count is not None:
+            counts[i] = rec.neg_count
+            check_counts(i)
+        return rec
 
-    rep = evaluate(0)
-    if rep.c_min <= 0.0:
+    rec = evaluate(0)
+    if not rec.stable:
         raise StrainSweepError(
-            f"operator is not coercive at gamma = 1 (c_min = {rep.c_min:.6g})",
+            f"operator is not coercive at gamma = 1 ({rec.detail()})",
             "unstable_at_start",
         )
 
     step = 1 if scan_exact else max(1, int(round(coarse / dgamma)))
     max_units = int(np.floor((gamma_max - 1.0) / dgamma))
-    prev_units, prev_c = 0, rep.c_min
+    prev_units, prev = 0, rec
     bracket = None
     i = step
     while i <= max_units:
-        rep = evaluate(i)
-        if rep.c_min > prev_c + 1e-9 * (abs(prev_c) + 1.0):
+        rec = evaluate(i)
+        if (
+            rec.c_min is not None
+            and prev.c_min is not None
+            and rec.c_min > prev.c_min + 1e-9 * (abs(prev.c_min) + 1.0)
+        ):
             warnings.warn(
                 f"coercivity increased from gamma={1 + prev_units * dgamma:.6f} "
                 f"to gamma={1 + i * dgamma:.6f}; sweep assumes a single sign change",
                 RuntimeWarning,
                 stacklevel=2,
             )
-        if rep.c_min <= 0.0:
+        if not rec.stable:
             bracket = (prev_units, i)
             break
-        prev_units, prev_c = i, rep.c_min
+        prev_units, prev = i, rec
         i += step
     if bracket is None:
         raise StrainSweepError(
-            f"coercivity still positive at gamma_max = {gamma_max} (c_min = {prev_c:.6g})",
+            f"coercivity still positive at gamma_max = {gamma_max} ({prev.detail()})",
             "no_instability",
         )
 
     lo, hi = bracket
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if evaluate(mid).c_min > 0.0:
+        if evaluate(mid).stable:
             lo = mid
         else:
             hi = mid

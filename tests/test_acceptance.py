@@ -2,8 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 PASS/FAIL lines.  The critical-strain table (criterion 1) runs the full
-M = 2000 sweep grid once and is shared between its subtests; expect a
-few minutes of runtime.
+M = 2000 sweep grid once and is shared between its subtests; it takes
+about half a minute on two cores (4,789 stability decisions, each one
+bordered LDL^T factorization or an exact Fourier minimum).
 """
 
 import numpy as np
@@ -100,6 +101,31 @@ def test_criterion_1_table_structure(table1):
 def long_wave_zero(pot, N):
     """Zero of A_N(gamma) = sum k^2 phi_xx(k gamma) on the sweep range (1, 1.5)."""
     return brentq(lambda g: stability_constant(pot, N, g), 1.0, 1.5, xtol=1e-14)
+
+
+# gamma_crit of every table row in units of dgamma = 1e-5, as computed by
+# the eigen-solve sweep before stretches were decided by inertia
+TABLE1_GRID_UNITS = {("atomistic", "-", 0): 19720}
+for _family, _units in (
+    ("linear", (16607, 15372, 17370, 17670, 18116, 18383, 18572, 18916)),
+    ("cubic", (16607, 18520, 18779, 18933, 19085, 19199, 19294, 19475)),
+    ("quintic", (16607, 16789, 18580, 18805, 18953, 19072, 19171, 19385)),
+):
+    for _L, _u in zip((1, 2, 3, 4, 5, 6, 7, 10), _units):
+        TABLE1_GRID_UNITS[("bqcf", _family, _L)] = _u
+
+
+def test_criterion_1_table_values_pinned(table1):
+    """Every gamma_crit equals its pinned grid point exactly."""
+    vals = _column_map(table1)
+    assert len(vals) == len(TABLE1_GRID_UNITS) == 25
+    wrong = {
+        key: vals.get(key)
+        for key, units in TABLE1_GRID_UNITS.items()
+        if vals.get(key) != 1.0 + units * 1e-5
+    }
+    announce("1 (pinned table)", not wrong, f"{len(wrong)} rows differ")
+    assert not wrong, wrong
 
 
 def test_criterion_1_atomistic_band(table1):

@@ -227,3 +227,18 @@ def test_cli_numerical_failure_exit_code(tmp_path):
         ]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [("--gamma-max", "inf", "gamma_max"), ("--dgamma", "nan", "dgamma")],
+)
+def test_cli_rejects_non_finite_sweep_input(tmp_path, capsys, flag, value, name):
+    out = tmp_path / "x.csv"
+    code = run_cli(
+        ["critical-strain", "--M", "32", "--N", "2", "--family", "one", flag, value, "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert name in err and "finite" in err
+    assert not out.exists()

@@ -1,16 +1,22 @@
+import warnings
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
+from scipy.linalg import eigh, null_space
 
-from bqcf.blending import constant_profile, sample_beta, symmetric_profile
+from bqcf.blending import constant_profile, one_sided_profile, sample_beta, symmetric_profile
 from bqcf.lattice import ChainConfig, PeriodicField, h1_seminorm
-from bqcf.operators import assemble_linear, bilinear
+from bqcf.operators import BandedPeriodicOperator, assemble_linear, bilinear
 from bqcf.potential import stability_constant
 from bqcf.stability import (
     StrainSweepError,
     coercivity_constant,
     critical_strain,
     decompose_bilinear_n2,
+    h1_gram_sparse,
     scaling_study,
+    stability_at,
 )
 
 
@@ -149,6 +155,67 @@ def test_critical_strain_errors(morse):
         critical_strain(build, dgamma=0.0, gamma_max=1.3)
 
 
+def test_critical_strain_reports_each_gamma_once(morse):
+    cfg = ChainConfig(M=32, N=2)
+    beta = cubic_beta(cfg, 3)
+    built, records = [], []
+
+    def build(gamma):
+        built.append(gamma)
+        return assemble_linear("bqcf", morse, cfg, beta, gamma)
+
+    def sink(rec):
+        assert rec.gamma == built[-1] and len(records) == len(built) - 1
+        records.append(rec)
+
+    g = critical_strain(build, dgamma=1e-3, gamma_max=1.3, coarse=1e-2, report_sink=sink)
+    assert [r.gamma for r in records] == built
+    assert len(set(built)) == len(built)
+    assert {r.path for r in records} == {"inertia"}
+    by_units = {round((r.gamma - 1.0) / 1e-3): r for r in records}
+    units = round((g - 1.0) / 1e-3)
+    assert by_units[units].stable and not by_units[units + 1].stable
+
+
+def test_critical_strain_warns_when_count_falls(morse):
+    # inside one coarse cell the stretch overshoots far past criticality
+    # (many negative modes) and falls back to just past it (a few), so a
+    # bisection midpoint has a larger count than the cell's upper end
+    cfg = ChainConfig(M=32, N=2)
+    beta = cubic_beta(cfg, 3)
+
+    def stretch(gamma):
+        units = round((gamma - 1.0) / 1e-3)
+        if units <= 100:
+            return gamma
+        return 1.25 if units < 110 else 1.197
+
+    def build_bump(gamma):
+        return assemble_linear("bqcf", morse, cfg, beta, stretch(gamma))
+
+    with pytest.warns(RuntimeWarning, match="count falls"):
+        g = critical_strain(build_bump, dgamma=1e-3, gamma_max=1.3, coarse=1e-2)
+    assert g == 1.0 + 100 * 1e-3
+
+    def build(gamma):
+        return assemble_linear("bqcf", morse, cfg, beta, gamma)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        critical_strain(build, dgamma=1e-3, gamma_max=1.3, coarse=1e-2)
+
+
+@pytest.mark.parametrize("name", ["dgamma", "gamma_max", "coarse"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_critical_strain_rejects_non_finite(morse, name, bad):
+    cfg = ChainConfig(M=32, N=2)
+    beta = beta_one(cfg)
+    kwargs = dict(dgamma=1e-3, gamma_max=1.3, coarse=1e-2)
+    kwargs[name] = bad
+    with pytest.raises(ValueError, match=name):
+        critical_strain(lambda g: assemble_linear("bqcf", morse, cfg, beta, g), **kwargs)
+
+
 def test_atomistic_critical_strain_matches_long_wave_zero(morse):
     # the pure chain loses stability at the long-wave zero of A_N(gamma);
     # locate that zero independently by bisecting the closed form
@@ -167,6 +234,70 @@ def test_atomistic_critical_strain_matches_long_wave_zero(morse):
         else:
             hi = mid
     assert g == pytest.approx(lo, abs=2e-4)
+
+
+# ------------------------------------------------------- inertia predicate
+
+
+def dense_negative_count(op):
+    """Negative eigenvalues of the pencil (S, G) on mean-zero fields, dense."""
+    n = op.config.n_atoms
+    A = op.to_dense()
+    S = op.config.a * 0.5 * (A + A.T)
+    G = h1_gram_sparse(op.config).toarray()
+    Z = null_space(np.ones((1, n)))
+    return int(np.count_nonzero(eigh(Z.T @ S @ Z, Z.T @ G @ Z, eigvals_only=True) < 0.0))
+
+
+def test_inertia_count_matches_dense_oracle(morse):
+    rng = np.random.default_rng(20240)
+    cases = 0
+    for N in (1, 2, 3):
+        cfg = ChainConfig(M=64, N=N)
+        for make_profile in (symmetric_profile, one_sided_profile):
+            for family in ("linear", "cubic", "quintic"):
+                for L in (1, 4, 10):
+                    beta = sample_beta(make_profile(cfg, family, L), cfg)
+                    gamma = float(rng.uniform(1.0, 1.3))
+                    op = assemble_linear("bqcf", morse, cfg, beta, gamma)
+                    rec = stability_at(op, gamma)
+                    assert rec.stable == (coercivity_constant(op).c_min > 0.0)
+                    if rec.path == "circulant":  # N = 1 blends can be exactly constant
+                        continue
+                    assert rec.path == "inertia"
+                    assert rec.neg_count == dense_negative_count(op), (N, family, L, gamma)
+                    assert rec.stable == (rec.neg_count == 0)
+                    cases += 1
+    assert cases >= 36
+
+
+@pytest.mark.parametrize("leading", [0.0, 1e-4, 1e-300])
+def test_inertia_falls_back_on_untrusted_pivots(morse, leading):
+    # against diagonal entries ~3.6e5: a zero leading entry makes SuperLU
+    # pivot, 1e-4 leaves a chain pivot below n * eps * max|d|, and 1e-300
+    # overflows the next pivot into an exactly singular factor.  Each
+    # time the eigen path decides.
+    cfg = ChainConfig(M=64, N=2)
+    for gamma in (1.0, 1.25):
+        base = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 5), gamma)
+        diags = {o: d.copy() for o, d in base.diagonals.items()}
+        diags[0][0] = leading
+        op = BandedPeriodicOperator(cfg, diags)
+        rec = stability_at(op, gamma)
+        assert rec.path == "eigen" and rec.neg_count is None
+        assert rec.c_min == coercivity_constant(op).c_min
+        assert rec.stable == (dense_negative_count(op) == 0)
+
+
+def test_stability_record_paths(morse):
+    cfg = ChainConfig(M=32, N=2)
+    rec = stability_at(assemble_linear("bqcf", morse, cfg, beta_one(cfg), 1.1), 1.1)
+    assert (rec.path, rec.neg_count, rec.stable) == ("circulant", None, True)
+    assert rec.c_min > 0
+    rec = stability_at(assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 3), 1.1), 1.1)
+    assert (rec.path, rec.neg_count, rec.c_min, rec.stable) == ("inertia", 0, None, True)
+    with pytest.raises(FrozenInstanceError):
+        rec.stable = False
 
 
 # ------------------------------------------------------------ decomposition
