@@ -46,6 +46,7 @@ from .stability import (
     coercivity_constant,
     critical_strain,
     scaling_study,
+    stability_at,
 )
 
 SCENARIOS = ("critical-strain", "coercivity", "consistency", "deform", "scaling")
@@ -351,10 +352,10 @@ def solve_deformation(cfg: ExperimentConfig):
         beta = sample_beta(build_profile(cfg, config), config)
         op = assemble_linear("bqcf", pot, config, beta, 1.0)
         if N == cfg.N:
-            rep = coercivity_constant(op, gamma=1.0, L=cfg.L, family=cfg.family)
-            if rep.c_min <= 0:
+            rec = stability_at(op, 1.0)
+            if not rec.stable:
                 raise StrainSweepError(
-                    f"blended operator not coercive at gamma = 1 (c_min = {rep.c_min:.6g})",
+                    f"blended operator not coercive at gamma = 1 ({rec.detail()})",
                     "unstable_at_start",
                 )
         f = external_force(cfg.force_kind, (cfg.amp_scale, cfg.mu, cfg.sigma), config)

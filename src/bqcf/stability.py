@@ -5,29 +5,31 @@ periodic displacements,
 
     c_min = min_u <A u, u> / |u'|^2_{l2},
 
-which only sees the symmetric part of A.  It is computed as the smallest
-generalized eigenvalue of the pencil (S, G) restricted to the mean-zero
-subspace, where S = a*(A + A^T)/2 and G = a D^T D is the Gram matrix of
-the H1 semi-norm (D the forward difference).  Constants span the shared
-kernel of G and of the restricted S, so they are deflated by explicit
-projection; the projected resolvent is applied through a bordered sparse
-factorization (the non-symmetric blend makes S itself couple constants
-to the complement, which is why the projection sits on both sides).
+which only sees the symmetric part of A.  It is the smallest generalized
+eigenvalue of the pencil (S, G) restricted to the mean-zero subspace,
+where S = a*(A + A^T)/2 and G = a D^T D is the Gram matrix of the H1
+semi-norm (D the forward difference).  Constants span the shared kernel
+of G and of the restricted S; the bordered matrix
 
-Small problems (2M <= dense_cutoff) go through a dense generalized
-eigensolver; larger ones use shift-invert Lanczos with the shift placed
-safely below the spectrum.
+    K(sigma) = [[S - sigma G, e], [e^T, 0]]
+
+poses the pencil on mean-zero fields (the non-symmetric blend makes S
+itself couple constants to the complement, which the border absorbs).
+G is positive definite there, so by Sylvester's law of inertia the
+number of pencil eigenvalues below sigma is neg(K(sigma)) - 1, read off
+the pivots of one sparse LU of K taken without pivoting: for the
+symmetric K that factorization is L D L^T with D the diagonal of U.
+
+Constant-coefficient operators take the exact Fourier minimum.  Every
+other operator is solved by spectrum slicing: shifts bracketed by that
+count, with inverse iteration on the factors that have no eigenvalue
+below their shift.
 
 A uniform stretch gamma enters the operators through their coefficients;
 the critical strain is the largest grid point gamma = 1 + i*dgamma at
 which the operator stays stable, located by a coarse scan plus bisection
 (or an exact grid walk on request).  A sweep needs only the sign of
-c_min, and stability_at decides it without an eigensolve: G is positive
-definite on mean-zero fields, so c_min > 0 exactly when S has no negative
-eigenvalue there, and by Sylvester's law of inertia for the bordered
-matrix K = [[S, e], [e^T, 0]] that count is neg(K) - 1.  neg(K) is read
-off the pivots of one sparse LU of K taken without pivoting: for the
-symmetric K that factorization is L D L^T with D the diagonal of U.
+c_min, and stability_at decides it from the count at sigma = 0 alone.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import bmat, csr_matrix
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import eigsh  # noqa: F401  unused; perfbench/layertrace.py wraps it by name
 
 from .blending import constant_profile, sample_beta, symmetric_profile
 from .lattice import ChainConfig, PeriodicField, forward_diff, higher_diff, l2_norm
@@ -77,7 +80,9 @@ class CoercivityReport:
 
     residual is the generalized eigen-residual |S v - c G v| / |G v|
     (eigenvalue units); mode is the minimizing displacement, mean-zero
-    and G-normalized.
+    and G-normalized.  path is 'circulant' (exact Fourier minimum) or
+    'sliced' (inertia-bracketed inverse iteration); iterations counts
+    the linear solves and factorizations the shifted factorizations.
     """
 
     c_min: float
@@ -89,6 +94,8 @@ class CoercivityReport:
     iterations: int
     residual: float
     mode: np.ndarray = field(repr=False)
+    path: str
+    factorizations: int
 
 
 @dataclass(frozen=True)
@@ -195,44 +202,68 @@ def _is_circulant(op: BandedPeriodicOperator) -> bool:
     return all(np.ptp(d) == 0.0 for d in op.diagonals.values())
 
 
-def _dense_cmin(op: BandedPeriodicOperator):
-    from scipy.linalg import eigh, null_space
+def _shifted_ldl(S, sigma=0.0, G=None):
+    """Factor K(sigma) = [[S - sigma G, e], [e^T, 0]] as L D L^T and count.
 
-    n = op.config.n_atoms
-    A = op.to_dense()
-    S = op.config.a * 0.5 * (A + A.T)
-    G = h1_gram_sparse(op.config).toarray()
-    Q = null_space(np.ones((1, n)))  # orthonormal basis of the mean-zero subspace
-    Sp = Q.T @ S @ Q
-    Gp = Q.T @ G @ Q
-    w, z = eigh(Sp, Gp, subset_by_index=[0, 0])
-    v = Q @ z[:, 0]
-    v = v - v.mean()
-    s_apply = _make_s_apply(op)
-    g_apply = _make_g_apply(op.config)
-    v = v / np.sqrt(v @ g_apply(v))
-    lam = float(v @ s_apply(v))  # v is G-normalized
-    # pencil residual in eigenvalue units; constants are projected out of
-    # S v since they sit outside the admissible space
-    sv = s_apply(v)
-    sv = sv - sv.mean()
-    gv = g_apply(v)
-    res = float(np.linalg.norm(sv - lam * gv) / np.linalg.norm(gv))
-    return lam, v, res, 0
+    Returns (lu, neg), where neg = neg(K) - 1 is the number of eigenvalues
+    of the pencil (S, G) below sigma on mean-zero fields (for sigma = 0,
+    the negative eigenvalues of S there), or None when the signs cannot
+    be trusted.
+
+    K is factored in its natural order with diagonal pivots only, so U's
+    diagonal is the D of K = L D L^T and neg(K) = #{d_i < 0}; the border
+    adds exactly one, whatever the chain block is (Sylvester's law of
+    inertia; G is positive definite on mean-zero fields).  The signs are
+    not trusted when SuperLU reports a singular factor or permuted
+    anyway, a pivot is not finite, one of the first n - 1 chain pivots
+    is below n * eps * max|d| over them, or no pivot is negative.  The
+    last chain pivot is exempt: it carries the near-constant direction
+    and is small by construction (down to ~1e-7 of the largest pivot at
+    M = 8000, pure roundoff when S 1 = 0).  With the border it forms the
+    trailing 2x2 block [[d, c], [c, t]], with c of order sqrt(n) since
+    e^T 1 = sqrt(n) and S 1 ~ 0.  While |d t| < c^2 the block's
+    determinant is negative, so the two pivots hold exactly one negative
+    sign between them whatever sign roundoff gives d; a larger d has a
+    resolved sign of its own.
+    """
+    n = S.shape[0]
+    e = np.full((n, 1), 1.0 / np.sqrt(n))
+    B = S if sigma == 0.0 else S - sigma * G
+    try:
+        lu = splu(
+            bmat([[B, e], [e.T, None]], format="csc"),
+            permc_spec="NATURAL",
+            diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True),
+        )
+    except RuntimeError:  # exactly singular factor
+        return None
+    order = np.arange(n + 1)
+    if not (np.array_equal(lu.perm_r, order) and np.array_equal(lu.perm_c, order)):
+        return None
+    d = lu.U.diagonal()
+    chain = np.abs(d[: n - 1])
+    if not (np.isfinite(d).all() and chain.min() > n * np.finfo(float).eps * chain.max()):
+        return None
+    neg = int(np.count_nonzero(d < 0.0)) - 1
+    return (lu, neg) if neg >= 0 else None
 
 
-def _bordered(B, ebar):
-    """[[B, e], [e^T, 0]] as sparse CSC."""
-    return bmat([[B, ebar.reshape(-1, 1)], [ebar.reshape(1, -1), None]], format="csc")
+_TOL = 1e-10  # relative residual at which the sliced solver stops
+_MAX_FACTORIZATIONS = 40  # shifts per solve; every one counts, trusted or not
+_MAX_SOLVES_PER_SHIFT = 40
 
 
-def _bordered_lu(S, G, sigma, ebar):
-    """Factor [[S - sigma G, e], [e^T, 0]]; natural ordering keeps the
-    band structure (the matrix is strongly dominant at the safe shift)."""
-    return splu(_bordered(S - sigma * G, ebar), permc_spec="NATURAL")
+def _sliced_cmin(op: BandedPeriodicOperator):
+    """Smallest pencil eigenvalue by inertia-bracketed inverse iteration.
 
-
-def _iterative_cmin(op, tol, maxiter):
+    Keeps a bracket lo <= c_min <= hi: a trusted factorization at sigma
+    with no eigenvalue below it raises lo to sigma, one with some lowers
+    hi to sigma, and every Rayleigh quotient lowers hi.  Inverse
+    iteration runs only on factors whose count is 0, so it converges to
+    the lowest mode; the next shift goes just below the current quotient,
+    and back to the bracket when it overshoots.
+    """
     config = op.config
     n = config.n_atoms
     a = config.a
@@ -258,74 +289,49 @@ def _iterative_cmin(op, tol, maxiter):
     fb = op.form_bound
     if fb is None:
         fb = float(np.max(np.abs(op.diagonals.get(0, np.zeros(n))))) * a * a
-    sigma = -(2.0 * fb + 50.0)  # strictly below the H1 quotient range
-    tau_g = 1.0
-    tau_s = 100.0 * (2.0 * fb + 100.0)  # pinned eigenvalue, far above the physical ones
-
-    v0 = project(np.random.default_rng(7).standard_normal(n))
-    v0 = v0 / np.linalg.norm(v0)
-
-    lu = _bordered_lu(S, G, sigma, ebar)
-    counter = {"solves": 0}
-
-    def solve_projected(b):
-        counter["solves"] += 1
-        z = lu.solve(np.append(project(b), 0.0))
-        return project(z[:n])
-
-    def op_inv(b):
-        return solve_projected(b) + (ebar @ b) / (tau_s - sigma * tau_g) * ebar
-
-    def a_mv(x):
-        return project(s_apply(project(x))) + tau_s * (ebar @ x) * ebar
-
-    def m_mv(x):
-        return g_apply(x) + tau_g * (ebar @ x) * ebar
-
-    k = min(4, n - 2)
-    try:
-        vals, vecs = eigsh(
-            LinearOperator((n, n), matvec=a_mv, dtype=float),
-            k=k,
-            M=LinearOperator((n, n), matvec=m_mv, dtype=float),
-            sigma=sigma,
-            which="LM",
-            mode="normal",
-            OPinv=LinearOperator((n, n), matvec=op_inv, dtype=float),
-            v0=v0,
-            maxiter=maxiter,
-            # on tightly clustered spectra a machine-precision residual is
-            # unattainable (Ritz residuals floor at the local eigenvalue
-            # spacing); converge loosely here and refine below
-            tol=1e-7,
-        )
-    except ArpackNoConvergence as exc:
-        raise EigenSolveError(
-            f"eigen-iteration did not converge within {maxiter} iterations",
-            float("nan"),
-        ) from exc
-
-    v, lam, res = residual_of(vecs[:, int(np.argmin(vals))])
-
-    # Lanczos residuals come back through the shift-invert transform and can
-    # sit near the contract; polish with inverse iterations on the existing
-    # factorization, then a Rayleigh-shifted factorization if needed.
-    steps = 0
-    while res > tol * (abs(lam) + 1.0) and steps < 60:
-        v, lam, res = residual_of(solve_projected(g_apply(v)))
-        steps += 1
-    rounds = 0
-    while res > 0.5e-8 * (abs(lam) + 1.0) and rounds < 3:
-        shift = lam - 1e-9 * (abs(lam) + 1.0)
-        try:
-            lu_r = _bordered_lu(S, G, shift, ebar)
-            z = lu_r.solve(np.append(project(g_apply(v)), 0.0))
-            counter["solves"] += 1
-            v, lam, res = residual_of(project(z[:n]))
-        except RuntimeError:  # factorization hit the eigenvalue exactly
-            break
-        rounds += 1
-    return lam, v, res, counter["solves"]
+    # usually below the spectrum, but not always (a zero diagonal entry
+    # can put c_min far under it), so it too is checked by inertia
+    sigma = -(2.0 * fb + 50.0)
+    lo, hi = -math.inf, math.inf
+    v = project(np.random.default_rng(7).standard_normal(n))
+    res = math.nan
+    solves = 0
+    for factorizations in range(1, _MAX_FACTORIZATIONS + 1):
+        lu = factored = None  # free the last factor before making the next
+        factored = _shifted_ldl(S, sigma, G)
+        if factored is None:  # untrusted signs: nudge the shift toward lo
+            sigma = lo + 0.5 * (sigma - lo) if lo > -math.inf else sigma - (abs(sigma) + 1.0)
+            continue
+        lu, neg = factored
+        if neg > 0:  # overshot: bisect, or widen while no lower end is known
+            hi = min(hi, sigma)
+            sigma = 0.5 * (lo + hi) if lo > -math.inf else sigma - 2.0 * (abs(sigma) + 1.0)
+            continue
+        lo = sigma
+        prev = math.inf
+        for _ in range(_MAX_SOLVES_PER_SHIFT):
+            z = lu.solve(np.append(g_apply(v), 0.0))
+            solves += 1
+            v, lam, res = residual_of(z[:n])
+            hi = min(hi, lam)
+            scale = abs(lam) + 1.0
+            # the residual floors near 1e-9 relative at M = 8000, so a
+            # stagnating one is accepted once it meets the 1e-8 contract
+            if res <= _TOL * scale or (res <= 1e-8 * scale and res > 0.5 * prev):
+                return lam, v, res, solves, factorizations
+            # a closer shift pays once convergence here slows down; a rising
+            # residual means a lower mode is still taking over, so stay
+            if 0.2 * prev < res <= prev and res < 0.25 * (lam - sigma):
+                break
+            prev = res
+        sigma = lam - 2.0 * res  # just below the quotient
+        if not sigma < hi:  # known to overshoot
+            sigma = 0.5 * (lo + hi)
+    raise EigenSolveError(
+        f"c_min in [{lo:.6g}, {hi:.6g}] not resolved within "
+        f"{_MAX_FACTORIZATIONS} shifted factorizations",
+        res,
+    )
 
 
 def coercivity_constant(
@@ -334,9 +340,6 @@ def coercivity_constant(
     gamma: float = 1.0,
     L: int = 0,
     family: str = "",
-    dense_cutoff: int = 256,
-    tol: float = 1e-10,
-    maxiter: int = 10000,
 ) -> CoercivityReport:
     """Minimal H1 Rayleigh quotient of the operator over mean-zero fields.
 
@@ -345,16 +348,16 @@ def coercivity_constant(
     driven down.
 
     Constant-coefficient operators (pure atomistic and continuum) take an
-    exact Fourier route; otherwise small chains use a dense generalized
-    eigensolver and large ones shift-invert Lanczos.
+    exact Fourier route; every other operator is solved by inverse
+    iteration on inertia-checked shifts (_sliced_cmin).
     """
     config = op.config
     if _is_circulant(op):
-        lam, v, res, iters = _circulant_cmin(op)
-    elif config.M <= dense_cutoff:
-        lam, v, res, iters = _dense_cmin(op)
+        lam, v, res, solves = _circulant_cmin(op)
+        path, factorizations = "circulant", 0
     else:
-        lam, v, res, iters = _iterative_cmin(op, tol, maxiter)
+        lam, v, res, solves, factorizations = _sliced_cmin(op)
+        path = "sliced"
     report = CoercivityReport(
         c_min=lam,
         gamma=gamma,
@@ -362,9 +365,11 @@ def coercivity_constant(
         family=family,
         M=config.M,
         N=config.N,
-        iterations=iters,
+        iterations=solves,
         residual=res,
         mode=v,
+        path=path,
+        factorizations=factorizations,
     )
     if not res <= 1e-8 * (abs(lam) + 1.0):
         raise EigenSolveError(
@@ -374,44 +379,10 @@ def coercivity_constant(
 
 
 def _inertia_count(op: BandedPeriodicOperator) -> int | None:
-    """Negative eigenvalues of S on mean-zero fields, from one factorization.
-
-    Factors K = [[S, e], [e^T, 0]] in its natural order with diagonal
-    pivots only, so U's diagonal is the D of K = L D L^T and
-    neg(K) = #{d_i < 0}; the border adds exactly one, so the count on
-    mean-zero fields is neg(K) - 1.  Returns None when the signs cannot be
-    trusted: SuperLU reports a singular factor or permuted anyway, a
-    pivot is not finite, one of the first n - 1 chain pivots is below
-    n * eps * max|d| over them, or no pivot is negative (the border gives
-    K one negative eigenvalue whatever S is).  The last chain pivot is exempt: it
-    carries the near-constant direction and is small by construction
-    (down to ~1e-7 of the largest pivot at M = 8000, pure roundoff when
-    S 1 = 0).  With the border it forms the trailing 2x2 block
-    [[d, c], [c, t]], with c of order sqrt(n) since e^T 1 = sqrt(n) and
-    S 1 ~ 0.  While |d t| < c^2 the block's determinant is negative, so
-    the two pivots hold exactly one negative sign between them whatever
-    sign roundoff gives d; a larger d has a resolved sign of its own.
-    """
-    n = op.config.n_atoms
-    ebar = np.full(n, 1.0 / np.sqrt(n))
-    try:
-        lu = splu(
-            _bordered(_weighted_sym_sparse(op), ebar),
-            permc_spec="NATURAL",
-            diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True),
-        )
-    except RuntimeError:  # exactly singular factor
-        return None
-    order = np.arange(n + 1)
-    if not (np.array_equal(lu.perm_r, order) and np.array_equal(lu.perm_c, order)):
-        return None
-    d = lu.U.diagonal()
-    chain = np.abs(d[: n - 1])
-    if not (np.isfinite(d).all() and chain.min() > n * np.finfo(float).eps * chain.max()):
-        return None
-    neg = int(np.count_nonzero(d < 0.0)) - 1
-    return neg if neg >= 0 else None
+    """Negative eigenvalues of S on mean-zero fields, from one factorization
+    (_shifted_ldl at sigma = 0); None when its signs cannot be trusted."""
+    factored = _shifted_ldl(_weighted_sym_sparse(op))
+    return None if factored is None else factored[1]
 
 
 def stability_at(op: BandedPeriodicOperator, gamma: float = 1.0) -> StabilityRecord:
@@ -685,7 +656,6 @@ def scaling_study(
     gamma: float = 1.0,
     fixed_L: int | None = None,
     core_fraction: float = 0.5,
-    dense_cutoff: int = 256,
 ) -> list:
     """Coercivity of the blended operator as the chain grows.
 
@@ -705,8 +675,6 @@ def scaling_study(
         beta = sample_beta(profile, config)
         op = assemble_linear("bqcf", pot, config, beta, gamma)
         reports.append(
-            coercivity_constant(
-                op, gamma=gamma, L=L, family=family, dense_cutoff=dense_cutoff
-            )
+            coercivity_constant(op, gamma=gamma, L=L, family=family)
         )
     return reports

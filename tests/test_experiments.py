@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bqcf import experiments
 from bqcf.blending import constant_profile, sample_beta
 from bqcf.cli import main
 from bqcf.experiments import (
@@ -16,6 +17,7 @@ from bqcf.experiments import (
 from bqcf.lattice import ChainConfig, PeriodicField
 from bqcf.operators import assemble_linear
 from bqcf.potential import MorseParams
+from bqcf.stability import StrainSweepError
 
 
 # ------------------------------------------------------------ result tables
@@ -107,6 +109,18 @@ def test_deformation_table_structure(morse):
     np.testing.assert_allclose(table.column("u_N2"), u.values, rtol=1e-15)
 
 
+def test_deform_rejects_unstable_operator():
+    # r_e = 0.8 keeps phi''(1) > 0 but makes phi''(1) + 4 phi''(2) < 0, so the
+    # blend is unstable at gamma = 1 and the pre-check's inertia count says so
+    cfg = ExperimentConfig(
+        scenario="deform", M=32, N=2, family="cubic", L=3, force_kind="sine",
+        potential=MorseParams(D_e=3.0, alpha=3.0, r_e=0.8),
+    )
+    with pytest.raises(StrainSweepError, match=r"not coercive at gamma = 1 \(\d+ negative eigenvalues\)") as exc:
+        solve_deformation(cfg)
+    assert exc.value.reason == "unstable_at_start"
+
+
 def test_deform_requires_force_kind():
     with pytest.raises(ValueError, match="force"):
         ExperimentConfig(scenario="deform", M=16)
@@ -171,6 +185,30 @@ def test_cli_coercivity_pure_atomistic(tmp_path, capsys):
     table = ResultTable.from_csv_text(out.read_text())
     c_min = table.rows[0][table.columns.index("c_min")]
     assert c_min == pytest.approx(54.0, abs=1e-4)
+
+
+def test_cli_deform_unstable_exit_code(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    code = run_cli(
+        ["deform", "--force", "sine", "--M", "32", "--L", "3", "--re", "0.8", "--out", str(out)]
+    )
+    assert code == 3
+    assert "not coercive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_coercivity_non_finite_operator_exit_code(tmp_path, capsys, monkeypatch):
+    def assemble_with_nan(*args, **kwargs):
+        op = assemble_linear(*args, **kwargs)
+        op.diagonals[0][3] = float("nan")
+        return op
+
+    monkeypatch.setattr(experiments, "assemble_linear", assemble_with_nan)
+    out = tmp_path / "c.csv"
+    code = run_cli(["coercivity", "--M", "64", "--out", str(out)])
+    assert code == 3
+    assert "not resolved" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_deform_smoke(tmp_path):

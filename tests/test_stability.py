@@ -3,14 +3,17 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh, null_space
+from oracles import dense_cmin, dense_negative_count
 
 from bqcf.blending import constant_profile, one_sided_profile, sample_beta, symmetric_profile
 from bqcf.lattice import ChainConfig, PeriodicField, h1_seminorm
 from bqcf.operators import BandedPeriodicOperator, assemble_linear, bilinear
 from bqcf.potential import stability_constant
 from bqcf.stability import (
+    EigenSolveError,
     StrainSweepError,
+    _shifted_ldl,
+    _weighted_sym_sparse,
     coercivity_constant,
     critical_strain,
     decompose_bilinear_n2,
@@ -49,31 +52,31 @@ def test_continuum_equals_stability_constant(morse):
 
 
 def test_atomistic_matches_dense_oracle(morse):
-    from bqcf.stability import _dense_cmin
-
     cfg = ChainConfig(M=64, N=2)
     op = assemble_linear("bqcf", morse, cfg, beta_one(cfg), 1.0)
     rep = coercivity_constant(op)
-    lam_dense = _dense_cmin(op)[0]
     assert rep.c_min > 0
-    assert rep.c_min == pytest.approx(lam_dense, abs=1e-8)
+    assert rep.c_min == pytest.approx(dense_cmin(op), abs=1e-8)
 
 
 def test_iterative_matches_dense(morse):
     cfg = ChainConfig(M=64, N=2)
     op = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 5), 1.15)
-    dense = coercivity_constant(op)  # M <= cutoff: dense path
-    iterative = coercivity_constant(op, dense_cutoff=0)
-    assert iterative.c_min == pytest.approx(dense.c_min, abs=1e-8)
-    assert iterative.iterations > 0 and dense.iterations == 0
+    rep = coercivity_constant(op)
+    assert rep.c_min == pytest.approx(dense_cmin(op), abs=1e-8)
+    assert rep.path == "sliced" and rep.iterations > 0 and rep.factorizations > 0
 
 
 def test_report_invariants(morse):
     cfg = ChainConfig(M=64, N=2)
-    op = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 4), 1.1)
-    for rep in (coercivity_constant(op), coercivity_constant(op, dense_cutoff=0)):
+    G = h1_gram_sparse(cfg)
+    for beta in (cubic_beta(cfg, 4), beta_one(cfg)):
+        op = assemble_linear("bqcf", morse, cfg, beta, 1.1)
+        rep = coercivity_constant(op)
         assert abs(np.mean(rep.mode)) < 1e-10
+        assert rep.mode @ (G @ rep.mode) == pytest.approx(1.0, rel=1e-12)
         assert rep.residual <= 1e-8 * (abs(rep.c_min) + 1.0)
+        assert rep.c_min == pytest.approx(dense_cmin(op), abs=1e-8)
 
 
 def test_quotient_exactly_constant_for_n1(morse):
@@ -239,16 +242,6 @@ def test_atomistic_critical_strain_matches_long_wave_zero(morse):
 # ------------------------------------------------------- inertia predicate
 
 
-def dense_negative_count(op):
-    """Negative eigenvalues of the pencil (S, G) on mean-zero fields, dense."""
-    n = op.config.n_atoms
-    A = op.to_dense()
-    S = op.config.a * 0.5 * (A + A.T)
-    G = h1_gram_sparse(op.config).toarray()
-    Z = null_space(np.ones((1, n)))
-    return int(np.count_nonzero(eigh(Z.T @ S @ Z, Z.T @ G @ Z, eigvals_only=True) < 0.0))
-
-
 def test_inertia_count_matches_dense_oracle(morse):
     rng = np.random.default_rng(20240)
     cases = 0
@@ -298,6 +291,102 @@ def test_stability_record_paths(morse):
     assert (rec.path, rec.neg_count, rec.c_min, rec.stable) == ("inertia", 0, None, True)
     with pytest.raises(FrozenInstanceError):
         rec.stable = False
+
+
+# ------------------------------------------------------ sliced c_min solver
+
+
+def count_below(op, sigma):
+    """Pencil eigenvalues below sigma on mean-zero fields, by inertia."""
+    factored = _shifted_ldl(_weighted_sym_sparse(op), sigma, h1_gram_sparse(op.config))
+    assert factored is not None, sigma
+    return factored[1]
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.07, 1.14, 1.21])
+@pytest.mark.parametrize("L", [1, 4, 10])
+@pytest.mark.parametrize("family", ["linear", "cubic", "quintic"])
+def test_sliced_matches_dense_oracle(morse, family, L, gamma):
+    cfg = ChainConfig(M=64, N=2)
+    beta = sample_beta(symmetric_profile(cfg, family, L), cfg)
+    op = assemble_linear("bqcf", morse, cfg, beta, gamma)
+    rep = coercivity_constant(op, gamma=gamma)
+    c = dense_cmin(op)
+    assert rep.path == "sliced"
+    assert abs(rep.c_min - c) <= 1e-10 * (abs(c) + 1.0)
+    assert rep.residual <= 1e-8 * (abs(rep.c_min) + 1.0)
+
+
+def test_sliced_oracle_sweep_reaches_negative_cmin(morse):
+    # the M = 64 sweep above is only worth its name if some cases have lost
+    # coercivity (cubic L = 4 turns unstable between gamma = 1.14 and 1.21)
+    cfg = ChainConfig(M=64, N=2)
+    op = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 4), 1.21)
+    assert coercivity_constant(op).c_min < 0.0
+
+
+@pytest.mark.parametrize("leading", [0.0, 1e-4, 1e-300])
+def test_sliced_matches_dense_on_untrusted_pivots(morse, leading):
+    # the operators whose pivots at sigma = 0 cannot be trusted: c_min = -901
+    # at gamma = 1 lies far below the form-bound shift, which inertia widens
+    cfg = ChainConfig(M=64, N=2)
+    for gamma in (1.0, 1.25):
+        base = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 5), gamma)
+        diags = {o: d.copy() for o, d in base.diagonals.items()}
+        diags[0][0] = leading
+        op = BandedPeriodicOperator(cfg, diags)
+        rep = coercivity_constant(op)
+        c = dense_cmin(op)
+        assert rep.c_min < 0.0
+        assert abs(rep.c_min - c) <= 1e-10 * (abs(c) + 1.0)
+
+
+@pytest.mark.parametrize("M", [64, 2000])
+def test_sliced_factorization_counts(morse, M):
+    cfg = ChainConfig(M=M, N=2)
+    rep = coercivity_constant(assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 5), 1.0))
+    assert rep.path == "sliced"
+    assert 0 < rep.factorizations < 40
+    assert rep.iterations >= 1
+    rep = coercivity_constant(assemble_linear("bqcf", morse, cfg, beta_one(cfg), 1.0))
+    assert (rep.path, rep.factorizations, rep.iterations) == ("circulant", 0, 0)
+
+
+# c_min of the scaling ladder at gamma = 1 (cubic, L = ceil(M^(1/3)), N = 2),
+# as computed by the shift-invert Lanczos solver this one replaced
+LADDER_CMIN = {
+    500: 43.86414699577427,
+    1000: 43.85406199320653,
+    2000: 43.89234577880873,
+    4000: 43.899567612957966,
+}
+
+
+def test_scaling_ladder_pinned_and_certified(morse):
+    reports = scaling_study("cubic", "M^(1/3)", list(LADDER_CMIN), morse, 2)
+    for rep in reports:
+        c = rep.c_min
+        tol = 1e-10 * (abs(c) + 1.0)
+        assert abs(c - LADDER_CMIN[rep.M]) <= tol, rep.M
+        # certified by inertia: nothing below c_min, the mode just above it
+        cfg = ChainConfig(M=rep.M, N=2)
+        op = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, rep.L), 1.0)
+        gap = 1e-8 * (abs(c) + 1.0)
+        assert count_below(op, c - gap) == 0
+        assert count_below(op, c + gap) >= 1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_operator_raises(morse, bad):
+    cfg = ChainConfig(M=64, N=2)
+    base = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 5), 1.0)
+    diags = {o: d.copy() for o, d in base.diagonals.items()}
+    diags[0][3] = bad
+    op = BandedPeriodicOperator(cfg, diags)
+    with pytest.raises(EigenSolveError, match="40 shifted factorizations"):
+        coercivity_constant(op)
+    with pytest.raises(EigenSolveError):
+        stability_at(op)
 
 
 # ------------------------------------------------------------ decomposition
