@@ -202,13 +202,6 @@ def sample_beta(profile: BlendingProfile, config: ChainConfig) -> PeriodicField:
     return PeriodicField(config, beta)
 
 
-def pair_weight(beta: PeriodicField, ell: int, k: int) -> float:
-    """Symmetric pair weight (beta_{ell-k} + 2 beta_ell + beta_{ell+k}) / 4."""
-    if k < 1:
-        raise ValueError(f"neighbor index k must be >= 1, got {k}")
-    return float((beta.at(ell - k) + 2.0 * beta.at(ell) + beta.at(ell + k)) / 4.0)
-
-
 def pair_weight_field(beta: PeriodicField, k: int) -> np.ndarray:
     """Pair weights for all sites at once (physical storage order)."""
     if k < 1:

@@ -26,7 +26,6 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import bmat
 from scipy.sparse.linalg import splu
 
 from . import __version__
@@ -43,6 +42,7 @@ from .operators import assemble_linear, energy_linearized
 from .potential import Morse, MorseParams
 from .stability import (
     StrainSweepError,
+    bordered_matrix,
     coercivity_constant,
     critical_strain,
     scaling_study,
@@ -207,28 +207,12 @@ def solve_mean_zero(op, rhs: PeriodicField) -> PeriodicField:
     """Solve the force balance on the mean-zero subspace.
 
     The operator annihilates constants, so the system is posed on
-    mean-zero fields via a bordered factorization: the border column
-    absorbs the (generally nonzero) mean of A u produced by the
-    non-symmetric blend, the border row pins mean(u) = 0.
+    mean-zero fields via the bordered matrix [[A, e], [e^T, 0]]: the
+    border column absorbs the (generally nonzero) mean of A u produced by
+    the non-symmetric blend, the border row pins mean(u) = 0.
     """
-    config = op.config
-    n = config.n_atoms
-    if config.M <= 256:
-        A = op.to_dense()
-        ebar = np.full(n, 1.0 / np.sqrt(n))
-        K = np.zeros((n + 1, n + 1))
-        K[:n, :n] = A
-        K[:n, n] = ebar
-        K[n, :n] = ebar
-        sol = np.linalg.solve(K, np.append(rhs.values, 0.0))
-        return PeriodicField(config, sol[:n])
-    ebar = np.full(n, 1.0 / np.sqrt(n))
-    K = bmat(
-        [[op.to_sparse(), ebar.reshape(-1, 1)], [ebar.reshape(1, -1), None]],
-        format="csc",
-    )
-    sol = splu(K).solve(np.append(rhs.values, 0.0))
-    return PeriodicField(config, sol[:n])
+    sol = splu(bordered_matrix(op.bands)).solve(np.append(rhs.values, 0.0))
+    return PeriodicField(op.config, sol[: op.config.n_atoms])
 
 
 def run_critical_strain_table(cfg: ExperimentConfig) -> ResultTable:

@@ -158,12 +158,6 @@ def h1_seminorm(u: PeriodicField) -> float:
     return l2_norm(forward_diff(u))
 
 
-def norms_and_inner(u: PeriodicField, w: PeriodicField):
-    """Return (l2_norm(u), linf_norm(u), inner(u, w), h1_seminorm(u))."""
-    _require_same_config(u, w)
-    return l2_norm(u), linf_norm(u), inner(u, w), h1_seminorm(u)
-
-
 def check_summation_by_parts(u: PeriodicField, v: PeriodicField) -> float:
     """Residual of the periodic summation-by-parts identity.
 

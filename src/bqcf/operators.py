@@ -15,13 +15,16 @@ reference linearization):
 With this sign convention the quadratic form <F u, u> is positive for
 stable configurations, e.g. <F u, u> = phi_xx(1) |u'|^2 for N = 1.
 
-Operators are stored as 2N+1 periodic diagonals and applied in the
-row-difference form
+An operator is one (2N+1, 2M) array of periodic diagonals, bands[N + o],
+and is applied in the row-difference form
 
     (A u)_ell = sum_{o != 0} d_o[ell] (u_{ell+o} - u_ell) + rowsum[ell] u_ell,
 
-which annihilates constant fields exactly in floating point whenever the
-row sums vanish (true for every assembled operator here).
+with the row sum taken over the off-diagonal pairs d_{-k} + d_k, k = 1..N,
+then the diagonal.  Assembly sets the diagonal to minus that off-diagonal
+sum, so the row sums of every assembled operator are exact zeros and
+constant fields are annihilated exactly in floating point.  Every band is
+affine in the N coefficients phi_xx(k gamma).
 
 The nonlinear atomistic force and the energy functionals (nonlinear
 atomistic, linearized atomistic/continuum) live here too.
@@ -33,6 +36,7 @@ threads; assembly and application have no shared mutable state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,66 +45,50 @@ from .lattice import ChainConfig, PeriodicField, forward_diff, inner
 from .potential import PairPotential
 
 
+def _row_sums(bands: np.ndarray) -> np.ndarray:
+    """Row sums in apply order: d_{-k} + d_k for k = 1..N, then the diagonal.
+
+    Summing the +-k pair per neighbor gives, on the atomistic and continuum
+    rows, the same bits as a diagonal accumulated neighbor by neighbor.
+    """
+    N = bands.shape[0] // 2
+    s = np.zeros(bands.shape[1])
+    for k in range(1, N + 1):
+        s = s + (bands[N - k] + bands[N + k])
+    return s + bands[N]
+
+
 @dataclass
 class BandedPeriodicOperator:
-    """Periodic banded matrix stored as per-offset diagonals.
+    """Periodic (2N+1)-banded matrix held as one band array.
 
-    diagonals[o][p] is the entry coupling row p to column (p+o) mod 2M.
-    form_bound, when set, is sum_k k^2 |phi_xx(k gamma)|, a safe scale
-    for the operator's H1 Rayleigh quotient used by the eigensolver.
-    row_sums may be supplied when known analytically (assembly passes
-    exact zeros; sums of operators propagate them), otherwise it is
-    recomputed from the diagonals.
+    bands[N + o][p] is the entry coupling row p to column (p + o) mod 2M,
+    for the offsets o = -N..N of the config's interaction range.
     """
 
     config: ChainConfig
-    diagonals: dict
-    form_bound: float | None = None
-    row_sums: np.ndarray | None = None
+    bands: np.ndarray
 
     def __post_init__(self):
-        n = self.config.n_atoms
-        clean = {}
-        for o in sorted(self.diagonals):
-            arr = np.asarray(self.diagonals[o], dtype=float)
-            if arr.shape == ():
-                arr = np.full(n, float(arr))
-            if arr.shape != (n,):
-                raise ValueError(f"diagonal {o} has shape {arr.shape}, expected ({n},)")
-            if abs(o) > self.config.N:
-                raise ValueError(f"offset {o} exceeds interaction range N={self.config.N}")
-            clean[int(o)] = arr
-        self.diagonals = clean
-        if self.row_sums is None:
-            # off-diagonals first, in sorted order, so a diagonal built as
-            # the negated sorted sum of the others cancels bit-for-bit
-            rs = np.zeros(n)
-            for o in sorted(clean):
-                if o != 0:
-                    rs = rs + clean[o]
-            if 0 in clean:
-                rs = rs + clean[0]
-            self.row_sums = rs
-        else:
-            self.row_sums = np.asarray(self.row_sums, dtype=float)
-            if self.row_sums.shape != (n,):
-                raise ValueError("row_sums has wrong shape")
+        self.bands = np.asarray(self.bands, dtype=float)
+        shape = (2 * self.config.N + 1, self.config.n_atoms)
+        if self.bands.shape != shape:
+            raise ValueError(f"bands have shape {self.bands.shape}, expected {shape}")
 
     @property
-    def bandwidth(self) -> int:
-        return max((abs(o) for o in self.diagonals), default=0)
+    def diagonals(self):
+        """Read-only mapping from offset o to its diagonal (a view of bands)."""
+        N = self.config.N
+        return MappingProxyType({o: self.bands[N + o] for o in range(-N, N + 1)})
 
     def apply_values(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-vector product on a raw value array.
-
-        Uses the row-difference form, which annihilates constants exactly
-        whenever row_sums is exactly zero.
-        """
-        out = self.row_sums * v
-        for o in sorted(self.diagonals):
-            if o == 0:
-                continue
-            out = out + self.diagonals[o] * (np.roll(v, -o) - v)
+        """Matrix-vector product on a raw value array, in the row-difference
+        form, which annihilates constants exactly when the row sums vanish."""
+        N = self.config.N
+        out = _row_sums(self.bands) * v
+        for o in range(-N, N + 1):
+            if o != 0:
+                out = out + self.bands[N + o] * (np.roll(v, -o) - v)
         return out
 
     def apply(self, u: PeriodicField) -> PeriodicField:
@@ -116,75 +104,57 @@ class BandedPeriodicOperator:
             A[idx, (idx + o) % n] += d
         return A
 
-    def transpose(self) -> "BandedPeriodicOperator":
-        """Transpose; its row sums are this operator's column sums."""
-        diags = {-o: np.roll(d, o) for o, d in self.diagonals.items()}
-        return BandedPeriodicOperator(self.config, diags, self.form_bound)
-
     def symmetric_part(self) -> "BandedPeriodicOperator":
-        t = self.transpose()
-        offs = set(self.diagonals) | set(t.diagonals)
-        n = self.config.n_atoms
-        diags = {
-            o: 0.5 * (self.diagonals.get(o, 0.0) + t.diagonals.get(o, np.zeros(n)))
-            for o in offs
-        }
-        rs = 0.5 * (self.row_sums + t.row_sums)
-        return BandedPeriodicOperator(self.config, diags, self.form_bound, rs)
-
-    def add(self, other: "BandedPeriodicOperator") -> "BandedPeriodicOperator":
-        if other.config != self.config:
-            raise ValueError("operator configs differ")
-        offs = sorted(set(self.diagonals) | set(other.diagonals))
-        n = self.config.n_atoms
-        diags = {
-            o: self.diagonals.get(o, np.zeros(n)) + other.diagonals.get(o, np.zeros(n))
-            for o in offs
-        }
-        fb = None
-        if self.form_bound is not None and other.form_bound is not None:
-            fb = self.form_bound + other.form_bound
-        return BandedPeriodicOperator(
-            self.config, diags, fb, self.row_sums + other.row_sums
-        )
+        """(A + A^T)/2: band o of A^T is band -o of A rolled by -o."""
+        N = self.config.N
+        t = np.array([np.roll(self.bands[N - o], -o) for o in range(-N, N + 1)])
+        return BandedPeriodicOperator(self.config, 0.5 * (self.bands + t))
 
     def to_sparse(self):
         """CSR matrix (scipy) with periodic wraparound."""
         from scipy.sparse import csr_matrix
 
-        n = self.config.n_atoms
-        idx = np.arange(n)
-        rows, cols, vals = [], [], []
-        for o, d in self.diagonals.items():
-            rows.append(idx)
-            cols.append((idx + o) % n)
-            vals.append(d)
-        return csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        )
+        N, n = self.config.N, self.config.n_atoms
+        rows = np.tile(np.arange(n), 2 * N + 1)
+        cols = (rows + np.repeat(np.arange(-N, N + 1), n)) % n
+        return csr_matrix((self.bands.ravel(), (rows, cols)), shape=(n, n))
 
 
-def dump_dense_csv(op: BandedPeriodicOperator, path) -> None:
-    """Debug dump as a dense CSV matrix (row-major, 2M columns)."""
-    np.savetxt(path, op.to_dense(), delimiter=",")
+def _with_zero_row_sums(config: ChainConfig, bands: np.ndarray) -> BandedPeriodicOperator:
+    """Operator from bands with a zero diagonal, which is set to minus the
+    off-diagonal sum in apply order, so that the row sums are exact zeros."""
+    bands[config.N] = -_row_sums(bands)
+    return BandedPeriodicOperator(config, bands)
 
 
-def _zero_row_sum_diagonal(diags: dict, n: int) -> np.ndarray:
-    """Diagonal making row sums vanish, matching the reduction order used
-    in BandedPeriodicOperator so the cancellation is exact in floats."""
-    s = np.zeros(n)
-    for o in sorted(diags):
-        if o != 0:
-            s = s + diags[o]
-    return -s
-
-
-def _accumulate(diags: dict, offset: int, values, n: int) -> None:
-    arr = diags.get(offset)
-    if arr is None:
-        arr = np.zeros(n)
-    diags[offset] = arr + np.broadcast_to(values, (n,))
+def _neighbor_bands(which, pot, config, beta, gamma):
+    """Bands of the k-th neighbor's stencil, one array per k = 1..N, with the
+    diagonal left at zero."""
+    if gamma <= 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    if which not in ("atomistic", "continuum", "bqcf"):
+        raise ValueError(f"unknown operator kind {which!r}")
+    if which == "bqcf":
+        if beta is None:
+            raise ValueError("bqcf assembly needs a sampled blending field")
+        if beta.config != config:
+            raise ValueError("beta sampled on a different config")
+    N = config.N
+    inv_a2 = float(config.M) ** 2
+    parts = []
+    for k in range(1, N + 1):
+        c = float(pot.phi_xx(k * gamma))
+        b = np.zeros((2 * N + 1, config.n_atoms))
+        if which == "atomistic":
+            b[[N - k, N + k]] += -c * inv_a2
+        elif which == "continuum":
+            b[[N - 1, N + 1]] += -(c * k * k) * inv_a2
+        else:
+            w = pair_weight_field(beta, k)
+            b[[N - k, N + k]] += -(w * c) * inv_a2
+            b[[N - 1, N + 1]] += -((1.0 - w) * (c * k * k)) * inv_a2
+        parts.append(b)
+    return parts
 
 
 def per_neighbor_operators(
@@ -200,40 +170,8 @@ def per_neighbor_operators(
     'bqcf'.  All coefficients are evaluated at the stretched bond length
     k*gamma.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if which not in ("atomistic", "continuum", "bqcf"):
-        raise ValueError(f"unknown operator kind {which!r}")
-    if which == "bqcf":
-        if beta is None:
-            raise ValueError("bqcf assembly needs a sampled blending field")
-        if beta.config != config:
-            raise ValueError("beta sampled on a different config")
-    n = config.n_atoms
-    inv_a2 = float(config.M) ** 2
-    ops = []
-    for k in range(1, config.N + 1):
-        c = float(pot.phi_xx(k * gamma))
-        diags: dict = {}
-        if which == "atomistic":
-            _accumulate(diags, k, -c * inv_a2, n)
-            _accumulate(diags, -k, -c * inv_a2, n)
-        elif which == "continuum":
-            _accumulate(diags, 1, -(c * k * k) * inv_a2, n)
-            _accumulate(diags, -1, -(c * k * k) * inv_a2, n)
-        else:
-            w = pair_weight_field(beta, k)
-            _accumulate(diags, k, -(w * c) * inv_a2, n)
-            _accumulate(diags, -k, -(w * c) * inv_a2, n)
-            _accumulate(diags, 1, -((1.0 - w) * (c * k * k)) * inv_a2, n)
-            _accumulate(diags, -1, -((1.0 - w) * (c * k * k)) * inv_a2, n)
-        diags[0] = _zero_row_sum_diagonal(diags, n)
-        ops.append(
-            BandedPeriodicOperator(
-                config, diags, form_bound=k * k * abs(c), row_sums=np.zeros(n)
-            )
-        )
-    return ops
+    parts = _neighbor_bands(which, pot, config, beta, gamma)
+    return [_with_zero_row_sums(config, b) for b in parts]
 
 
 def assemble_linear(
@@ -244,16 +182,7 @@ def assemble_linear(
     gamma: float = 1.0,
 ) -> BandedPeriodicOperator:
     """Assemble the full linearized force operator (sum over neighbors)."""
-    ops = per_neighbor_operators(which, pot, config, beta, gamma)
-    full = ops[0]
-    for op in ops[1:]:
-        full = full.add(op)
-    return full
-
-
-def apply(op: BandedPeriodicOperator, u: PeriodicField) -> PeriodicField:
-    """Matrix-vector product with periodic wraparound."""
-    return op.apply(u)
+    return _with_zero_row_sums(config, sum(_neighbor_bands(which, pot, config, beta, gamma)))
 
 
 def bilinear(op: BandedPeriodicOperator, u: PeriodicField, v: PeriodicField) -> float:

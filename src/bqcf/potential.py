@@ -19,6 +19,7 @@ with well depth D_e, width parameter alpha and equilibrium distance r_e
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,8 @@ class MorseParams:
     r_e: float = 1.0
 
     def __post_init__(self):
-        if not (self.D_e > 0 and self.alpha > 0 and self.r_e > 0):
-            raise ValueError(f"Morse parameters must be positive, got {self}")
+        if not all(math.isfinite(x) and x > 0 for x in (self.D_e, self.alpha, self.r_e)):
+            raise ValueError(f"Morse parameters must be positive and finite, got {self}")
 
 
 class PairPotential:
@@ -77,9 +78,13 @@ class PairPotential:
         return self._phi_xx(self._checked_abs(r))
 
     def check_assumptions(self, k_max: int = KMAX_DEFAULT):
-        """Verify phi_xx(1) > 0 and phi_xx(k) <= 0 for k = 2..k_max."""
-        if not self._phi_xx(np.float64(1.0)) > 0:
-            raise ValueError("potential violates phi_xx(1) > 0")
+        """Verify 0 < phi_xx(1) < inf and phi_xx(k) <= 0 for k = 2..k_max."""
+        try:
+            c1 = float(self._phi_xx(np.float64(1.0)))
+        except OverflowError:  # Python float powers raise instead of giving inf
+            c1 = math.inf
+        if not (math.isfinite(c1) and c1 > 0):
+            raise ValueError(f"potential violates 0 < phi_xx(1) < inf (phi_xx(1) = {c1})")
         ks = np.arange(2, k_max + 1, dtype=float)
         bad = ks[self._phi_xx(ks) > 0]
         if bad.size:
@@ -108,23 +113,6 @@ class Morse(PairPotential):
         p = self.params
         q = self._exp_term(r)
         return 2.0 * p.D_e * p.alpha**2 * q * (2.0 * q - 1.0)
-
-
-def morse_eval(p: MorseParams, r: float, deriv: int = 0) -> float:
-    """Evaluate the Morse potential or one of its first two derivatives.
-
-    Requires r > 0; deriv in {0, 1, 2}.
-    """
-    if r <= 0:
-        raise ValueError(f"bond length must be positive, got {r}")
-    q = np.exp(-p.alpha * (r - p.r_e))
-    if deriv == 0:
-        return float(p.D_e * (1.0 - q) ** 2)
-    if deriv == 1:
-        return float(2.0 * p.D_e * p.alpha * q * (1.0 - q))
-    if deriv == 2:
-        return float(2.0 * p.D_e * p.alpha**2 * q * (2.0 * q - 1.0))
-    raise ValueError(f"deriv must be 0, 1 or 2, got {deriv}")
 
 
 def stability_constant(pot: PairPotential, N: int, gamma: float) -> float:

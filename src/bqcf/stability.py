@@ -20,6 +20,13 @@ number of pencil eigenvalues below sigma is neg(K(sigma)) - 1, read off
 the pivots of one sparse LU of K taken without pivoting: for the
 symmetric K that factorization is L D L^T with D the diagonal of U.
 
+S and G are band arrays like the operator's own: S averages A's bands
+with their row rolls (the bands of A^T), G has the bands -1/a, 2/a, -1/a.
+bordered_matrix refills K from the bands of its leading block on a CSC
+pattern built once per (2M, N).  The sweep's test (S), every shift of the
+slicing (S - sigma G) and the deform solve (A itself) share it, so no
+sparse matrix is assembled per call.
+
 Constant-coefficient operators take the exact Fourier minimum.  Every
 other operator is solved by spectrum slicing: shifts bracketed by that
 count, with inverse iteration on the factors that have no eigenvalue
@@ -37,9 +44,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import bmat, csr_matrix
+from scipy.sparse import bmat, csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 from scipy.sparse.linalg import eigsh  # noqa: F401  unused; perfbench/layertrace.py wraps it by name
 
@@ -121,46 +129,37 @@ class StabilityRecord:
         return f"{self.neg_count} negative eigenvalues"
 
 
-def h1_gram_sparse(config: ChainConfig):
-    """G = a D^T D for the periodic forward difference D (sparse CSR)."""
-    n = config.n_atoms
-    a = config.a
-    idx = np.arange(n)
-    rows = np.concatenate([idx, idx, idx])
-    cols = np.concatenate([idx, (idx + 1) % n, (idx - 1) % n])
-    vals = np.concatenate([np.full(n, 2.0 / a), np.full(n, -1.0 / a), np.full(n, -1.0 / a)])
-    return csr_matrix((vals, (rows, cols)), shape=(n, n))
+def _h1_gram(config: ChainConfig) -> BandedPeriodicOperator:
+    """G = a D^T D for the periodic forward difference D: bands -1/a, 2/a, -1/a."""
+    N, a = config.N, config.a
+    bands = np.zeros((2 * N + 1, config.n_atoms))
+    bands[N - 1 : N + 2] = np.array([[-1.0 / a], [2.0 / a], [-1.0 / a]])
+    return BandedPeriodicOperator(config, bands)
 
 
-def _weighted_sym_sparse(op: BandedPeriodicOperator):
-    """S = a * (A + A^T) / 2 as sparse CSR."""
-    return op.symmetric_part().to_sparse() * op.config.a
+@lru_cache(maxsize=8)
+def _bordered_pattern(n: int, N: int):
+    """CSC structure of K = [[B, e], [e^T, 0]] for a B with every entry of
+    the n-periodic bands -N..N stored, and for each stored entry of K its
+    index into [B's bands flattened row by row, e's value]."""
+    rows = np.tile(np.arange(n), 2 * N + 1)
+    cols = (rows + np.repeat(np.arange(-N, N + 1), n)) % n
+    label = csr_matrix((np.arange(1.0, rows.size + 1), (rows, cols)), shape=(n, n))
+    border = np.full((n, 1), rows.size + 1.0)
+    K = bmat([[label, border], [border.T, None]], format="csc")
+    pattern = K.indices, K.indptr, K.data.astype(np.intp) - 1
+    for arr in pattern:
+        arr.setflags(write=False)  # shared by every matrix refilled on it
+    return pattern
 
 
-def _make_s_apply(op: BandedPeriodicOperator):
-    """S v through the row-difference form of the symmetric part.
-
-    The stencil entries are O(1/a^2) but cancel against each other; the
-    difference form subtracts neighbor values before multiplying, which
-    keeps the roundoff at the scale of the result instead of the entries.
-    """
-    sym = op.symmetric_part()
-    a = op.config.a
-
-    def s_apply(v):
-        return sym.apply_values(v) * a
-
-    return s_apply
-
-
-def _make_g_apply(config: ChainConfig):
-    """G v = a D^T D v evaluated as a second difference."""
-    a = config.a
-
-    def g_apply(v):
-        return (2.0 * v - np.roll(v, -1) - np.roll(v, 1)) / a
-
-    return g_apply
+def bordered_matrix(bands: np.ndarray):
+    """K = [[B, e], [e^T, 0]] as CSC, B given by its (2N+1, n) periodic bands
+    and e = 1/sqrt(n), refilled on the pattern cached per (n, N)."""
+    n = bands.shape[1]
+    indices, indptr, source = _bordered_pattern(n, bands.shape[0] // 2)
+    values = np.append(bands, 1.0 / np.sqrt(n))
+    return csc_matrix((values[source], indices, indptr), shape=(n + 1, n + 1))
 
 
 def _circulant_cmin(op: BandedPeriodicOperator):
@@ -188,27 +187,27 @@ def _circulant_cmin(op: BandedPeriodicOperator):
     phase = (m_star * np.arange(n, dtype=np.int64)) % n
     v = np.cos(2.0 * np.pi * phase / n)
     v = v - v.mean()
-    s_apply = _make_s_apply(op)
-    g_apply = _make_g_apply(config)
-    v = v / np.sqrt(v @ g_apply(v))
-    sv = s_apply(v)
+    sym_op = op.symmetric_part()
+    G = _h1_gram(config)
+    v = v / np.sqrt(v @ G.apply_values(v))
+    sv = sym_op.apply_values(v) * a
     sv = sv - sv.mean()
-    gv = g_apply(v)
+    gv = G.apply_values(v)
     res = float(np.linalg.norm(sv - lam * gv) / np.linalg.norm(gv))
     return lam, v, res, 0
 
 
 def _is_circulant(op: BandedPeriodicOperator) -> bool:
-    return all(np.ptp(d) == 0.0 for d in op.diagonals.values())
+    return bool(np.all(np.ptp(op.bands, axis=1) == 0.0))
 
 
-def _shifted_ldl(S, sigma=0.0, G=None):
-    """Factor K(sigma) = [[S - sigma G, e], [e^T, 0]] as L D L^T and count.
+def _shifted_ldl(B: np.ndarray):
+    """Factor K = [[B, e], [e^T, 0]] as L D L^T and count.
 
-    Returns (lu, neg), where neg = neg(K) - 1 is the number of eigenvalues
-    of the pencil (S, G) below sigma on mean-zero fields (for sigma = 0,
-    the negative eigenvalues of S there), or None when the signs cannot
-    be trusted.
+    B holds the bands of S - sigma G.  Returns (lu, neg), where
+    neg = neg(K) - 1 is the number of eigenvalues of the pencil (S, G)
+    below sigma on mean-zero fields (for sigma = 0, the negative
+    eigenvalues of S there), or None when the signs cannot be trusted.
 
     K is factored in its natural order with diagonal pivots only, so U's
     diagonal is the D of K = L D L^T and neg(K) = #{d_i < 0}; the border
@@ -226,12 +225,10 @@ def _shifted_ldl(S, sigma=0.0, G=None):
     sign between them whatever sign roundoff gives d; a larger d has a
     resolved sign of its own.
     """
-    n = S.shape[0]
-    e = np.full((n, 1), 1.0 / np.sqrt(n))
-    B = S if sigma == 0.0 else S - sigma * G
+    n = B.shape[1]
     try:
         lu = splu(
-            bmat([[B, e], [e.T, None]], format="csc"),
+            bordered_matrix(B),
             permc_spec="NATURAL",
             diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),
@@ -267,10 +264,9 @@ def _sliced_cmin(op: BandedPeriodicOperator):
     config = op.config
     n = config.n_atoms
     a = config.a
-    S = _weighted_sym_sparse(op)
-    G = h1_gram_sparse(config)
-    s_apply = _make_s_apply(op)
-    g_apply = _make_g_apply(config)
+    sym = op.symmetric_part()
+    G = _h1_gram(config)
+    S = a * sym.bands
     ebar = np.full(n, 1.0 / np.sqrt(n))
 
     def project(x):
@@ -278,27 +274,31 @@ def _sliced_cmin(op: BandedPeriodicOperator):
 
     def residual_of(v):
         """G-normalized copy, its quotient, and the pencil residual
-        |P S v - lam G v| / |G v| (eigenvalue units)."""
+        |P S v - lam G v| / |G v| (eigenvalue units).  The quotient is
+        a <A v, v>, the same number as <S v, v>, taken from A because A's
+        row sums vanish exactly where those of A^T carry roundoff."""
         v = project(v)
-        v = v / np.sqrt(v @ g_apply(v))
-        lam = float(v @ s_apply(v))
-        sv = project(s_apply(v))
-        gv = g_apply(v)
+        v = v / np.sqrt(v @ G.apply_values(v))
+        lam = float(v @ op.apply_values(v)) * a
+        sv = project(sym.apply_values(v) * a)
+        gv = G.apply_values(v)
         return v, lam, float(np.linalg.norm(sv - lam * gv) / np.linalg.norm(gv))
 
-    fb = op.form_bound
-    if fb is None:
-        fb = float(np.max(np.abs(op.diagonals.get(0, np.zeros(n))))) * a * a
-    # usually below the spectrum, but not always (a zero diagonal entry
+    # half the sum of o^2 max|d_o| a^2 over o != 0, a scale of the H1
+    # quotient: sum_k k^2 |phi_xx(k gamma)| on the atomistic operator.  It
+    # is usually below the spectrum, but not always (a zero diagonal entry
     # can put c_min far under it), so it too is checked by inertia
-    sigma = -(2.0 * fb + 50.0)
+    N = config.N
+    d_max = np.max(np.abs(op.bands), axis=1)
+    bound = 0.5 * sum(o * o * d_max[N + o] for o in range(-N, N + 1) if o != 0) * a * a
+    sigma = -(2.0 * bound + 50.0)
     lo, hi = -math.inf, math.inf
     v = project(np.random.default_rng(7).standard_normal(n))
     res = math.nan
     solves = 0
     for factorizations in range(1, _MAX_FACTORIZATIONS + 1):
         lu = factored = None  # free the last factor before making the next
-        factored = _shifted_ldl(S, sigma, G)
+        factored = _shifted_ldl(S - sigma * G.bands)
         if factored is None:  # untrusted signs: nudge the shift toward lo
             sigma = lo + 0.5 * (sigma - lo) if lo > -math.inf else sigma - (abs(sigma) + 1.0)
             continue
@@ -310,7 +310,7 @@ def _sliced_cmin(op: BandedPeriodicOperator):
         lo = sigma
         prev = math.inf
         for _ in range(_MAX_SOLVES_PER_SHIFT):
-            z = lu.solve(np.append(g_apply(v), 0.0))
+            z = lu.solve(np.append(G.apply_values(v), 0.0))
             solves += 1
             v, lam, res = residual_of(z[:n])
             hi = min(hi, lam)
@@ -381,7 +381,7 @@ def coercivity_constant(
 def _inertia_count(op: BandedPeriodicOperator) -> int | None:
     """Negative eigenvalues of S on mean-zero fields, from one factorization
     (_shifted_ldl at sigma = 0); None when its signs cannot be trusted."""
-    factored = _shifted_ldl(_weighted_sym_sparse(op))
+    factored = _shifted_ldl(op.config.a * op.symmetric_part().bands)
     return None if factored is None else factored[1]
 
 

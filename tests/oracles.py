@@ -1,24 +1,48 @@
-"""Dense oracles for the sparse coercivity paths.
+"""Slow oracles for the fast paths.
 
 The pencil (S, G) of an operator is projected onto an orthonormal basis
-of the mean-zero fields and solved with a dense generalized eigensolver.
-The cost is cubic in 2M, so these are for small chains only.
+of the mean-zero fields and solved with a dense generalized eigensolver,
+and the bordered matrices are built densely from to_dense().  The cost
+is cubic in 2M, so these are for small chains only.  G and the pair
+weights are written out here from their definitions, not taken from the
+package.
 """
 
 import numpy as np
 from scipy.linalg import eigh, null_space
 
-from bqcf.stability import h1_gram_sparse
+
+def pair_weight(beta, ell, k):
+    """Pair weight (beta_{ell-k} + 2 beta_ell + beta_{ell+k}) / 4 at one site."""
+    return float((beta.at(ell - k) + 2.0 * beta.at(ell) + beta.at(ell + k)) / 4.0)
+
+
+def dense_gram(config):
+    """G = a D^T D for the periodic forward difference D, densely."""
+    n = config.n_atoms
+    D = (np.roll(np.eye(n), 1, axis=1) - np.eye(n)) / config.a
+    return config.a * D.T @ D
+
+
+def dense_sym(op):
+    """S = a (A + A^T) / 2, densely."""
+    A = op.to_dense()
+    return op.config.a * 0.5 * (A + A.T)
+
+
+def dense_bordered(B):
+    """[[B, e], [e^T, 0]] with e = 1/sqrt(n), densely."""
+    n = B.shape[0]
+    K = np.zeros((n + 1, n + 1))
+    K[:n, :n] = B
+    K[:n, n] = K[n, :n] = 1.0 / np.sqrt(n)
+    return K
 
 
 def dense_eigenvalues(op):
     """Every eigenvalue of the pencil (S, G) on mean-zero fields, ascending."""
-    n = op.config.n_atoms
-    A = op.to_dense()
-    S = op.config.a * 0.5 * (A + A.T)
-    G = h1_gram_sparse(op.config).toarray()
-    Z = null_space(np.ones((1, n)))
-    return eigh(Z.T @ S @ Z, Z.T @ G @ Z, eigvals_only=True)
+    Z = null_space(np.ones((1, op.config.n_atoms)))
+    return eigh(Z.T @ dense_sym(op) @ Z, Z.T @ dense_gram(op.config) @ Z, eigvals_only=True)
 
 
 def dense_cmin(op):

@@ -1,0 +1,54 @@
+"""The entry points the benchmark looks up, checked from the test suite.
+
+perfbench/layertrace.py wraps program functions by name and
+perfbench/workloads.py recomputes residuals from the operator's stored
+diagonals.  Both are loaded here read-only, so a renamed or removed entry
+point fails these tests and not only the benchmark's own self-test.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from bqcf import experiments, stability
+from bqcf.blending import sample_beta, symmetric_profile
+from bqcf.lattice import ChainConfig, PeriodicField
+from bqcf.operators import assemble_linear
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def cubic_operator(morse, M=64, gamma=1.1):
+    cfg = ChainConfig(M=M, N=2)
+    beta = sample_beta(symmetric_profile(cfg, "cubic", 5), cfg)
+    return assemble_linear("bqcf", morse, cfg, beta, gamma)
+
+
+def test_tracer_patches_and_restores_every_entry_point(morse):
+    tracer = load("layertrace").Tracer()
+    originals = [(owner, attr, vars(owner)[attr]) for owner, attr, _ in tracer.targets()]
+    op = cubic_operator(morse)
+    f = PeriodicField(op.config, np.sin(np.pi * op.config.positions()))
+    with tracer.patched():
+        stability.coercivity_constant(op)
+        experiments.solve_mean_zero(op, f)
+    assert all(vars(owner)[attr] is fn for owner, attr, fn in originals)
+    # every factorization goes through a module global the tracer wraps
+    assert tracer.calls["stability.splu"] > 0 and tracer.calls["experiments.splu"] == 1
+    assert tracer.calls["operators.apply_values"] > 0
+
+
+def test_plain_apply_matches_program_apply(morse):
+    op = cubic_operator(morse)
+    v = np.random.default_rng(5).standard_normal(op.config.n_atoms)
+    want = op.apply_values(v)
+    got = load("workloads")._apply_plain(op, v)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -7,13 +7,13 @@ from bqcf.blending import (
     constant_profile,
     derivative_sup_bounds,
     one_sided_profile,
-    pair_weight,
     pair_weight_field,
     sample_beta,
     spline_shape,
     symmetric_profile,
 )
 from bqcf.lattice import ChainConfig, PeriodicField
+from oracles import pair_weight
 
 
 def test_spline_endpoints_exact():
@@ -121,20 +121,20 @@ def test_pair_weight_constants():
     cfg = ChainConfig(M=8, N=2)
     ones = PeriodicField(cfg, np.ones(cfg.n_atoms))
     zeros = PeriodicField.zeros(cfg)
-    for ell in (-5, 0, 3, 8):
-        for k in (1, 2, 3):
-            assert pair_weight(ones, ell, k) == 1.0
-            assert pair_weight(zeros, ell, k) == 0.0
+    for k in (1, 2, 3):
+        assert np.all(pair_weight_field(ones, k) == 1.0)
+        assert np.all(pair_weight_field(zeros, k) == 0.0)
 
 
 def test_pair_weight_step_profile_hand_value():
-    # beta = (0, 0, 1, 1) at ell = -1..2 on M=2
+    # beta = (0, 0, 1, 1) at ell = -1..2 on M=2, stored at p = ell + 1
     cfg = ChainConfig(M=2, N=1)
     beta = PeriodicField(cfg, [0.0, 0.0, 1.0, 1.0])
+    w = pair_weight_field(beta, 1)
     # at ell = 1 (first 1-site): (beta_0 + 2 beta_1 + beta_2)/4 = (0 + 2 + 1)/4
-    assert pair_weight(beta, 1, 1) == pytest.approx(3.0 / 4.0)
+    assert w[2] == pytest.approx(3.0 / 4.0)
     # at ell = 0 (last 0-site): (beta_-1 + 0 + beta_1)/4 = (0 + 0 + 1)/4
-    assert pair_weight(beta, 0, 1) == pytest.approx(1.0 / 4.0)
+    assert w[1] == pytest.approx(1.0 / 4.0)
 
 
 def test_pair_weight_symmetric_in_k():
@@ -142,10 +142,11 @@ def test_pair_weight_symmetric_in_k():
     rng = np.random.default_rng(4)
     beta = PeriodicField(cfg, rng.uniform(0, 1, cfg.n_atoms))
     for ell in (-10, 0, 7):
+        p = ell + cfg.M - 1
         for k in (1, 2, 3):
             direct = (beta.at(ell - k) + 2 * beta.at(ell) + beta.at(ell + k)) / 4.0
             mirrored = (beta.at(ell + k) + 2 * beta.at(ell) + beta.at(ell - k)) / 4.0
-            assert pair_weight(beta, ell, k) == pytest.approx(direct, rel=1e-15)
+            assert pair_weight_field(beta, k)[p] == pytest.approx(direct, rel=1e-15)
             assert direct == pytest.approx(mirrored, rel=1e-15)
 
 
@@ -164,7 +165,7 @@ def test_pair_weight_rejects_bad_k():
     cfg = ChainConfig(M=4, N=1)
     beta = PeriodicField.zeros(cfg)
     with pytest.raises(ValueError):
-        pair_weight(beta, 0, 0)
+        pair_weight_field(beta, 0)
 
 
 def test_derivative_bounds_constant_profile():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -280,3 +282,65 @@ def test_cli_rejects_non_finite_sweep_input(tmp_path, capsys, flag, value, name)
     err = capsys.readouterr().err
     assert name in err and "finite" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--De", "inf"), ("--alpha", "inf"), ("--re", "inf"), ("--alpha", "1e200")]
+)
+def test_cli_rejects_bad_morse_parameters(tmp_path, capsys, flag, value):
+    out = tmp_path / "c.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(["coercivity", "--M", "32", flag, value, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+# The README's two deform commands at M = 2000, as computed when assembly
+# summed the diagonal neighbor by neighbor.  The diagonal is now minus the
+# off-diagonal row sum, which differs from that in the last bit on a few
+# blend rows, and one such bit moves u by ~2e-12 max|u|; hence a 1e-11 max|u|
+# bound rather than a relative one on the gaps, which are differences of
+# nearly equal solutions.
+README_DEFORM = {
+    "sine": (
+        ["--force", "sine", "--M", "2000", "--N", "2", "--family", "cubic", "--L", "5"],
+        dict(
+            gap_linf_N1_N2=8.199476946619439e-07,
+            gap_linf_N2_N3=1.2711963618225406e-07,
+            removed_mean=-1.1102230246251566e-19,
+            max_u_N1=3.752637202801443e-06,
+            max_u_N2=4.572584897463387e-06,
+            max_u_N3=4.699704533645641e-06,
+        ),
+    ),
+    "gaussian": (
+        ["--force", "gaussian", "--amp-scale", "0.2", "--mu", "0.002", "--sigma", "0.025"],
+        dict(
+            gap_linf_N1_N2=7.954196119403667e-08,
+            gap_linf_N2_N3=1.2331553609094326e-08,
+            removed_mean=6.266570686577502e-05,
+            max_u_N1=3.6404059908559493e-07,
+            max_u_N2=4.435825602796316e-07,
+            max_u_N3=4.559141138887259e-07,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("force", sorted(README_DEFORM))
+def test_readme_deform_outputs_pinned(tmp_path, force):
+    args, pinned = README_DEFORM[force]
+    paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
+    for path in paths:
+        assert run_cli(["deform", *args, "--out", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    table = ResultTable.from_csv_text(paths[0].read_text())
+    got = {k: float(table.metadata[k]) for k in ("gap_linf_N1_N2", "gap_linf_N2_N3", "removed_mean")}
+    for col in ("u_N1", "u_N2", "u_N3"):
+        got[f"max_{col}"] = float(np.max(np.abs(table.column(col))))
+    assert got["removed_mean"] == pinned["removed_mean"]  # from the force alone
+    scale = pinned["max_u_N2"]
+    for key, want in pinned.items():
+        assert abs(got[key] - want) <= 1e-11 * scale, key

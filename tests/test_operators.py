@@ -7,7 +7,6 @@ from bqcf.operators import (
     BandedPeriodicOperator,
     assemble_linear,
     bilinear,
-    dump_dense_csv,
     energy_atomistic,
     energy_linearized,
     force_nonlinear_atomistic,
@@ -76,18 +75,19 @@ def test_transpose_and_symmetric_part_match_dense(morse):
     cfg = ChainConfig(M=8, N=2)
     op = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 2), 1.0)
     A = op.to_dense()
-    np.testing.assert_allclose(op.transpose().to_dense(), A.T, atol=1e-12)
-    np.testing.assert_allclose(
-        op.symmetric_part().to_dense(), 0.5 * (A + A.T), atol=1e-12
-    )
+    sym = op.symmetric_part().to_dense()
+    np.testing.assert_allclose(sym, 0.5 * (A + A.T), atol=1e-12)
 
 
 def test_bandwidth_within_interaction_range(morse):
     cfg = ChainConfig(M=10, N=3)
     op = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 2), 1.0)
-    assert op.bandwidth <= cfg.N
+    assert op.bands.shape == (2 * cfg.N + 1, cfg.n_atoms)
+    assert sorted(op.diagonals) == list(range(-cfg.N, cfg.N + 1))
     with pytest.raises(ValueError):
-        BandedPeriodicOperator(cfg, {4: np.ones(cfg.n_atoms)})
+        BandedPeriodicOperator(cfg, np.ones((2 * cfg.N + 3, cfg.n_atoms)))
+    with pytest.raises(TypeError):
+        op.diagonals[4] = np.ones(cfg.n_atoms)
 
 
 def test_beta_one_degenerates_to_atomistic(morse):
@@ -118,13 +118,14 @@ def test_per_neighbor_sum_is_full_operator(morse):
     cfg = ChainConfig(M=10, N=3)
     beta = cubic_beta(cfg, 2)
     parts = per_neighbor_operators("bqcf", morse, cfg, beta, 1.1)
-    total = parts[0]
-    for p in parts[1:]:
-        total = total.add(p)
     full = assemble_linear("bqcf", morse, cfg, beta, 1.1)
-    assert set(total.diagonals) == set(full.diagonals)
-    for o in full.diagonals:
-        assert np.array_equal(total.diagonals[o], full.diagonals[o])
+    total = sum(p.bands for p in parts)
+    off = np.arange(-cfg.N, cfg.N + 1) != 0
+    assert np.array_equal(total[off], full.bands[off])
+    np.testing.assert_allclose(total[cfg.N], full.bands[cfg.N], rtol=1e-14)
+    ones = np.ones(cfg.n_atoms)
+    for op in parts + [full]:
+        assert np.all(op.apply_values(ones) == 0.0)
 
 
 def test_bqcf_matches_brute_force_formula(morse):
@@ -159,15 +160,6 @@ def test_assemble_validation(morse):
         assemble_linear("atomistic", morse, cfg, gamma=0.0)
     with pytest.raises(ValueError):
         assemble_linear("magic", morse, cfg)
-
-
-def test_dense_csv_dump_roundtrip(tmp_path, morse):
-    cfg = ChainConfig(M=4, N=2)
-    op = assemble_linear("atomistic", morse, cfg)
-    path = tmp_path / "op.csv"
-    dump_dense_csv(op, path)
-    back = np.loadtxt(path, delimiter=",")
-    np.testing.assert_allclose(back, op.to_dense(), rtol=1e-15)
 
 
 # ------------------------------------------------------------------ energies

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bqcf.potential import Morse, MorseParams, morse_eval, stability_constant
+from bqcf.potential import Morse, MorseParams, stability_constant
 
 
 def central_diff(f, r, h=1e-6):
@@ -9,21 +9,21 @@ def central_diff(f, r, h=1e-6):
 
 
 def test_well_minimum():
-    p = MorseParams(2.5, 4.0, 1.0)
-    assert morse_eval(p, p.r_e, 0) == 0.0
-    assert morse_eval(p, p.r_e, 1) == 0.0
+    pot = Morse(MorseParams(2.5, 4.0, 1.0))
+    assert pot.phi(1.0) == 0.0
+    assert pot.phi_x(1.0) == 0.0
 
 
 def test_curvature_at_minimum_closed_form():
     p = MorseParams(3.0, 3.0, 1.0)
-    assert morse_eval(p, 1.0, 2) == pytest.approx(2 * p.D_e * p.alpha**2, rel=1e-14)
-    assert morse_eval(p, 1.0, 2) == pytest.approx(54.0, rel=1e-14)
+    pot = Morse(p)
+    assert pot.phi_xx(1.0) == pytest.approx(2 * p.D_e * p.alpha**2, rel=1e-14)
+    assert pot.phi_xx(1.0) == pytest.approx(54.0, rel=1e-14)
 
 
-def test_second_derivative_fd_oracle():
-    p = MorseParams(3.0, 3.0, 1.0)
-    fd = central_diff(lambda r: morse_eval(p, r, 1), 1.0)
-    assert morse_eval(p, 1.0, 2) == pytest.approx(fd, rel=1e-6)
+def test_second_derivative_fd_oracle(morse):
+    fd = central_diff(lambda r: float(morse.phi_x(r)), 1.0)
+    assert float(morse.phi_xx(1.0)) == pytest.approx(fd, rel=1e-6)
 
 
 def test_derivatives_match_fd_on_grid(morse):
@@ -34,14 +34,12 @@ def test_derivatives_match_fd_on_grid(morse):
         assert float(morse.phi_xx(r)) == pytest.approx(fd2, rel=1e-5, abs=1e-9)
 
 
-def test_rejects_nonpositive_r():
-    p = MorseParams()
-    with pytest.raises(ValueError):
-        morse_eval(p, 0.0, 0)
-    with pytest.raises(ValueError):
-        morse_eval(p, -1.0, 1)
-    with pytest.raises(ValueError):
-        morse_eval(p, 1.0, 3)
+def test_rejects_nonpositive_r(morse):
+    # a negative r is the even (odd for phi_x) extension; r = 0 is undefined
+    for f in (morse.phi, morse.phi_x, morse.phi_xx):
+        for r in (0.0, -0.0, np.array([1.0, 0.0])):
+            with pytest.raises(ValueError):
+                f(r)
 
 
 def test_params_validation():
@@ -49,6 +47,20 @@ def test_params_validation():
         MorseParams(D_e=-1.0)
     with pytest.raises(ValueError):
         MorseParams(alpha=0.0)
+
+
+@pytest.mark.parametrize("field", ["D_e", "alpha", "r_e"])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), -float("inf")])
+def test_params_reject_non_finite(field, bad):
+    with pytest.raises(ValueError, match="finite"):
+        MorseParams(**{field: bad})
+
+
+def test_overflowing_curvature_rejected():
+    # alpha^2 overflows a float: phi_xx(1) is not finite, a ValueError
+    for alpha in (1e200, 1e154):
+        with pytest.raises(ValueError, match="phi_xx"):
+            Morse(MorseParams(alpha=alpha))
 
 
 def test_even_odd_extension(morse):

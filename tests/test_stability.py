@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from oracles import dense_cmin, dense_negative_count
+from oracles import dense_bordered, dense_cmin, dense_gram, dense_negative_count, dense_sym
 
 from bqcf.blending import constant_profile, one_sided_profile, sample_beta, symmetric_profile
 from bqcf.lattice import ChainConfig, PeriodicField, h1_seminorm
@@ -12,12 +12,12 @@ from bqcf.potential import stability_constant
 from bqcf.stability import (
     EigenSolveError,
     StrainSweepError,
+    _h1_gram,
     _shifted_ldl,
-    _weighted_sym_sparse,
+    bordered_matrix,
     coercivity_constant,
     critical_strain,
     decompose_bilinear_n2,
-    h1_gram_sparse,
     scaling_study,
     stability_at,
 )
@@ -69,7 +69,7 @@ def test_iterative_matches_dense(morse):
 
 def test_report_invariants(morse):
     cfg = ChainConfig(M=64, N=2)
-    G = h1_gram_sparse(cfg)
+    G = dense_gram(cfg)
     for beta in (cubic_beta(cfg, 4), beta_one(cfg)):
         op = assemble_linear("bqcf", morse, cfg, beta, 1.1)
         rep = coercivity_constant(op)
@@ -273,9 +273,9 @@ def test_inertia_falls_back_on_untrusted_pivots(morse, leading):
     cfg = ChainConfig(M=64, N=2)
     for gamma in (1.0, 1.25):
         base = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 5), gamma)
-        diags = {o: d.copy() for o, d in base.diagonals.items()}
-        diags[0][0] = leading
-        op = BandedPeriodicOperator(cfg, diags)
+        bands = base.bands.copy()
+        bands[cfg.N, 0] = leading
+        op = BandedPeriodicOperator(cfg, bands)
         rec = stability_at(op, gamma)
         assert rec.path == "eigen" and rec.neg_count is None
         assert rec.c_min == coercivity_constant(op).c_min
@@ -293,12 +293,38 @@ def test_stability_record_paths(morse):
         rec.stable = False
 
 
+# ---------------------------------------------------- bordered matrices
+
+
+@pytest.mark.parametrize("make_profile", [symmetric_profile, one_sided_profile])
+@pytest.mark.parametrize("family", ["linear", "cubic", "quintic"])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_bordered_matrix_matches_dense(morse, N, family, make_profile):
+    # K(sigma) refilled on the cached pattern against K built densely from
+    # to_dense(), a (A + A^T) / 2 and a second-difference G
+    cfg = ChainConfig(M=64, N=N)
+    beta = sample_beta(make_profile(cfg, family, 5), cfg)
+    G = dense_gram(cfg)
+    seeded = float(np.random.default_rng(N).uniform(-200.0, 200.0))
+    for gamma in (1.0, 1.1, 1.2):
+        op = assemble_linear("bqcf", morse, cfg, beta, gamma)
+        S = cfg.a * op.symmetric_part().bands
+        for sigma in (0.0, seeded):
+            K = bordered_matrix(S - sigma * _h1_gram(cfg).bands)
+            assert K.format == "csc" and K.nnz == (2 * N + 3) * cfg.n_atoms
+            np.testing.assert_array_equal(K.toarray(), dense_bordered(dense_sym(op) - sigma * G))
+        # the deform solve's K carries A itself
+        K = bordered_matrix(op.bands).toarray()
+        np.testing.assert_array_equal(K, dense_bordered(op.to_dense()))
+
+
 # ------------------------------------------------------ sliced c_min solver
 
 
 def count_below(op, sigma):
     """Pencil eigenvalues below sigma on mean-zero fields, by inertia."""
-    factored = _shifted_ldl(_weighted_sym_sparse(op), sigma, h1_gram_sparse(op.config))
+    S = op.config.a * op.symmetric_part().bands
+    factored = _shifted_ldl(S - sigma * _h1_gram(op.config).bands)
     assert factored is not None, sigma
     return factored[1]
 
@@ -332,9 +358,9 @@ def test_sliced_matches_dense_on_untrusted_pivots(morse, leading):
     cfg = ChainConfig(M=64, N=2)
     for gamma in (1.0, 1.25):
         base = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 5), gamma)
-        diags = {o: d.copy() for o, d in base.diagonals.items()}
-        diags[0][0] = leading
-        op = BandedPeriodicOperator(cfg, diags)
+        bands = base.bands.copy()
+        bands[cfg.N, 0] = leading
+        op = BandedPeriodicOperator(cfg, bands)
         rep = coercivity_constant(op)
         c = dense_cmin(op)
         assert rep.c_min < 0.0
@@ -380,9 +406,9 @@ def test_scaling_ladder_pinned_and_certified(morse):
 def test_non_finite_operator_raises(morse, bad):
     cfg = ChainConfig(M=64, N=2)
     base = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 5), 1.0)
-    diags = {o: d.copy() for o, d in base.diagonals.items()}
-    diags[0][3] = bad
-    op = BandedPeriodicOperator(cfg, diags)
+    bands = base.bands.copy()
+    bands[cfg.N, 3] = bad
+    op = BandedPeriodicOperator(cfg, bands)
     with pytest.raises(EigenSolveError, match="40 shifted factorizations"):
         coercivity_constant(op)
     with pytest.raises(EigenSolveError):
