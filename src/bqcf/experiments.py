@@ -23,6 +23,7 @@ identical configs produce byte-identical files.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,6 +191,9 @@ def external_force(kind: str, params, config: ChainConfig) -> PeriodicField:
     gaussian: 0.01 * s * exp(-(x - mu)^2 / (2 sigma^2)).
     """
     amp_scale, mu, sigma = params
+    for name, value in (("amp_scale", amp_scale), ("mu", mu), ("sigma", sigma)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     x = config.positions()
     if kind == "sine":
         return PeriodicField(config, 0.01 * amp_scale * np.sin(-x * np.pi))

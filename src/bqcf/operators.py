@@ -35,6 +35,7 @@ threads; assembly and application have no shared mutable state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -130,8 +131,8 @@ def _with_zero_row_sums(config: ChainConfig, bands: np.ndarray) -> BandedPeriodi
 def _neighbor_bands(which, pot, config, beta, gamma):
     """Bands of the k-th neighbor's stencil, one array per k = 1..N, with the
     diagonal left at zero."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if which not in ("atomistic", "continuum", "bqcf"):
         raise ValueError(f"unknown operator kind {which!r}")
     if which == "bqcf":

@@ -124,7 +124,7 @@ def stability_constant(pot: PairPotential, N: int, gamma: float) -> float:
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     ks = np.arange(1, N + 1, dtype=float)
     return float(np.sum(ks**2 * pot.phi_xx(ks * gamma)))

@@ -36,14 +36,18 @@ A uniform stretch gamma enters the operators through their coefficients;
 the critical strain is the largest grid point gamma = 1 + i*dgamma at
 which the operator stays stable, located by a coarse scan plus bisection
 (or an exact grid walk on request).  A sweep needs only the sign of
-c_min, and stability_at decides it from the count at sigma = 0 alone.
+c_min.  stability_at decides it from the count at sigma = 0 alone.  For
+N = 2 the symmetric part is affine in two coefficients,
+S(gamma) = phi''(gamma) G + phi''(2 gamma) S_2, so a sweep fits each
+stretch's S to x G + y S(1) and reads c_min = x + y nu off one eigenvalue
+nu = c_min(S(1), G); inertia certifies the stretches it reports.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -113,8 +117,11 @@ class StabilityRecord:
     neg_count is the number of negative eigenvalues of S on mean-zero
     fields (None unless the inertia path ran); c_min is set where an
     eigenvalue was computed.  path is 'inertia' (pivot signs of the
-    bordered factorization), 'circulant' (exact Fourier minimum) or
-    'eigen' (coercivity_constant, the fallback of the inertia path).
+    bordered factorization), 'circulant' (exact Fourier minimum),
+    'eigen' (coercivity_constant, the fallback of the inertia path) or
+    'pencil' (a sweep's c_min = x + y nu, see critical_strain).  A sweep
+    whose pencil answer failed certification reports its rerun with the
+    prefix 'rerun-' on each path.
     """
 
     gamma: float
@@ -403,6 +410,83 @@ def stability_at(op: BandedPeriodicOperator, gamma: float = 1.0) -> StabilityRec
     return StabilityRecord(gamma, c > 0.0, None, c, "eigen")
 
 
+_FIT_TOL = 1e-10  # residual of a stretch's fit to span{G, S(1)}, relative to max|S|
+_PENCIL_MARGIN = 1e-8  # |f| at or below this share of its terms goes to inertia
+
+
+class _PencilFailed(Exception):
+    """The pencil's answer failed certification by inertia, or nu did not converge."""
+
+
+class _Pencil:
+    """c_min of the stretches whose S lies in span{G, S(1)}.
+
+    For N = 2 every B-QCF operator has S(gamma) = phi''(gamma) G +
+    phi''(2 gamma) S_2 with S_2 independent of gamma, so S(gamma) =
+    x G + y S(1) exactly, and for y > 0 the pencil's smallest eigenvalue
+    is f = x + y nu, nu = c_min(S(1), G).  The pair (x, y) is a least
+    squares fit of S's bands, so the test holds for whatever operator the
+    sweep's builder returns; nu is computed on the first fit that holds.
+    """
+
+    def __init__(self, op1: BandedPeriodicOperator):
+        self.op1 = op1
+        basis = np.column_stack(
+            [_h1_gram(op1.config).bands.ravel(), op1.config.a * op1.symmetric_part().bands.ravel()]
+        )
+        self.basis, self.pinv = basis, np.linalg.pinv(basis)
+        self.nu = None
+
+    def record(self, op: BandedPeriodicOperator, gamma: float) -> StabilityRecord | None:
+        """The stretch decided by f, or None where the fit fails, y <= 0 or
+        |f| is within roundoff of zero."""
+        s = op.config.a * op.symmetric_part().bands.ravel()
+        coef = self.pinv @ s
+        x, y = coef
+        if not (np.max(np.abs(s - self.basis @ coef)) <= _FIT_TOL * np.max(np.abs(s)) and y > 0):
+            return None
+        if self.nu is None:
+            try:
+                self.nu = coercivity_constant(self.op1).c_min
+            except EigenSolveError as exc:
+                raise _PencilFailed(f"nu = c_min at gamma = 1 failed: {exc}") from exc
+            self.op1 = None
+        f = x + y * self.nu
+        if not abs(f) > _PENCIL_MARGIN * (abs(x) + y * (abs(self.nu) + 1.0)):
+            return None
+        return StabilityRecord(gamma, bool(f > 0.0), None, float(f), "pencil")
+
+
+def _warn_unless_single_sign_change(records: dict, i: int, dgamma: float) -> None:
+    """Compare stretch i with its nearest evaluated neighbours that carry the
+    same measure, and warn where a negative-eigenvalue count falls or a
+    c_min rises along gamma."""
+    units = sorted(records)
+    k = units.index(i)
+    for key in ("neg_count", "c_min"):
+        if getattr(records[i], key) is None:
+            continue
+        below = next((j for j in reversed(units[:k]) if getattr(records[j], key) is not None), None)
+        above = next((j for j in units[k + 1 :] if getattr(records[j], key) is not None), None)
+        for lo, hi in ((below, i), (i, above)):
+            if lo is None or hi is None:
+                continue
+            a, b = getattr(records[lo], key), getattr(records[hi], key)
+            g_lo, g_hi = 1.0 + lo * dgamma, 1.0 + hi * dgamma
+            if key == "neg_count" and a > b:
+                message = (
+                    f"negative-eigenvalue count falls from {a} at gamma={g_lo:.6f} "
+                    f"to {b} at gamma={g_hi:.6f}"
+                )
+            elif key == "c_min" and b > a + 1e-9 * (abs(a) + 1.0):
+                message = f"coercivity increased from gamma={g_lo:.6f} to gamma={g_hi:.6f}"
+            else:
+                continue
+            warnings.warn(
+                f"{message}; sweep assumes a single sign change", RuntimeWarning, stacklevel=5
+            )
+
+
 def critical_strain(
     build_operator,
     dgamma: float = 1e-5,
@@ -415,22 +499,34 @@ def critical_strain(
     """Largest grid stretch gamma = 1 + i*dgamma at which the operator is stable.
 
     build_operator(gamma) must return the assembled operator at that
-    stretch, and each stretch is decided once by stability_at: the exact
-    Fourier route for constant-coefficient operators, otherwise the
-    inertia count of one bordered factorization, with coercivity_constant
-    as the fallback when a pivot is tiny or pivoting happened.
-    report_sink, if given, receives that StabilityRecord once per
-    evaluated stretch, right after it is decided.
+    stretch, and each stretch is built and decided once.  gamma = 1 is
+    decided by stability_at.  If it is stable and not circulant, every
+    later stretch whose S fits x G + y S(1) with y > 0 is decided by the
+    sign of f = x + y nu, nu = c_min at gamma = 1 (path 'pencil', c_min
+    = f; see _Pencil).  That covers every N = 2 B-QCF sweep; the others
+    (N >= 3, constant-coefficient operators, operators outside the
+    family) and the stretches where |f| is within roundoff of zero are
+    decided by stability_at: the exact Fourier route for constant
+    coefficients, otherwise the inertia count of one bordered
+    factorization, with coercivity_constant as the fallback when a pivot
+    is tiny or pivoting happened.  report_sink, if given, receives that
+    StabilityRecord once per evaluated stretch, right after it is
+    decided.
 
     The scan walks a coarse grid (default 1e-3) until the first unstable
     stretch and bisects the bracketing cell down to the dgamma grid;
     detection therefore assumes a single sign change.  That assumption is
-    checked where the evaluations allow: a negative-eigenvalue count that
-    falls between neighbouring evaluated stretches, or a c_min that rises
-    between coarse steps, triggers a RuntimeWarning.  A blended sweep
-    computes no c_min, so it cannot see c_min rise while it is still
-    positive; only a loss that recovers shows there.  With scan_exact the
-    grid is walked in steps of dgamma directly.
+    checked between neighbouring evaluated stretches: a negative-eigenvalue
+    count that falls or a c_min that rises triggers a RuntimeWarning.
+    With scan_exact the grid is walked in steps of dgamma directly.
+
+    The sweep keeps only the operators at the two ends of its bracket.
+    Where the pencil decided them, stability_at certifies the answer:
+    stable at the returned stretch and unstable one grid step above it
+    (or, when no loss is found, stable at the last coarse stretch).  If
+    certification disagrees, or nu fails to converge, the scan is run
+    again from gamma = 1 by stability_at alone, building and reporting
+    every stretch anew with its path prefixed 'rerun-'.
     """
     for name, value in (("dgamma", dgamma), ("gamma_max", gamma_max), ("coarse", coarse)):
         if not math.isfinite(value):
@@ -439,74 +535,74 @@ def critical_strain(
         raise ValueError(f"dgamma must be positive, got {dgamma}")
     if gamma_max <= 1.0:
         raise ValueError(f"gamma_max must exceed 1, got {gamma_max}")
-    counts = {}  # grid units -> negative-eigenvalue count, inertia path only
+    step = 1 if scan_exact else max(1, int(round(coarse / dgamma)))
+    max_units = int(np.floor((gamma_max - 1.0) / dgamma))
+    scan = (build_operator, dgamma, gamma_max, step, max_units, report_sink)
+    try:
+        return _scan(*scan, rerun=False)
+    except _PencilFailed:
+        return _scan(*scan, rerun=True)
 
-    def check_counts(i: int) -> None:
-        below = max((j for j in counts if j < i), default=None)
-        above = min((j for j in counts if j > i), default=None)
-        for lo, hi in ((below, i), (i, above)):
-            if lo is not None and hi is not None and counts[lo] > counts[hi]:
-                warnings.warn(
-                    f"negative-eigenvalue count falls from {counts[lo]} at "
-                    f"gamma={1 + lo * dgamma:.6f} to {counts[hi]} at "
-                    f"gamma={1 + hi * dgamma:.6f}; sweep assumes a single sign change",
-                    RuntimeWarning,
-                    stacklevel=4,
-                )
 
-    def evaluate(i: int) -> StabilityRecord:
+def _scan(build_operator, dgamma, gamma_max, step, max_units, report_sink, *, rerun):
+    """critical_strain's coarse scan and bisection; the pencil decides where
+    it holds unless this is the rerun."""
+    records = {}  # grid units -> StabilityRecord of every evaluated stretch
+    pencil = None
+
+    def evaluate(i: int):
         gamma = 1.0 + i * dgamma
-        rec = stability_at(build_operator(gamma), gamma)
+        op = build_operator(gamma)
+        rec = None if pencil is None else pencil.record(op, gamma)
+        if rec is None:
+            rec = stability_at(op, gamma)
+            if rerun:
+                rec = replace(rec, path="rerun-" + rec.path)
         if report_sink is not None:
             report_sink(rec)
-        if rec.neg_count is not None:
-            counts[i] = rec.neg_count
-            check_counts(i)
-        return rec
+        records[i] = rec
+        _warn_unless_single_sign_change(records, i, dgamma)
+        return rec, op
 
-    rec = evaluate(0)
+    def certify(i: int, op, stable: bool) -> None:
+        if records[i].path == "pencil" and stability_at(op, 1.0 + i * dgamma).stable != stable:
+            raise _PencilFailed(f"inertia disagrees with the pencil at gamma={1 + i * dgamma:.6f}")
+
+    rec, op = evaluate(0)
     if not rec.stable:
         raise StrainSweepError(
             f"operator is not coercive at gamma = 1 ({rec.detail()})",
             "unstable_at_start",
         )
+    if not rerun and rec.path != "circulant":
+        pencil = _Pencil(op)
 
-    step = 1 if scan_exact else max(1, int(round(coarse / dgamma)))
-    max_units = int(np.floor((gamma_max - 1.0) / dgamma))
-    prev_units, prev = 0, rec
-    bracket = None
+    lo, lo_op = 0, op
+    hi = None
     i = step
     while i <= max_units:
-        rec = evaluate(i)
-        if (
-            rec.c_min is not None
-            and prev.c_min is not None
-            and rec.c_min > prev.c_min + 1e-9 * (abs(prev.c_min) + 1.0)
-        ):
-            warnings.warn(
-                f"coercivity increased from gamma={1 + prev_units * dgamma:.6f} "
-                f"to gamma={1 + i * dgamma:.6f}; sweep assumes a single sign change",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        rec, op = evaluate(i)
         if not rec.stable:
-            bracket = (prev_units, i)
+            hi, hi_op = i, op
             break
-        prev_units, prev = i, rec
+        lo, lo_op = i, op
         i += step
-    if bracket is None:
+    if hi is None:
+        certify(lo, lo_op, True)
         raise StrainSweepError(
-            f"coercivity still positive at gamma_max = {gamma_max} ({prev.detail()})",
+            f"coercivity still positive at gamma_max = {gamma_max} ({records[lo].detail()})",
             "no_instability",
         )
 
-    lo, hi = bracket
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if evaluate(mid).stable:
-            lo = mid
+        rec, op = evaluate(mid)
+        if rec.stable:
+            lo, lo_op = mid, op
         else:
-            hi = mid
+            hi, hi_op = mid, op
+    certify(lo, lo_op, True)
+    certify(hi, hi_op, False)
     return 1.0 + lo * dgamma
 
 

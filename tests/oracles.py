@@ -53,3 +53,33 @@ def dense_cmin(op):
 def dense_negative_count(op):
     """Negative eigenvalues of the pencil on mean-zero fields."""
     return int(np.count_nonzero(dense_eigenvalues(op) < 0.0))
+
+
+def dense_critical_strain(build, dgamma, gamma_max, coarse):
+    """Coarse scan plus bisection with every stretch decided by the dense
+    negative count.  Returns the answer (None when no loss is bracketed)
+    and, in evaluation order, each stretch's dense pencil eigenvalues."""
+    evaluated = {}
+
+    def stable(i):
+        gamma = 1.0 + i * dgamma
+        evaluated[gamma] = dense_eigenvalues(build(gamma))
+        return np.count_nonzero(evaluated[gamma] < 0.0) == 0
+
+    assert stable(0)
+    step = max(1, int(round(coarse / dgamma)))
+    lo, hi = 0, None
+    for i in range(step, int(np.floor((gamma_max - 1.0) / dgamma)) + 1, step):
+        if not stable(i):
+            hi = i
+            break
+        lo = i
+    if hi is None:
+        return None, evaluated
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if stable(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 1.0 + lo * dgamma, evaluated

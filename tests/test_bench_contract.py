@@ -52,3 +52,23 @@ def test_plain_apply_matches_program_apply(morse):
     want = op.apply_values(v)
     got = load("workloads")._apply_plain(op, v)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_sweep_ref_pass_checks(tmp_path):
+    # the workload's own pass and checks, at its small size: a change to
+    # critical_strain's calling contract fails here, not only in the benchmark
+    workloads = load("workloads")
+    workload = workloads.make("sweep-ref", 0, tmp_path, small=True)
+    ops = []
+    gamma_c = workload.run_pass(ops, lambda: None)
+    assert ops and all(workload.check(gamma_c, len(ops)))
+
+
+def test_reference_sweep_factorizations(tmp_path):
+    workloads = load("workloads")
+    workload = workloads.make("sweep-ref", 0, tmp_path)
+    ops = []
+    with workloads.counting_splu() as count:
+        gamma_c = workload.run_pass(ops, lambda: None)
+    assert gamma_c == workloads.SWEEP_GAMMA_C
+    assert len(ops) == 199 and count[0] <= 10

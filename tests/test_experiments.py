@@ -285,6 +285,26 @@ def test_cli_rejects_non_finite_sweep_input(tmp_path, capsys, flag, value, name)
 
 
 @pytest.mark.parametrize(
+    "force, flag, value, name",
+    [
+        ("gaussian", "--amp-scale", "nan", "amp_scale"),
+        ("sine", "--amp-scale", "inf", "amp_scale"),
+        ("gaussian", "--mu", "nan", "mu"),
+        ("gaussian", "--sigma", "inf", "sigma"),
+    ],
+)
+def test_cli_rejects_non_finite_force_input(tmp_path, capsys, force, flag, value, name):
+    out = tmp_path / "d.csv"
+    code = run_cli(
+        ["deform", "--force", force, "--M", "32", "--N", "2", flag, value, "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert name in err and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "flag, value", [("--De", "inf"), ("--alpha", "inf"), ("--re", "inf"), ("--alpha", "1e200")]
 )
 def test_cli_rejects_bad_morse_parameters(tmp_path, capsys, flag, value):

@@ -156,8 +156,9 @@ def test_assemble_validation(morse):
     cfg = ChainConfig(M=8, N=2)
     with pytest.raises(ValueError):
         assemble_linear("bqcf", morse, cfg)  # beta missing
-    with pytest.raises(ValueError):
-        assemble_linear("atomistic", morse, cfg, gamma=0.0)
+    for gamma in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="gamma"):
+            assemble_linear("atomistic", morse, cfg, gamma=gamma)
     with pytest.raises(ValueError):
         assemble_linear("magic", morse, cfg)
 

@@ -104,5 +104,6 @@ def test_stability_constant_decreasing_near_one(morse):
 def test_stability_constant_validation(morse):
     with pytest.raises(ValueError):
         stability_constant(morse, 0, 1.0)
-    with pytest.raises(ValueError):
-        stability_constant(morse, 2, 0.0)
+    for gamma in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="gamma"):
+            stability_constant(morse, 2, gamma)

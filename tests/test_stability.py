@@ -3,8 +3,16 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from oracles import dense_bordered, dense_cmin, dense_gram, dense_negative_count, dense_sym
+from oracles import (
+    dense_bordered,
+    dense_cmin,
+    dense_critical_strain,
+    dense_gram,
+    dense_negative_count,
+    dense_sym,
+)
 
+from bqcf import stability
 from bqcf.blending import constant_profile, one_sided_profile, sample_beta, symmetric_profile
 from bqcf.lattice import ChainConfig, PeriodicField, h1_seminorm
 from bqcf.operators import BandedPeriodicOperator, assemble_linear, bilinear
@@ -174,29 +182,33 @@ def test_critical_strain_reports_each_gamma_once(morse):
     g = critical_strain(build, dgamma=1e-3, gamma_max=1.3, coarse=1e-2, report_sink=sink)
     assert [r.gamma for r in records] == built
     assert len(set(built)) == len(built)
-    assert {r.path for r in records} == {"inertia"}
+    assert records[0].path == "inertia"
+    assert {r.path for r in records[1:]} == {"pencil"}
     by_units = {round((r.gamma - 1.0) / 1e-3): r for r in records}
     units = round((g - 1.0) / 1e-3)
     assert by_units[units].stable and not by_units[units + 1].stable
 
 
-def test_critical_strain_warns_when_count_falls(morse):
+def stretch_bump(gamma):
     # inside one coarse cell the stretch overshoots far past criticality
-    # (many negative modes) and falls back to just past it (a few), so a
-    # bisection midpoint has a larger count than the cell's upper end
+    # and falls back to just past it, so a bisection midpoint is more
+    # unstable than the cell's upper end
+    units = round((gamma - 1.0) / 1e-3)
+    if units <= 100:
+        return gamma
+    return 1.25 if units < 110 else 1.197
+
+
+def test_critical_strain_warns_when_count_falls(morse):
+    # N = 2: the pencil decides every bumped stretch and sees c_min rise
+    # from the midpoint (many negative modes) to the cell's upper end
     cfg = ChainConfig(M=32, N=2)
     beta = cubic_beta(cfg, 3)
 
-    def stretch(gamma):
-        units = round((gamma - 1.0) / 1e-3)
-        if units <= 100:
-            return gamma
-        return 1.25 if units < 110 else 1.197
-
     def build_bump(gamma):
-        return assemble_linear("bqcf", morse, cfg, beta, stretch(gamma))
+        return assemble_linear("bqcf", morse, cfg, beta, stretch_bump(gamma))
 
-    with pytest.warns(RuntimeWarning, match="count falls"):
+    with pytest.warns(RuntimeWarning, match="coercivity increased"):
         g = critical_strain(build_bump, dgamma=1e-3, gamma_max=1.3, coarse=1e-2)
     assert g == 1.0 + 100 * 1e-3
 
@@ -206,6 +218,24 @@ def test_critical_strain_warns_when_count_falls(morse):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         critical_strain(build, dgamma=1e-3, gamma_max=1.3, coarse=1e-2)
+
+
+def test_critical_strain_warns_when_count_falls_by_inertia(morse):
+    # N = 3: no stretch fits span{G, S(1)}, so inertia decides the bump and
+    # the negative-eigenvalue count falls from the midpoint to the upper end
+    cfg = ChainConfig(M=32, N=3)
+    beta = cubic_beta(cfg, 3)
+    records = []
+
+    def build_bump(gamma):
+        return assemble_linear("bqcf", morse, cfg, beta, stretch_bump(gamma))
+
+    with pytest.warns(RuntimeWarning, match="count falls"):
+        g = critical_strain(
+            build_bump, dgamma=1e-3, gamma_max=1.3, coarse=1e-2, report_sink=records.append
+        )
+    assert g == 1.0 + 100 * 1e-3
+    assert {r.path for r in records} == {"inertia"}
 
 
 @pytest.mark.parametrize("name", ["dgamma", "gamma_max", "coarse"])
@@ -237,6 +267,86 @@ def test_atomistic_critical_strain_matches_long_wave_zero(morse):
         else:
             hi = mid
     assert g == pytest.approx(lo, abs=2e-4)
+
+
+# ------------------------------------------------------------ pencil path
+
+
+@pytest.mark.parametrize("make_profile", [symmetric_profile, one_sided_profile])
+@pytest.mark.parametrize("family", ["linear", "cubic", "quintic"])
+def test_pencil_sweep_matches_dense_oracle(morse, family, make_profile):
+    # every pencil record against the dense pencil, and the whole sweep
+    # against a scan that decides each stretch by the dense count
+    cfg = ChainConfig(M=64, N=2)
+    pencil_records = 0
+    for L in (1, 4, 10):
+        beta = sample_beta(make_profile(cfg, family, L), cfg)
+        ops, records = {}, []
+
+        def build(gamma):
+            ops[gamma] = assemble_linear("bqcf", morse, cfg, beta, gamma)
+            return ops[gamma]
+
+        g = critical_strain(
+            build, dgamma=1e-3, gamma_max=1.3, coarse=2e-2, report_sink=records.append
+        )
+        want, evaluated = dense_critical_strain(ops.__getitem__, 1e-3, 1.3, 2e-2)
+        assert g == want
+        assert [r.gamma for r in records] == list(evaluated)
+        for rec in records:
+            if rec.path == "pencil":
+                eigenvalues = evaluated[rec.gamma]
+                c = eigenvalues[0]
+                assert abs(rec.c_min - c) <= 1e-8 * (abs(c) + 1.0), (family, L, rec.gamma)
+                assert rec.stable == (np.count_nonzero(eigenvalues < 0.0) == 0)
+                pencil_records += 1
+    assert pencil_records >= 36
+
+
+def test_n3_sweep_takes_no_pencil(morse):
+    cfg = ChainConfig(M=32, N=3)
+    for beta, paths in ((cubic_beta(cfg, 3), {"inertia"}), (beta_one(cfg), {"circulant"})):
+        records = []
+
+        def build(gamma):
+            return assemble_linear("bqcf", morse, cfg, beta, gamma)
+
+        critical_strain(build, dgamma=1e-3, gamma_max=1.3, coarse=1e-2, report_sink=records.append)
+        assert {r.path for r in records} == paths
+
+
+@pytest.mark.parametrize("nu_error", [5.0, -5.0, 1e3, "raise"])
+def test_pencil_failure_reruns_by_inertia(morse, monkeypatch, nu_error):
+    # a wrong nu moves the pencil's root by a few coarse cells (+-5), or past
+    # gamma_max (1e3), so inertia contradicts it at a certified stretch; an
+    # unconverged nu leaves nothing to certify.  Either way the scan is run
+    # again by inertia alone and returns the inertia answer.
+    cfg = ChainConfig(M=64, N=2)
+    beta = cubic_beta(cfg, 4)
+
+    def build(gamma):
+        return assemble_linear("bqcf", morse, cfg, beta, gamma)
+
+    want, evaluated = dense_critical_strain(build, 1e-3, 1.3, 1e-2)
+    exact = stability.coercivity_constant
+
+    def wrong_nu(op, **kwargs):
+        if nu_error == "raise":
+            raise EigenSolveError("forced", 1.0)
+        rep = exact(op, **kwargs)
+        rep.c_min += nu_error
+        return rep
+
+    monkeypatch.setattr(stability, "coercivity_constant", wrong_nu)
+    records = []
+    g = critical_strain(build, dgamma=1e-3, gamma_max=1.3, coarse=1e-2, report_sink=records.append)
+    assert g == want
+    first = next(k for k, r in enumerate(records) if r.path.startswith("rerun-"))
+    rerun = records[first:]
+    assert {r.path for r in rerun} == {"rerun-inertia"}
+    assert [r.gamma for r in rerun] == list(evaluated)
+    if nu_error != "raise":
+        assert "pencil" in {r.path for r in records[:first]}
 
 
 # ------------------------------------------------------- inertia predicate
