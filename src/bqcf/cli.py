@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         scenario=args.scenario,
         M=args.M,
         N=args.N,
@@ -87,10 +87,12 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         sigma=getattr(args, "sigma", None),
         dgamma=getattr(args, "dgamma", 1e-5),
         gamma_max=getattr(args, "gamma_max", 1.5),
-        scan_exact=getattr(args, "scan_exact", False),
         one_sided=args.oneside,
         output_path=args.out,
     )
+    if getattr(args, "scan_exact", False):
+        cfg.dgamma_coarse = cfg.dgamma
+    return cfg
 
 
 def _summary_line(cfg: ExperimentConfig, table) -> str:

@@ -71,10 +71,7 @@ class ExperimentConfig:
     dgamma: float = 1e-5
     dgamma_coarse: float = 1e-3
     gamma_max: float = 1.5
-    scan_exact: bool = False
     one_sided: bool = False
-    core_fraction: float = 0.5
-    L_rule: str | None = None
     output_path: str | None = None
 
     def __post_init__(self):
@@ -89,6 +86,8 @@ class ExperimentConfig:
                 raise ValueError("deform compares interaction ranges N = 1, 2, 3")
         if self.force_kind not in ("none", "sine", "gaussian"):
             raise ValueError(f"unknown force kind {self.force_kind!r}")
+        if self.one_sided and self.scenario in ("consistency", "scaling"):
+            raise ValueError(f"the {self.scenario} scenario has no one-sided layout")
 
 
 @dataclass
@@ -174,13 +173,8 @@ def _config_metadata(cfg: ExperimentConfig) -> dict:
 
 
 def build_profile(cfg: ExperimentConfig, config: ChainConfig, family=None, L=None):
-    family = cfg.family if family is None else family
-    L = cfg.L if L is None else L
-    if family in CONSTANT_FAMILIES:
-        return constant_profile(family)
-    if cfg.one_sided:
-        return one_sided_profile(config, family, L, cfg.core_fraction)
-    return symmetric_profile(config, family, L, cfg.core_fraction)
+    make = one_sided_profile if cfg.one_sided else symmetric_profile
+    return make(config, cfg.family if family is None else family, cfg.L if L is None else L)
 
 
 def external_force(kind: str, params, config: ChainConfig) -> PeriodicField:
@@ -234,13 +228,7 @@ def run_critical_strain_table(cfg: ExperimentConfig) -> ResultTable:
         def build(gamma):
             return assemble_linear("bqcf", pot, config, beta_field, gamma)
 
-        return critical_strain(
-            build,
-            cfg.dgamma,
-            cfg.gamma_max,
-            coarse=cfg.dgamma_coarse,
-            scan_exact=cfg.scan_exact,
-        )
+        return critical_strain(build, cfg.dgamma, cfg.gamma_max, coarse=cfg.dgamma_coarse)
 
     rows = []
     beta_one = sample_beta(constant_profile("constant_one"), config)
@@ -389,18 +377,9 @@ def solve_deformation(cfg: ExperimentConfig):
 
 
 def run_scaling(cfg: ExperimentConfig, M_list=SCALING_M_LIST) -> ResultTable:
-    """Coercivity across an M-ladder under a blend-size growth rule."""
-    pot = Morse(cfg.potential)
-    rule = cfg.L_rule or "M^(1/3)"
-    reports = scaling_study(
-        cfg.family,
-        rule,
-        list(M_list),
-        pot,
-        cfg.N,
-        fixed_L=cfg.L,
-        core_fraction=cfg.core_fraction,
-    )
+    """Coercivity across an M-ladder with blend size L = ceil(M^(1/3))."""
+    rule = "M^(1/3)"
+    reports = scaling_study(cfg.family, rule, list(M_list), Morse(cfg.potential), cfg.N)
     rows = [
         (r.M, r.N, r.family, r.L, r.gamma, r.c_min, r.iterations, r.residual)
         for r in reports

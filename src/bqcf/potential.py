@@ -7,7 +7,7 @@ stability theory requires a stiff nearest bond and a softening tail:
 
     phi_xx(1) > 0   and   phi_xx(k) <= 0 for integer k >= 2,
 
-which is checked at construction up to a configurable k_max.
+which is checked at construction for k up to K_MAX.
 
 Only the Morse potential is shipped:
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-KMAX_DEFAULT = 10
+K_MAX = 10  # the tail condition is checked for k = 2..K_MAX
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,8 @@ class PairPotential:
     arguments; the public methods fold in the parity and reject r = 0.
     """
 
-    def __init__(self, k_max: int = KMAX_DEFAULT):
-        self.check_assumptions(k_max)
+    def __init__(self):
+        self.check_assumptions()
 
     def _phi(self, r):
         raise NotImplementedError
@@ -77,24 +77,24 @@ class PairPotential:
         """Even extension phi''(|r|)."""
         return self._phi_xx(self._checked_abs(r))
 
-    def check_assumptions(self, k_max: int = KMAX_DEFAULT):
-        """Verify 0 < phi_xx(1) < inf and phi_xx(k) <= 0 for k = 2..k_max."""
+    def check_assumptions(self):
+        """Verify 0 < phi_xx(1) < inf and phi_xx(k) <= 0 for k = 2..K_MAX."""
         try:
             c1 = float(self._phi_xx(np.float64(1.0)))
         except OverflowError:  # Python float powers raise instead of giving inf
             c1 = math.inf
         if not (math.isfinite(c1) and c1 > 0):
             raise ValueError(f"potential violates 0 < phi_xx(1) < inf (phi_xx(1) = {c1})")
-        ks = np.arange(2, k_max + 1, dtype=float)
+        ks = np.arange(2, K_MAX + 1, dtype=float)
         bad = ks[self._phi_xx(ks) > 0]
         if bad.size:
             raise ValueError(f"potential violates phi_xx(k) <= 0 at k = {bad}")
 
 
 class Morse(PairPotential):
-    def __init__(self, params: MorseParams = MorseParams(), k_max: int = KMAX_DEFAULT):
+    def __init__(self, params: MorseParams = MorseParams()):
         self.params = params
-        super().__init__(k_max)
+        super().__init__()
 
     def _exp_term(self, r):
         p = self.params

@@ -55,7 +55,7 @@ from scipy.sparse import bmat, csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 from scipy.sparse.linalg import eigsh  # noqa: F401  unused; perfbench/layertrace.py wraps it by name
 
-from .blending import constant_profile, sample_beta, symmetric_profile
+from .blending import sample_beta, symmetric_profile
 from .lattice import ChainConfig, PeriodicField, forward_diff, higher_diff, l2_norm
 from .operators import (
     BandedPeriodicOperator,
@@ -493,7 +493,6 @@ def critical_strain(
     gamma_max: float = 1.5,
     *,
     coarse: float = 1e-3,
-    scan_exact: bool = False,
     report_sink=None,
 ) -> float:
     """Largest grid stretch gamma = 1 + i*dgamma at which the operator is stable.
@@ -518,7 +517,7 @@ def critical_strain(
     detection therefore assumes a single sign change.  That assumption is
     checked between neighbouring evaluated stretches: a negative-eigenvalue
     count that falls or a c_min that rises triggers a RuntimeWarning.
-    With scan_exact the grid is walked in steps of dgamma directly.
+    With coarse = dgamma the grid is walked in steps of dgamma directly.
 
     The sweep keeps only the operators at the two ends of its bracket.
     Where the pencil decided them, stability_at certifies the answer:
@@ -535,7 +534,7 @@ def critical_strain(
         raise ValueError(f"dgamma must be positive, got {dgamma}")
     if gamma_max <= 1.0:
         raise ValueError(f"gamma_max must exceed 1, got {gamma_max}")
-    step = 1 if scan_exact else max(1, int(round(coarse / dgamma)))
+    step = max(1, int(round(coarse / dgamma)))
     max_units = int(np.floor((gamma_max - 1.0) / dgamma))
     scan = (build_operator, dgamma, gamma_max, step, max_units, report_sink)
     try:
@@ -729,16 +728,12 @@ def decompose_bilinear_n2(
     )
 
 
-def blend_size_for_rule(rule: str, M: int, fixed: int | None = None) -> int:
-    """Blend size prescribed by a growth rule: 'M^(1/5)', 'M^(1/3)' or 'fixed'."""
+def blend_size_for_rule(rule: str, M: int) -> int:
+    """Blend size prescribed by a growth rule: 'M^(1/5)' or 'M^(1/3)'."""
     if rule == "M^(1/5)":
         return int(np.ceil(M ** (1.0 / 5.0)))
     if rule == "M^(1/3)":
         return int(np.ceil(M ** (1.0 / 3.0)))
-    if rule == "fixed":
-        if fixed is None or fixed < 1:
-            raise ValueError("fixed rule needs a positive blend size")
-        return int(fixed)
     raise ValueError(f"unknown blend-size rule {rule!r}")
 
 
@@ -750,8 +745,6 @@ def scaling_study(
     N: int,
     *,
     gamma: float = 1.0,
-    fixed_L: int | None = None,
-    core_fraction: float = 0.5,
 ) -> list:
     """Coercivity of the blended operator as the chain grows.
 
@@ -763,12 +756,8 @@ def scaling_study(
     reports = []
     for M in M_list:
         config = ChainConfig(M=M, N=N)
-        L = blend_size_for_rule(L_rule, M, fixed_L)
-        if family in ("constant_one", "constant_zero"):
-            profile = constant_profile(family)
-        else:
-            profile = symmetric_profile(config, family, L, core_fraction)
-        beta = sample_beta(profile, config)
+        L = blend_size_for_rule(L_rule, M)
+        beta = sample_beta(symmetric_profile(config, family, L), config)
         op = assemble_linear("bqcf", pot, config, beta, gamma)
         reports.append(
             coercivity_constant(op, gamma=gamma, L=L, family=family)

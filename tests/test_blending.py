@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from bqcf.blending import (
-    BlendingProfile,
-    LabeledInterval,
     constant_profile,
     derivative_sup_bounds,
     one_sided_profile,
@@ -54,59 +52,23 @@ def test_symmetric_layout_trichotomy():
 
 def test_symmetric_layout_mirror_symmetry():
     cfg = ChainConfig(M=40, N=2)
-    beta = sample_beta(symmetric_profile(cfg, "cubic", L=5), cfg)
-    ells = np.arange(1, cfg.M)  # beta(-ell) == beta(ell)
-    np.testing.assert_array_equal(beta.at(ells), beta.at(-ells))
+    ells = np.arange(1, cfg.M)  # beta(-ell) == beta(ell), bit for bit
+    for fam in ("linear", "cubic", "quintic"):
+        beta = sample_beta(symmetric_profile(cfg, fam, L=5), cfg)
+        np.testing.assert_array_equal(beta.at(ells), beta.at(-ells))
 
 
 def test_blend_values_follow_spline():
     cfg = ChainConfig(M=50, N=2)
     L = 4
-    beta = sample_beta(symmetric_profile(cfg, "quintic", L), cfg)
-    n_a = round(0.5 * cfg.M)
     j = np.arange(1, L + 1)
     expected = spline_shape("quintic", j / (L + 1))
-    np.testing.assert_allclose(beta.at(n_a + j), expected, rtol=1e-15)
-
-
-def test_layout_not_tiling_rejected():
-    cfg = ChainConfig(M=8, N=2)
-    gappy = BlendingProfile(
-        "cubic",
-        (
-            LabeledInterval("atomistic", -1.0, 0.0),
-            LabeledInterval("continuum", 0.5, 1.0),
-        ),
-        L=2,
-    )
-    with pytest.raises(ValueError, match="tiling"):
-        sample_beta(gappy, cfg)
-    overlapping = BlendingProfile(
-        "cubic",
-        (
-            LabeledInterval("atomistic", -1.0, 0.5),
-            LabeledInterval("continuum", 0.0, 1.0),
-        ),
-        L=2,
-    )
-    with pytest.raises(ValueError, match="tiling"):
-        sample_beta(overlapping, cfg)
-
-
-def test_blend_interval_without_sites_rejected():
-    cfg = ChainConfig(M=8, N=2)
-    a = cfg.a
-    profile = BlendingProfile(
-        "cubic",
-        (
-            LabeledInterval("atomistic", -1.0, 0.5 * a),
-            LabeledInterval("blend-down", 0.5 * a, 0.9 * a),  # no lattice site inside
-            LabeledInterval("continuum", 0.9 * a, 1.0),
-        ),
-        L=0,
-    )
-    with pytest.raises(ValueError):
-        sample_beta(profile, cfg)
+    beta = sample_beta(symmetric_profile(cfg, "quintic", L), cfg)
+    n_a = round(0.5 * cfg.M)
+    np.testing.assert_array_equal(beta.at(n_a + j), expected)  # descending blend
+    np.testing.assert_array_equal(beta.at(-(n_a + j)), expected)  # ascending blend
+    one_sided = sample_beta(one_sided_profile(cfg, "quintic", L), cfg)
+    np.testing.assert_array_equal(one_sided.at(j), expected)
 
 
 def test_one_sided_profile_has_seam_jump():

@@ -248,6 +248,27 @@ def test_cli_critical_strain_smoke(tmp_path):
     assert len(table.rows) == 1 + 3 * 8
 
 
+def test_cli_scan_exact_matches_bisection(tmp_path):
+    # --scan-exact walks the dgamma grid itself (coarse = dgamma); each sweep
+    # has a single sign change, so the table equals coarse scan plus bisection
+    texts = []
+    for extra in ([], ["--scan-exact"]):
+        out = tmp_path / f"cs{len(extra)}.csv"
+        code = run_cli(["critical-strain", "--M", "48", "--dgamma", "1e-3", "--out", str(out), *extra])
+        assert code == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("scenario", ["consistency", "scaling"])
+def test_cli_oneside_rejected_where_unused(tmp_path, capsys, scenario):
+    out = tmp_path / "x.csv"
+    code = run_cli([scenario, "--family", "cubic", "--oneside", "--out", str(out)])
+    assert code == 2
+    assert "one-sided" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_bad_config_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(["critical-strain", "--bogus-flag", "1"])

@@ -128,7 +128,7 @@ def test_critical_strain_scan_exact_agrees(morse):
         return assemble_linear("bqcf", morse, cfg, beta, gamma)
 
     g_bisect = critical_strain(build, dgamma=1e-3, gamma_max=1.3, coarse=1e-2)
-    g_exact = critical_strain(build, dgamma=1e-3, gamma_max=1.3, scan_exact=True)
+    g_exact = critical_strain(build, dgamma=1e-3, gamma_max=1.3, coarse=1e-3)
     assert g_bisect == pytest.approx(g_exact, abs=1e-12)
 
 
