@@ -1,12 +1,15 @@
 """Command-line front end.
 
-    bqcf critical-strain --M 2000 --N 2 --family cubic --L 5
+    bqcf critical-strain --M 2000 --N 2
     bqcf coercivity --M 64 --family one --N 1
     bqcf consistency --N 2
     bqcf deform --force sine --M 2000 --family cubic --L 5
     bqcf scaling --family cubic
 
-Each subcommand writes a CSV (default <scenario>.csv, override with
+Each subcommand accepts exactly the settings its runner in
+bqcf.experiments reads and passes them straight through; a flag left out
+takes the runner's default, and a flag the scenario does not read is
+rejected.  Each writes a CSV (default <scenario>.csv, override with
 --out) and prints a one-line summary.  Exit codes: 0 success, 2 bad
 configuration, 3 numerical failure.
 """
@@ -16,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import ExperimentConfig, run_scenario
+from . import experiments
 from .potential import MorseParams
 
 _FAMILY_ALIASES = {
@@ -26,116 +29,109 @@ _FAMILY_ALIASES = {
     "one": "constant_one",
     "zero": "constant_zero",
 }
+_MORSE = ("D_e", "alpha", "r_e")
 
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--M", type=int, default=2000, help="half atom count (chain has 2M atoms)")
-    sub.add_argument("--N", type=int, default=2, help="interaction range in neighbors")
-    sub.add_argument("--alpha", type=float, default=3.0, help="Morse width parameter")
-    sub.add_argument("--De", type=float, default=3.0, help="Morse well depth")
-    sub.add_argument("--re", type=float, default=1.0, help="Morse equilibrium distance")
-    sub.add_argument(
+# runner keyword -> (flag, argparse options); the defaults are the runners'
+_FLAGS = {
+    "M": ("--M", dict(type=int, help="half atom count (chain has 2M atoms)")),
+    "N": ("--N", dict(type=int, help="interaction range in neighbors")),
+    "alpha": ("--alpha", dict(type=float, help="Morse width parameter")),
+    "D_e": ("--De", dict(type=float, help="Morse well depth")),
+    "r_e": ("--re", dict(type=float, help="Morse equilibrium distance")),
+    "family": (
         "--family",
-        choices=sorted(_FAMILY_ALIASES),
-        default="cubic",
-        help="blending family (one/zero = constant profiles)",
-    )
-    sub.add_argument("--L", type=int, default=5, help="atoms per blend interval")
-    sub.add_argument("--oneside", action="store_true", help="single blend interval layout")
-    sub.add_argument("--out", default=None, metavar="PATH", help="CSV output path")
+        dict(choices=sorted(_FAMILY_ALIASES), help="blend family (one/zero = constant profiles)"),
+    ),
+    "L": ("--L", dict(type=int, help="atoms per blend interval")),
+    "one_sided": ("--oneside", dict(action="store_true", help="single blend interval layout")),
+    "dgamma": ("--dgamma", dict(type=float, help="sweep resolution")),
+    "gamma_max": ("--gamma-max", dict(type=float, help="upper end of the sweep")),
+    "coarse": ("--scan-exact", dict(action="store_const", const=0.0, help="walk the dgamma grid")),
+    "force_kind": ("--force", dict(choices=["sine", "gaussian"], required=True)),
+    "amp_scale": ("--amp-scale", dict(type=float, help="force amplitude scale")),
+    "mu": ("--mu", dict(type=float, help="gaussian center (default 4a)")),
+    "sigma": ("--sigma", dict(type=float, help="gaussian width (default 50a)")),
+}
+
+
+def _deform(**settings):
+    return experiments.solve_deformation(**settings)[1]
+
+
+# scenario -> (help, runner, its keywords other than the Morse ones, summary)
+SCENARIOS = {
+    "critical-strain": (
+        "critical stretch per family and blend size",
+        experiments.run_critical_strain_table,
+        ("M", "N", "one_sided", "dgamma", "gamma_max", "coarse"),
+        lambda t: (
+            f"critical-strain: {len(t.rows)} rows, "
+            f"atomistic gamma = {t.metadata['gamma_atomistic']}"
+        ),
+    ),
+    "coercivity": (
+        "coercivity constant of the blended operator",
+        experiments.run_coercivity,
+        ("M", "N", "family", "L", "one_sided"),
+        lambda t: f"coercivity: c_min = {t.column('c_min')[0]:.6g}",
+    ),
+    "consistency": (
+        "atomistic/continuum consistency rates",
+        experiments.run_consistency_sweep,
+        ("N",),
+        lambda t: (
+            f"consistency: force slope l2 = {t.metadata['force_slope_l2']:.3f}, "
+            f"energy slope = {t.metadata['energy_slope']:.3f}"
+        ),
+    ),
+    "deform": (
+        "displacement under an external force",
+        _deform,
+        ("force_kind", "M", "N", "family", "L", "one_sided", "amp_scale", "mu", "sigma"),
+        lambda t: (
+            f"deform ({t.metadata['force_kind']}): "
+            f"max|u_N2| = {max(abs(v) for v in t.column('u_N2')):.6g}"
+        ),
+    ),
+    "scaling": (
+        "coercivity across chain sizes",
+        experiments.run_scaling,
+        ("family", "N"),
+        lambda t: f"scaling: min c_min = {min(t.column('c_min')):.6g}",
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bqcf", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="scenario", required=True)
-
-    p = subs.add_parser("critical-strain", help="critical stretch per family and blend size")
-    _add_common(p)
-    p.add_argument("--dgamma", type=float, default=1e-5, help="sweep resolution")
-    p.add_argument("--gamma-max", type=float, default=1.5, help="upper end of the sweep")
-    p.add_argument("--scan-exact", action="store_true", help="walk the fine grid directly")
-
-    p = subs.add_parser("coercivity", help="coercivity constant of the blended operator")
-    _add_common(p)
-
-    p = subs.add_parser("consistency", help="atomistic/continuum consistency rates")
-    _add_common(p)
-
-    p = subs.add_parser("deform", help="displacement under an external force")
-    _add_common(p)
-    p.add_argument("--force", choices=["sine", "gaussian"], required=True)
-    p.add_argument("--amp-scale", type=float, default=0.2, help="force amplitude scale")
-    p.add_argument("--mu", type=float, default=None, help="gaussian center (default 4a)")
-    p.add_argument("--sigma", type=float, default=None, help="gaussian width (default 50a)")
-
-    p = subs.add_parser("scaling", help="coercivity across chain sizes")
-    _add_common(p)
+    for scenario, (help_text, _, keywords, _) in SCENARIOS.items():
+        p = subs.add_parser(scenario, help=help_text, argument_default=argparse.SUPPRESS)
+        for key in (*keywords, *_MORSE):
+            flag, options = _FLAGS[key]
+            p.add_argument(flag, dest=key, **options)
+        p.add_argument("--out", metavar="PATH", help="CSV output path")
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig(
-        scenario=args.scenario,
-        M=args.M,
-        N=args.N,
-        potential=MorseParams(D_e=args.De, alpha=args.alpha, r_e=args.re),
-        family=_FAMILY_ALIASES[args.family],
-        L=args.L,
-        force_kind=getattr(args, "force", "none") or "none",
-        amp_scale=getattr(args, "amp_scale", 0.2),
-        mu=getattr(args, "mu", None),
-        sigma=getattr(args, "sigma", None),
-        dgamma=getattr(args, "dgamma", 1e-5),
-        gamma_max=getattr(args, "gamma_max", 1.5),
-        one_sided=args.oneside,
-        output_path=args.out,
-    )
-    if getattr(args, "scan_exact", False):
-        cfg.dgamma_coarse = cfg.dgamma
-    return cfg
-
-
-def _summary_line(cfg: ExperimentConfig, table) -> str:
-    if cfg.scenario == "critical-strain":
-        return (
-            f"critical-strain: {len(table.rows)} rows, "
-            f"atomistic gamma = {table.metadata['gamma_atomistic']}"
-        )
-    if cfg.scenario == "coercivity":
-        row = table.rows[0]
-        return f"coercivity: c_min = {row[table.columns.index('c_min')]:.6g}"
-    if cfg.scenario == "consistency":
-        return (
-            f"consistency: force slope l2 = {table.metadata['force_slope_l2']:.3f}, "
-            f"energy slope = {table.metadata['energy_slope']:.3f}"
-        )
-    if cfg.scenario == "deform":
-        return (
-            f"deform ({cfg.force_kind}): max|u_N2| = "
-            f"{max(abs(v) for v in table.column('u_N2')):.6g}"
-        )
-    return f"scaling: min c_min = {min(table.column('c_min')):.6g}"
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    settings = vars(build_parser().parse_args(argv))
+    scenario = settings.pop("scenario")
+    out = settings.pop("out", f"{scenario}.csv")
+    _, runner, _, summary = SCENARIOS[scenario]
+    if "family" in settings:
+        settings["family"] = _FAMILY_ALIASES[settings["family"]]
     try:
-        cfg = config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        table = run_scenario(cfg)
+        potential = MorseParams(**{k: settings.pop(k) for k in _MORSE if k in settings})
+        table = runner(potential=potential, **settings)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    out = cfg.output_path or f"{cfg.scenario}.csv"
     table.write_csv(out)
-    print(f"{_summary_line(cfg, table)}  -> {out}")
+    print(f"{summary(table)}  -> {out}")
     return 0
 
 

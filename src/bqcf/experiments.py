@@ -1,37 +1,37 @@
 """Experiment runners and CSV emission.
 
-Five scenarios are supported, all driven by an ExperimentConfig:
+One runner per scenario, each taking exactly the settings it reads:
 
-    critical-strain  critical stretches per family and blend size,
-                     plus the pure-atomistic reference
-    coercivity       a single coercivity constant
-    consistency      force/energy gap between the linearized atomistic
-                     and continuum models over a mesh-refinement ladder
-    deform           solve the blended force balance for an external
-                     force, for interaction ranges N = 1, 2, 3
-    scaling          coercivity along an M-ladder with a blend-size rule
+    run_critical_strain_table  critical stretches per family and blend size,
+                               plus the pure-atomistic reference
+    run_coercivity             a single coercivity constant
+    run_consistency_sweep      force/energy gap between the linearized atomistic
+                               and continuum models over a mesh-refinement ladder
+    solve_deformation          solve the blended force balance for an external
+                               force, for interaction ranges N = 1, 2, 3
+    run_scaling                coercivity along an M-ladder, L = ceil(M^(1/3))
 
-Defaults follow the reference setup: M = 2000, N = 2, Morse well
-(D_e = 3, alpha = 3, r_e = 1), cubic blending with L = 5 and sweep
-resolution dgamma = 1e-5.
+Their defaults, in their signatures only, follow the reference setup:
+M = 2000, N = 2, Morse well (D_e = 3, alpha = 3, r_e = 1), cubic blending
+with L = 5 and sweep resolution dgamma = 1e-5.
 
-Outputs are ResultTables written as CSV: '#'-prefixed metadata lines,
-a header row, then comma-separated values.  Runs are deterministic, so
-identical configs produce byte-identical files.
+Outputs are ResultTables written as CSV: '#'-prefixed metadata lines (the
+scenario, version, Morse parameters and the runner's settings), a header
+row, then comma-separated values.  Runs are deterministic, so identical
+settings produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import splu
 
 from . import __version__
 from .blending import (
-    CONSTANT_FAMILIES,
     SPLINE_FAMILIES,
     constant_profile,
     one_sided_profile,
@@ -50,44 +50,9 @@ from .stability import (
     stability_at,
 )
 
-SCENARIOS = ("critical-strain", "coercivity", "consistency", "deform", "scaling")
 TABLE_BLEND_SIZES = (1, 2, 3, 4, 5, 6, 7, 10)
 CONSISTENCY_M_LIST = (250, 500, 1000, 2000)
 SCALING_M_LIST = (500, 1000, 2000, 4000)
-
-
-@dataclass
-class ExperimentConfig:
-    scenario: str
-    M: int = 2000
-    N: int = 2
-    potential: MorseParams = field(default_factory=MorseParams)
-    family: str = "cubic"
-    L: int = 5
-    force_kind: str = "none"
-    amp_scale: float = 0.2
-    mu: float | None = None     # default 4a, filled at run time
-    sigma: float | None = None  # default 50a
-    dgamma: float = 1e-5
-    dgamma_coarse: float = 1e-3
-    gamma_max: float = 1.5
-    one_sided: bool = False
-    output_path: str | None = None
-
-    def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.family not in SPLINE_FAMILIES + CONSTANT_FAMILIES:
-            raise ValueError(f"unknown blending family {self.family!r}")
-        if self.scenario == "deform":
-            if self.force_kind not in ("sine", "gaussian"):
-                raise ValueError("deform scenario requires --force sine or gaussian")
-            if self.N not in (1, 2, 3):
-                raise ValueError("deform compares interaction ranges N = 1, 2, 3")
-        if self.force_kind not in ("none", "sine", "gaussian"):
-            raise ValueError(f"unknown force kind {self.force_kind!r}")
-        if self.one_sided and self.scenario in ("consistency", "scaling"):
-            raise ValueError(f"the {self.scenario} scenario has no one-sided layout")
 
 
 @dataclass
@@ -157,24 +122,15 @@ def _parse_cell(text: str):
         return text
 
 
-def _config_metadata(cfg: ExperimentConfig) -> dict:
-    p = cfg.potential
+def _metadata(scenario: str, potential: MorseParams, **settings) -> dict:
     return {
-        "scenario": cfg.scenario,
-        "M": cfg.M,
-        "N": cfg.N,
-        "D_e": p.D_e,
-        "alpha": p.alpha,
-        "r_e": p.r_e,
-        "family": cfg.family,
-        "L": cfg.L,
+        "scenario": scenario,
         "version": __version__,
+        "D_e": potential.D_e,
+        "alpha": potential.alpha,
+        "r_e": potential.r_e,
+        **settings,
     }
-
-
-def build_profile(cfg: ExperimentConfig, config: ChainConfig, family=None, L=None):
-    make = one_sided_profile if cfg.one_sided else symmetric_profile
-    return make(config, cfg.family if family is None else family, cfg.L if L is None else L)
 
 
 def external_force(kind: str, params, config: ChainConfig) -> PeriodicField:
@@ -213,22 +169,28 @@ def solve_mean_zero(op, rhs: PeriodicField) -> PeriodicField:
     return PeriodicField(op.config, sol[: op.config.n_atoms])
 
 
-def run_critical_strain_table(cfg: ExperimentConfig) -> ResultTable:
+def run_critical_strain_table(
+    M: int = 2000, N: int = 2, potential: MorseParams = MorseParams(), *, one_sided: bool = False,
+    dgamma: float = 1e-5, gamma_max: float = 1.5, coarse: float = 1e-3,
+) -> ResultTable:
     """Critical stretches for each blending family and blend size.
 
     Rows cover the spline families at blend sizes 1..7 and 10 plus the
     pure atomistic reference; blends that are already unstable at
     gamma = 1 are recorded with a critical stretch of 1 (the value the
-    reference table uses for that degenerate row).
+    reference table uses for that degenerate row).  dgamma, gamma_max
+    and coarse go to every critical_strain sweep; coarse only picks the
+    stretches the sweep visits, not its answer, so it is not recorded.
     """
-    pot = Morse(cfg.potential)
-    config = ChainConfig(M=cfg.M, N=cfg.N)
+    pot = Morse(potential)
+    config = ChainConfig(M=M, N=N)
+    make_profile = one_sided_profile if one_sided else symmetric_profile
 
     def sweep(beta_field):
         def build(gamma):
             return assemble_linear("bqcf", pot, config, beta_field, gamma)
 
-        return critical_strain(build, cfg.dgamma, cfg.gamma_max, coarse=cfg.dgamma_coarse)
+        return critical_strain(build, dgamma, gamma_max, coarse=coarse)
 
     rows = []
     beta_one = sample_beta(constant_profile("constant_one"), config)
@@ -237,7 +199,7 @@ def run_critical_strain_table(cfg: ExperimentConfig) -> ResultTable:
 
     for family in SPLINE_FAMILIES:
         for L in TABLE_BLEND_SIZES:
-            beta = sample_beta(build_profile(cfg, config, family=family, L=L), config)
+            beta = sample_beta(make_profile(config, family, L), config)
             try:
                 g = sweep(beta)
             except StrainSweepError as exc:
@@ -246,8 +208,10 @@ def run_critical_strain_table(cfg: ExperimentConfig) -> ResultTable:
                 g = 1.0  # the reference table records 1 for such rows
             rows.append(("bqcf", family, L, g, abs(gamma_atomistic - g)))
 
-    meta = _config_metadata(cfg)
-    meta.update({"dgamma": cfg.dgamma, "gamma_atomistic": gamma_atomistic})
+    meta = _metadata(
+        "critical-strain", potential, M=M, N=N, one_sided=one_sided,
+        dgamma=dgamma, gamma_max=gamma_max, gamma_atomistic=gamma_atomistic,
+    )
     return ResultTable(
         columns=["model", "family", "L", "gamma_crit", "abs_err_vs_atomistic"],
         rows=rows,
@@ -255,16 +219,22 @@ def run_critical_strain_table(cfg: ExperimentConfig) -> ResultTable:
     )
 
 
-def run_coercivity(cfg: ExperimentConfig) -> ResultTable:
-    pot = Morse(cfg.potential)
-    config = ChainConfig(M=cfg.M, N=cfg.N)
-    beta = sample_beta(build_profile(cfg, config), config)
-    op = assemble_linear("bqcf", pot, config, beta, 1.0)
-    rep = coercivity_constant(op, gamma=1.0, L=cfg.L, family=cfg.family)
+def run_coercivity(
+    M: int = 2000, N: int = 2, potential: MorseParams = MorseParams(), family: str = "cubic",
+    L: int = 5, *, one_sided: bool = False,
+) -> ResultTable:
+    """c_min of the blended operator at gamma = 1."""
+    config = ChainConfig(M=M, N=N)
+    make_profile = one_sided_profile if one_sided else symmetric_profile
+    beta = sample_beta(make_profile(config, family, L), config)
+    op = assemble_linear("bqcf", Morse(potential), config, beta, 1.0)
+    rep = coercivity_constant(op, gamma=1.0, L=L, family=family)
     return ResultTable(
         columns=["M", "N", "family", "L", "gamma", "c_min", "iterations", "residual"],
         rows=[(rep.M, rep.N, rep.family, rep.L, rep.gamma, rep.c_min, rep.iterations, rep.residual)],
-        metadata=_config_metadata(cfg),
+        metadata=_metadata(
+            "coercivity", potential, M=M, N=N, family=family, L=L, one_sided=one_sided
+        ),
     )
 
 
@@ -273,17 +243,19 @@ def loglog_slope(xs, ys) -> float:
     return float(np.polyfit(np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float)), 1)[0])
 
 
-def run_consistency_sweep(cfg: ExperimentConfig, M_list=CONSISTENCY_M_LIST) -> ResultTable:
+def run_consistency_sweep(
+    N: int = 2, potential: MorseParams = MorseParams(), M_list=CONSISTENCY_M_LIST
+) -> ResultTable:
     """Force and energy gaps between linearized models as the mesh refines.
 
     Uses the smooth test displacement u = sin(pi x); reports l2 and linf
     force gaps, the energy gap, and their fitted log-log slopes in the
-    metadata.
+    metadata.  Each row carries its M, so M_list is not recorded.
     """
-    pot = Morse(cfg.potential)
+    pot = Morse(potential)
     rows = []
     for M in M_list:
-        config = ChainConfig(M=M, N=cfg.N)
+        config = ChainConfig(M=M, N=N)
         u = PeriodicField.from_function(config, lambda x: np.sin(np.pi * x))
         fa = assemble_linear("atomistic", pot, config).apply(u)
         fc = assemble_linear("continuum", pot, config).apply(u)
@@ -294,16 +266,14 @@ def run_consistency_sweep(cfg: ExperimentConfig, M_list=CONSISTENCY_M_LIST) -> R
             energy_linearized(u, pot, config, "continuum")
             - energy_linearized(u, pot, config, "atomistic")
         )
-        rows.append((cfg.N, M, config.a, err_l2, err_linf, e_gap))
+        rows.append((N, M, config.a, err_l2, err_linf, e_gap))
 
-    meta = _config_metadata(cfg)
     ms = [r[1] for r in rows]
-    meta.update(
-        {
-            "force_slope_l2": -loglog_slope(ms, [r[3] for r in rows]),
-            "force_slope_linf": -loglog_slope(ms, [r[4] for r in rows]),
-            "energy_slope": -loglog_slope(ms, [r[5] for r in rows]),
-        }
+    meta = _metadata(
+        "consistency", potential, N=N,
+        force_slope_l2=-loglog_slope(ms, [r[3] for r in rows]),
+        force_slope_linf=-loglog_slope(ms, [r[4] for r in rows]),
+        energy_slope=-loglog_slope(ms, [r[5] for r in rows]),
     )
     return ResultTable(
         columns=["N", "M", "a", "force_err_l2", "force_err_linf", "energy_err"],
@@ -312,35 +282,52 @@ def run_consistency_sweep(cfg: ExperimentConfig, M_list=CONSISTENCY_M_LIST) -> R
     )
 
 
-def solve_deformation(cfg: ExperimentConfig):
+def solve_deformation(
+    force_kind: str, M: int = 2000, N: int = 2, potential: MorseParams = MorseParams(),
+    family: str = "cubic", L: int = 5, *, one_sided: bool = False, amp_scale: float = 0.2,
+    mu: float | None = None, sigma: float | None = None,
+):
     """Blended response to an external force for N = 1, 2, 3.
 
-    Checks coercivity at gamma = 1 first, projects the force onto mean
-    zero (recording the removed mean), then solves the three
-    interaction ranges.  Returns (u for the configured N, table).
+    force_kind is 'sine' or 'gaussian' (see external_force); only the
+    gaussian takes mu and sigma, whose defaults 4a and 50a are recorded
+    as values.  Checks coercivity at gamma = 1 for the given N first,
+    projects the force onto mean zero (recording the removed mean), then
+    solves the three interaction ranges.  Returns (u for N, table).
     """
-    pot = Morse(cfg.potential)
+    if force_kind not in ("sine", "gaussian"):
+        raise ValueError(f"deform needs force_kind 'sine' or 'gaussian', got {force_kind!r}")
+    if N not in (1, 2, 3):
+        raise ValueError("deform compares interaction ranges N = 1, 2, 3")
+    base = ChainConfig(M=M, N=N)
+    shape = {}
+    if force_kind == "gaussian":
+        a = base.a
+        shape = {"mu": 4.0 * a if mu is None else mu, "sigma": 50.0 * a if sigma is None else sigma}
+    elif (mu, sigma) != (None, None):
+        raise ValueError("the sine force takes no mu or sigma")
+    pot = Morse(potential)
+    make_profile = one_sided_profile if one_sided else symmetric_profile
     solutions = {}
     f_vals = None
     removed_mean = 0.0
-    for N in (1, 2, 3):
-        config = ChainConfig(M=cfg.M, N=N)
-        beta = sample_beta(build_profile(cfg, config), config)
+    for n in (1, 2, 3):
+        config = ChainConfig(M=M, N=n)
+        beta = sample_beta(make_profile(config, family, L), config)
         op = assemble_linear("bqcf", pot, config, beta, 1.0)
-        if N == cfg.N:
+        if n == N:
             rec = stability_at(op, 1.0)
             if not rec.stable:
                 raise StrainSweepError(
                     f"blended operator not coercive at gamma = 1 ({rec.detail()})",
                     "unstable_at_start",
                 )
-        f = external_force(cfg.force_kind, (cfg.amp_scale, cfg.mu, cfg.sigma), config)
+        f = external_force(force_kind, (amp_scale, shape.get("mu"), shape.get("sigma")), config)
         removed_mean = float(f.values.mean())
         f0 = PeriodicField(config, f.values - removed_mean)
-        solutions[N] = solve_mean_zero(op, f0)
+        solutions[n] = solve_mean_zero(op, f0)
         f_vals = f.values
 
-    base = ChainConfig(M=cfg.M, N=cfg.N)
     x = base.positions()
     ells = base.logical_indices()
     rows = [
@@ -354,54 +341,36 @@ def solve_deformation(cfg: ExperimentConfig):
         )
         for p in range(base.n_atoms)
     ]
-    meta = _config_metadata(cfg)
-    meta.update(
-        {
-            "force_kind": cfg.force_kind,
-            "amp_scale": cfg.amp_scale,
-            "removed_mean": removed_mean,
-            "gap_linf_N1_N2": linf_norm(
-                PeriodicField(base, solutions[1].values - solutions[2].values)
-            ),
-            "gap_linf_N2_N3": linf_norm(
-                PeriodicField(base, solutions[2].values - solutions[3].values)
-            ),
-        }
+    meta = _metadata(
+        "deform", potential, force_kind=force_kind, M=M, N=N, family=family, L=L,
+        one_sided=one_sided, amp_scale=amp_scale, **shape,
+        removed_mean=removed_mean,
+        gap_linf_N1_N2=linf_norm(PeriodicField(base, solutions[1].values - solutions[2].values)),
+        gap_linf_N2_N3=linf_norm(PeriodicField(base, solutions[2].values - solutions[3].values)),
     )
     table = ResultTable(
         columns=["ell", "x", "u_N1", "u_N2", "u_N3", "f_ext"],
         rows=rows,
         metadata=meta,
     )
-    return solutions[cfg.N], table
+    return solutions[N], table
 
 
-def run_scaling(cfg: ExperimentConfig, M_list=SCALING_M_LIST) -> ResultTable:
-    """Coercivity across an M-ladder with blend size L = ceil(M^(1/3))."""
+def run_scaling(
+    family: str = "cubic", N: int = 2, potential: MorseParams = MorseParams(), M_list=SCALING_M_LIST
+) -> ResultTable:
+    """Coercivity across an M-ladder with blend size L = ceil(M^(1/3)).
+
+    Each row carries its M and L, so M_list is not recorded.
+    """
     rule = "M^(1/3)"
-    reports = scaling_study(cfg.family, rule, list(M_list), Morse(cfg.potential), cfg.N)
+    reports = scaling_study(family, rule, list(M_list), Morse(potential), N)
     rows = [
         (r.M, r.N, r.family, r.L, r.gamma, r.c_min, r.iterations, r.residual)
         for r in reports
     ]
-    meta = _config_metadata(cfg)
-    meta["L_rule"] = rule
     return ResultTable(
         columns=["M", "N", "family", "L", "gamma", "c_min", "iterations", "residual"],
         rows=rows,
-        metadata=meta,
+        metadata=_metadata("scaling", potential, family=family, N=N, L_rule=rule),
     )
-
-
-def run_scenario(cfg: ExperimentConfig) -> ResultTable:
-    if cfg.scenario == "critical-strain":
-        return run_critical_strain_table(cfg)
-    if cfg.scenario == "coercivity":
-        return run_coercivity(cfg)
-    if cfg.scenario == "consistency":
-        return run_consistency_sweep(cfg)
-    if cfg.scenario == "deform":
-        return solve_deformation(cfg)[1]
-    if cfg.scenario == "scaling":
-        return run_scaling(cfg)
-    raise ValueError(f"unknown scenario {cfg.scenario!r}")

@@ -45,6 +45,7 @@ nu = c_min(S(1), G); inertia certifies the stretches it reports.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -457,20 +458,18 @@ class _Pencil:
         return StabilityRecord(gamma, bool(f > 0.0), None, float(f), "pencil")
 
 
-def _warn_unless_single_sign_change(records: dict, i: int, dgamma: float) -> None:
+def _warn_unless_single_sign_change(records: dict, measured: dict, i: int, dgamma: float) -> None:
     """Compare stretch i with its nearest evaluated neighbours that carry the
     same measure, and warn where a negative-eigenvalue count falls or a
-    c_min rises along gamma."""
-    units = sorted(records)
-    k = units.index(i)
-    for key in ("neg_count", "c_min"):
+    c_min rises along gamma.  measured maps each measure to the ascending
+    grid units whose records carry it; i is inserted where it does."""
+    for key, units in measured.items():
         if getattr(records[i], key) is None:
             continue
-        below = next((j for j in reversed(units[:k]) if getattr(records[j], key) is not None), None)
-        above = next((j for j in units[k + 1 :] if getattr(records[j], key) is not None), None)
-        for lo, hi in ((below, i), (i, above)):
-            if lo is None or hi is None:
-                continue
+        k = bisect.bisect(units, i)
+        units.insert(k, i)
+        window = units[max(k - 1, 0) : k + 2]
+        for lo, hi in zip(window, window[1:]):
             a, b = getattr(records[lo], key), getattr(records[hi], key)
             g_lo, g_hi = 1.0 + lo * dgamma, 1.0 + hi * dgamma
             if key == "neg_count" and a > b:
@@ -517,7 +516,7 @@ def critical_strain(
     detection therefore assumes a single sign change.  That assumption is
     checked between neighbouring evaluated stretches: a negative-eigenvalue
     count that falls or a c_min that rises triggers a RuntimeWarning.
-    With coarse = dgamma the grid is walked in steps of dgamma directly.
+    With coarse <= dgamma the grid is walked in steps of dgamma directly.
 
     The sweep keeps only the operators at the two ends of its bracket.
     Where the pencil decided them, stability_at certifies the answer:
@@ -547,6 +546,7 @@ def _scan(build_operator, dgamma, gamma_max, step, max_units, report_sink, *, re
     """critical_strain's coarse scan and bisection; the pencil decides where
     it holds unless this is the rerun."""
     records = {}  # grid units -> StabilityRecord of every evaluated stretch
+    measured = {"neg_count": [], "c_min": []}
     pencil = None
 
     def evaluate(i: int):
@@ -560,7 +560,7 @@ def _scan(build_operator, dgamma, gamma_max, step, max_units, report_sink, *, re
         if report_sink is not None:
             report_sink(rec)
         records[i] = rec
-        _warn_unless_single_sign_change(records, i, dgamma)
+        _warn_unless_single_sign_change(records, measured, i, dgamma)
         return rec, op
 
     def certify(i: int, op, stable: bool) -> None:

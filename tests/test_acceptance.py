@@ -16,7 +16,6 @@ from scipy.optimize import brentq
 
 from bqcf.blending import constant_profile, sample_beta, symmetric_profile
 from bqcf.experiments import (
-    ExperimentConfig,
     external_force,
     run_consistency_sweep,
     run_critical_strain_table,
@@ -57,8 +56,7 @@ def morse():
 
 @pytest.fixture(scope="module")
 def table1():
-    cfg = ExperimentConfig(scenario="critical-strain", M=2000, N=2)
-    return run_critical_strain_table(cfg)
+    return run_critical_strain_table(M=2000, N=2)
 
 
 def _column_map(table):
@@ -173,8 +171,7 @@ def test_criterion_2_consistency_rates():
     ok = True
     details = []
     for N in (2, 3):
-        cfg = ExperimentConfig(scenario="consistency", M=2000, N=N)
-        table = run_consistency_sweep(cfg, M_list=(250, 500, 1000, 2000))
+        table = run_consistency_sweep(N=N, M_list=(250, 500, 1000, 2000))
         slopes = (
             table.metadata["force_slope_l2"],
             table.metadata["force_slope_linf"],
@@ -364,10 +361,7 @@ def test_criterion_7_deformation(morse):
     failures = []
     details = []
     for kind in ("sine", "gaussian"):
-        cfg = ExperimentConfig(
-            scenario="deform", M=2000, N=2, family="cubic", L=5, force_kind=kind
-        )
-        u, table = solve_deformation(cfg)
+        u, table = solve_deformation(kind, M=2000, N=2, family="cubic", L=5)
         gap12 = table.metadata["gap_linf_N1_N2"]
         gap23 = table.metadata["gap_linf_N2_N3"]
         if not gap23 < gap12:

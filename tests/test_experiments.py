@@ -7,7 +7,6 @@ from bqcf import experiments
 from bqcf.blending import constant_profile, sample_beta
 from bqcf.cli import main
 from bqcf.experiments import (
-    ExperimentConfig,
     ResultTable,
     external_force,
     run_coercivity,
@@ -72,10 +71,7 @@ def test_gaussian_force_peak():
 
 
 def test_zero_force_gives_zero_displacement(morse):
-    cfg = ExperimentConfig(
-        scenario="deform", M=16, N=2, family="cubic", L=2, force_kind="sine", amp_scale=0.0
-    )
-    u, table = solve_deformation(cfg)
+    u, table = solve_deformation("sine", M=16, N=2, family="cubic", L=2, amp_scale=0.0)
     assert np.max(np.abs(u.values)) < 1e-14
 
 
@@ -100,10 +96,7 @@ def test_deformation_matches_dense_oracle(morse):
 
 
 def test_deformation_table_structure(morse):
-    cfg = ExperimentConfig(
-        scenario="deform", M=32, N=2, family="cubic", L=3, force_kind="gaussian"
-    )
-    u, table = solve_deformation(cfg)
+    u, table = solve_deformation("gaussian", M=32, N=2, family="cubic", L=3)
     assert table.columns == ["ell", "x", "u_N1", "u_N2", "u_N3", "f_ext"]
     assert len(table.rows) == 64
     assert abs(np.mean(table.column("u_N2"))) < 1e-10
@@ -114,28 +107,24 @@ def test_deformation_table_structure(morse):
 def test_deform_rejects_unstable_operator():
     # r_e = 0.8 keeps phi''(1) > 0 but makes phi''(1) + 4 phi''(2) < 0, so the
     # blend is unstable at gamma = 1 and the pre-check's inertia count says so
-    cfg = ExperimentConfig(
-        scenario="deform", M=32, N=2, family="cubic", L=3, force_kind="sine",
-        potential=MorseParams(D_e=3.0, alpha=3.0, r_e=0.8),
-    )
+    potential = MorseParams(D_e=3.0, alpha=3.0, r_e=0.8)
     with pytest.raises(StrainSweepError, match=r"not coercive at gamma = 1 \(\d+ negative eigenvalues\)") as exc:
-        solve_deformation(cfg)
+        solve_deformation("sine", M=32, N=2, potential=potential, family="cubic", L=3)
     assert exc.value.reason == "unstable_at_start"
 
 
 def test_deform_requires_force_kind():
     with pytest.raises(ValueError, match="force"):
-        ExperimentConfig(scenario="deform", M=16)
+        solve_deformation("none", M=16)
     with pytest.raises(ValueError, match="N = 1, 2, 3"):
-        ExperimentConfig(scenario="deform", M=16, N=4, force_kind="sine")
+        solve_deformation("sine", M=16, N=4)
 
 
 # ------------------------------------------------------------- consistency
 
 
 def test_consistency_sweep_slopes(morse):
-    cfg = ExperimentConfig(scenario="consistency", M=2000, N=2)
-    table = run_consistency_sweep(cfg, M_list=(250, 500, 1000, 2000))
+    table = run_consistency_sweep(N=2, M_list=(250, 500, 1000, 2000))
     assert 1.85 <= float(table.metadata["force_slope_l2"]) <= 2.15
     assert 1.85 <= float(table.metadata["force_slope_linf"]) <= 2.15
     assert 1.85 <= float(table.metadata["energy_slope"]) <= 2.15
@@ -154,9 +143,8 @@ def test_consistency_identical_at_n1(morse):
 
 
 def test_run_coercivity_and_determinism(tmp_path):
-    cfg = ExperimentConfig(scenario="coercivity", M=48, N=2, family="cubic", L=4)
-    t1 = run_coercivity(cfg)
-    t2 = run_coercivity(cfg)
+    t1 = run_coercivity(M=48, N=2, family="cubic", L=4)
+    t2 = run_coercivity(M=48, N=2, family="cubic", L=4)
     assert t1.to_csv_text() == t2.to_csv_text()
     assert t1.columns == ["M", "N", "family", "L", "gamma", "c_min", "iterations", "residual"]
     c = t1.rows[0][t1.columns.index("c_min")]
@@ -164,8 +152,7 @@ def test_run_coercivity_and_determinism(tmp_path):
 
 
 def test_run_scaling_small(morse):
-    cfg = ExperimentConfig(scenario="scaling", M=64, N=2, family="cubic", L=3)
-    table = run_scaling(cfg, M_list=(48, 64))
+    table = run_scaling(family="cubic", N=2, M_list=(48, 64))
     assert table.metadata["L_rule"] == "M^(1/3)"
     assert [r[0] for r in table.rows] == [48, 64]
     assert min(table.column("c_min")) > 0
@@ -228,7 +215,7 @@ def test_cli_deform_smoke(tmp_path):
 
 def test_cli_consistency_smoke(tmp_path):
     out = tmp_path / "cons.csv"
-    code = run_cli(["consistency", "--M", "2000", "--N", "2", "--out", str(out)])
+    code = run_cli(["consistency", "--N", "2", "--out", str(out)])
     assert code == 0
     assert out.exists()
 
@@ -238,7 +225,7 @@ def test_cli_critical_strain_smoke(tmp_path):
     code = run_cli(
         [
             "critical-strain", "--M", "48", "--N", "2", "--alpha", "3", "--De", "3",
-            "--family", "cubic", "--L", "3", "--dgamma", "1e-3", "--out", str(out),
+            "--dgamma", "1e-3", "--out", str(out),
         ]
     )
     assert code == 0
@@ -260,13 +247,76 @@ def test_cli_scan_exact_matches_bisection(tmp_path):
     assert texts[0] == texts[1]
 
 
-@pytest.mark.parametrize("scenario", ["consistency", "scaling"])
-def test_cli_oneside_rejected_where_unused(tmp_path, capsys, scenario):
+def exit_code(args):
+    try:
+        return run_cli(args)
+    except SystemExit as exc:  # argparse rejects the flag
+        return exc.code
+
+
+UNREAD_SETTINGS = [
+    (["critical-strain", "--M", "32", "--dgamma", "1e-3", "--family", "cubic"], "--family"),
+    (["critical-strain", "--M", "32", "--dgamma", "1e-3", "--L", "3"], "--L"),
+    (["consistency", "--M", "2000"], "--M"),
+    (["consistency", "--family", "cubic"], "--family"),
+    (["consistency", "--L", "5"], "--L"),
+    (["consistency", "--oneside"], "--oneside"),
+    (["scaling", "--M", "64"], "--M"),
+    (["scaling", "--L", "9"], "--L"),
+    (["scaling", "--oneside"], "--oneside"),
+    (["deform", "--force", "sine", "--M", "32", "--mu", "0.1"], "mu"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, flag", UNREAD_SETTINGS, ids=[f"{a[0]}-{flag.lstrip('-')}" for a, flag in UNREAD_SETTINGS]
+)
+def test_cli_rejects_settings_the_scenario_does_not_read(tmp_path, capsys, args, flag):
     out = tmp_path / "x.csv"
-    code = run_cli([scenario, "--family", "cubic", "--oneside", "--out", str(out)])
-    assert code == 2
-    assert "one-sided" in capsys.readouterr().err
+    assert exit_code([*args, "--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+MORSE_KEYS = {"scenario", "version", "D_e", "alpha", "r_e"}
+SETTINGS_READ = [
+    (
+        ["critical-strain", "--M", "32", "--dgamma", "1e-3"],
+        {"M", "N", "one_sided", "dgamma", "gamma_max", "gamma_atomistic"},
+    ),
+    (["coercivity", "--M", "32", "--L", "3"], {"M", "N", "family", "L", "one_sided"}),
+    (["consistency"], {"N", "force_slope_l2", "force_slope_linf", "energy_slope"}),
+    (
+        ["deform", "--force", "sine", "--M", "32", "--L", "3"],
+        {"force_kind", "M", "N", "family", "L", "one_sided", "amp_scale",
+         "removed_mean", "gap_linf_N1_N2", "gap_linf_N2_N3"},
+    ),
+    (["scaling", "--family", "linear"], {"family", "N", "L_rule"}),
+]
+
+
+@pytest.mark.parametrize("args, keys", SETTINGS_READ, ids=[a[0] for a, _ in SETTINGS_READ])
+def test_cli_metadata_records_the_settings_read(tmp_path, args, keys):
+    out = tmp_path / "x.csv"
+    assert run_cli([*args, "--out", str(out)]) == 0
+    meta = ResultTable.from_csv_text(out.read_text()).metadata
+    assert set(meta) == MORSE_KEYS | keys
+    assert meta["scenario"] == args[0]
+
+
+def test_cli_metadata_records_layout_and_force_shape(tmp_path):
+    def metadata(*args):
+        out = tmp_path / "x.csv"
+        assert run_cli([*args, "--M", "32", "--L", "3", "--out", str(out)]) == 0
+        return ResultTable.from_csv_text(out.read_text()).metadata
+
+    assert metadata("coercivity")["one_sided"] == "False"
+    assert metadata("coercivity", "--oneside")["one_sided"] == "True"
+    # defaults mu = 4a and sigma = 50a are written out as values
+    meta = metadata("deform", "--force", "gaussian")
+    assert (meta["mu"], meta["sigma"]) == ("0.125", "1.5625")
+    meta = metadata("deform", "--force", "gaussian", "--mu", "0.5", "--sigma", "0.25")
+    assert (meta["mu"], meta["sigma"]) == ("0.5", "0.25")
 
 
 def test_cli_bad_config_exit_codes(tmp_path):
@@ -282,7 +332,7 @@ def test_cli_numerical_failure_exit_code(tmp_path):
     # gamma_max below the instability: sweep cannot bracket, exit 3
     code = run_cli(
         [
-            "critical-strain", "--M", "32", "--N", "2", "--family", "one",
+            "critical-strain", "--M", "32", "--N", "2",
             "--dgamma", "1e-3", "--gamma-max", "1.01",
             "--out", str(tmp_path / "x.csv"),
         ]
@@ -297,7 +347,7 @@ def test_cli_numerical_failure_exit_code(tmp_path):
 def test_cli_rejects_non_finite_sweep_input(tmp_path, capsys, flag, value, name):
     out = tmp_path / "x.csv"
     code = run_cli(
-        ["critical-strain", "--M", "32", "--N", "2", "--family", "one", flag, value, "--out", str(out)]
+        ["critical-strain", "--M", "32", "--N", "2", flag, value, "--out", str(out)]
     )
     assert code == 2
     err = capsys.readouterr().err
