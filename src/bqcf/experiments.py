@@ -136,9 +136,9 @@ def _metadata(scenario: str, potential: MorseParams, **settings) -> dict:
 def external_force(kind: str, params, config: ChainConfig) -> PeriodicField:
     """Sample the external force field.
 
-    params is (amp_scale, mu, sigma); mu and sigma may be None, in which
-    case they default to 4a and 50a.  sine: 0.01 * s * sin(-pi x);
-    gaussian: 0.01 * s * exp(-(x - mu)^2 / (2 sigma^2)).
+    params is (amp_scale, mu, sigma); only the gaussian reads mu and
+    sigma.  sine: 0.01 * s * sin(-pi x); gaussian: 0.01 * s *
+    exp(-(x - mu)^2 / (2 sigma^2)).
     """
     amp_scale, mu, sigma = params
     for name, value in (("amp_scale", amp_scale), ("mu", mu), ("sigma", sigma)):
@@ -148,9 +148,6 @@ def external_force(kind: str, params, config: ChainConfig) -> PeriodicField:
     if kind == "sine":
         return PeriodicField(config, 0.01 * amp_scale * np.sin(-x * np.pi))
     if kind == "gaussian":
-        a = config.a
-        mu = 4.0 * a if mu is None else mu
-        sigma = 50.0 * a if sigma is None else sigma
         if sigma <= 0:
             raise ValueError(f"sigma must be positive, got {sigma}")
         return PeriodicField(config, 0.01 * amp_scale * np.exp(-((x - mu) ** 2) / (2.0 * sigma**2)))

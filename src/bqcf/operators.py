@@ -3,14 +3,14 @@
 Three linearized force operators act on periodic displacements, all
 linearized about the uniformly stretched state y = gamma*x (so every
 stencil coefficient is phi_xx(k*gamma); gamma = 1 recovers the
-reference linearization):
+reference linearization).  They are one blend,
 
-    atomistic   F_ell = -sum_k phi_xx(k g) (u_{ell+k} - 2 u_ell + u_{ell-k}) / a^2
-    continuum   F_ell = -(sum_k k^2 phi_xx(k g)) (u_{ell+1} - 2 u_ell + u_{ell-1}) / a^2
-    blended     per neighbor k, the pair weight
-                w_{ell,k} = (beta_{ell-k} + 2 beta_ell + beta_{ell+k}) / 4
-                multiplies the atomistic k-stencil and (1 - w_{ell,k})
-                multiplies k^2 times the nearest stencil.
+    F_ell = -sum_k phi_xx(k g) [ w_{ell,k} (u_{ell+k} - 2 u_ell + u_{ell-k})
+                   + (1 - w_{ell,k}) k^2 (u_{ell+1} - 2 u_ell + u_{ell-1}) ] / a^2,
+
+with the pair weight w_{ell,k} = (beta_{ell-k} + 2 beta_ell + beta_{ell+k}) / 4
+for the blended (B-QCF) operator, w = 1 for the atomistic operator and
+w = 0 for the continuum operator.
 
 With this sign convention the quadratic form <F u, u> is positive for
 stable configurations, e.g. <F u, u> = phi_xx(1) |u'|^2 for N = 1.
@@ -145,15 +145,10 @@ def _neighbor_bands(which, pot, config, beta, gamma):
     parts = []
     for k in range(1, N + 1):
         c = float(pot.phi_xx(k * gamma))
+        w = pair_weight_field(beta, k) if which == "bqcf" else float(which == "atomistic")
         b = np.zeros((2 * N + 1, config.n_atoms))
-        if which == "atomistic":
-            b[[N - k, N + k]] += -c * inv_a2
-        elif which == "continuum":
-            b[[N - 1, N + 1]] += -(c * k * k) * inv_a2
-        else:
-            w = pair_weight_field(beta, k)
-            b[[N - k, N + k]] += -(w * c) * inv_a2
-            b[[N - 1, N + 1]] += -((1.0 - w) * (c * k * k)) * inv_a2
+        b[[N - k, N + k]] += -(w * c) * inv_a2
+        b[[N - 1, N + 1]] += -((1.0 - w) * (c * k * k)) * inv_a2
         parts.append(b)
     return parts
 

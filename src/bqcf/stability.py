@@ -37,15 +37,14 @@ the critical strain is the largest grid point gamma = 1 + i*dgamma at
 which the operator stays stable, located by a coarse scan plus bisection
 (or an exact grid walk on request).  A sweep needs only the sign of
 c_min.  stability_at decides it from the count at sigma = 0 alone.  For
-N = 2 the symmetric part is affine in two coefficients,
-S(gamma) = phi''(gamma) G + phi''(2 gamma) S_2, so a sweep fits each
-stretch's S to x G + y S(1) and reads c_min = x + y nu off one eigenvalue
+N = 2 the operator is affine in two coefficients, A(gamma) =
+phi''(gamma) G/a + phi''(2 gamma) A_2, so a sweep fits each stretch's A
+to x G/a + y A(1) and reads c_min = x + y nu off one eigenvalue
 nu = c_min(S(1), G); inertia certifies the stretches it reports.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -386,32 +385,26 @@ def coercivity_constant(
     return report
 
 
-def _inertia_count(op: BandedPeriodicOperator) -> int | None:
-    """Negative eigenvalues of S on mean-zero fields, from one factorization
-    (_shifted_ldl at sigma = 0); None when its signs cannot be trusted."""
-    factored = _shifted_ldl(op.config.a * op.symmetric_part().bands)
-    return None if factored is None else factored[1]
-
-
 def stability_at(op: BandedPeriodicOperator, gamma: float = 1.0) -> StabilityRecord:
     """Decide whether c_min > 0, without an eigensolve where possible.
 
     Constant-coefficient operators take the exact Fourier minimum; every
-    other operator is decided by the inertia count of one bordered
-    factorization (_inertia_count), falling back to coercivity_constant
-    when that count cannot be trusted.
+    other operator is decided by the count of negative eigenvalues of S on
+    mean-zero fields from one bordered factorization (_shifted_ldl at
+    sigma = 0), falling back to coercivity_constant when that count cannot
+    be trusted.
     """
     if _is_circulant(op):
         c = _circulant_cmin(op)[0]
         return StabilityRecord(gamma, c > 0.0, None, c, "circulant")
-    neg = _inertia_count(op)
-    if neg is not None:
-        return StabilityRecord(gamma, neg == 0, neg, None, "inertia")
+    factored = _shifted_ldl(op.config.a * op.symmetric_part().bands)
+    if factored is not None:
+        return StabilityRecord(gamma, factored[1] == 0, factored[1], None, "inertia")
     c = coercivity_constant(op, gamma=gamma).c_min
     return StabilityRecord(gamma, c > 0.0, None, c, "eigen")
 
 
-_FIT_TOL = 1e-10  # residual of a stretch's fit to span{G, S(1)}, relative to max|S|
+_FIT_TOL = 1e-10  # residual of a stretch's fit to span{G/a, A(1)}, relative to max|A|
 _PENCIL_MARGIN = 1e-8  # |f| at or below this share of its terms goes to inertia
 
 
@@ -420,70 +413,67 @@ class _PencilFailed(Exception):
 
 
 class _Pencil:
-    """c_min of the stretches whose S lies in span{G, S(1)}.
+    """c_min of the stretches whose A lies in span{G/a, A(1)}.
 
-    For N = 2 every B-QCF operator has S(gamma) = phi''(gamma) G +
-    phi''(2 gamma) S_2 with S_2 independent of gamma, so S(gamma) =
-    x G + y S(1) exactly, and for y > 0 the pencil's smallest eigenvalue
-    is f = x + y nu, nu = c_min(S(1), G).  The pair (x, y) is a least
-    squares fit of S's bands, so the test holds for whatever operator the
-    sweep's builder returns; nu is computed on the first fit that holds.
+    For N = 2 the k = 1 part of every B-QCF operator is the Laplacian G/a,
+    whatever the blend weight, so A(gamma) = x G/a + y A(1) exactly, with
+    y = phi''(2 gamma) / phi''(2).  Taking symmetric parts, S(gamma) =
+    x G + y S(1), and for y > 0 the pencil's smallest eigenvalue is
+    f = x + y nu, nu = c_min(S(1), G).  The pair (x, y) is a least squares
+    fit of the operator's bands, so the test holds for whatever operator
+    the sweep's builder returns.  nu is computed here, once per sweep.
     """
 
     def __init__(self, op1: BandedPeriodicOperator):
-        self.op1 = op1
-        basis = np.column_stack(
-            [_h1_gram(op1.config).bands.ravel(), op1.config.a * op1.symmetric_part().bands.ravel()]
-        )
+        config = op1.config
+        basis = np.column_stack([_h1_gram(config).bands.ravel() / config.a, op1.bands.ravel()])
         self.basis, self.pinv = basis, np.linalg.pinv(basis)
-        self.nu = None
+        try:
+            self.nu = coercivity_constant(op1).c_min
+        except EigenSolveError as exc:
+            raise _PencilFailed(f"nu = c_min at gamma = 1 failed: {exc}") from exc
 
     def record(self, op: BandedPeriodicOperator, gamma: float) -> StabilityRecord | None:
         """The stretch decided by f, or None where the fit fails, y <= 0 or
         |f| is within roundoff of zero."""
-        s = op.config.a * op.symmetric_part().bands.ravel()
+        s = op.bands.ravel()
         coef = self.pinv @ s
         x, y = coef
         if not (np.max(np.abs(s - self.basis @ coef)) <= _FIT_TOL * np.max(np.abs(s)) and y > 0):
             return None
-        if self.nu is None:
-            try:
-                self.nu = coercivity_constant(self.op1).c_min
-            except EigenSolveError as exc:
-                raise _PencilFailed(f"nu = c_min at gamma = 1 failed: {exc}") from exc
-            self.op1 = None
         f = x + y * self.nu
         if not abs(f) > _PENCIL_MARGIN * (abs(x) + y * (abs(self.nu) + 1.0)):
             return None
         return StabilityRecord(gamma, bool(f > 0.0), None, float(f), "pencil")
 
 
-def _warn_unless_single_sign_change(records: dict, measured: dict, i: int, dgamma: float) -> None:
-    """Compare stretch i with its nearest evaluated neighbours that carry the
-    same measure, and warn where a negative-eigenvalue count falls or a
-    c_min rises along gamma.  measured maps each measure to the ascending
-    grid units whose records carry it; i is inserted where it does."""
-    for key, units in measured.items():
-        if getattr(records[i], key) is None:
+def _warn_unless_single_sign_change(nearest: dict, rec: StabilityRecord) -> None:
+    """Compare a new record with its nearest evaluated neighbours that carry
+    the same measure, and warn where a negative-eigenvalue count falls or a
+    c_min rises along gamma.  nearest maps each measure to the last stable
+    and the last unstable record that carry it: every evaluated stretch
+    below the new one is stable and every one above it unstable, so those
+    are its neighbours.  The new record then takes its own slot."""
+    for key, ends in nearest.items():
+        if getattr(rec, key) is None:
             continue
-        k = bisect.bisect(units, i)
-        units.insert(k, i)
-        window = units[max(k - 1, 0) : k + 2]
-        for lo, hi in zip(window, window[1:]):
-            a, b = getattr(records[lo], key), getattr(records[hi], key)
-            g_lo, g_hi = 1.0 + lo * dgamma, 1.0 + hi * dgamma
+        for lo, hi in ((ends[0], rec), (rec, ends[1])):
+            if lo is None or hi is None:
+                continue
+            a, b = getattr(lo, key), getattr(hi, key)
             if key == "neg_count" and a > b:
                 message = (
-                    f"negative-eigenvalue count falls from {a} at gamma={g_lo:.6f} "
-                    f"to {b} at gamma={g_hi:.6f}"
+                    f"negative-eigenvalue count falls from {a} at gamma={lo.gamma:.6f} "
+                    f"to {b} at gamma={hi.gamma:.6f}"
                 )
             elif key == "c_min" and b > a + 1e-9 * (abs(a) + 1.0):
-                message = f"coercivity increased from gamma={g_lo:.6f} to gamma={g_hi:.6f}"
+                message = f"coercivity increased from gamma={lo.gamma:.6f} to gamma={hi.gamma:.6f}"
             else:
                 continue
             warnings.warn(
                 f"{message}; sweep assumes a single sign change", RuntimeWarning, stacklevel=5
             )
+        ends[0 if rec.stable else 1] = rec
 
 
 def critical_strain(
@@ -498,33 +488,34 @@ def critical_strain(
 
     build_operator(gamma) must return the assembled operator at that
     stretch, and each stretch is built and decided once.  gamma = 1 is
-    decided by stability_at.  If it is stable and not circulant, every
-    later stretch whose S fits x G + y S(1) with y > 0 is decided by the
-    sign of f = x + y nu, nu = c_min at gamma = 1 (path 'pencil', c_min
-    = f; see _Pencil).  That covers every N = 2 B-QCF sweep; the others
-    (N >= 3, constant-coefficient operators, operators outside the
-    family) and the stretches where |f| is within roundoff of zero are
-    decided by stability_at: the exact Fourier route for constant
-    coefficients, otherwise the inertia count of one bordered
-    factorization, with coercivity_constant as the fallback when a pivot
-    is tiny or pivoting happened.  report_sink, if given, receives that
-    StabilityRecord once per evaluated stretch, right after it is
-    decided.
+    decided by stability_at.  If it is stable and N = 2, nu = c_min at
+    gamma = 1 is computed once, and every later stretch whose bands fit
+    x G/a + y A(1) with y > 0 is decided by the sign of f = x + y nu
+    (path 'pencil', c_min = f; see _Pencil).  That covers every N = 2
+    B-QCF sweep, the atomistic one included (its nu is the exact Fourier
+    minimum).  The others (N != 2, operators outside the family) and the
+    stretches where |f| is within roundoff of zero are decided by
+    stability_at: the exact Fourier route for constant coefficients,
+    otherwise the inertia count of one bordered factorization, with
+    coercivity_constant as the fallback when a pivot is tiny or pivoting
+    happened.  report_sink, if given, receives that StabilityRecord once
+    per evaluated stretch, right after it is decided.
 
     The scan walks a coarse grid (default 1e-3) until the first unstable
     stretch and bisects the bracketing cell down to the dgamma grid;
     detection therefore assumes a single sign change.  That assumption is
-    checked between neighbouring evaluated stretches: a negative-eigenvalue
-    count that falls or a c_min that rises triggers a RuntimeWarning.
-    With coarse <= dgamma the grid is walked in steps of dgamma directly.
+    checked between neighbouring evaluated stretches that carry the same
+    measure: a negative-eigenvalue count that falls or a c_min that rises
+    triggers a RuntimeWarning.  With coarse <= dgamma the grid is walked
+    in steps of dgamma directly.
 
-    The sweep keeps only the operators at the two ends of its bracket.
-    Where the pencil decided them, stability_at certifies the answer:
-    stable at the returned stretch and unstable one grid step above it
-    (or, when no loss is found, stable at the last coarse stretch).  If
-    certification disagrees, or nu fails to converge, the scan is run
-    again from gamma = 1 by stability_at alone, building and reporting
-    every stretch anew with its path prefixed 'rerun-'.
+    The sweep keeps only the two ends of its bracket.  Where the pencil
+    decided them, stability_at certifies the answer: stable at the
+    returned stretch and unstable one grid step above it (or, when no
+    loss is found, stable at the last coarse stretch).  If certification
+    disagrees, or nu fails to converge, the scan is run again from
+    gamma = 1 by stability_at alone, building and reporting every
+    stretch anew with its path prefixed 'rerun-'.
     """
     for name, value in (("dgamma", dgamma), ("gamma_max", gamma_max), ("coarse", coarse)):
         if not math.isfinite(value):
@@ -543,10 +534,11 @@ def critical_strain(
 
 
 def _scan(build_operator, dgamma, gamma_max, step, max_units, report_sink, *, rerun):
-    """critical_strain's coarse scan and bisection; the pencil decides where
+    """critical_strain's scan over its bracket (lo, hi) of evaluated
+    stretches, each a (grid units, record, operator) triple: coarse steps
+    until a stretch is unstable, then bisection.  The pencil decides where
     it holds unless this is the rerun."""
-    records = {}  # grid units -> StabilityRecord of every evaluated stretch
-    measured = {"neg_count": [], "c_min": []}
+    nearest = {"neg_count": [None, None], "c_min": [None, None]}
     pencil = None
 
     def evaluate(i: int):
@@ -559,50 +551,39 @@ def _scan(build_operator, dgamma, gamma_max, step, max_units, report_sink, *, re
                 rec = replace(rec, path="rerun-" + rec.path)
         if report_sink is not None:
             report_sink(rec)
-        records[i] = rec
-        _warn_unless_single_sign_change(records, measured, i, dgamma)
-        return rec, op
+        _warn_unless_single_sign_change(nearest, rec)
+        return i, rec, op
 
-    def certify(i: int, op, stable: bool) -> None:
-        if records[i].path == "pencil" and stability_at(op, 1.0 + i * dgamma).stable != stable:
-            raise _PencilFailed(f"inertia disagrees with the pencil at gamma={1 + i * dgamma:.6f}")
+    def certify(end, stable: bool) -> None:
+        _, rec, op = end
+        if rec.path == "pencil" and stability_at(op, rec.gamma).stable != stable:
+            raise _PencilFailed(f"inertia disagrees with the pencil at gamma={rec.gamma:.6f}")
 
-    rec, op = evaluate(0)
-    if not rec.stable:
+    lo, hi = evaluate(0), None
+    if not lo[1].stable:
         raise StrainSweepError(
-            f"operator is not coercive at gamma = 1 ({rec.detail()})",
+            f"operator is not coercive at gamma = 1 ({lo[1].detail()})",
             "unstable_at_start",
         )
-    if not rerun and rec.path != "circulant":
-        pencil = _Pencil(op)
+    if not rerun and lo[2].config.N == 2:
+        pencil = _Pencil(lo[2])
 
-    lo, lo_op = 0, op
-    hi = None
-    i = step
-    while i <= max_units:
-        rec, op = evaluate(i)
-        if not rec.stable:
-            hi, hi_op = i, op
-            break
-        lo, lo_op = i, op
-        i += step
-    if hi is None:
-        certify(lo, lo_op, True)
-        raise StrainSweepError(
-            f"coercivity still positive at gamma_max = {gamma_max} ({records[lo].detail()})",
-            "no_instability",
-        )
-
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        rec, op = evaluate(mid)
-        if rec.stable:
-            lo, lo_op = mid, op
+    while hi is None or hi[0] - lo[0] > 1:
+        i = lo[0] + step if hi is None else (lo[0] + hi[0]) // 2
+        if i > max_units:
+            certify(lo, True)
+            raise StrainSweepError(
+                f"coercivity still positive at gamma_max = {gamma_max} ({lo[1].detail()})",
+                "no_instability",
+            )
+        end = evaluate(i)
+        if end[1].stable:
+            lo = end
         else:
-            hi, hi_op = mid, op
-    certify(lo, lo_op, True)
-    certify(hi, hi_op, False)
-    return 1.0 + lo * dgamma
+            hi = end
+    certify(lo, True)
+    certify(hi, False)
+    return 1.0 + lo[0] * dgamma
 
 
 @dataclass

@@ -5,8 +5,11 @@ of the mean-zero fields and solved with a dense generalized eigensolver,
 and the bordered matrices are built densely from to_dense().  The cost
 is cubic in 2M, so these are for small chains only.  G and the pair
 weights are written out here from their definitions, not taken from the
-package.
+package.  reference_sweep keeps every record of a sweep to check its
+single-sign-change warnings against.
 """
+
+import bisect
 
 import numpy as np
 from scipy.linalg import eigh, null_space
@@ -83,3 +86,59 @@ def dense_critical_strain(build, dgamma, gamma_max, coarse):
         else:
             hi = mid
     return 1.0 + lo * dgamma, evaluated
+
+
+def reference_sweep(decide, dgamma, gamma_max, coarse):
+    """Coarse scan plus bisection that checks the single sign change by
+    keeping every evaluated record: each new one is compared with its
+    nearest evaluated neighbours that carry the same measure, found by
+    bisecting the ascending grid units of those records.
+
+    decide(i) returns the StabilityRecord of grid stretch i.  Returns the
+    answer (the critical stretch, or the reason a sweep raises with), the
+    warning messages in the order they are raised, and the grid units in
+    evaluation order.
+    """
+    records, measured, messages = {}, {"neg_count": [], "c_min": []}, []
+
+    def stable(i):
+        records[i] = decide(i)
+        for key, units in measured.items():
+            if getattr(records[i], key) is None:
+                continue
+            k = bisect.bisect(units, i)
+            units.insert(k, i)
+            window = units[max(k - 1, 0) : k + 2]
+            for lo, hi in zip(window, window[1:]):
+                a, b = getattr(records[lo], key), getattr(records[hi], key)
+                g_lo, g_hi = 1.0 + lo * dgamma, 1.0 + hi * dgamma
+                if key == "neg_count" and a > b:
+                    message = (
+                        f"negative-eigenvalue count falls from {a} at gamma={g_lo:.6f} "
+                        f"to {b} at gamma={g_hi:.6f}"
+                    )
+                elif key == "c_min" and b > a + 1e-9 * (abs(a) + 1.0):
+                    message = f"coercivity increased from gamma={g_lo:.6f} to gamma={g_hi:.6f}"
+                else:
+                    continue
+                messages.append(f"{message}; sweep assumes a single sign change")
+        return records[i].stable
+
+    if not stable(0):
+        return "unstable_at_start", messages, list(records)
+    step = max(1, int(round(coarse / dgamma)))
+    lo, hi = 0, None
+    for i in range(step, int(np.floor((gamma_max - 1.0) / dgamma)) + 1, step):
+        if not stable(i):
+            hi = i
+            break
+        lo = i
+    if hi is None:
+        return "no_instability", messages, list(records)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if stable(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 1.0 + lo * dgamma, messages, list(records)

@@ -6,8 +6,13 @@ M = 2000 sweep grid once and is shared between its subtests; it takes
 about 5 s on two cores.  Its 4,789 stretches cost 239 factorizations:
 each blended row factors one bordered LDL^T at gamma = 1, a few more for
 the one eigenvalue that decides its other stretches, and two to certify
-its answer, and the atomistic row takes the exact Fourier minimum.
+its answer.  The atomistic row factors nothing: its eigenvalue is the
+exact Fourier minimum at gamma = 1, and the Fourier route certifies it.
+The fixture records the sweeps' warnings, so the single-sign-change
+assumption is checked on the table too.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -55,8 +60,17 @@ def morse():
 
 
 @pytest.fixture(scope="module")
-def table1():
-    return run_critical_strain_table(M=2000, N=2)
+def table1_run():
+    """The table and the warnings its sweeps raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table = run_critical_strain_table(M=2000, N=2)
+    return table, [str(w.message) for w in caught]
+
+
+@pytest.fixture(scope="module")
+def table1(table1_run):
+    return table1_run[0]
 
 
 def _column_map(table):
@@ -127,6 +141,13 @@ def test_criterion_1_table_values_pinned(table1):
     }
     announce("1 (pinned table)", not wrong, f"{len(wrong)} rows differ")
     assert not wrong, wrong
+
+
+def test_criterion_1_single_sign_change(table1_run):
+    """No sweep of the table saw a negative count fall or a c_min rise."""
+    caught = table1_run[1]
+    announce("1 (single sign change)", not caught, f"{len(caught)} warnings")
+    assert not caught, caught
 
 
 def test_criterion_1_atomistic_band(table1):
@@ -374,7 +395,7 @@ def test_criterion_7_deformation(morse):
         config = ChainConfig(M=2000, N=2)
         beta1 = sample_beta(constant_profile("constant_one"), config)
         op_atom = assemble_linear("bqcf", morse, config, beta1, 1.0)
-        f = external_force(kind, (0.2, None, None), config)
+        f = external_force(kind, (0.2, 4.0 * config.a, 50.0 * config.a), config)
         f0 = PeriodicField(config, f.values - f.values.mean())
         u_atom = solve_mean_zero(op_atom, f0).values
         rel = np.max(np.abs(np.array(table.column("u_N2")) - u_atom)) / np.max(

@@ -59,7 +59,7 @@ def test_sine_force_values():
 
 def test_gaussian_force_peak():
     cfg = ChainConfig(M=16, N=2)
-    f = external_force("gaussian", (0.2, None, None), cfg)
+    f = external_force("gaussian", (0.2, 4.0 * cfg.a, 50.0 * cfg.a), cfg)
     assert f.at(4) == pytest.approx(0.01 * 0.2, rel=1e-12)  # peak at mu = 4a
     with pytest.raises(ValueError):
         external_force("gaussian", (0.2, 0.0, -1.0), cfg)
@@ -235,16 +235,27 @@ def test_cli_critical_strain_smoke(tmp_path):
     assert len(table.rows) == 1 + 3 * 8
 
 
-def test_cli_scan_exact_matches_bisection(tmp_path):
+def test_cli_scan_exact_matches_bisection(tmp_path, monkeypatch):
     # --scan-exact walks the dgamma grid itself (coarse = dgamma); each sweep
-    # has a single sign change, so the table equals coarse scan plus bisection
+    # has a single sign change, so the table equals coarse scan plus
+    # bisection.  dgamma is below the default coarse step of 1e-3, so the
+    # default run bisects and builds fewer operators than the walk.
+    built = []
+
+    def counted(*args, **kwargs):
+        built[-1] += 1
+        return assemble_linear(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "assemble_linear", counted)
     texts = []
     for extra in ([], ["--scan-exact"]):
         out = tmp_path / f"cs{len(extra)}.csv"
-        code = run_cli(["critical-strain", "--M", "48", "--dgamma", "1e-3", "--out", str(out), *extra])
+        built.append(0)
+        code = run_cli(["critical-strain", "--M", "32", "--dgamma", "5e-4", "--out", str(out), *extra])
         assert code == 0
         texts.append(out.read_bytes())
     assert texts[0] == texts[1]
+    assert built[0] < built[1]
 
 
 def exit_code(args):

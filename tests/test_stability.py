@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import FrozenInstanceError
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from oracles import (
     dense_gram,
     dense_negative_count,
     dense_sym,
+    reference_sweep,
 )
 
 from bqcf import stability
@@ -19,6 +21,7 @@ from bqcf.operators import BandedPeriodicOperator, assemble_linear, bilinear
 from bqcf.potential import stability_constant
 from bqcf.stability import (
     EigenSolveError,
+    StabilityRecord,
     StrainSweepError,
     _h1_gram,
     _shifted_ldl,
@@ -238,6 +241,51 @@ def test_critical_strain_warns_when_count_falls_by_inertia(morse):
     assert {r.path for r in records} == {"inertia"}
 
 
+def test_neighbour_rule_matches_reference(monkeypatch):
+    # stubbed sweeps whose records carry either measure and change sign at
+    # random: the sweep keeps two records per measure, and must raise the
+    # warnings, in the same order and from the caller's line, and give the
+    # answers of a reference that keeps every record
+    rng = np.random.default_rng(2024)
+    monkeypatch.setattr(stability, "stability_at", lambda op, gamma: op.record)
+    stub_config = ChainConfig(M=4, N=3)  # N != 2: no pencil
+    dgamma = 1e-3
+    kinds = set()
+    for _ in range(2000):
+        units = int(rng.integers(1, 60))
+        gamma_max = 1.0 + (units + 0.5) * dgamma
+        coarse = int(rng.integers(1, 20)) * dgamma
+        stable = (np.arange(units + 1) <= rng.integers(-1, units + 2)) ^ (rng.random(units + 1) < 0.15)
+        by_inertia = rng.random(units + 1) < 0.5
+        neg = rng.integers(1, 4, units + 1)
+        c = rng.exponential(1.0, units + 1)
+
+        def decide(i):
+            gamma = 1.0 + i * dgamma
+            if by_inertia[i]:
+                n = 0 if stable[i] else int(neg[i])
+                return StabilityRecord(gamma, bool(stable[i]), n, None, "inertia")
+            return StabilityRecord(gamma, bool(stable[i]), None, c[i] if stable[i] else -c[i], "eigen")
+
+        def build(gamma):
+            return SimpleNamespace(config=stub_config, record=decide(round((gamma - 1.0) / dgamma)))
+
+        want, messages, order = reference_sweep(decide, dgamma, gamma_max, coarse)
+        reported = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                got = critical_strain(build, dgamma, gamma_max, coarse=coarse, report_sink=reported.append)
+            except StrainSweepError as exc:
+                got = exc.reason
+        assert got == want
+        assert [r.gamma for r in reported] == [1.0 + i * dgamma for i in order]
+        assert [str(w.message) for w in caught] == messages
+        assert {w.filename for w in caught} <= {__file__}
+        kinds.update(m.split(" ")[0] for m in messages)
+    assert kinds == {"negative-eigenvalue", "coercivity"}
+
+
 @pytest.mark.parametrize("name", ["dgamma", "gamma_max", "coarse"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_critical_strain_rejects_non_finite(morse, name, bad):
@@ -347,6 +395,30 @@ def test_pencil_failure_reruns_by_inertia(morse, monkeypatch, nu_error):
     assert [r.gamma for r in rerun] == list(evaluated)
     if nu_error != "raise":
         assert "pencil" in {r.path for r in records[:first]}
+
+
+def test_atomistic_sweep_takes_the_pencil_without_factorizing(morse, monkeypatch):
+    # the atomistic nu is the exact Fourier minimum at gamma = 1, and the
+    # Fourier route certifies, so the sweep factors nothing; deciding every
+    # stretch by the Fourier route instead gives the same answer
+    cfg = ChainConfig(M=2000, N=2)
+    beta = beta_one(cfg)
+
+    def build(gamma):
+        return assemble_linear("bqcf", morse, cfg, beta, gamma)
+
+    factorizations = []
+    splu = stability.splu
+    monkeypatch.setattr(stability, "splu", lambda *a, **k: factorizations.append(1) or splu(*a, **k))
+    records = []
+    g = critical_strain(build, 1e-5, 1.5, coarse=1e-3, report_sink=records.append)
+    assert records[0].path == "circulant"
+    assert {r.path for r in records[1:]} == {"pencil"}
+    assert factorizations == []
+    monkeypatch.setattr(stability._Pencil, "record", lambda self, op, gamma: None)
+    records = []
+    assert critical_strain(build, 1e-5, 1.5, coarse=1e-3, report_sink=records.append) == g
+    assert {r.path for r in records} == {"circulant"}
 
 
 # ------------------------------------------------------- inertia predicate
