@@ -57,6 +57,8 @@ SCALING_M_LIST = (500, 1000, 2000, 4000)
 
 @dataclass
 class ResultTable:
+    """A scenario's rows and metadata; a NaN or infinity in them raises FloatingPointError."""
+
     columns: list
     rows: list
     metadata: dict
@@ -65,6 +67,10 @@ class ResultTable:
         for r in self.rows:
             if len(r) != len(self.columns):
                 raise ValueError("row width does not match column count")
+        for name, values in [*zip(self.columns, zip(*self.rows)), *self.metadata.items()]:
+            values = np.asarray(values)  # text and None give no float array
+            if values.dtype.kind == "f" and not np.isfinite(values).all():
+                raise FloatingPointError(f"{name} holds a NaN or infinity")
 
     def column(self, name: str) -> list:
         i = self.columns.index(name)
@@ -288,9 +294,10 @@ def solve_deformation(
 
     force_kind is 'sine' or 'gaussian' (see external_force); only the
     gaussian takes mu and sigma, whose defaults 4a and 50a are recorded
-    as values.  Checks coercivity at gamma = 1 for the given N first,
-    projects the force onto mean zero (recording the removed mean), then
-    solves the three interaction ranges.  Returns (u for N, table).
+    as values.  Projects the force, which depends only on M, onto mean
+    zero once (recording the removed mean), checks coercivity at gamma = 1
+    for the given N, and solves the three interaction ranges.  Returns
+    (u for N, table).
     """
     if force_kind not in ("sine", "gaussian"):
         raise ValueError(f"deform needs force_kind 'sine' or 'gaussian', got {force_kind!r}")
@@ -305,9 +312,11 @@ def solve_deformation(
         raise ValueError("the sine force takes no mu or sigma")
     pot = Morse(potential)
     make_profile = one_sided_profile if one_sided else symmetric_profile
+    force = external_force(force_kind, (amp_scale, shape.get("mu"), shape.get("sigma")), base)
+    f_vals = force.values
+    removed_mean = float(f_vals.mean())
+    f0 = PeriodicField(base, f_vals - removed_mean)
     solutions = {}
-    f_vals = None
-    removed_mean = 0.0
     for n in (1, 2, 3):
         config = ChainConfig(M=M, N=n)
         beta = sample_beta(make_profile(config, family, L), config)
@@ -319,11 +328,7 @@ def solve_deformation(
                     f"blended operator not coercive at gamma = 1 ({rec.detail()})",
                     "unstable_at_start",
                 )
-        f = external_force(force_kind, (amp_scale, shape.get("mu"), shape.get("sigma")), config)
-        removed_mean = float(f.values.mean())
-        f0 = PeriodicField(config, f.values - removed_mean)
         solutions[n] = solve_mean_zero(op, f0)
-        f_vals = f.values
 
     x = base.positions()
     ells = base.logical_indices()

@@ -31,8 +31,8 @@ class ChainConfig:
     """Periodic chain descriptor.
 
     M is the half atom count (the chain has 2M atoms), N the interaction
-    range in neighbors.  N must stay strictly below M so that the
-    interaction range can act as a buffer between decomposition regions.
+    range in neighbors.  N must stay strictly below M so that the 2N + 1
+    band offsets -N..N of an operator are distinct modulo 2M.
     """
 
     M: int

@@ -121,16 +121,10 @@ class BandedPeriodicOperator:
         return csr_matrix((self.bands.ravel(), (rows, cols)), shape=(n, n))
 
 
-def _with_zero_row_sums(config: ChainConfig, bands: np.ndarray) -> BandedPeriodicOperator:
-    """Operator from bands with a zero diagonal, which is set to minus the
+def _assemble(which, pot, config, beta, gamma, ks) -> BandedPeriodicOperator:
+    """Operator of the neighbors k in ks: each k's stencil is added, in
+    order, into one band array, whose diagonal is then set to minus the
     off-diagonal sum in apply order, so that the row sums are exact zeros."""
-    bands[config.N] = -_row_sums(bands)
-    return BandedPeriodicOperator(config, bands)
-
-
-def _neighbor_bands(which, pot, config, beta, gamma):
-    """Bands of the k-th neighbor's stencil, one array per k = 1..N, with the
-    diagonal left at zero."""
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if which not in ("atomistic", "continuum", "bqcf"):
@@ -142,15 +136,14 @@ def _neighbor_bands(which, pot, config, beta, gamma):
             raise ValueError("beta sampled on a different config")
     N = config.N
     inv_a2 = float(config.M) ** 2
-    parts = []
-    for k in range(1, N + 1):
+    bands = np.zeros((2 * N + 1, config.n_atoms))
+    for k in ks:
         c = float(pot.phi_xx(k * gamma))
         w = pair_weight_field(beta, k) if which == "bqcf" else float(which == "atomistic")
-        b = np.zeros((2 * N + 1, config.n_atoms))
-        b[[N - k, N + k]] += -(w * c) * inv_a2
-        b[[N - 1, N + 1]] += -((1.0 - w) * (c * k * k)) * inv_a2
-        parts.append(b)
-    return parts
+        bands[[N - k, N + k]] += -(w * c) * inv_a2
+        bands[[N - 1, N + 1]] += -((1.0 - w) * (c * k * k)) * inv_a2
+    bands[N] = -_row_sums(bands)
+    return BandedPeriodicOperator(config, bands)
 
 
 def per_neighbor_operators(
@@ -166,8 +159,7 @@ def per_neighbor_operators(
     'bqcf'.  All coefficients are evaluated at the stretched bond length
     k*gamma.
     """
-    parts = _neighbor_bands(which, pot, config, beta, gamma)
-    return [_with_zero_row_sums(config, b) for b in parts]
+    return [_assemble(which, pot, config, beta, gamma, [k]) for k in range(1, config.N + 1)]
 
 
 def assemble_linear(
@@ -178,7 +170,7 @@ def assemble_linear(
     gamma: float = 1.0,
 ) -> BandedPeriodicOperator:
     """Assemble the full linearized force operator (sum over neighbors)."""
-    return _with_zero_row_sums(config, sum(_neighbor_bands(which, pot, config, beta, gamma)))
+    return _assemble(which, pot, config, beta, gamma, range(1, config.N + 1))
 
 
 def bilinear(op: BandedPeriodicOperator, u: PeriodicField, v: PeriodicField) -> float:

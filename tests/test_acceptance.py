@@ -332,25 +332,17 @@ def test_criterion_5_bilinear_decomposition(morse):
     u = PeriodicField(config, rng.standard_normal(config.n_atoms))
 
     failures = []
-    for name, fam in (("beta=1", "constant_one"), ("beta=0", "constant_zero")):
-        beta = sample_beta(constant_profile(fam), config)
-        rep = decompose_bilinear_n2(u, beta, morse, config)
+    residuals = []
+    for name, profile in (
+        ("beta=1", constant_profile("constant_one")),
+        ("beta=0", constant_profile("constant_zero")),
+        ("cubic L=5", symmetric_profile(config, "cubic", 5)),
+    ):
+        rep = decompose_bilinear_n2(u, sample_beta(profile, config), morse, config)
+        residuals.append(f"{name} {rep.identity_residual:.2e}")
         if rep.identity_residual > 1e-10:
-            failures.append(f"{name} residual {rep.identity_residual:.2e}")
-
-    beta = sample_beta(symmetric_profile(config, "cubic", 5), config)
-    rep = decompose_bilinear_n2(u, beta, morse, config)
-    if rep.identity_residual <= 1e-10:
-        detail = f"cubic residual {rep.identity_residual:.2e} (identity holds)"
-    else:
-        # conditional branch: the printed identity does not close for a
-        # varying blend; emit the term table and file the discrepancy
-        detail = (
-            f"cubic residual {rep.identity_residual:.2e} > 1e-10; "
-            "term table emitted, filed against the printed-index question"
-        )
-        print("--- next-nearest-neighbor decomposition, cubic blend ---")
-        print(rep.term_table())
+            failures.append(f"{name} residual {rep.identity_residual:.2e}\n{rep.term_table()}")
+    detail = "residuals: " + ", ".join(residuals)
 
     announce("5 (bilinear decomposition)", not failures, detail)
     assert not failures, failures

@@ -352,6 +352,23 @@ def test_cli_numerical_failure_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        # mu = 4a lies on a site and 2 sigma^2 underflows to 0: 0/0 there
+        ["--force", "gaussian", "--sigma", "1e-200"],
+        ["--force", "sine", "--M", "40", "--amp-scale", "1e308"],
+    ],
+)
+def test_cli_deform_non_finite_result_exit_code(tmp_path, capsys, args):
+    out = tmp_path / "d.csv"
+    with np.errstate(all="ignore"):
+        code = run_cli(["deform", *args, "--out", str(out)])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "flag, value, name",
     [("--gamma-max", "inf", "gamma_max"), ("--dgamma", "nan", "dgamma")],
 )

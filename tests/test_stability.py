@@ -600,13 +600,27 @@ def test_non_finite_operator_raises(morse, bad):
 # ------------------------------------------------------------ decomposition
 
 
-def test_decomposition_constant_blends(morse):
-    cfg = ChainConfig(M=64, N=2)
-    rng = np.random.default_rng(3)
-    u = PeriodicField(cfg, rng.standard_normal(cfg.n_atoms))
-    for beta in (beta_one(cfg), beta_zero(cfg)):
-        rep = decompose_bilinear_n2(u, beta, morse, cfg)
-        assert rep.identity_residual <= 1e-10
+def test_decomposition_closes(morse):
+    """T1 + T2 + W equals <F_2 u, u> to roundoff for every blend, layout,
+    chain size and stretch, constant blends included."""
+    checked = 0
+    for M in (16, 64, 500):
+        cfg = ChainConfig(M=M, N=2)
+        u = PeriodicField(cfg, np.random.default_rng(M).standard_normal(cfg.n_atoms))
+        betas = [beta_one(cfg), beta_zero(cfg)]
+        for make_profile in (symmetric_profile, one_sided_profile):
+            for family in ("linear", "cubic", "quintic"):
+                for L in (1, 3, 5, 10):
+                    if make_profile is symmetric_profile and M // 2 + L > M:
+                        continue  # the layout does not fit the chain
+                    betas.append(sample_beta(make_profile(cfg, family, L), cfg))
+        for beta in betas:
+            for gamma in (1.0, 1.15):
+                rep = decompose_bilinear_n2(u, beta, morse, cfg, gamma)
+                assert rep.identity_residual <= 1e-10, (M, gamma, rep.term_table())
+                checked += 1
+    # 3 chains x 26 blends, less the 3 layouts that do not fit, at 2 stretches
+    assert checked == 150
 
 
 def test_decomposition_reports_both_sides(morse):
@@ -614,10 +628,8 @@ def test_decomposition_reports_both_sides(morse):
     rng = np.random.default_rng(4)
     u = PeriodicField(cfg, rng.standard_normal(cfg.n_atoms))
     rep = decompose_bilinear_n2(u, cubic_beta(cfg, 5), morse, cfg)
-    # the printed identity carries index typos; both sides and the
-    # term table must come back finite for reporting either way
-    assert np.isfinite(rep.direct) and np.isfinite(rep.via_identity)
-    assert rep.identity_residual >= 0
+    assert rep.identity_residual <= 1e-10
+    assert rep.via_identity == rep.T1 + rep.T2 + rep.W
     table = rep.term_table()
     assert "direct" in table and "residual" in table
 
