@@ -121,7 +121,9 @@ def pair_weight_field(beta: PeriodicField, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError(f"neighbor index k must be >= 1, got {k}")
     v = beta.values
-    return (np.roll(v, k) + 2.0 * v + np.roll(v, -k)) / 4.0
+    n = v.shape[0]
+    ext = np.concatenate((v[n - k :], v, v[:k]))  # ext[k + p] = v[p], periodically
+    return (ext[:n] + 2.0 * v + ext[2 * k : 2 * k + n]) / 4.0
 
 
 def derivative_sup_bounds(beta: PeriodicField, config: ChainConfig, L: int):

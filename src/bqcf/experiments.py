@@ -253,8 +253,12 @@ def run_consistency_sweep(
 
     Uses the smooth test displacement u = sin(pi x); reports l2 and linf
     force gaps, the energy gap, and their fitted log-log slopes in the
-    metadata.  Each row carries its M, so M_list is not recorded.
+    metadata.  Each row carries its M, so M_list is not recorded.  N must
+    be at least 2: for N = 1 the two models coincide, and a zero gap has
+    no slope.
     """
+    if N < 2:
+        raise ValueError(f"consistency needs N >= 2: for N = {N} the models coincide")
     pot = Morse(potential)
     rows = []
     for M in M_list:

@@ -26,11 +26,18 @@ sum, so the row sums of every assembled operator are exact zeros and
 constant fields are annihilated exactly in floating point.  Every band is
 affine in the N coefficients phi_xx(k gamma).
 
+An assembled operator carries its recipe: its kind, the blend it read,
+its neighbors ks and their coefficients c_k = phi_xx(k gamma), evaluated
+at assembly.  Its bands are built from the recipe on first access, so a
+caller that only needs the coefficients (the N = 2 sweep, see
+stability._Pencil) never pays for them.
+
 The nonlinear atomistic force and the energy functionals (nonlinear
 atomistic, linearized atomistic/continuum) live here too.
 
 Operators are immutable once assembled and safe to share across
-threads; assembly and application have no shared mutable state.
+threads: the recipe is fixed at assembly, and concurrent first accesses
+to the bands at worst build the same array twice.
 """
 
 from __future__ import annotations
@@ -59,37 +66,81 @@ def _row_sums(bands: np.ndarray) -> np.ndarray:
     return s + bands[N]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class OperatorRecipe:
+    """How an operator was assembled: its kind, the blend it read (None
+    unless kind is 'bqcf'), its neighbors ks and their coefficients
+    c_k = phi_xx(k gamma), in the order of ks."""
+
+    kind: str
+    beta: PeriodicField | None
+    ks: tuple
+    coefficients: tuple
+
+
+def _recipe_bands(config: ChainConfig, recipe: OperatorRecipe) -> np.ndarray:
+    """Each k's stencil added, in order, into one band array, whose
+    diagonal is then set to minus the off-diagonal sum in apply order, so
+    that the row sums are exact zeros."""
+    N = config.N
+    inv_a2 = float(config.M) ** 2
+    bands = np.zeros((2 * N + 1, config.n_atoms))
+    kind = recipe.kind
+    for k, c in zip(recipe.ks, recipe.coefficients):
+        w = pair_weight_field(recipe.beta, k) if kind == "bqcf" else float(kind == "atomistic")
+        bands[[N - k, N + k]] += -(w * c) * inv_a2
+        bands[[N - 1, N + 1]] += -((1.0 - w) * (c * k * k)) * inv_a2
+    bands[N] = -_row_sums(bands)
+    return bands
+
+
 class BandedPeriodicOperator:
     """Periodic (2N+1)-banded matrix held as one band array.
 
     bands[N + o][p] is the entry coupling row p to column (p + o) mod 2M,
-    for the offsets o = -N..N of the config's interaction range.
+    for the offsets o = -N..N of the config's interaction range.  It is
+    made from raw bands, or from a recipe (as assembly does), in which
+    case the bands are built on first access.  recipe is None for raw
+    bands.
     """
 
-    config: ChainConfig
-    bands: np.ndarray
+    def __init__(self, config: ChainConfig, bands=None, *, recipe: OperatorRecipe | None = None):
+        if (bands is None) == (recipe is None):
+            raise ValueError("give the operator either its bands or its recipe")
+        self.config = config
+        self.recipe = recipe
+        self._bands = None
+        if bands is not None:
+            bands = np.asarray(bands, dtype=float)
+            shape = (2 * config.N + 1, config.n_atoms)
+            if bands.shape != shape:
+                raise ValueError(f"bands have shape {bands.shape}, expected {shape}")
+            self._bands = bands
 
-    def __post_init__(self):
-        self.bands = np.asarray(self.bands, dtype=float)
-        shape = (2 * self.config.N + 1, self.config.n_atoms)
-        if self.bands.shape != shape:
-            raise ValueError(f"bands have shape {self.bands.shape}, expected {shape}")
+    @property
+    def bands(self) -> np.ndarray:
+        if self._bands is None:
+            self._bands = _recipe_bands(self.config, self.recipe)
+        return self._bands
 
     @property
     def diagonals(self):
         """Read-only mapping from offset o to its diagonal (a view of bands)."""
-        N = self.config.N
-        return MappingProxyType({o: self.bands[N + o] for o in range(-N, N + 1)})
+        N, bands = self.config.N, self.bands
+        return MappingProxyType({o: bands[N + o] for o in range(-N, N + 1)})
 
     def apply_values(self, v: np.ndarray) -> np.ndarray:
         """Matrix-vector product on a raw value array, in the row-difference
-        form, which annihilates constants exactly when the row sums vanish."""
-        N = self.config.N
-        out = _row_sums(self.bands) * v
+        form, which annihilates constants exactly when the row sums vanish.
+        u_{p+o} is read as a view of one periodic extension of v."""
+        N, n, bands = self.config.N, v.shape[0], self.bands
+        ext = np.concatenate((v[n - N :], v, v[:N]))
+        out = _row_sums(bands) * v
         for o in range(-N, N + 1):
             if o != 0:
-                out = out + self.bands[N + o] * (np.roll(v, -o) - v)
+                diff = ext[N + o : N + o + n] - v
+                diff *= bands[N + o]
+                out += diff
         return out
 
     def apply(self, u: PeriodicField) -> PeriodicField:
@@ -106,10 +157,12 @@ class BandedPeriodicOperator:
         return A
 
     def symmetric_part(self) -> "BandedPeriodicOperator":
-        """(A + A^T)/2: band o of A^T is band -o of A rolled by -o."""
-        N = self.config.N
-        t = np.array([np.roll(self.bands[N - o], -o) for o in range(-N, N + 1)])
-        return BandedPeriodicOperator(self.config, 0.5 * (self.bands + t))
+        """(A + A^T)/2: entry p of band o of A^T is entry p + o of band -o
+        of A, read from one periodic extension of the bands."""
+        N, n, bands = self.config.N, self.config.n_atoms, self.bands
+        ext = np.concatenate((bands[:, n - N :], bands, bands[:, :N]), axis=1)
+        t = np.array([ext[N - o, N + o : N + o + n] for o in range(-N, N + 1)])
+        return BandedPeriodicOperator(self.config, 0.5 * (bands + t))
 
     def to_sparse(self):
         """CSR matrix (scipy) with periodic wraparound."""
@@ -122,9 +175,8 @@ class BandedPeriodicOperator:
 
 
 def _assemble(which, pot, config, beta, gamma, ks) -> BandedPeriodicOperator:
-    """Operator of the neighbors k in ks: each k's stencil is added, in
-    order, into one band array, whose diagonal is then set to minus the
-    off-diagonal sum in apply order, so that the row sums are exact zeros."""
+    """Operator of the neighbors k in ks, with c_k = phi_xx(k gamma)
+    evaluated now and its bands built on first access."""
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if which not in ("atomistic", "continuum", "bqcf"):
@@ -134,16 +186,11 @@ def _assemble(which, pot, config, beta, gamma, ks) -> BandedPeriodicOperator:
             raise ValueError("bqcf assembly needs a sampled blending field")
         if beta.config != config:
             raise ValueError("beta sampled on a different config")
-    N = config.N
-    inv_a2 = float(config.M) ** 2
-    bands = np.zeros((2 * N + 1, config.n_atoms))
-    for k in ks:
-        c = float(pot.phi_xx(k * gamma))
-        w = pair_weight_field(beta, k) if which == "bqcf" else float(which == "atomistic")
-        bands[[N - k, N + k]] += -(w * c) * inv_a2
-        bands[[N - 1, N + 1]] += -((1.0 - w) * (c * k * k)) * inv_a2
-    bands[N] = -_row_sums(bands)
-    return BandedPeriodicOperator(config, bands)
+    else:
+        beta = None
+    ks = tuple(ks)
+    coefficients = tuple(float(pot.phi_xx(k * gamma)) for k in ks)
+    return BandedPeriodicOperator(config, recipe=OperatorRecipe(which, beta, ks, coefficients))
 
 
 def per_neighbor_operators(

@@ -38,9 +38,11 @@ which the operator stays stable, located by a coarse scan plus bisection
 (or an exact grid walk on request).  A sweep needs only the sign of
 c_min.  stability_at decides it from the count at sigma = 0 alone.  For
 N = 2 the operator is affine in two coefficients, A(gamma) =
-phi''(gamma) G/a + phi''(2 gamma) A_2, so a sweep fits each stretch's A
-to x G/a + y A(1) and reads c_min = x + y nu off one eigenvalue
-nu = c_min(S(1), G); inertia certifies the stretches it reports.
+phi''(gamma) G/a + phi''(2 gamma) A_2, so a sweep reads x and y of
+A(gamma) = x G/a + y A(1) off the coefficients each assembled stretch
+carries, and c_min = x + y nu off one eigenvalue nu = c_min(S(1), G),
+without building the stretch's bands; inertia certifies the stretches
+it reports.
 """
 
 from __future__ import annotations
@@ -280,16 +282,17 @@ def _sliced_cmin(op: BandedPeriodicOperator):
         return x - (ebar @ x) * ebar
 
     def residual_of(v):
-        """G-normalized copy, its quotient, and the pencil residual
-        |P S v - lam G v| / |G v| (eigenvalue units).  The quotient is
-        a <A v, v>, the same number as <S v, v>, taken from A because A's
-        row sums vanish exactly where those of A^T carry roundoff."""
+        """G-normalized copy, its quotient, the pencil residual
+        |P S v - lam G v| / |G v| (eigenvalue units) and G v, the next
+        right-hand side.  The quotient is a <A v, v>, the same number as
+        <S v, v>, taken from A because A's row sums vanish exactly where
+        those of A^T carry roundoff."""
         v = project(v)
         v = v / np.sqrt(v @ G.apply_values(v))
         lam = float(v @ op.apply_values(v)) * a
         sv = project(sym.apply_values(v) * a)
         gv = G.apply_values(v)
-        return v, lam, float(np.linalg.norm(sv - lam * gv) / np.linalg.norm(gv))
+        return v, lam, float(np.linalg.norm(sv - lam * gv) / np.linalg.norm(gv)), gv
 
     # half the sum of o^2 max|d_o| a^2 over o != 0, a scale of the H1
     # quotient: sum_k k^2 |phi_xx(k gamma)| on the atomistic operator.  It
@@ -301,6 +304,7 @@ def _sliced_cmin(op: BandedPeriodicOperator):
     sigma = -(2.0 * bound + 50.0)
     lo, hi = -math.inf, math.inf
     v = project(np.random.default_rng(7).standard_normal(n))
+    gv = G.apply_values(v)
     res = math.nan
     solves = 0
     for factorizations in range(1, _MAX_FACTORIZATIONS + 1):
@@ -317,9 +321,9 @@ def _sliced_cmin(op: BandedPeriodicOperator):
         lo = sigma
         prev = math.inf
         for _ in range(_MAX_SOLVES_PER_SHIFT):
-            z = lu.solve(np.append(G.apply_values(v), 0.0))
+            z = lu.solve(np.append(gv, 0.0))
             solves += 1
-            v, lam, res = residual_of(z[:n])
+            v, lam, res, gv = residual_of(z[:n])
             hi = min(hi, lam)
             scale = abs(lam) + 1.0
             # the residual floors near 1e-9 relative at M = 8000, so a
@@ -404,7 +408,6 @@ def stability_at(op: BandedPeriodicOperator, gamma: float = 1.0) -> StabilityRec
     return StabilityRecord(gamma, c > 0.0, None, c, "eigen")
 
 
-_FIT_TOL = 1e-10  # residual of a stretch's fit to span{G/a, A(1)}, relative to max|A|
 _PENCIL_MARGIN = 1e-8  # |f| at or below this share of its terms goes to inertia
 
 
@@ -413,33 +416,46 @@ class _PencilFailed(Exception):
 
 
 class _Pencil:
-    """c_min of the stretches whose A lies in span{G/a, A(1)}.
+    """c_min of the stretches assembled like A(1) from the same blend.
 
-    For N = 2 the k = 1 part of every B-QCF operator is the Laplacian G/a,
-    whatever the blend weight, so A(gamma) = x G/a + y A(1) exactly, with
-    y = phi''(2 gamma) / phi''(2).  Taking symmetric parts, S(gamma) =
-    x G + y S(1), and for y > 0 the pencil's smallest eigenvalue is
-    f = x + y nu, nu = c_min(S(1), G).  The pair (x, y) is a least squares
-    fit of the operator's bands, so the test holds for whatever operator
-    the sweep's builder returns.  nu is computed here, once per sweep.
+    For N = 2 the k = 1 part of every operator kind is the Laplacian G/a,
+    whatever the blend weight, so with c_k = phi''(k gamma) a stretch is
+    A(gamma) = c_1 G/a + c_2 A_2 and, eliminating A_2 through A(1),
+    A(gamma) = x G/a + y A(1) exactly, with y = c_2 / c_2(1) and
+    x = c_1 - y c_1(1).  Taking symmetric parts, S(gamma) = x G + y S(1),
+    and for y > 0 the pencil's smallest eigenvalue is f = x + y nu,
+    nu = c_min(S(1), G).  x and y are read off the coefficients the
+    stretch's recipe carries, so only a stretch of the same kind, config
+    and ks as A(1), assembled from the very same blend object, qualifies.
+    nu is computed here, once per sweep.
     """
 
     def __init__(self, op1: BandedPeriodicOperator):
-        config = op1.config
-        basis = np.column_stack([_h1_gram(config).bands.ravel() / config.a, op1.bands.ravel()])
-        self.basis, self.pinv = basis, np.linalg.pinv(basis)
+        self.config, self.recipe = op1.config, op1.recipe
         try:
             self.nu = coercivity_constant(op1).c_min
         except EigenSolveError as exc:
             raise _PencilFailed(f"nu = c_min at gamma = 1 failed: {exc}") from exc
 
+    @staticmethod
+    def applies(op1) -> bool:
+        """Whether a sweep from op1 = A(1) can take the pencil: op1 is
+        assembled with both neighbors of an N = 2 chain, and c_2(1) != 0."""
+        recipe = op1.recipe if op1.config.N == 2 else None
+        return recipe is not None and recipe.ks == (1, 2) and recipe.coefficients[1] != 0.0
+
     def record(self, op: BandedPeriodicOperator, gamma: float) -> StabilityRecord | None:
-        """The stretch decided by f, or None where the fit fails, y <= 0 or
-        |f| is within roundoff of zero."""
-        s = op.bands.ravel()
-        coef = self.pinv @ s
-        x, y = coef
-        if not (np.max(np.abs(s - self.basis @ coef)) <= _FIT_TOL * np.max(np.abs(s)) and y > 0):
+        """The stretch decided by f, or None where the stretch is not
+        assembled like A(1), y <= 0 or |f| is within roundoff of zero."""
+        r, r1 = op.recipe, self.recipe
+        if r is None or r.beta is not r1.beta:
+            return None
+        if (r.kind, r.ks, op.config) != (r1.kind, r1.ks, self.config):
+            return None
+        (c1, c2), (c1_ref, c2_ref) = r.coefficients, r1.coefficients
+        y = c2 / c2_ref
+        x = c1 - y * c1_ref
+        if not y > 0:
             return None
         f = x + y * self.nu
         if not abs(f) > _PENCIL_MARGIN * (abs(x) + y * (abs(self.nu) + 1.0)):
@@ -488,18 +504,21 @@ def critical_strain(
 
     build_operator(gamma) must return the assembled operator at that
     stretch, and each stretch is built and decided once.  gamma = 1 is
-    decided by stability_at.  If it is stable and N = 2, nu = c_min at
-    gamma = 1 is computed once, and every later stretch whose bands fit
-    x G/a + y A(1) with y > 0 is decided by the sign of f = x + y nu
-    (path 'pencil', c_min = f; see _Pencil).  That covers every N = 2
-    B-QCF sweep, the atomistic one included (its nu is the exact Fourier
-    minimum).  The others (N != 2, operators outside the family) and the
-    stretches where |f| is within roundoff of zero are decided by
-    stability_at: the exact Fourier route for constant coefficients,
-    otherwise the inertia count of one bordered factorization, with
-    coercivity_constant as the fallback when a pivot is tiny or pivoting
-    happened.  report_sink, if given, receives that StabilityRecord once
-    per evaluated stretch, right after it is decided.
+    decided by stability_at.  If it is stable and is an assembled N = 2
+    operator, nu = c_min at gamma = 1 is computed once, and every later
+    stretch assembled like it (same kind, config and blend object) is
+    decided by the sign of f = x + y nu, with x and y read off the
+    stretch's coefficients phi''(gamma) and phi''(2 gamma) and y > 0
+    (path 'pencil', c_min = f; see _Pencil).  Such a stretch's bands are
+    never built.  That covers every N = 2 sweep of assemble_linear, the
+    atomistic one included (its nu is the exact Fourier minimum).  The
+    others (N != 2, raw-band operators, operators from another blend
+    object) and the stretches where |f| is within roundoff of zero are
+    decided by stability_at: the exact Fourier route for constant
+    coefficients, otherwise the inertia count of one bordered
+    factorization, with coercivity_constant as the fallback when a pivot
+    is tiny or pivoting happened.  report_sink, if given, receives that
+    StabilityRecord once per evaluated stretch, right after it is decided.
 
     The scan walks a coarse grid (default 1e-3) until the first unstable
     stretch and bisects the bracketing cell down to the dgamma grid;
@@ -565,7 +584,7 @@ def _scan(build_operator, dgamma, gamma_max, step, max_units, report_sink, *, re
             f"operator is not coercive at gamma = 1 ({lo[1].detail()})",
             "unstable_at_start",
         )
-    if not rerun and lo[2].config.N == 2:
+    if not rerun and _Pencil.applies(lo[2]):
         pencil = _Pencil(lo[2])
 
     while hi is None or hi[0] - lo[0] > 1:

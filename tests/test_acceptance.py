@@ -3,11 +3,12 @@
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 PASS/FAIL lines.  The critical-strain table (criterion 1) runs the full
 M = 2000 sweep grid once and is shared between its subtests; it takes
-about 5 s on two cores.  Its 4,789 stretches cost 239 factorizations:
-each blended row factors one bordered LDL^T at gamma = 1, a few more for
-the one eigenvalue that decides its other stretches, and two to certify
-its answer.  The atomistic row factors nothing: its eigenvalue is the
-exact Fourier minimum at gamma = 1, and the Fourier route certifies it.
+about 1.5 s on two cores.  Its 4,789 stretches cost 239 factorizations
+and 75 band builds: each blended row factors one bordered LDL^T at
+gamma = 1, a few more for the one eigenvalue that decides its other
+stretches from their coefficients alone, and two to certify its
+answer.  The atomistic row factors nothing: its eigenvalue is the exact
+Fourier minimum at gamma = 1, and the Fourier route certifies it.
 The fixture records the sweeps' warnings, so the single-sign-change
 assumption is checked on the table too.
 """

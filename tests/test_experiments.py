@@ -276,6 +276,8 @@ UNREAD_SETTINGS = [
     (["scaling", "--L", "9"], "--L"),
     (["scaling", "--oneside"], "--oneside"),
     (["deform", "--force", "sine", "--M", "32", "--mu", "0.1"], "mu"),
+    # a value the scenario reads but cannot use: N = 1 has no consistency gap
+    (["consistency", "--N", "1"], "N >= 2"),
 ]
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bqcf import operators
 from bqcf.blending import constant_profile, sample_beta, symmetric_profile
 from bqcf.lattice import ChainConfig, PeriodicField, forward_diff, h1_seminorm, inner
 from bqcf.operators import (
@@ -88,6 +89,32 @@ def test_bandwidth_within_interaction_range(morse):
         BandedPeriodicOperator(cfg, np.ones((2 * cfg.N + 3, cfg.n_atoms)))
     with pytest.raises(TypeError):
         op.diagonals[4] = np.ones(cfg.n_atoms)
+
+
+def test_assembled_operator_carries_its_recipe(morse, monkeypatch):
+    # the coefficients are evaluated at assembly, the bands once, on first access
+    cfg = ChainConfig(M=10, N=3)
+    beta = cubic_beta(cfg, 2)
+    built = []
+    recipe_bands = operators._recipe_bands
+    monkeypatch.setattr(
+        operators, "_recipe_bands", lambda *a: built.append(1) or recipe_bands(*a)
+    )
+    for which in ("bqcf", "atomistic", "continuum"):
+        op = assemble_linear(which, morse, cfg, beta, 1.1)
+        r = op.recipe
+        assert (r.kind, r.ks) == (which, (1, 2, 3))
+        assert r.beta is (beta if which == "bqcf" else None)
+        assert r.coefficients == tuple(float(morse.phi_xx(k * 1.1)) for k in (1, 2, 3))
+        assert built == []
+        assert op.bands is op.bands and len(built) == 1
+        built.clear()
+    raw = BandedPeriodicOperator(cfg, op.bands)
+    assert raw.recipe is None and raw.bands is op.bands
+    with pytest.raises(ValueError, match="either"):
+        BandedPeriodicOperator(cfg)
+    with pytest.raises(ValueError, match="either"):
+        BandedPeriodicOperator(cfg, op.bands, recipe=op.recipe)
 
 
 def test_beta_one_degenerates_to_atomistic(morse):

@@ -14,7 +14,7 @@ from oracles import (
     reference_sweep,
 )
 
-from bqcf import stability
+from bqcf import operators, stability
 from bqcf.blending import constant_profile, one_sided_profile, sample_beta, symmetric_profile
 from bqcf.lattice import ChainConfig, PeriodicField, h1_seminorm
 from bqcf.operators import BandedPeriodicOperator, assemble_linear, bilinear
@@ -224,7 +224,7 @@ def test_critical_strain_warns_when_count_falls(morse):
 
 
 def test_critical_strain_warns_when_count_falls_by_inertia(morse):
-    # N = 3: no stretch fits span{G, S(1)}, so inertia decides the bump and
+    # N = 3: the pencil does not apply, so inertia decides the bump and
     # the negative-eigenvalue count falls from the midpoint to the upper end
     cfg = ChainConfig(M=32, N=3)
     beta = cubic_beta(cfg, 3)
@@ -349,6 +349,76 @@ def test_pencil_sweep_matches_dense_oracle(morse, family, make_profile):
                 assert rec.stable == (np.count_nonzero(eigenvalues < 0.0) == 0)
                 pencil_records += 1
     assert pencil_records >= 36
+
+
+@pytest.mark.parametrize("M", [16, 64])
+@pytest.mark.parametrize("which", ["bqcf", "atomistic", "continuum"])
+def test_pencil_affine_identity(morse, which, M):
+    # the identity the pencil reads x and y from: with c_k = phi''(k gamma),
+    # A(gamma) = x G/a + y A(1), y = c_2 / c_2(1), x = c_1 - y c_1(1)
+    cfg = ChainConfig(M=M, N=2)
+    gram = _h1_gram(cfg).bands / cfg.a
+    betas = [beta_one(cfg), beta_zero(cfg)]
+    for make_profile in (symmetric_profile, one_sided_profile):
+        for family in ("linear", "cubic", "quintic"):
+            betas.append(sample_beta(make_profile(cfg, family, 3), cfg))
+    gammas = np.random.default_rng(M).uniform(1.0, 1.3, 4)
+    for beta in betas:
+        op1 = assemble_linear(which, morse, cfg, beta, 1.0)
+        for gamma in gammas:
+            op = assemble_linear(which, morse, cfg, beta, gamma)
+            (c1, c2), (c1_ref, c2_ref) = op.recipe.coefficients, op1.recipe.coefficients
+            y = c2 / c2_ref
+            x = c1 - y * c1_ref
+            assert y > 0
+            err = np.max(np.abs(op.bands - (x * gram + y * op1.bands)))
+            assert err <= 1e-13 * np.max(np.abs(op.bands)), (which, gamma)
+
+
+@pytest.mark.parametrize("copy", ["raw_bands", "distinct_beta"])
+def test_stretches_outside_the_recipe_go_to_inertia(morse, copy):
+    # a raw-band operator carries no coefficients, and a blend equal in
+    # value but not the same object is not known to be the same blend, so
+    # every stretch is decided by inertia, with the pencil sweep's answer
+    cfg = ChainConfig(M=64, N=2)
+    beta = cubic_beta(cfg, 4)
+
+    def build(gamma):
+        return assemble_linear("bqcf", morse, cfg, beta, gamma)
+
+    def build_copy(gamma):
+        if copy == "raw_bands":
+            return BandedPeriodicOperator(cfg, build(gamma).bands.copy())
+        twin = PeriodicField(cfg, beta.values.copy())
+        return assemble_linear("bqcf", morse, cfg, twin, gamma)
+
+    want_records, records = [], []
+    want = critical_strain(build, 1e-3, 1.3, coarse=1e-2, report_sink=want_records.append)
+    assert "pencil" in {r.path for r in want_records}
+    assert critical_strain(build_copy, 1e-3, 1.3, coarse=1e-2, report_sink=records.append) == want
+    assert {r.path for r in records} == {"inertia"}
+
+
+def test_reference_sweep_builds_three_band_arrays(morse, monkeypatch):
+    # the sweep-ref pass: gamma = 1 (decided, then nu) and the two certified
+    # ends are the only stretches whose bands are built
+    cfg = ChainConfig(M=2000, N=2)
+    beta = cubic_beta(cfg, 5)
+    built, factorizations, records = [], [], []
+    recipe_bands = operators._recipe_bands
+    monkeypatch.setattr(
+        operators, "_recipe_bands", lambda *a: built.append(1) or recipe_bands(*a)
+    )
+    splu = stability.splu
+    monkeypatch.setattr(stability, "splu", lambda *a, **k: factorizations.append(1) or splu(*a, **k))
+
+    def build(gamma):
+        return assemble_linear("bqcf", morse, cfg, beta, gamma)
+
+    g = critical_strain(build, 1e-5, 1.5, coarse=1e-3, report_sink=records.append)
+    assert g == 1.0 + 19085 * 1e-5
+    assert (len(built), len(records)) == (3, 199)
+    assert len(factorizations) <= 10
 
 
 def test_n3_sweep_takes_no_pencil(morse):
