@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ChainConfig, PeriodicField, forward_diff, higher_diff, linf_norm
+from .lattice import ChainConfig, PeriodicField
 
 SPLINE_FAMILIES = ("linear", "cubic", "quintic")
 CONSTANT_FAMILIES = ("constant_one", "constant_zero")
@@ -124,19 +124,3 @@ def pair_weight_field(beta: PeriodicField, k: int) -> np.ndarray:
     n = v.shape[0]
     ext = np.concatenate((v[n - k :], v, v[:k]))  # ext[k + p] = v[p], periodically
     return (ext[:n] + 2.0 * v + ext[2 * k : 2 * k + n]) / 4.0
-
-
-def derivative_sup_bounds(beta: PeriodicField, config: ChainConfig, L: int):
-    """Scaled sup norms c_j = max|beta^(j)| * (L a)^j for j = 1, 2, 3.
-
-    For a smooth blend of L atoms these stay O(1) as the chain grows;
-    kinks (the linear family) make c2 and c3 blow up, which is exactly
-    what disqualifies that family from the stability estimates.
-    """
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
-    la = L * config.a
-    c1 = linf_norm(forward_diff(beta)) * la
-    c2 = linf_norm(higher_diff(beta, 2)) * la**2
-    c3 = linf_norm(higher_diff(beta, 3)) * la**3
-    return c1, c2, c3

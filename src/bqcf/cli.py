@@ -114,8 +114,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_negative_number(arg: str) -> bool:
+    try:
+        float(arg)
+    except ValueError:
+        return False
+    return arg.startswith("-")
+
+
+def _attach_negative_values(argv) -> list:
+    """Join a value that starts with '-' and parses as a number to the flag
+    before it (--mu -1e-3 becomes --mu=-1e-3): argparse before Python 3.13
+    takes a negative number in exponent notation for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _is_negative_number(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    settings = vars(build_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        settings = vars(build_parser().parse_args(_attach_negative_values(argv)))
+    except SystemExit as exc:  # argparse has printed its usage error (code 2) or --help (0)
+        return exc.code
     scenario = settings.pop("scenario")
     out = settings.pop("out", f"{scenario}.csv")
     _, runner, _, summary = SCENARIOS[scenario]

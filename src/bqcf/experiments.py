@@ -89,43 +89,11 @@ class ResultTable:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_csv_text())
 
-    @classmethod
-    def from_csv_text(cls, text: str) -> "ResultTable":
-        metadata = {}
-        columns = None
-        rows = []
-        for line in text.splitlines():
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                metadata[key.strip()] = value.strip()
-                continue
-            cells = line.split(",")
-            if columns is None:
-                columns = cells
-            else:
-                rows.append(tuple(_parse_cell(c) for c in cells))
-        if columns is None:
-            raise ValueError("CSV text contains no header row")
-        return cls(columns=columns, rows=rows, metadata=metadata)
-
 
 def _format_cell(c) -> str:
     if isinstance(c, float):
         return format(c, ".17g")
     return str(c)
-
-
-def _parse_cell(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
 
 
 def _metadata(scenario: str, potential: MorseParams, **settings) -> dict:

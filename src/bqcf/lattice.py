@@ -12,8 +12,6 @@ Difference stencils (a is the lattice spacing):
 
     u'_ell    = (u_{ell+1} - u_ell) / a            forward
     u''_ell   = (u'_ell - u'_{ell-1}) / a          backward of forward
-    u3_ell    = (u''_{ell+1} - u''_ell) / a        forward of second
-    u4_ell    = (u3_ell - u3_{ell-1}) / a          backward of third
 
 The stability algebra downstream depends on these exact stencils, so
 symmetric alternatives are deliberately not substituted.
@@ -65,9 +63,8 @@ class ChainConfig:
 class PeriodicField:
     """A 2M-periodic real field sampled at the lattice sites.
 
-    `values[p]` holds the sample at logical index ell = p - M + 1;
-    `at(ell)` accepts any integer index and wraps around.  Fields are
-    treated as immutable once constructed.
+    `values[p]` holds the sample at logical index ell = p - M + 1.
+    Fields are treated as immutable once constructed.
     """
 
     __slots__ = ("config", "values")
@@ -90,11 +87,6 @@ class PeriodicField:
         """Sample a callable of x on the lattice (f should be 2-periodic)."""
         return cls(config, f(config.positions()))
 
-    def at(self, ell):
-        """Value(s) at logical index ell, for any integer ell (wraps)."""
-        p = (np.asarray(ell) + self.config.M - 1) % self.config.n_atoms
-        return self.values[p]
-
     def shifted(self, k: int) -> np.ndarray:
         """Raw array of u_{ell+k} in physical order."""
         return np.roll(self.values, -k)
@@ -107,30 +99,6 @@ def forward_diff(u: PeriodicField) -> PeriodicField:
     """u'_ell = (u_{ell+1} - u_ell)/a with periodic wraparound."""
     v = u.values
     return PeriodicField(u.config, (np.roll(v, -1) - v) * u.config.M)
-
-
-def backward_diff(u: PeriodicField) -> PeriodicField:
-    """(u_ell - u_{ell-1})/a with periodic wraparound."""
-    v = u.values
-    return PeriodicField(u.config, (v - np.roll(v, 1)) * u.config.M)
-
-
-def higher_diff(u: PeriodicField, order: int) -> PeriodicField:
-    """Iterated difference of the given order (2, 3 or 4).
-
-    Order 2 is the backward difference of the forward difference (the
-    centered second difference), order 3 the forward difference of the
-    second, order 4 the backward difference of the third.
-    """
-    if order not in (2, 3, 4):
-        raise ValueError(f"order must be 2, 3 or 4, got {order}")
-    d = backward_diff(forward_diff(u))
-    if order == 2:
-        return d
-    d = forward_diff(d)
-    if order == 3:
-        return d
-    return backward_diff(d)
 
 
 def _require_same_config(u: PeriodicField, w: PeriodicField):
@@ -151,24 +119,3 @@ def l2_norm(u: PeriodicField) -> float:
 
 def linf_norm(u: PeriodicField) -> float:
     return float(np.max(np.abs(u.values)))
-
-
-def h1_seminorm(u: PeriodicField) -> float:
-    """l2 norm of the forward difference."""
-    return l2_norm(forward_diff(u))
-
-
-def check_summation_by_parts(u: PeriodicField, v: PeriodicField) -> float:
-    """Residual of the periodic summation-by-parts identity.
-
-    Returns |sum_ell u_ell (v_ell - v_{ell-1}) + sum_ell (u_ell - u_{ell-1}) v_{ell-1}|
-    over the full periodic index set.  For exact arithmetic this is zero;
-    in floats it stays at machine-roundoff scale,
-    <= 1e-12 * (linf(u) * linf(v) * 2M).
-    """
-    _require_same_config(u, v)
-    uu, vv = u.values, v.values
-    vm1 = np.roll(vv, 1)
-    s1 = np.sum(uu * (vv - vm1))
-    s2 = np.sum((uu - np.roll(uu, 1)) * vm1)
-    return float(abs(s1 + s2))

@@ -32,8 +32,8 @@ at assembly.  Its bands are built from the recipe on first access, so a
 caller that only needs the coefficients (the N = 2 sweep, see
 stability._Pencil) never pays for them.
 
-The nonlinear atomistic force and the energy functionals (nonlinear
-atomistic, linearized atomistic/continuum) live here too.
+The quadratic energies of the linearized atomistic and continuum models
+live here too.
 
 Operators are immutable once assembled and safe to share across
 threads: the recipe is fixed at assembly, and concurrent first accesses
@@ -100,8 +100,8 @@ class BandedPeriodicOperator:
     bands[N + o][p] is the entry coupling row p to column (p + o) mod 2M,
     for the offsets o = -N..N of the config's interaction range.  It is
     made from raw bands, or from a recipe (as assembly does), in which
-    case the bands are built on first access.  recipe is None for raw
-    bands.
+    case the bands are built on first access and are read-only, so they
+    cannot drift from the recipe.  recipe is None for raw bands.
     """
 
     def __init__(self, config: ChainConfig, bands=None, *, recipe: OperatorRecipe | None = None):
@@ -120,7 +120,9 @@ class BandedPeriodicOperator:
     @property
     def bands(self) -> np.ndarray:
         if self._bands is None:
-            self._bands = _recipe_bands(self.config, self.recipe)
+            bands = _recipe_bands(self.config, self.recipe)
+            bands.setflags(write=False)  # the N = 2 sweep reads the recipe, not the bands
+            self._bands = bands
         return self._bands
 
     @property
@@ -147,14 +149,6 @@ class BandedPeriodicOperator:
         if u.config != self.config:
             raise ValueError("field and operator configs differ")
         return PeriodicField(self.config, self.apply_values(u.values))
-
-    def to_dense(self) -> np.ndarray:
-        n = self.config.n_atoms
-        A = np.zeros((n, n))
-        idx = np.arange(n)
-        for o, d in self.diagonals.items():
-            A[idx, (idx + o) % n] += d
-        return A
 
     def symmetric_part(self) -> "BandedPeriodicOperator":
         """(A + A^T)/2: entry p of band o of A^T is entry p + o of band -o
@@ -225,40 +219,6 @@ def bilinear(op: BandedPeriodicOperator, u: PeriodicField, v: PeriodicField) -> 
     return inner(op.apply(u), v)
 
 
-def _stretched_bonds(u: PeriodicField, k: int, gamma: float) -> np.ndarray:
-    """Signed bond arguments gamma*k + (u_{ell+k} - u_ell)/a for one k."""
-    v = u.values
-    return gamma * k + (np.roll(v, -k) - v) * u.config.M
-
-
-def _check_bonds_positive(u: PeriodicField, config: ChainConfig, gamma: float) -> None:
-    for k in range(1, config.N + 1):
-        b = _stretched_bonds(u, k, gamma)
-        if np.any(b <= 0.0):
-            raise ValueError(
-                f"non-physical configuration: bond of neighbor {k} crosses (min {b.min():.3g})"
-            )
-
-
-def energy_atomistic(
-    u: PeriodicField, pot: PairPotential, config: ChainConfig, gamma: float = 1.0
-) -> float:
-    """Total interaction energy of the deformation y = gamma*x + u.
-
-    E = sum_ell sum_{k=-N..N, k!=0} (a/2) phi((y_{ell+k} - y_ell)/a),
-    where bonds crossing the periodic seam use the periodic image of u
-    (so the bond argument is gamma*k + (u_{ell+k} - u_ell)/a).  The
-    potential is even, so the k < 0 half equals the k > 0 half and the
-    sum folds to sum_ell sum_{k=1..N} a phi(bond).
-    """
-    _check_bonds_positive(u, config, gamma)
-    a = config.a
-    total = 0.0
-    for k in range(1, config.N + 1):
-        total += float(np.sum(pot.phi(_stretched_bonds(u, k, gamma)))) * a
-    return total
-
-
 def energy_linearized(
     u: PeriodicField,
     pot: PairPotential,
@@ -286,25 +246,3 @@ def energy_linearized(
         )
         return 0.5 * a * coef * float(np.sum(du * du))
     raise ValueError(f"which must be 'atomistic' or 'continuum', got {which!r}")
-
-
-def force_nonlinear_atomistic(
-    u: PeriodicField, pot: PairPotential, config: ChainConfig, gamma: float = 1.0
-) -> PeriodicField:
-    """Nonlinear atomistic force at the deformation y = gamma*x + u.
-
-    F_ell = -sum_{k=-N..N, k!=0} (1/2a) [phi_x(g k + (u_{ell+k}-u_ell)/a)
-                                         - phi_x(g k + (u_ell-u_{ell-k})/a)],
-    which equals (1/a) times the gradient of energy_atomistic.  The odd
-    extension of phi_x supplies the k < 0 terms.
-    """
-    _check_bonds_positive(u, config, gamma)
-    v = u.values
-    M = config.M
-    out = np.zeros(config.n_atoms)
-    half_inv_a = 0.5 * M
-    for k in list(range(1, config.N + 1)) + [-k for k in range(1, config.N + 1)]:
-        fwd = pot.phi_x(gamma * k + (np.roll(v, -k) - v) * M)
-        bwd = pot.phi_x(gamma * k + (v - np.roll(v, k)) * M)
-        out -= half_inv_a * (fwd - bwd)
-    return PeriodicField(config, out)

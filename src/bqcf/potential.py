@@ -15,6 +15,10 @@ Only the Morse potential is shipped:
 
 with well depth D_e, width parameter alpha and equilibrium distance r_e
 (default 1 so the reference lattice is the energy minimum).
+
+The linearized operators read only phi_xx.  phi and phi_x define the
+nonlinear atomistic energy and force, which the tests keep as the model
+those operators linearize.
 """
 
 from __future__ import annotations
@@ -113,18 +117,3 @@ class Morse(PairPotential):
         p = self.params
         q = self._exp_term(r)
         return 2.0 * p.D_e * p.alpha**2 * q * (2.0 * q - 1.0)
-
-
-def stability_constant(pot: PairPotential, N: int, gamma: float) -> float:
-    """A_N(gamma) = sum_{k=1..N} k^2 phi_xx(k*gamma).
-
-    This is the long-wave stability constant of the chain linearized
-    about the uniform stretch y = gamma*x; positivity of A_N(1) is the
-    stability assumption of the coupled model.
-    """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    ks = np.arange(1, N + 1, dtype=float)
-    return float(np.sum(ks**2 * pot.phi_xx(ks * gamma)))

@@ -638,18 +638,6 @@ class DecompositionReport:
     via_identity: float
     identity_residual: float
 
-    def term_table(self) -> str:
-        rows = [
-            ("direct  <F_2 u, u>", self.direct),
-            ("T1      4 c2 |u'|^2", self.T1),
-            ("T2      -c2 a^2 |sqrt(w) u''|^2", self.T2),
-            ("W       blend-gradient sum", self.W),
-            ("sum     T1 + T2 + W", self.via_identity),
-            ("residual", self.identity_residual),
-        ]
-        width = max(len(r[0]) for r in rows)
-        return "\n".join(f"{name:<{width}}  {value: .12e}" for name, value in rows)
-
 
 def decompose_bilinear_n2(
     u: PeriodicField,

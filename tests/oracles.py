@@ -1,23 +1,46 @@
-"""Slow oracles for the fast paths.
+"""Slow oracles for the fast paths, and the second model they check against.
 
 The pencil (S, G) of an operator is projected onto an orthonormal basis
 of the mean-zero fields and solved with a dense generalized eigensolver,
-and the bordered matrices are built densely from to_dense().  The cost
-is cubic in 2M, so these are for small chains only.  G and the pair
-weights are written out here from their definitions, not taken from the
-package.  reference_sweep keeps every record of a sweep to check its
+and the bordered matrices are built densely from the operator's
+diagonals.  The cost is cubic in 2M, so these are for small chains only.
+The nonlinear atomistic energy and force, the long-wave constant A_N and
+the higher difference stencils are here as definitions to check the
+linearized operators against.  Every oracle computes from an operator's
+diagonals and config, a field's values and the potential's phi, phi_x
+and phi_xx only, never from the package code it checks.
+reference_sweep keeps every record of a sweep to check its
 single-sign-change warnings against.
 """
 
 import bisect
+import math
 
 import numpy as np
 from scipy.linalg import eigh, null_space
 
 
+def at(values, ell):
+    """Sample(s) of a 2M-periodic value array at logical index ell, for any
+    integer ell; ell = p - M + 1 is stored at p."""
+    n = values.shape[0]
+    return values[(np.asarray(ell) + n // 2 - 1) % n]
+
+
 def pair_weight(beta, ell, k):
     """Pair weight (beta_{ell-k} + 2 beta_ell + beta_{ell+k}) / 4 at one site."""
-    return float((beta.at(ell - k) + 2.0 * beta.at(ell) + beta.at(ell + k)) / 4.0)
+    v = beta.values
+    return float((at(v, ell - k) + 2.0 * at(v, ell) + at(v, ell + k)) / 4.0)
+
+
+def dense_matrix(op):
+    """The operator as a dense 2M x 2M matrix: A[p, (p + o) mod 2M] = d_o[p]."""
+    n = op.config.n_atoms
+    A = np.zeros((n, n))
+    p = np.arange(n)
+    for o, d in op.diagonals.items():
+        A[p, (p + o) % n] += d
+    return A
 
 
 def dense_gram(config):
@@ -29,7 +52,7 @@ def dense_gram(config):
 
 def dense_sym(op):
     """S = a (A + A^T) / 2, densely."""
-    A = op.to_dense()
+    A = dense_matrix(op)
     return op.config.a * 0.5 * (A + A.T)
 
 
@@ -142,3 +165,111 @@ def reference_sweep(decide, dgamma, gamma_max, coarse):
         else:
             hi = mid
     return 1.0 + lo * dgamma, messages, list(records)
+
+
+# ------------------------------------------------------- differences
+
+
+def _forward(v, M):
+    return (np.roll(v, -1) - v) * M
+
+
+def _backward(v, M):
+    return (v - np.roll(v, 1)) * M
+
+
+def backward_diff(u):
+    """(u_ell - u_{ell-1}) / a with periodic wraparound."""
+    return _backward(u.values, u.config.M)
+
+
+def higher_diff(u, order):
+    """Iterated difference of order 2, 3 or 4: the backward difference of
+    the forward difference, then alternately forward and backward again."""
+    if order not in (2, 3, 4):
+        raise ValueError(f"order must be 2, 3 or 4, got {order}")
+    M = u.config.M
+    d = _backward(_forward(u.values, M), M)
+    if order >= 3:
+        d = _forward(d, M)
+    if order == 4:
+        d = _backward(d, M)
+    return d
+
+
+def summation_by_parts_residual(u, v):
+    """|sum_ell u_ell (v_ell - v_{ell-1}) + sum_ell (u_ell - u_{ell-1}) v_{ell-1}|
+    over the full periodic index set: zero in exact arithmetic."""
+    uu, vv = u.values, v.values
+    vm1 = np.roll(vv, 1)
+    return float(abs(np.sum(uu * (vv - vm1)) + np.sum((uu - np.roll(uu, 1)) * vm1)))
+
+
+def derivative_sup_bounds(beta, config, L):
+    """Scaled sup norms c_j = max|beta^(j)| * (L a)^j for j = 1, 2, 3.
+
+    For a smooth blend of L atoms these stay O(1) as the chain grows;
+    kinks (the linear family) make c2 and c3 blow up.
+    """
+    if L < 1:
+        raise ValueError(f"L must be >= 1, got {L}")
+    la = L * config.a
+    c1 = float(np.max(np.abs(_forward(beta.values, config.M)))) * la
+    c2 = float(np.max(np.abs(higher_diff(beta, 2)))) * la**2
+    c3 = float(np.max(np.abs(higher_diff(beta, 3)))) * la**3
+    return c1, c2, c3
+
+
+# -------------------------------------------- the nonlinear atomistic model
+
+
+def stability_constant(pot, N, gamma):
+    """A_N(gamma) = sum_{k=1..N} k^2 phi_xx(k gamma), the long-wave
+    stability constant of the chain stretched uniformly by gamma."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    ks = np.arange(1, N + 1, dtype=float)
+    return float(np.sum(ks**2 * pot.phi_xx(ks * gamma)))
+
+
+def _bonds(u, config, gamma):
+    """Bond arguments gamma k + (u_{ell+k} - u_ell) / a for k = 1..N, each
+    checked to be positive."""
+    v = u.values
+    bonds = [gamma * k + (np.roll(v, -k) - v) * config.M for k in range(1, config.N + 1)]
+    for k, b in enumerate(bonds, 1):
+        if np.any(b <= 0.0):
+            raise ValueError(
+                f"non-physical configuration: bond of neighbor {k} crosses (min {b.min():.3g})"
+            )
+    return bonds
+
+
+def energy_atomistic(u, pot, config, gamma=1.0):
+    """Total interaction energy of the deformation y = gamma x + u.
+
+    E = sum_ell sum_{k=-N..N, k!=0} (a/2) phi((y_{ell+k} - y_ell)/a), with
+    bonds across the seam reading the periodic image of u.  phi is even,
+    so the k < 0 half equals the k > 0 half.
+    """
+    return sum(float(np.sum(pot.phi(b))) * config.a for b in _bonds(u, config, gamma))
+
+
+def force_nonlinear_atomistic(u, pot, config, gamma=1.0):
+    """Nonlinear atomistic force at the deformation y = gamma x + u, as an array.
+
+    F_ell = -sum_{k=-N..N, k!=0} (1/2a) [phi_x(g k + (u_{ell+k}-u_ell)/a)
+                                         - phi_x(g k + (u_ell-u_{ell-k})/a)],
+    which is (1/a) times the gradient of energy_atomistic.  The odd
+    extension of phi_x supplies the k < 0 terms.
+    """
+    _bonds(u, config, gamma)
+    v, M = u.values, config.M
+    out = np.zeros(config.n_atoms)
+    for k in [*range(1, config.N + 1), *range(-1, -config.N - 1, -1)]:
+        fwd = pot.phi_x(gamma * k + (np.roll(v, -k) - v) * M)
+        bwd = pot.phi_x(gamma * k + (v - np.roll(v, k)) * M)
+        out -= 0.5 * M * (fwd - bwd)
+    return out

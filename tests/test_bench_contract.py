@@ -72,3 +72,13 @@ def test_reference_sweep_factorizations(tmp_path):
         gamma_c = workload.run_pass(ops, lambda: None)
     assert gamma_c == workloads.SWEEP_GAMMA_C
     assert len(ops) == 199 and count[0] <= 10
+
+
+def test_deform_cli_pass_at_seed_531(tmp_path):
+    # seed 531 draws mu = -5.27911389637762e-05, a negative value in
+    # exponent notation that the CLI must read as --mu's value
+    workload = load("workloads").make("deform-cli", 531, tmp_path, small=True)
+    ops = []
+    results = workload.run_pass(ops, lambda: None)
+    assert [code for _, code, _ in results] == [0, 0]
+    assert all(workload.check(results, len(ops)))

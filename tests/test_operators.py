@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
+from oracles import at, dense_matrix, energy_atomistic, force_nonlinear_atomistic
+
 from bqcf import operators
 from bqcf.blending import constant_profile, sample_beta, symmetric_profile
-from bqcf.lattice import ChainConfig, PeriodicField, forward_diff, h1_seminorm, inner
+from bqcf.experiments import loglog_slope
+from bqcf.lattice import ChainConfig, PeriodicField, forward_diff, l2_norm
 from bqcf.operators import (
     BandedPeriodicOperator,
     assemble_linear,
     bilinear,
-    energy_atomistic,
     energy_linearized,
-    force_nonlinear_atomistic,
     per_neighbor_operators,
 )
-from conftest import loglog_slope
 
 
 def random_field(cfg, seed=0, scale=1.0):
@@ -33,13 +33,13 @@ def brute_force_energy(u, pot, cfg, gamma=1.0):
         for k in range(-cfg.N, cfg.N + 1):
             if k == 0:
                 continue
-            bond = gamma * k + (u.at(ell + k) - u.at(ell)) / cfg.a
+            bond = gamma * k + (at(u.values, ell + k) - at(u.values, ell)) / cfg.a
             total += 0.5 * cfg.a * float(pot.phi(bond))
     return total
 
 
 def dense_bqcf(pot, cfg, beta, gamma=1.0):
-    return assemble_linear("bqcf", pot, cfg, beta, gamma).to_dense()
+    return dense_matrix(assemble_linear("bqcf", pot, cfg, beta, gamma))
 
 
 # ---------------------------------------------------------------- operators
@@ -57,7 +57,7 @@ def test_apply_matches_dense_oracle(morse):
     cfg = ChainConfig(M=8, N=2)
     op = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 2), 1.05)
     u = random_field(cfg, 3)
-    dense = op.to_dense() @ u.values
+    dense = dense_matrix(op) @ u.values
     banded = op.apply(u).values
     scale = np.max(np.abs(dense)) + 1.0
     assert np.max(np.abs(dense - banded)) / scale < 1e-13
@@ -75,8 +75,8 @@ def test_apply_linearity(morse):
 def test_transpose_and_symmetric_part_match_dense(morse):
     cfg = ChainConfig(M=8, N=2)
     op = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 2), 1.0)
-    A = op.to_dense()
-    sym = op.symmetric_part().to_dense()
+    A = dense_matrix(op)
+    sym = dense_matrix(op.symmetric_part())
     np.testing.assert_allclose(sym, 0.5 * (A + A.T), atol=1e-12)
 
 
@@ -115,6 +115,17 @@ def test_assembled_operator_carries_its_recipe(morse, monkeypatch):
         BandedPeriodicOperator(cfg)
     with pytest.raises(ValueError, match="either"):
         BandedPeriodicOperator(cfg, op.bands, recipe=op.recipe)
+
+
+def test_bands_built_from_a_recipe_are_read_only(morse):
+    # the N = 2 sweep decides a stretch from its recipe, so its bands must not change
+    cfg = ChainConfig(M=10, N=2)
+    op = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 2), 1.1)
+    with pytest.raises(ValueError, match="read-only"):
+        op.diagonals[0][3] = 0.0
+    raw = BandedPeriodicOperator(cfg, op.bands.copy())
+    raw.diagonals[0][3] = 0.0  # raw bands stay as the caller gave them
+    assert raw.bands[cfg.N, 3] == 0.0
 
 
 def test_beta_one_degenerates_to_atomistic(morse):
@@ -164,15 +175,16 @@ def test_bqcf_matches_brute_force_formula(morse):
     got = op.apply(u).values
     ells = cfg.logical_indices()
     a2 = cfg.a**2
+    b, v = beta.values, u.values
     expected = np.zeros(cfg.n_atoms)
     for p, ell in enumerate(ells):
         acc = 0.0
         for k in range(1, cfg.N + 1):
             c = float(morse.phi_xx(float(k)))
-            w = (beta.at(ell - k) + 2 * beta.at(ell) + beta.at(ell + k)) / 4.0
-            acc -= w * c * (u.at(ell + k) - 2 * u.at(ell) + u.at(ell - k)) / a2
+            w = (at(b, ell - k) + 2 * at(b, ell) + at(b, ell + k)) / 4.0
+            acc -= w * c * (at(v, ell + k) - 2 * at(v, ell) + at(v, ell - k)) / a2
             acc -= (
-                (1 - w) * c * k * k * (u.at(ell + 1) - 2 * u.at(ell) + u.at(ell - 1)) / a2
+                (1 - w) * c * k * k * (at(v, ell + 1) - 2 * at(v, ell) + at(v, ell - 1)) / a2
             )
         expected[p] = acc
     scale = np.max(np.abs(expected)) + 1.0
@@ -272,13 +284,13 @@ def test_energy_consistency_rate(morse):
 def test_nonlinear_force_zero_at_reference(morse):
     cfg = ChainConfig(M=12, N=3)
     f = force_nonlinear_atomistic(PeriodicField.zeros(cfg), morse, cfg)
-    assert np.max(np.abs(f.values)) == 0.0
+    assert np.max(np.abs(f)) == 0.0
 
 
 def test_nonlinear_force_is_energy_gradient(morse):
     cfg = ChainConfig(M=8, N=2)
     u = random_field(cfg, 21, scale=0.01)
-    f = force_nonlinear_atomistic(u, morse, cfg).values
+    f = force_nonlinear_atomistic(u, morse, cfg)
     h = 1e-7
     fd = np.zeros(cfg.n_atoms)
     for p in range(cfg.n_atoms):
@@ -301,7 +313,7 @@ def test_nonlinear_force_linearization(morse):
 
     def rel_gap(eps):
         u = random_field(cfg, 5, scale=eps)
-        f_nl = force_nonlinear_atomistic(u, morse, cfg).values
+        f_nl = force_nonlinear_atomistic(u, morse, cfg)
         f_lin = assemble_linear("atomistic", morse, cfg).apply(u).values
         return np.max(np.abs(f_nl - f_lin)) / (np.max(np.abs(f_lin)) + 1e-12)
 
@@ -344,7 +356,7 @@ def test_bilinear_nearest_neighbor_identity(morse):
     for gamma in (1.0, 1.1):
         op = assemble_linear("bqcf", morse, cfg, beta, gamma)
         u = random_field(cfg, 17)
-        expected = float(morse.phi_xx(gamma)) * h1_seminorm(u) ** 2
+        expected = float(morse.phi_xx(gamma)) * l2_norm(forward_diff(u)) ** 2
         assert bilinear(op, u, u) == pytest.approx(expected, rel=1e-11)
 
 
@@ -360,7 +372,7 @@ def test_bilinear_matches_dense_oracle(morse):
     cfg = ChainConfig(M=8, N=2)
     beta = cubic_beta(cfg, 2)
     op = assemble_linear("bqcf", morse, cfg, beta, 1.1)
-    A = op.to_dense()
+    A = dense_matrix(op)
     u, v = random_field(cfg, 31), random_field(cfg, 32)
     expected = cfg.a * float(v.values @ (A @ u.values))
     assert bilinear(op, u, v) == pytest.approx(expected, rel=1e-12)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from bqcf.potential import Morse, MorseParams, stability_constant
+from oracles import stability_constant
+
+from bqcf.potential import Morse, MorseParams
 
 
 def central_diff(f, r, h=1e-6):
