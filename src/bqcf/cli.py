@@ -58,6 +58,12 @@ def _deform(**settings):
     return experiments.solve_deformation(**settings)[1]
 
 
+def _counts(t) -> str:
+    """The factorizations and solves that a coercivity table's rows took."""
+    f, s = sum(t.column("factorizations")), sum(t.column("iterations"))
+    return f" ({f} factorizations, {s} solves)"
+
+
 # scenario -> (help, runner, its keywords other than the Morse ones, summary)
 SCENARIOS = {
     "critical-strain": (
@@ -73,7 +79,7 @@ SCENARIOS = {
         "coercivity constant of the blended operator",
         experiments.run_coercivity,
         ("M", "N", "family", "L", "one_sided"),
-        lambda t: f"coercivity: c_min = {t.column('c_min')[0]:.6g}",
+        lambda t: f"coercivity: c_min = {t.column('c_min')[0]:.6g}{_counts(t)}",
     ),
     "consistency": (
         "atomistic/continuum consistency rates",
@@ -97,7 +103,7 @@ SCENARIOS = {
         "coercivity across chain sizes",
         experiments.run_scaling,
         ("family", "N"),
-        lambda t: f"scaling: min c_min = {min(t.column('c_min')):.6g}",
+        lambda t: f"scaling: min c_min = {min(t.column('c_min')):.6g}{_counts(t)}",
     ),
 }
 

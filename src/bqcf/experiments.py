@@ -190,6 +190,13 @@ def run_critical_strain_table(
     )
 
 
+# CoercivityReport fields, one row per report; path and the two counts say how
+# c_min was found
+COERCIVITY_COLUMNS = [
+    "M", "N", "family", "L", "gamma", "c_min", "iterations", "path", "factorizations", "residual",
+]
+
+
 def run_coercivity(
     M: int = 2000, N: int = 2, potential: MorseParams = MorseParams(), family: str = "cubic",
     L: int = 5, *, one_sided: bool = False,
@@ -201,8 +208,8 @@ def run_coercivity(
     op = assemble_linear("bqcf", Morse(potential), config, beta, 1.0)
     rep = coercivity_constant(op, gamma=1.0, L=L, family=family)
     return ResultTable(
-        columns=["M", "N", "family", "L", "gamma", "c_min", "iterations", "residual"],
-        rows=[(rep.M, rep.N, rep.family, rep.L, rep.gamma, rep.c_min, rep.iterations, rep.residual)],
+        columns=COERCIVITY_COLUMNS,
+        rows=[tuple(getattr(rep, c) for c in COERCIVITY_COLUMNS)],
         metadata=_metadata(
             "coercivity", potential, M=M, N=N, family=family, L=L, one_sided=one_sided
         ),
@@ -339,12 +346,8 @@ def run_scaling(
     """
     rule = "M^(1/3)"
     reports = scaling_study(family, rule, list(M_list), Morse(potential), N)
-    rows = [
-        (r.M, r.N, r.family, r.L, r.gamma, r.c_min, r.iterations, r.residual)
-        for r in reports
-    ]
     return ResultTable(
-        columns=["M", "N", "family", "L", "gamma", "c_min", "iterations", "residual"],
-        rows=rows,
+        columns=COERCIVITY_COLUMNS,
+        rows=[tuple(getattr(r, c) for c in COERCIVITY_COLUMNS) for r in reports],
         metadata=_metadata("scaling", potential, family=family, N=N, L_rule=rule),
     )

@@ -29,20 +29,15 @@ sparse matrix is assembled per call.
 
 Constant-coefficient operators take the exact Fourier minimum.  Every
 other operator is solved by spectrum slicing: shifts bracketed by that
-count, with inverse iteration on the factors that have no eigenvalue
-below their shift.
+count, with a Lanczos run on each factor that has no eigenvalue below its
+shift (_sliced_cmin).
 
-A uniform stretch gamma enters the operators through their coefficients;
-the critical strain is the largest grid point gamma = 1 + i*dgamma at
-which the operator stays stable, located by a coarse scan plus bisection
-(or an exact grid walk on request).  A sweep needs only the sign of
-c_min.  stability_at decides it from the count at sigma = 0 alone.  For
-N = 2 the operator is affine in two coefficients, A(gamma) =
-phi''(gamma) G/a + phi''(2 gamma) A_2, so a sweep reads x and y of
-A(gamma) = x G/a + y A(1) off the coefficients each assembled stretch
-carries, and c_min = x + y nu off one eigenvalue nu = c_min(S(1), G),
-without building the stretch's bands; inertia certifies the stretches
-it reports.
+A critical-strain sweep needs only the sign of c_min at each grid stretch
+gamma = 1 + i*dgamma.  stability_at reads it off the count at sigma = 0;
+for N = 2, where A(gamma) = phi''(gamma) G/a + phi''(2 gamma) A_2, the
+sweep reads c_min = x + y nu off each stretch's coefficients and one
+eigenvalue nu = c_min at gamma = 1, and inertia certifies the stretches
+it reports (critical_strain).
 """
 
 from __future__ import annotations
@@ -53,6 +48,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import bmat, csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 from scipy.sparse.linalg import eigsh  # noqa: F401  unused; perfbench/layertrace.py wraps it by name
@@ -95,8 +91,9 @@ class CoercivityReport:
     residual is the generalized eigen-residual |S v - c G v| / |G v|
     (eigenvalue units); mode is the minimizing displacement, mean-zero
     and G-normalized.  path is 'circulant' (exact Fourier minimum) or
-    'sliced' (inertia-bracketed inverse iteration); iterations counts
-    the linear solves and factorizations the shifted factorizations.
+    'sliced' (Lanczos on inertia-checked shifts); iterations counts the
+    linear solves, one per Lanczos step, and factorizations the shifted
+    factorizations, trusted or not.
     """
 
     c_min: float
@@ -257,41 +254,49 @@ def _shifted_ldl(B: np.ndarray):
 
 _TOL = 1e-10  # relative residual at which the sliced solver stops
 _MAX_FACTORIZATIONS = 40  # shifts per solve; every one counts, trusted or not
-_MAX_SOLVES_PER_SHIFT = 40
+_LANCZOS_STEPS = 16  # Krylov dimension per trusted factor, a multiple of 4
 
 
 def _sliced_cmin(op: BandedPeriodicOperator):
-    """Smallest pencil eigenvalue by inertia-bracketed inverse iteration.
+    """Smallest pencil eigenvalue by shifted Lanczos with inertia checks.
 
     Keeps a bracket lo <= c_min <= hi: a trusted factorization at sigma
     with no eigenvalue below it raises lo to sigma, one with some lowers
-    hi to sigma, and every Rayleigh quotient lowers hi.  Inverse
-    iteration runs only on factors whose count is 0, so it converges to
-    the lowest mode; the next shift goes just below the current quotient,
-    and back to the bracket when it overshoots.
+    hi to sigma, and every Rayleigh quotient lowers hi.  Only factors with
+    count 0 are used: Lanczos builds a G-orthonormal (fully
+    reorthogonalized) Krylov basis of T = (S - sigma G)^-1 G on mean-zero
+    fields, whose largest Ritz value theta is the lowest mode's
+    1 / (c - sigma).  The Ritz vector's pencil residual is checked every
+    4th step, and every step once the Lanczos estimate falls below
+    1e-7 theta.  After _LANCZOS_STEPS solves the next shift goes just
+    below the quotient (to the bracket's midpoint when that overshoots),
+    and the Ritz vector starts the next basis.  Inverse iteration is the
+    one-vector case.
     """
     config = op.config
     n = config.n_atoms
     a = config.a
     sym = op.symmetric_part()
-    G = _h1_gram(config)
     S = a * sym.bands
+    G = _h1_gram(config).bands
     ebar = np.full(n, 1.0 / np.sqrt(n))
+
+    def gram(v):  # G v by its stencil (2 v_l - v_{l-1} - v_{l+1}) / a
+        ext = np.concatenate((v[-1:], v, v[:1]))
+        return (2.0 * v - ext[:-2] - ext[2:]) / a
 
     def project(x):
         return x - (ebar @ x) * ebar
 
     def residual_of(v):
-        """G-normalized copy, its quotient, the pencil residual
-        |P S v - lam G v| / |G v| (eigenvalue units) and G v, the next
-        right-hand side.  The quotient is a <A v, v>, the same number as
-        <S v, v>, taken from A because A's row sums vanish exactly where
-        those of A^T carry roundoff."""
+        """G-normalized v, its quotient a <A v, v> (= <S v, v>, but A's row
+        sums vanish exactly where A^T's carry roundoff), the pencil residual
+        |P S v - lam G v| / |G v| (eigenvalue units) and G v."""
         v = project(v)
-        v = v / np.sqrt(v @ G.apply_values(v))
+        v = v / np.sqrt(v @ gram(v))
         lam = float(v @ op.apply_values(v)) * a
         sv = project(sym.apply_values(v) * a)
-        gv = G.apply_values(v)
+        gv = gram(v)
         return v, lam, float(np.linalg.norm(sv - lam * gv) / np.linalg.norm(gv)), gv
 
     # half the sum of o^2 max|d_o| a^2 over o != 0, a scale of the H1
@@ -304,12 +309,14 @@ def _sliced_cmin(op: BandedPeriodicOperator):
     sigma = -(2.0 * bound + 50.0)
     lo, hi = -math.inf, math.inf
     v = project(np.random.default_rng(7).standard_normal(n))
-    gv = G.apply_values(v)
-    res = math.nan
+    v /= np.sqrt(v @ gram(v))
+    gv, res = gram(v), math.nan
+    basis = np.empty((_LANCZOS_STEPS + 1, n))  # G-orthonormal Lanczos vectors
+    alpha, beta = np.empty(_LANCZOS_STEPS), np.empty(_LANCZOS_STEPS)
     solves = 0
     for factorizations in range(1, _MAX_FACTORIZATIONS + 1):
         lu = factored = None  # free the last factor before making the next
-        factored = _shifted_ldl(S - sigma * G.bands)
+        factored = _shifted_ldl(S - sigma * G)
         if factored is None:  # untrusted signs: nudge the shift toward lo
             sigma = lo + 0.5 * (sigma - lo) if lo > -math.inf else sigma - (abs(sigma) + 1.0)
             continue
@@ -319,22 +326,33 @@ def _sliced_cmin(op: BandedPeriodicOperator):
             sigma = 0.5 * (lo + hi) if lo > -math.inf else sigma - 2.0 * (abs(sigma) + 1.0)
             continue
         lo = sigma
-        prev = math.inf
-        for _ in range(_MAX_SOLVES_PER_SHIFT):
-            z = lu.solve(np.append(gv, 0.0))
+        basis[0], gq, prev = v, gv, math.inf
+        for j in range(_LANCZOS_STEPS):
+            z = lu.solve(np.append(gq, 0.0))[:n]
             solves += 1
-            v, lam, res, gv = residual_of(z[:n])
-            hi = min(hi, lam)
-            scale = abs(lam) + 1.0
-            # the residual floors near 1e-9 relative at M = 8000, so a
-            # stagnating one is accepted once it meets the 1e-8 contract
-            if res <= _TOL * scale or (res <= 1e-8 * scale and res > 0.5 * prev):
-                return lam, v, res, solves, factorizations
-            # a closer shift pays once convergence here slows down; a rising
-            # residual means a lower mode is still taking over, so stay
-            if 0.2 * prev < res <= prev and res < 0.25 * (lam - sigma):
+            Q = basis[: j + 1]
+            h = Q @ gram(z)
+            z -= h @ Q
+            # twice is enough; G does not see constants, so drop them here
+            z = project(z - (Q @ gram(z)) @ Q)
+            gq = gram(z)
+            alpha[j], beta[j] = h[j], math.sqrt(max(z @ gq, 0.0))
+            if not math.isfinite(alpha[j] + beta[j]):
+                raise EigenSolveError(f"non-finite Lanczos step at shift {sigma:.6g}", res)
+            theta, s = eigh_tridiagonal(alpha[: j + 1], beta[:j])  # Ritz pairs, ascending
+            if (j + 1) % 4 == 0 or beta[j] * abs(s[-1, -1]) < 1e-7 * theta[-1]:
+                v, lam, res, gv = residual_of(s[:, -1] @ Q)
+                hi = min(hi, lam)
+                scale = abs(lam) + 1.0
+                # the residual floors near 1e-9 relative at M = 8000, so a
+                # stagnating one is accepted once it meets the 1e-8 contract
+                if res <= _TOL * scale or (res <= 1e-8 * scale and res > 0.5 * prev):
+                    return lam, v, res, solves, factorizations
+                prev = res
+            if not beta[j] > 0.0:  # the space is invariant: shift instead
                 break
-            prev = res
+            basis[j + 1] = z / beta[j]
+            gq /= beta[j]
         sigma = lam - 2.0 * res  # just below the quotient
         if not sigma < hi:  # known to overshoot
             sigma = 0.5 * (lo + hi)
@@ -359,8 +377,8 @@ def coercivity_constant(
     driven down.
 
     Constant-coefficient operators (pure atomistic and continuum) take an
-    exact Fourier route; every other operator is solved by inverse
-    iteration on inertia-checked shifts (_sliced_cmin).
+    exact Fourier route; every other operator is solved by Lanczos on
+    inertia-checked shifts (_sliced_cmin).
     """
     config = op.config
     if _is_circulant(op):
@@ -503,22 +521,15 @@ def critical_strain(
     """Largest grid stretch gamma = 1 + i*dgamma at which the operator is stable.
 
     build_operator(gamma) must return the assembled operator at that
-    stretch, and each stretch is built and decided once.  gamma = 1 is
-    decided by stability_at.  If it is stable and is an assembled N = 2
-    operator, nu = c_min at gamma = 1 is computed once, and every later
-    stretch assembled like it (same kind, config and blend object) is
-    decided by the sign of f = x + y nu, with x and y read off the
-    stretch's coefficients phi''(gamma) and phi''(2 gamma) and y > 0
-    (path 'pencil', c_min = f; see _Pencil).  Such a stretch's bands are
-    never built.  That covers every N = 2 sweep of assemble_linear, the
-    atomistic one included (its nu is the exact Fourier minimum).  The
-    others (N != 2, raw-band operators, operators from another blend
-    object) and the stretches where |f| is within roundoff of zero are
-    decided by stability_at: the exact Fourier route for constant
-    coefficients, otherwise the inertia count of one bordered
-    factorization, with coercivity_constant as the fallback when a pivot
-    is tiny or pivoting happened.  report_sink, if given, receives that
-    StabilityRecord once per evaluated stretch, right after it is decided.
+    stretch; each stretch is built and decided once, and report_sink, if
+    given, receives its StabilityRecord right after.  gamma = 1 is decided
+    by stability_at.  If it is stable and is an assembled N = 2 operator,
+    every later stretch assembled like it (same kind, config and blend
+    object) is decided by the sign of f = x + y nu, nu = c_min at gamma = 1
+    computed once, without building its bands (path 'pencil', see _Pencil).
+    That covers every N = 2 sweep of assemble_linear.  The other stretches,
+    and those where |f| is within roundoff of zero, are decided by
+    stability_at.
 
     The scan walks a coarse grid (default 1e-3) until the first unstable
     stretch and bisects the bracketing cell down to the dgamma grid;

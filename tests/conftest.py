@@ -4,8 +4,11 @@ import os
 # BLAS thread; this must be set before numpy loads, and a user's value wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+from types import SimpleNamespace  # noqa: E402
+
 import pytest  # noqa: E402
 
+from bqcf import stability  # noqa: E402
 from bqcf.potential import Morse, MorseParams  # noqa: E402
 
 
@@ -13,3 +16,33 @@ from bqcf.potential import Morse, MorseParams  # noqa: E402
 def morse():
     return Morse(MorseParams(D_e=3.0, alpha=3.0, r_e=1.0))
 
+
+
+@pytest.fixture
+def stability_lu(monkeypatch):
+    """Count the factorizations bqcf.stability makes and the solves on them.
+
+    Setting .corrupt to a function makes every later solve return
+    corrupt(x) in place of its solution x.
+    """
+    probe = SimpleNamespace(factorizations=0, solves=0, corrupt=None)
+    splu = stability.splu
+
+    class Factor:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def __getattr__(self, name):
+            return getattr(self._lu, name)
+
+        def solve(self, b):
+            probe.solves += 1
+            x = self._lu.solve(b)
+            return x if probe.corrupt is None else probe.corrupt(x)
+
+    def factor(*args, **kwargs):
+        probe.factorizations += 1
+        return Factor(splu(*args, **kwargs))
+
+    monkeypatch.setattr(stability, "splu", factor)
+    return probe

@@ -3,10 +3,10 @@
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 PASS/FAIL lines.  The critical-strain table (criterion 1) runs the full
 M = 2000 sweep grid once and is shared between its subtests; it takes
-about 1.5 s on two cores.  Its 4,789 stretches cost 239 factorizations
+about 1 s on two cores.  Its 4,789 stretches cost 121 factorizations
 and 75 band builds: each blended row factors one bordered LDL^T at
-gamma = 1, a few more for the one eigenvalue that decides its other
-stretches from their coefficients alone, and two to certify its
+gamma = 1, two or three more for the one eigenvalue that decides its
+other stretches from their coefficients alone, and two to certify its
 answer.  The atomistic row factors nothing: its eigenvalue is the exact
 Fourier minimum at gamma = 1, and the Fourier route certifies it.
 The fixture records the sweeps' warnings, so the single-sign-change
@@ -283,7 +283,7 @@ def test_criterion_4_oracle_equivalence(morse):
     if abs(bilinear(op, u, v) - bd) > 1e-8 * (abs(bd) + 1):
         failures.append("bilinear vs dense mismatch")
 
-    # coercivity: sliced inverse iteration vs dense full-spectrum solve
+    # coercivity: sliced Lanczos vs dense full-spectrum solve
     c_dense = dense_cmin(op)
     rep = coercivity_constant(op)
     if abs(c_dense - rep.c_min) > 1e-8:

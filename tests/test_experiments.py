@@ -171,9 +171,13 @@ def test_run_coercivity_and_determinism(tmp_path):
     t1 = run_coercivity(M=48, N=2, family="cubic", L=4)
     t2 = run_coercivity(M=48, N=2, family="cubic", L=4)
     assert t1.to_csv_text() == t2.to_csv_text()
-    assert t1.columns == ["M", "N", "family", "L", "gamma", "c_min", "iterations", "residual"]
-    c = t1.rows[0][t1.columns.index("c_min")]
-    assert c > 0
+    assert t1.columns == [
+        "M", "N", "family", "L", "gamma", "c_min", "iterations", "path", "factorizations",
+        "residual",
+    ]
+    row = dict(zip(t1.columns, t1.rows[0]))
+    assert row["c_min"] > 0
+    assert row["path"] == "sliced" and 0 < row["factorizations"] <= row["iterations"]
 
 
 def test_run_scaling_small(morse):
@@ -196,9 +200,11 @@ def test_cli_coercivity_pure_atomistic(tmp_path, capsys):
         ["coercivity", "--M", "64", "--N", "1", "--family", "one", "--out", str(out)]
     )
     assert code == 0
+    assert "(0 factorizations, 0 solves)" in capsys.readouterr().out
     table = parse_csv(out.read_text())
     c_min = table.rows[0][table.columns.index("c_min")]
     assert c_min == pytest.approx(54.0, abs=1e-4)
+    assert table.rows[0][table.columns.index("path")] == "circulant"
 
 
 def test_cli_deform_unstable_exit_code(tmp_path, capsys):
@@ -223,6 +229,17 @@ def test_cli_coercivity_non_finite_operator_exit_code(tmp_path, capsys, monkeypa
     code = run_cli(["coercivity", "--M", "64", "--out", str(out)])
     assert code == 3
     assert "not resolved" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_coercivity_non_finite_solve_exit_code(tmp_path, capsys, stability_lu):
+    # numpy's LinAlgError is a ValueError, which the CLI reads as a bad
+    # configuration (exit 2); a NaN solve is a numerical failure (exit 3)
+    stability_lu.corrupt = lambda x: np.full_like(x, np.nan)
+    out = tmp_path / "c.csv"
+    code = run_cli(["coercivity", "--M", "64", "--out", str(out)])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
     assert not out.exists()
 
 

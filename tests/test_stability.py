@@ -596,6 +596,24 @@ def test_sliced_matches_dense_oracle(morse, family, L, gamma):
     assert rep.residual <= 1e-8 * (abs(rep.c_min) + 1.0)
 
 
+@pytest.mark.parametrize("gamma", [1.0, 1.07, 1.14, 1.21])
+@pytest.mark.parametrize("L", [1, 4, 10])
+@pytest.mark.parametrize("family", ["linear", "cubic", "quintic"])
+@pytest.mark.parametrize("layout, N", [("one_sided", 2), ("symmetric", 3)])
+def test_sliced_matches_dense_oracle_other_spectra(morse, layout, N, family, L, gamma):
+    # the symmetric N = 2 layout above has a near-degenerate bottom pair (the
+    # two mirror interface modes); the one-sided layout has a single
+    # interface, and N = 3 adds a third neighbour
+    cfg = ChainConfig(M=64, N=N)
+    make_profile = one_sided_profile if layout == "one_sided" else symmetric_profile
+    op = assemble_linear("bqcf", morse, cfg, sample_beta(make_profile(cfg, family, L), cfg), gamma)
+    rep = coercivity_constant(op, gamma=gamma)
+    c = dense_cmin(op)
+    assert rep.path == "sliced"
+    assert abs(rep.c_min - c) <= 1e-10 * (abs(c) + 1.0)
+    assert rep.residual <= 1e-8 * (abs(rep.c_min) + 1.0)
+
+
 def test_sliced_oracle_sweep_reaches_negative_cmin(morse):
     # the M = 64 sweep above is only worth its name if some cases have lost
     # coercivity (cubic L = 4 turns unstable between gamma = 1.14 and 1.21)
@@ -620,15 +638,28 @@ def test_sliced_matches_dense_on_untrusted_pivots(morse, leading):
         assert abs(rep.c_min - c) <= 1e-10 * (abs(c) + 1.0)
 
 
-@pytest.mark.parametrize("M", [64, 2000])
-def test_sliced_factorization_counts(morse, M):
-    cfg = ChainConfig(M=M, N=2)
-    rep = coercivity_constant(assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 5), 1.0))
+@pytest.mark.parametrize("M", [64, 500, 1000, 2000, 4000])
+def test_sliced_factorization_counts(morse, stability_lu, M):
+    # the scaling ladder's budget (cubic, L = ceil(M^(1/3))): one far shift,
+    # one just below c_min and one to finish, with Lanczos on each
+    (rep,) = scaling_study("cubic", "M^(1/3)", [M], morse, 2)
     assert rep.path == "sliced"
-    assert 0 < rep.factorizations < 40
-    assert rep.iterations >= 1
+    assert rep.factorizations == stability_lu.factorizations <= 3
+    assert rep.iterations == stability_lu.solves <= 45
+    cfg = ChainConfig(M=M, N=2)
     rep = coercivity_constant(assemble_linear("bqcf", morse, cfg, beta_one(cfg), 1.0))
     assert (rep.path, rep.factorizations, rep.iterations) == ("circulant", 0, 0)
+
+
+def test_non_finite_solve_raises(morse, stability_lu):
+    # a NaN from a trusted factor is a numerical failure, and must not reach
+    # the Ritz problem, whose LinAlgError would read as a bad configuration
+    stability_lu.corrupt = lambda x: np.full_like(x, np.nan)
+    cfg = ChainConfig(M=64, N=2)
+    op = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 5), 1.0)
+    with pytest.raises(EigenSolveError, match="non-finite"):
+        coercivity_constant(op)
+    assert stability_lu.solves == 1
 
 
 # c_min of the scaling ladder at gamma = 1 (cubic, L = ceil(M^(1/3)), N = 2),
