@@ -91,30 +91,11 @@ class PeriodicField:
         """Raw array of u_{ell+k} in physical order."""
         return np.roll(self.values, -k)
 
-    def __len__(self) -> int:
-        return self.config.n_atoms
-
 
 def forward_diff(u: PeriodicField) -> PeriodicField:
     """u'_ell = (u_{ell+1} - u_ell)/a with periodic wraparound."""
     v = u.values
     return PeriodicField(u.config, (np.roll(v, -1) - v) * u.config.M)
-
-
-def _require_same_config(u: PeriodicField, w: PeriodicField):
-    if u.config != w.config:
-        raise ValueError("fields must share a ChainConfig")
-
-
-def inner(u: PeriodicField, w: PeriodicField) -> float:
-    """Weighted inner product sum_ell u_ell w_ell a."""
-    _require_same_config(u, w)
-    return float(np.dot(u.values, w.values) * u.config.a)
-
-
-def l2_norm(u: PeriodicField) -> float:
-    """sqrt(sum_ell u_ell^2 a)."""
-    return float(np.sqrt(np.dot(u.values, u.values) * u.config.a))
 
 
 def linf_norm(u: PeriodicField) -> float:

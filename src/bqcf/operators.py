@@ -26,11 +26,11 @@ sum, so the row sums of every assembled operator are exact zeros and
 constant fields are annihilated exactly in floating point.  Every band is
 affine in the N coefficients phi_xx(k gamma).
 
-An assembled operator carries its recipe: its kind, the blend it read,
-its neighbors ks and their coefficients c_k = phi_xx(k gamma), evaluated
-at assembly.  Its bands are built from the recipe on first access, so a
-caller that only needs the coefficients (the N = 2 sweep, see
-stability._Pencil) never pays for them.
+An operator is always the whole sum over k = 1..N.  An assembled one
+carries its recipe: its kind, the blend it read and c_k = phi_xx(k gamma)
+for k = 1..N, evaluated at assembly.  Its bands are built from the recipe
+on first access, so a caller that only needs the coefficients (the N = 2
+sweep, see stability._Pencil) never pays for them.
 
 The quadratic energies of the linearized atomistic and continuum models
 live here too.
@@ -49,7 +49,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .blending import pair_weight_field
-from .lattice import ChainConfig, PeriodicField, forward_diff, inner
+from .lattice import ChainConfig, PeriodicField, forward_diff
 from .potential import PairPotential
 
 
@@ -69,12 +69,11 @@ def _row_sums(bands: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class OperatorRecipe:
     """How an operator was assembled: its kind, the blend it read (None
-    unless kind is 'bqcf'), its neighbors ks and their coefficients
-    c_k = phi_xx(k gamma), in the order of ks."""
+    unless kind is 'bqcf') and the coefficients c_k = phi_xx(k gamma) for
+    k = 1..N, in order."""
 
     kind: str
     beta: PeriodicField | None
-    ks: tuple
     coefficients: tuple
 
 
@@ -86,7 +85,7 @@ def _recipe_bands(config: ChainConfig, recipe: OperatorRecipe) -> np.ndarray:
     inv_a2 = float(config.M) ** 2
     bands = np.zeros((2 * N + 1, config.n_atoms))
     kind = recipe.kind
-    for k, c in zip(recipe.ks, recipe.coefficients):
+    for k, c in enumerate(recipe.coefficients, 1):
         w = pair_weight_field(recipe.beta, k) if kind == "bqcf" else float(kind == "atomistic")
         bands[[N - k, N + k]] += -(w * c) * inv_a2
         bands[[N - 1, N + 1]] += -((1.0 - w) * (c * k * k)) * inv_a2
@@ -168,9 +167,19 @@ class BandedPeriodicOperator:
         return csr_matrix((self.bands.ravel(), (rows, cols)), shape=(n, n))
 
 
-def _assemble(which, pot, config, beta, gamma, ks) -> BandedPeriodicOperator:
-    """Operator of the neighbors k in ks, with c_k = phi_xx(k gamma)
-    evaluated now and its bands built on first access."""
+def assemble_linear(
+    which: str,
+    pot: PairPotential,
+    config: ChainConfig,
+    beta: PeriodicField | None = None,
+    gamma: float = 1.0,
+) -> BandedPeriodicOperator:
+    """Assemble the full linearized force operator (sum over neighbors).
+
+    which: 'atomistic' | 'continuum' | 'bqcf'; beta is only consulted for
+    'bqcf'.  The coefficients c_k = phi_xx(k gamma) are evaluated now, the
+    bands on first access.
+    """
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if which not in ("atomistic", "continuum", "bqcf"):
@@ -182,41 +191,8 @@ def _assemble(which, pot, config, beta, gamma, ks) -> BandedPeriodicOperator:
             raise ValueError("beta sampled on a different config")
     else:
         beta = None
-    ks = tuple(ks)
-    coefficients = tuple(float(pot.phi_xx(k * gamma)) for k in ks)
-    return BandedPeriodicOperator(config, recipe=OperatorRecipe(which, beta, ks, coefficients))
-
-
-def per_neighbor_operators(
-    which: str,
-    pot: PairPotential,
-    config: ChainConfig,
-    beta: PeriodicField | None = None,
-    gamma: float = 1.0,
-) -> list:
-    """One operator per neighbor index k = 1..N; their sum is the full model.
-
-    which: 'atomistic' | 'continuum' | 'bqcf'.  beta is only consulted for
-    'bqcf'.  All coefficients are evaluated at the stretched bond length
-    k*gamma.
-    """
-    return [_assemble(which, pot, config, beta, gamma, [k]) for k in range(1, config.N + 1)]
-
-
-def assemble_linear(
-    which: str,
-    pot: PairPotential,
-    config: ChainConfig,
-    beta: PeriodicField | None = None,
-    gamma: float = 1.0,
-) -> BandedPeriodicOperator:
-    """Assemble the full linearized force operator (sum over neighbors)."""
-    return _assemble(which, pot, config, beta, gamma, range(1, config.N + 1))
-
-
-def bilinear(op: BandedPeriodicOperator, u: PeriodicField, v: PeriodicField) -> float:
-    """<A u, v> in the a-weighted inner product."""
-    return inner(op.apply(u), v)
+    coefficients = tuple(float(pot.phi_xx(k * gamma)) for k in range(1, config.N + 1))
+    return BandedPeriodicOperator(config, recipe=OperatorRecipe(which, beta, coefficients))
 
 
 def energy_linearized(

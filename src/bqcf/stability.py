@@ -53,14 +53,9 @@ from scipy.sparse import bmat, csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 from scipy.sparse.linalg import eigsh  # noqa: F401  unused; perfbench/layertrace.py wraps it by name
 
-from .blending import pair_weight_field, sample_beta, symmetric_profile
-from .lattice import ChainConfig, PeriodicField, forward_diff, l2_norm
-from .operators import (
-    BandedPeriodicOperator,
-    assemble_linear,
-    bilinear,
-    per_neighbor_operators,
-)
+from .blending import sample_beta, symmetric_profile
+from .lattice import ChainConfig
+from .operators import BandedPeriodicOperator, assemble_linear
 from .potential import PairPotential
 
 
@@ -443,8 +438,8 @@ class _Pencil:
     x = c_1 - y c_1(1).  Taking symmetric parts, S(gamma) = x G + y S(1),
     and for y > 0 the pencil's smallest eigenvalue is f = x + y nu,
     nu = c_min(S(1), G).  x and y are read off the coefficients the
-    stretch's recipe carries, so only a stretch of the same kind, config
-    and ks as A(1), assembled from the very same blend object, qualifies.
+    stretch's recipe carries, so only a stretch of the same kind and
+    config as A(1), assembled from the very same blend object, qualifies.
     nu is computed here, once per sweep.
     """
 
@@ -458,9 +453,9 @@ class _Pencil:
     @staticmethod
     def applies(op1) -> bool:
         """Whether a sweep from op1 = A(1) can take the pencil: op1 is
-        assembled with both neighbors of an N = 2 chain, and c_2(1) != 0."""
+        assembled on an N = 2 chain, and c_2(1) != 0."""
         recipe = op1.recipe if op1.config.N == 2 else None
-        return recipe is not None and recipe.ks == (1, 2) and recipe.coefficients[1] != 0.0
+        return recipe is not None and recipe.coefficients[1] != 0.0
 
     def record(self, op: BandedPeriodicOperator, gamma: float) -> StabilityRecord | None:
         """The stretch decided by f, or None where the stretch is not
@@ -468,7 +463,7 @@ class _Pencil:
         r, r1 = op.recipe, self.recipe
         if r is None or r.beta is not r1.beta:
             return None
-        if (r.kind, r.ks, op.config) != (r1.kind, r1.ks, self.config):
+        if (r.kind, op.config) != (r1.kind, self.config):
             return None
         (c1, c2), (c1_ref, c2_ref) = r.coefficients, r1.coefficients
         y = c2 / c2_ref
@@ -531,18 +526,20 @@ def critical_strain(
     and those where |f| is within roundoff of zero, are decided by
     stability_at.
 
-    The scan walks a coarse grid (default 1e-3) until the first unstable
-    stretch and bisects the bracketing cell down to the dgamma grid;
-    detection therefore assumes a single sign change.  That assumption is
-    checked between neighbouring evaluated stretches that carry the same
-    measure: a negative-eigenvalue count that falls or a c_min that rises
-    triggers a RuntimeWarning.  With coarse <= dgamma the grid is walked
-    in steps of dgamma directly.
+    The scan walks a coarse grid (default 1e-3), its last step cut short
+    at the last grid stretch at or below gamma_max, until the first
+    unstable stretch and bisects the bracketing cell down to the dgamma
+    grid; detection therefore assumes a single sign change.  That
+    assumption is checked between neighbouring evaluated stretches that
+    carry the same measure: a negative-eigenvalue count that falls or a
+    c_min that rises triggers a RuntimeWarning.  With coarse <= dgamma the
+    grid is walked in steps of dgamma directly.  A gamma_max below
+    1 + dgamma leaves no grid and raises ValueError.
 
     The sweep keeps only the two ends of its bracket.  Where the pencil
     decided them, stability_at certifies the answer: stable at the
     returned stretch and unstable one grid step above it (or, when no
-    loss is found, stable at the last coarse stretch).  If certification
+    loss is found, stable at the last grid stretch).  If certification
     disagrees, or nu fails to converge, the scan is run again from
     gamma = 1 by stability_at alone, building and reporting every
     stretch anew with its path prefixed 'rerun-'.
@@ -552,10 +549,10 @@ def critical_strain(
             raise ValueError(f"{name} must be finite, got {value}")
     if dgamma <= 0:
         raise ValueError(f"dgamma must be positive, got {dgamma}")
-    if gamma_max <= 1.0:
-        raise ValueError(f"gamma_max must exceed 1, got {gamma_max}")
     step = max(1, int(round(coarse / dgamma)))
     max_units = int(np.floor((gamma_max - 1.0) / dgamma))
+    if max_units < 1:
+        raise ValueError(f"gamma_max = {gamma_max} leaves no stretch above 1 at dgamma = {dgamma}")
     scan = (build_operator, dgamma, gamma_max, step, max_units, report_sink)
     try:
         return _scan(*scan, rerun=False)
@@ -599,13 +596,13 @@ def _scan(build_operator, dgamma, gamma_max, step, max_units, report_sink, *, re
         pencil = _Pencil(lo[2])
 
     while hi is None or hi[0] - lo[0] > 1:
-        i = lo[0] + step if hi is None else (lo[0] + hi[0]) // 2
-        if i > max_units:
+        if hi is None and lo[0] == max_units:
             certify(lo, True)
             raise StrainSweepError(
                 f"coercivity still positive at gamma_max = {gamma_max} ({lo[1].detail()})",
                 "no_instability",
             )
+        i = min(lo[0] + step, max_units) if hi is None else (lo[0] + hi[0]) // 2
         end = evaluate(i)
         if end[1].stable:
             lo = end
@@ -614,70 +611,6 @@ def _scan(build_operator, dgamma, gamma_max, step, max_units, report_sink, *, re
     certify(lo, True)
     certify(hi, False)
     return 1.0 + lo[0] * dgamma
-
-
-@dataclass
-class DecompositionReport:
-    """Both sides of the next-nearest-neighbor bilinear-form identity.
-
-    direct is <F_2 u, u> evaluated through the assembled operator;
-    via_identity is T1 + T2 + W with c2 = phi_xx(2g), the pair weight
-    w = pair_weight_field(beta, 2) and the unscaled differences
-    d2u_l = u_{l+1} - 2 u_l + u_{l-1}, Dw+_l = w_{l+1} - w_l and
-    Dw-_l = w_l - w_{l-1}:
-
-        T1 = 4 c2 |u'|^2
-        T2 = -c2 a^2 |sqrt(w) u''|^2
-        W  = -(c2 / a) sum_l d2u_l (Dw+_l u_{l+1} - Dw-_l u_{l-1}).
-
-    It is exact: F_2 u = -(c2 / a^2) (4 d2u + w d4u), and periodic
-    summation by parts with d2(w u) = w d2u + Dw+ u_{l+1} - Dw- u_{l-1}
-    splits <w d4u, u> into the T2 and W sums.
-
-    The form as printed differs in three places: it takes beta for w in
-    T2, adds c2 a^2 |sqrt(|beta''|) u'|^2, and replaces W by two sums R
-    and S in beta', beta'' and beta''' whose indices are shifted against
-    u's.  It closes only for constant blends.  On cubic blends at M = 64
-    its relative residual was 2.4e-3, 3.3e-3 and 1.6e-3 at L = 3, 5 and
-    10, and 0.7e-3 to 1.9e-3 with the signed beta'' in place of |beta''|.
-    """
-
-    T1: float
-    T2: float
-    W: float
-    direct: float
-    via_identity: float
-    identity_residual: float
-
-
-def decompose_bilinear_n2(
-    u: PeriodicField,
-    beta: PeriodicField,
-    pot: PairPotential,
-    config: ChainConfig,
-    gamma: float = 1.0,
-) -> DecompositionReport:
-    """Evaluate <F_2 u, u> directly and through the identity T1 + T2 + W
-    of DecompositionReport.  Requires N = 2."""
-    if config.N != 2:
-        raise ValueError(f"decomposition requires N = 2, got N = {config.N}")
-    a = config.a
-    c2 = float(pot.phi_xx(2.0 * gamma))
-
-    op2 = per_neighbor_operators("bqcf", pot, config, beta, gamma)[1]
-    direct = bilinear(op2, u, u)
-
-    v, w = u.values, pair_weight_field(beta, 2)
-    d2u = np.roll(v, -1) - 2.0 * v + np.roll(v, 1)
-    dw_plus = np.roll(w, -1) - w
-    dw_minus = w - np.roll(w, 1)
-    T1 = 4.0 * c2 * l2_norm(forward_diff(u)) ** 2
-    T2 = -(c2 / a) * float(np.sum(w * d2u**2))
-    W = -(c2 / a) * float(np.sum(d2u * (dw_plus * np.roll(v, -1) - dw_minus * np.roll(v, 1))))
-
-    via = T1 + T2 + W
-    scale = max(abs(direct), abs(via), 1e-30)
-    return DecompositionReport(T1, T2, W, direct, via, abs(direct - via) / scale)
 
 
 def blend_size_for_rule(rule: str, M: int) -> int:

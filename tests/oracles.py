@@ -4,20 +4,24 @@ The pencil (S, G) of an operator is projected onto an orthonormal basis
 of the mean-zero fields and solved with a dense generalized eigensolver,
 and the bordered matrices are built densely from the operator's
 diagonals.  The cost is cubic in 2M, so these are for small chains only.
-The nonlinear atomistic energy and force, the long-wave constant A_N and
-the higher difference stencils are here as definitions to check the
-linearized operators against.  Every oracle computes from an operator's
-diagonals and config, a field's values and the potential's phi, phi_x
-and phi_xx only, never from the package code it checks.
-reference_sweep keeps every record of a sweep to check its
-single-sign-change warnings against.
+The nonlinear atomistic energy and force, the long-wave constant A_N,
+the higher difference stencils, one neighbour's part of the operator and
+the criterion-5 identity are here as definitions to check the linearized
+operators against.  Every oracle computes from an operator's diagonals
+and config, a field's values and the potential's phi, phi_x and phi_xx
+only, never from the package code it checks; bilinear is a helper, not
+an oracle, as it applies the operator under test.  reference_sweep keeps
+every record of a sweep to check its single-sign-change warnings against.
 """
 
 import bisect
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh, null_space
+
+from bqcf.operators import BandedPeriodicOperator
 
 
 def at(values, ell):
@@ -28,9 +32,10 @@ def at(values, ell):
 
 
 def pair_weight(beta, ell, k):
-    """Pair weight (beta_{ell-k} + 2 beta_ell + beta_{ell+k}) / 4 at one site."""
+    """Pair weight (beta_{ell-k} + 2 beta_ell + beta_{ell+k}) / 4 at the
+    logical index or indices ell."""
     v = beta.values
-    return float((at(v, ell - k) + 2.0 * at(v, ell) + at(v, ell + k)) / 4.0)
+    return (at(v, ell - k) + 2.0 * at(v, ell) + at(v, ell + k)) / 4.0
 
 
 def dense_matrix(op):
@@ -81,6 +86,27 @@ def dense_negative_count(op):
     return int(np.count_nonzero(dense_eigenvalues(op) < 0.0))
 
 
+def _coarse_then_bisect(stable, dgamma, gamma_max, coarse):
+    """Coarse steps, the last cut short at the last grid stretch, until stable(i)
+    fails, then bisection: the last stable grid unit, or None if none fails."""
+    step = max(1, int(round(coarse / dgamma)))
+    last = int(np.floor((gamma_max - 1.0) / dgamma))
+    lo = 0
+    for hi in [*range(step, last, step), last]:
+        if not stable(hi):
+            break
+        lo = hi
+    else:
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if stable(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def dense_critical_strain(build, dgamma, gamma_max, coarse):
     """Coarse scan plus bisection with every stretch decided by the dense
     negative count.  Returns the answer (None when no loss is bracketed)
@@ -93,22 +119,8 @@ def dense_critical_strain(build, dgamma, gamma_max, coarse):
         return np.count_nonzero(evaluated[gamma] < 0.0) == 0
 
     assert stable(0)
-    step = max(1, int(round(coarse / dgamma)))
-    lo, hi = 0, None
-    for i in range(step, int(np.floor((gamma_max - 1.0) / dgamma)) + 1, step):
-        if not stable(i):
-            hi = i
-            break
-        lo = i
-    if hi is None:
-        return None, evaluated
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if stable(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 1.0 + lo * dgamma, evaluated
+    lo = _coarse_then_bisect(stable, dgamma, gamma_max, coarse)
+    return (None if lo is None else 1.0 + lo * dgamma), evaluated
 
 
 def reference_sweep(decide, dgamma, gamma_max, coarse):
@@ -149,22 +161,9 @@ def reference_sweep(decide, dgamma, gamma_max, coarse):
 
     if not stable(0):
         return "unstable_at_start", messages, list(records)
-    step = max(1, int(round(coarse / dgamma)))
-    lo, hi = 0, None
-    for i in range(step, int(np.floor((gamma_max - 1.0) / dgamma)) + 1, step):
-        if not stable(i):
-            hi = i
-            break
-        lo = i
-    if hi is None:
-        return "no_instability", messages, list(records)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if stable(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 1.0 + lo * dgamma, messages, list(records)
+    lo = _coarse_then_bisect(stable, dgamma, gamma_max, coarse)
+    answer = "no_instability" if lo is None else 1.0 + lo * dgamma
+    return answer, messages, list(records)
 
 
 # ------------------------------------------------------- differences
@@ -273,3 +272,77 @@ def force_nonlinear_atomistic(u, pot, config, gamma=1.0):
         bwd = pot.phi_x(gamma * k + (v - np.roll(v, k)) * M)
         out -= 0.5 * M * (fwd - bwd)
     return out
+
+
+# ----------------------------------- field algebra and the criterion-5 identity
+
+
+def inner(u, w):
+    """Weighted inner product sum_ell u_ell w_ell a."""
+    if u.config != w.config:
+        raise ValueError("fields must share a ChainConfig")
+    return float(np.dot(u.values, w.values) * u.config.a)
+
+
+def l2_norm(u):
+    """sqrt(sum_ell u_ell^2 a)."""
+    return float(np.sqrt(np.dot(u.values, u.values) * u.config.a))
+
+
+def bilinear(op, u, v):
+    """<A u, v> in the a-weighted inner product, through op.apply."""
+    return inner(op.apply(u), v)
+
+
+def neighbor_operator(kind, pot, config, beta, gamma, k):
+    """Neighbour k's part of the operator of that kind, as raw bands from
+    the blend formula of bqcf.operators: -w c / a^2 at +-k and
+    -(1 - w) k^2 c / a^2 at +-1, c = phi_xx(k gamma), and minus their sum
+    on the diagonal.  Summed over k = 1..N they are the whole operator."""
+    N, inv_a2 = config.N, float(config.M) ** 2
+    c = float(pot.phi_xx(k * gamma))
+    ells = config.logical_indices()
+    w = pair_weight(beta, ells, k) if kind == "bqcf" else float(kind == "atomistic")
+    bands = np.zeros((2 * N + 1, config.n_atoms))
+    bands[[N - k, N + k]] += -(w * c) * inv_a2
+    bands[[N - 1, N + 1]] += -((1.0 - w) * (c * k * k)) * inv_a2
+    bands[N] = -sum(bands[N - j] + bands[N + j] for j in range(1, N + 1))
+    return BandedPeriodicOperator(config, bands)
+
+
+@dataclass
+class DecompositionReport:
+    """Both sides of the exact identity <F_2 u, u> = T1 + T2 + W derived in
+    the README ("Bilinear decomposition"): direct through neighbor_operator's
+    k = 2 part, via_identity from the three norms."""
+
+    T1: float
+    T2: float
+    W: float
+    direct: float
+    via_identity: float
+    identity_residual: float
+
+
+def decompose_bilinear_n2(u, beta, pot, config, gamma=1.0):
+    """Evaluate <F_2 u, u> directly and through T1 = 4 c2 |u'|^2,
+    T2 = -c2 a^2 |sqrt(w) u''|^2 and W = -(c2 / a) sum_l d2u_l (Dw+_l
+    u_{l+1} - Dw-_l u_{l-1}), with c2 = phi_xx(2 gamma), w the pair weight
+    of k = 2, d2u_l = u_{l+1} - 2 u_l + u_{l-1}, Dw+_l = w_{l+1} - w_l and
+    Dw-_l = w_l - w_{l-1}."""
+    a = config.a
+    c2 = float(pot.phi_xx(2.0 * gamma))
+    direct = bilinear(neighbor_operator("bqcf", pot, config, beta, gamma, 2), u, u)
+
+    v, w = u.values, pair_weight(beta, config.logical_indices(), 2)
+    du = _forward(v, config.M)
+    d2u = np.roll(v, -1) - 2.0 * v + np.roll(v, 1)
+    dw_plus = np.roll(w, -1) - w
+    dw_minus = w - np.roll(w, 1)
+    T1 = 4.0 * c2 * float(du @ du) * a
+    T2 = -(c2 / a) * float(np.sum(w * d2u**2))
+    W = -(c2 / a) * float(np.sum(d2u * (dw_plus * np.roll(v, -1) - dw_minus * np.roll(v, 1))))
+
+    via = T1 + T2 + W
+    scale = max(abs(direct), abs(via), 1e-30)
+    return DecompositionReport(T1, T2, W, direct, via, abs(direct - via) / scale)

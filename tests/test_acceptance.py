@@ -18,10 +18,13 @@ import warnings
 import numpy as np
 import pytest
 from oracles import (
+    bilinear,
+    decompose_bilinear_n2,
     dense_cmin,
     dense_matrix,
     energy_atomistic,
     force_nonlinear_atomistic,
+    l2_norm,
     stability_constant,
     summation_by_parts_residual,
 )
@@ -35,13 +38,12 @@ from bqcf.experiments import (
     solve_deformation,
     solve_mean_zero,
 )
-from bqcf.lattice import ChainConfig, PeriodicField, forward_diff, l2_norm, linf_norm
-from bqcf.operators import assemble_linear, bilinear
+from bqcf.lattice import ChainConfig, PeriodicField, forward_diff, linf_norm
+from bqcf.operators import assemble_linear
 from bqcf.potential import Morse, MorseParams
 from bqcf.stability import (
     coercivity_constant,
     critical_strain,
-    decompose_bilinear_n2,
     scaling_study,
 )
 

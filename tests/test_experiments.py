@@ -415,7 +415,8 @@ def test_cli_deform_non_finite_result_exit_code(tmp_path, capsys, args):
 
 @pytest.mark.parametrize(
     "flag, value, name",
-    [("--gamma-max", "inf", "gamma_max"), ("--dgamma", "nan", "dgamma")],
+    [("--gamma-max", "inf", "gamma_max"), ("--dgamma", "nan", "dgamma")]
+    + [("--dgamma", "0.6", "dgamma"), ("--gamma-max", "1.000001", "gamma_max")],  # no grid
 )
 def test_cli_rejects_non_finite_sweep_input(tmp_path, capsys, flag, value, name):
     out = tmp_path / "x.csv"
@@ -424,7 +425,7 @@ def test_cli_rejects_non_finite_sweep_input(tmp_path, capsys, flag, value, name)
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert name in err and "finite" in err
+    assert name in err and ("finite" if value in ("inf", "nan") else "no stretch above 1") in err
     assert not out.exists()
 
 

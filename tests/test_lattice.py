@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import at, backward_diff, higher_diff, summation_by_parts_residual
+from oracles import at, backward_diff, higher_diff, inner, l2_norm, summation_by_parts_residual
 
 from bqcf.experiments import loglog_slope
-from bqcf.lattice import ChainConfig, PeriodicField, forward_diff, inner, l2_norm, linf_norm
+from bqcf.lattice import ChainConfig, PeriodicField, forward_diff, linf_norm
 
 
 def test_config_invariants():

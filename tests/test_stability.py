@@ -5,6 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from oracles import (
+    bilinear,
+    decompose_bilinear_n2,
     dense_bordered,
     dense_cmin,
     dense_critical_strain,
@@ -12,14 +14,15 @@ from oracles import (
     dense_matrix,
     dense_negative_count,
     dense_sym,
+    l2_norm,
     reference_sweep,
     stability_constant,
 )
 
 from bqcf import operators, stability
 from bqcf.blending import constant_profile, one_sided_profile, sample_beta, symmetric_profile
-from bqcf.lattice import ChainConfig, PeriodicField, forward_diff, l2_norm
-from bqcf.operators import BandedPeriodicOperator, assemble_linear, bilinear
+from bqcf.lattice import ChainConfig, PeriodicField, forward_diff
+from bqcf.operators import BandedPeriodicOperator, assemble_linear
 from bqcf.stability import (
     EigenSolveError,
     StabilityRecord,
@@ -29,7 +32,6 @@ from bqcf.stability import (
     bordered_matrix,
     coercivity_constant,
     critical_strain,
-    decompose_bilinear_n2,
     scaling_study,
     stability_at,
 )
@@ -134,6 +136,9 @@ def test_critical_strain_scan_exact_agrees(morse):
     g_bisect = critical_strain(build, dgamma=1e-3, gamma_max=1.3, coarse=1e-2)
     g_exact = critical_strain(build, dgamma=1e-3, gamma_max=1.3, coarse=1e-3)
     assert g_bisect == pytest.approx(g_exact, abs=1e-12)
+    # gamma_max ends inside the coarse cell (1.19, 1.20] that holds the loss
+    g_last = critical_strain(build, dgamma=1e-3, gamma_max=1.1975, coarse=1e-2)
+    assert g_last == dense_critical_strain(build, 1e-3, 1.1975, 1e-2)[0] == 1.196
 
 
 def test_critical_strain_warns_on_nonmonotone(morse):
@@ -287,8 +292,12 @@ def test_neighbour_rule_matches_reference(monkeypatch):
     assert kinds == {"negative-eigenvalue", "coercivity"}
 
 
-@pytest.mark.parametrize("name", ["dgamma", "gamma_max", "coarse"])
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "name, bad",
+    [pytest.param(n, b, id=f"{b}-{n}") for b in (np.nan, np.inf, -np.inf)
+     for n in ("dgamma", "gamma_max", "coarse")]
+    + [("dgamma", 0.6), ("gamma_max", 1.000001)],  # finite, but no grid stretch above 1
+)
 def test_critical_strain_rejects_non_finite(morse, name, bad):
     cfg = ChainConfig(M=32, N=2)
     beta = beta_one(cfg)
@@ -724,13 +733,6 @@ def test_decomposition_closes(morse):
                 checked += 1
     # 3 chains x 26 blends, less the 3 layouts that do not fit, at 2 stretches
     assert checked == 150
-
-
-def test_decomposition_requires_n2(morse):
-    cfg = ChainConfig(M=16, N=3)
-    u = PeriodicField.zeros(cfg)
-    with pytest.raises(ValueError, match="N = 2"):
-        decompose_bilinear_n2(u, beta_one(cfg), morse, cfg)
 
 
 # ------------------------------------------------------------------ scaling
