@@ -29,8 +29,8 @@ affine in the N coefficients phi_xx(k gamma).
 An operator is always the whole sum over k = 1..N.  An assembled one
 carries its recipe: its kind, the blend it read and c_k = phi_xx(k gamma)
 for k = 1..N, evaluated at assembly.  Its bands are built from the recipe
-on first access, so a caller that only needs the coefficients (the N = 2
-sweep, see stability._Pencil) never pays for them.
+on first access, so a caller that only needs the coefficients (a sweep's
+stretches, see stability._Eigencurve) never pays for them.
 
 The quadratic energies of the linearized atomistic and continuum models
 live here too.
@@ -120,7 +120,7 @@ class BandedPeriodicOperator:
     def bands(self) -> np.ndarray:
         if self._bands is None:
             bands = _recipe_bands(self.config, self.recipe)
-            bands.setflags(write=False)  # the N = 2 sweep reads the recipe, not the bands
+            bands.setflags(write=False)  # the sweep reads the recipe, not the bands
             self._bands = bands
         return self._bands
 

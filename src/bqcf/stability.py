@@ -30,14 +30,10 @@ sparse matrix is assembled per call.
 Constant-coefficient operators take the exact Fourier minimum.  Every
 other operator is solved by spectrum slicing: shifts bracketed by that
 count, with a Lanczos run on each factor that has no eigenvalue below its
-shift (_sliced_cmin).
-
-A critical-strain sweep needs only the sign of c_min at each grid stretch
-gamma = 1 + i*dgamma.  stability_at reads it off the count at sigma = 0;
-for N = 2, where A(gamma) = phi''(gamma) G/a + phi''(2 gamma) A_2, the
-sweep reads c_min = x + y nu off each stretch's coefficients and one
-eigenvalue nu = c_min at gamma = 1, and inertia certifies the stretches
-it reports (critical_strain).
+shift (_sliced_cmin).  A critical-strain sweep needs only the sign of
+c_min at each grid stretch: stability_at reads it off the count at
+sigma = 0, and for N = 2 and 3 a few eigenvalues of one concave family
+bound it at every stretch (_Eigencurve).
 """
 
 from __future__ import annotations
@@ -110,12 +106,11 @@ class StabilityRecord:
 
     neg_count is the number of negative eigenvalues of S on mean-zero
     fields (None unless the inertia path ran); c_min is set where an
-    eigenvalue was computed.  path is 'inertia' (pivot signs of the
-    bordered factorization), 'circulant' (exact Fourier minimum),
-    'eigen' (coercivity_constant, the fallback of the inertia path) or
-    'pencil' (a sweep's c_min = x + y nu, see critical_strain).  A sweep
-    whose pencil answer failed certification reports its rerun with the
-    prefix 'rerun-' on each path.
+    eigenvalue was computed or bounded, and bracket [lo, hi] holds it
+    (lo = hi if computed).  path is 'inertia' (pivot signs of the bordered
+    factorization), 'circulant' (exact Fourier minimum), 'eigen' (the
+    inertia path's fallback, coercivity_constant) or 'pencil' (_Eigencurve,
+    with c_min = hi); a sweep's rerun prefixes 'rerun-' to each path.
     """
 
     gamma: float
@@ -123,11 +118,17 @@ class StabilityRecord:
     neg_count: int | None
     c_min: float | None
     path: str
+    bracket: tuple | None = None
+
+    def __post_init__(self):
+        if self.bracket is None and self.c_min is not None:
+            object.__setattr__(self, "bracket", (self.c_min, self.c_min))
 
     def detail(self) -> str:
-        if self.c_min is not None:
-            return f"c_min = {self.c_min:.6g}"
-        return f"{self.neg_count} negative eigenvalues"
+        if self.c_min is None:
+            return f"{self.neg_count} negative eigenvalues"
+        lo, hi = self.bracket
+        return f"c_min = {self.c_min:.6g}" if lo == hi else f"c_min in [{lo:.6g}, {hi:.6g}]"
 
 
 def _h1_gram(config: ChainConfig) -> BandedPeriodicOperator:
@@ -195,7 +196,7 @@ def _circulant_cmin(op: BandedPeriodicOperator):
     sv = sv - sv.mean()
     gv = G.apply_values(v)
     res = float(np.linalg.norm(sv - lam * gv) / np.linalg.norm(gv))
-    return lam, v, res, 0
+    return lam, v, res, 0, 0
 
 
 def _is_circulant(op: BandedPeriodicOperator) -> bool:
@@ -368,21 +369,17 @@ def coercivity_constant(
     """Minimal H1 Rayleigh quotient of the operator over mean-zero fields.
 
     gamma, L and family are carried through into the report for sweep
-    bookkeeping.  Raises EigenSolveError when the eigen-residual cannot be
-    driven down.
-
-    Constant-coefficient operators (pure atomistic and continuum) take an
-    exact Fourier route; every other operator is solved by Lanczos on
-    inertia-checked shifts (_sliced_cmin).
+    bookkeeping; path says which route solved it (see CoercivityReport).
+    Raises EigenSolveError when the eigen-residual cannot be driven down.
     """
     config = op.config
-    if _is_circulant(op):
-        lam, v, res, solves = _circulant_cmin(op)
-        path, factorizations = "circulant", 0
-    else:
-        lam, v, res, solves, factorizations = _sliced_cmin(op)
-        path = "sliced"
-    report = CoercivityReport(
+    solve, path = (_circulant_cmin, "circulant") if _is_circulant(op) else (_sliced_cmin, "sliced")
+    lam, v, res, solves, factorizations = solve(op)
+    if not res <= 1e-8 * (abs(lam) + 1.0):
+        raise EigenSolveError(
+            f"eigen-residual {res:.3e} exceeds 1e-8 * (|c_min| + 1)", res
+        )
+    return CoercivityReport(
         c_min=lam,
         gamma=gamma,
         L=L,
@@ -395,11 +392,6 @@ def coercivity_constant(
         path=path,
         factorizations=factorizations,
     )
-    if not res <= 1e-8 * (abs(lam) + 1.0):
-        raise EigenSolveError(
-            f"eigen-residual {res:.3e} exceeds 1e-8 * (|c_min| + 1)", res
-        )
-    return report
 
 
 def stability_at(op: BandedPeriodicOperator, gamma: float = 1.0) -> StabilityRecord:
@@ -421,81 +413,104 @@ def stability_at(op: BandedPeriodicOperator, gamma: float = 1.0) -> StabilityRec
     return StabilityRecord(gamma, c > 0.0, None, c, "eigen")
 
 
-_PENCIL_MARGIN = 1e-8  # |f| at or below this share of its terms goes to inertia
+_MARGIN = 1e-8  # a bound on c_min this near 0, relative to its terms, decides nothing
 
 
-class _PencilFailed(Exception):
-    """The pencil's answer failed certification by inertia, or nu did not converge."""
+class _EigencurveFailed(Exception):
+    """A decided end failed certification by inertia, or a sample did not converge."""
 
 
-class _Pencil:
-    """c_min of the stretches assembled like A(1) from the same blend.
+class _Eigencurve:
+    """c_min of the N = 2 and 3 stretches assembled like A(1), from samples.
 
-    For N = 2 the k = 1 part of every operator kind is the Laplacian G/a,
-    whatever the blend weight, so with c_k = phi''(k gamma) a stretch is
-    A(gamma) = c_1 G/a + c_2 A_2 and, eliminating A_2 through A(1),
-    A(gamma) = x G/a + y A(1) exactly, with y = c_2 / c_2(1) and
-    x = c_1 - y c_1(1).  Taking symmetric parts, S(gamma) = x G + y S(1),
-    and for y > 0 the pencil's smallest eigenvalue is f = x + y nu,
-    nu = c_min(S(1), G).  x and y are read off the coefficients the
-    stretch's recipe carries, so only a stretch of the same kind and
-    config as A(1), assembled from the very same blend object, qualifies.
-    nu is computed here, once per sweep.
+    Bands are linear in the coefficients c_k = phi''(k gamma), and the k = 1
+    part is G/a whatever the blend.  So A(gamma) = c_1 G/a + |c_2| A(0, s, t),
+    A(c) being A(1)'s recipe with coefficients c, s the sign of c_2 and
+    t = c_3 / |c_2| (0 for N = 2), and c_min = c_1 + |c_2| g(t) for
+    g(t) = c_min(A(0, s, t)).  g is a minimum of functions affine in t, so
+    concave: a sample's mode v_i bounds it above by g_i + s_i (t - t_i),
+    s_i = a <A(0, 0, 1) v_i, v_i> (Hellmann-Feynman), and the chord of
+    adjacent samples less their residuals bounds it below between them
+    (the successive constraint method in one parameter: Huynh, Rozza, Sen
+    & Patera, C. R. Acad. Sci. Paris I 345, 2007).  The first sample is
+    nu = c_min(A(1)), the only one for N = 2.  A stretch is decided where
+    both bounds on c_min have one sign beyond _MARGIN, else after one more
+    sample: at 0 if t lies between the samples and 0 (one chord then
+    covers the sweep), else at t unless t is a sample.
     """
 
     def __init__(self, op1: BandedPeriodicOperator):
-        self.config, self.recipe = op1.config, op1.recipe
-        try:
-            self.nu = coercivity_constant(op1).c_min
-        except EigenSolveError as exc:
-            raise _PencilFailed(f"nu = c_min at gamma = 1 failed: {exc}") from exc
+        self.config, self.op1 = op1.config, op1
+        self.recipe = op1.recipe if self.config.N in (2, 3) else None
+        self.samples = []  # (t_i, lower end of g_i, its line (g_i, s_i)), ascending in t
 
-    @staticmethod
-    def applies(op1) -> bool:
-        """Whether a sweep from op1 = A(1) can take the pencil: op1 is
-        assembled on an N = 2 chain, and c_2(1) != 0."""
-        recipe = op1.recipe if op1.config.N == 2 else None
-        return recipe is not None and recipe.coefficients[1] != 0.0
+    def _add(self, op):
+        """Sample g at t = c_3 / |c_2| from op = c_1 G/a + |c_2| A(0, s, t)."""
+        try:
+            rep = coercivity_constant(op)
+        except EigenSolveError as exc:
+            raise _EigencurveFailed(f"an eigencurve sample failed: {exc}") from exc
+        c1, c2, *c3 = op.recipe.coefficients
+        w, v = abs(c2), rep.mode
+        s = self.config.a * float(v @ self.unit.apply_values(v)) if c3 else 0.0
+        g = (rep.c_min - c1) / w
+        self.samples.append((c3[0] / w if c3 else 0.0, g - rep.residual / w, (g, s)))
+        self.samples.sort()
 
     def record(self, op: BandedPeriodicOperator, gamma: float) -> StabilityRecord | None:
-        """The stretch decided by f, or None where the stretch is not
-        assembled like A(1), y <= 0 or |f| is within roundoff of zero."""
-        r, r1 = op.recipe, self.recipe
-        if r is None or r.beta is not r1.beta:
+        """The stretch decided by its bracket [f_lo, f_hi] on c_min, or None.
+        It qualifies with A(1)'s kind, config, blend object and sign of c_2."""
+        r1 = self.recipe
+        r = None if r1 is None else op.recipe
+        if r is None or r.beta is not r1.beta or (r.kind, op.config) != (r1.kind, self.config):
             return None
-        if (r.kind, op.config) != (r1.kind, self.config):
+        c1, c2, *c3 = r.coefficients
+        if not c2 * r1.coefficients[1] > 0.0:
             return None
-        (c1, c2), (c1_ref, c2_ref) = r.coefficients, r1.coefficients
-        y = c2 / c2_ref
-        x = c1 - y * c1_ref
-        if not y > 0:
-            return None
-        f = x + y * self.nu
-        if not abs(f) > _PENCIL_MARGIN * (abs(x) + y * (abs(self.nu) + 1.0)):
-            return None
-        return StabilityRecord(gamma, bool(f > 0.0), None, float(f), "pencil")
+        w = abs(c2)
+        t = c3[0] / w if c3 else 0.0
+        if not self.samples:  # nu, once a stretch qualifies
+            unit = replace(r1, coefficients=(0.0, 0.0, 1.0)[: self.config.N])
+            self.unit = BandedPeriodicOperator(self.config, recipe=unit)  # read for N = 3 slopes
+            self._add(self.op1)
+        for last in (False, True):
+            hi = min([g + s * (t - ti) for ti, _, (g, s) in self.samples])
+            lo = -math.inf  # no chord reaches past the samples
+            for (ta, la, _), (tb, lb, _) in zip(self.samples, self.samples[1:] or self.samples):
+                if ta <= t <= tb:
+                    lo = la if ta == tb else la + (lb - la) * (t - ta) / (tb - ta)
+            f_lo, f_hi = c1 + w * lo, c1 + w * hi
+            margin = _MARGIN * (abs(c1) + w * (abs(hi) + 1.0))
+            if f_lo > margin or f_hi < -margin:
+                return StabilityRecord(gamma, f_lo > margin, None, f_hi, "pencil", (f_lo, f_hi))
+            ts = [p[0] for p in self.samples]
+            at = 0.0 if ts[-1] < t < 0.0 or 0.0 < t < ts[0] else t
+            if last or at in ts:
+                return None
+            recipe = replace(r1, coefficients=(0.0, math.copysign(1.0, c2), at))
+            self._add(BandedPeriodicOperator(self.config, recipe=recipe))
 
 
 def _warn_unless_single_sign_change(nearest: dict, rec: StabilityRecord) -> None:
     """Compare a new record with its nearest evaluated neighbours that carry
     the same measure, and warn where a negative-eigenvalue count falls or a
-    c_min rises along gamma.  nearest maps each measure to the last stable
-    and the last unstable record that carry it: every evaluated stretch
-    below the new one is stable and every one above it unstable, so those
-    are its neighbours.  The new record then takes its own slot."""
+    c_min bracket lies wholly above the one below it along gamma.  nearest
+    maps each measure to the last stable and the last unstable record that
+    carry it: every evaluated stretch below the new one is stable and every
+    one above it unstable, so those are its neighbours.  The new record
+    then takes its own slot."""
     for key, ends in nearest.items():
         if getattr(rec, key) is None:
             continue
         for lo, hi in ((ends[0], rec), (rec, ends[1])):
             if lo is None or hi is None:
                 continue
-            a, b = getattr(lo, key), getattr(hi, key)
-            if key == "neg_count" and a > b:
+            if key == "neg_count" and lo.neg_count > hi.neg_count:
                 message = (
-                    f"negative-eigenvalue count falls from {a} at gamma={lo.gamma:.6f} "
-                    f"to {b} at gamma={hi.gamma:.6f}"
+                    f"negative-eigenvalue count falls from {lo.neg_count} at gamma={lo.gamma:.6f} "
+                    f"to {hi.neg_count} at gamma={hi.gamma:.6f}"
                 )
-            elif key == "c_min" and b > a + 1e-9 * (abs(a) + 1.0):
+            elif key == "c_min" and hi.bracket[0] > lo.c_min + 1e-9 * (abs(lo.c_min) + 1.0):
                 message = f"coercivity increased from gamma={lo.gamma:.6f} to gamma={hi.gamma:.6f}"
             else:
                 continue
@@ -515,34 +530,12 @@ def critical_strain(
 ) -> float:
     """Largest grid stretch gamma = 1 + i*dgamma at which the operator is stable.
 
-    build_operator(gamma) must return the assembled operator at that
-    stretch; each stretch is built and decided once, and report_sink, if
-    given, receives its StabilityRecord right after.  gamma = 1 is decided
-    by stability_at.  If it is stable and is an assembled N = 2 operator,
-    every later stretch assembled like it (same kind, config and blend
-    object) is decided by the sign of f = x + y nu, nu = c_min at gamma = 1
-    computed once, without building its bands (path 'pencil', see _Pencil).
-    That covers every N = 2 sweep of assemble_linear.  The other stretches,
-    and those where |f| is within roundoff of zero, are decided by
-    stability_at.
-
-    The scan walks a coarse grid (default 1e-3), its last step cut short
-    at the last grid stretch at or below gamma_max, until the first
-    unstable stretch and bisects the bracketing cell down to the dgamma
-    grid; detection therefore assumes a single sign change.  That
-    assumption is checked between neighbouring evaluated stretches that
-    carry the same measure: a negative-eigenvalue count that falls or a
-    c_min that rises triggers a RuntimeWarning.  With coarse <= dgamma the
-    grid is walked in steps of dgamma directly.  A gamma_max below
-    1 + dgamma leaves no grid and raises ValueError.
-
-    The sweep keeps only the two ends of its bracket.  Where the pencil
-    decided them, stability_at certifies the answer: stable at the
-    returned stretch and unstable one grid step above it (or, when no
-    loss is found, stable at the last grid stretch).  If certification
-    disagrees, or nu fails to converge, the scan is run again from
-    gamma = 1 by stability_at alone, building and reporting every
-    stretch anew with its path prefixed 'rerun-'.
+    build_operator(gamma) must return the operator at that stretch.  Each
+    stretch is built and decided once, by stability_at at gamma = 1 and
+    then by _Eigencurve where it qualifies; report_sink, if given, receives
+    its StabilityRecord right after.  See _scan for the scan and its checks.
+    A gamma_max below 1 + dgamma leaves no grid and raises ValueError; one
+    on the grid up to its own rounding is on it.
     """
     for name, value in (("dgamma", dgamma), ("gamma_max", gamma_max), ("coarse", coarse)):
         if not math.isfinite(value):
@@ -550,28 +543,35 @@ def critical_strain(
     if dgamma <= 0:
         raise ValueError(f"dgamma must be positive, got {dgamma}")
     step = max(1, int(round(coarse / dgamma)))
-    max_units = int(np.floor((gamma_max - 1.0) / dgamma))
+    # gamma_max - 1 keeps gamma_max's rounding, up to half its ulp, so a
+    # gamma_max on the grid can fall short of it: (1.2 - 1) / 0.1 = 1.9999999999999996
+    units = (gamma_max - 1.0) / dgamma
+    max_units = math.floor(units + 4.0 * (math.ulp(gamma_max) / dgamma + math.ulp(units)))
     if max_units < 1:
         raise ValueError(f"gamma_max = {gamma_max} leaves no stretch above 1 at dgamma = {dgamma}")
     scan = (build_operator, dgamma, gamma_max, step, max_units, report_sink)
     try:
         return _scan(*scan, rerun=False)
-    except _PencilFailed:
+    except _EigencurveFailed:
         return _scan(*scan, rerun=True)
 
 
 def _scan(build_operator, dgamma, gamma_max, step, max_units, report_sink, *, rerun):
     """critical_strain's scan over its bracket (lo, hi) of evaluated
-    stretches, each a (grid units, record, operator) triple: coarse steps
-    until a stretch is unstable, then bisection.  The pencil decides where
-    it holds unless this is the rerun."""
+    stretches, each a (grid units, record, operator) triple: coarse steps,
+    the last cut short at max_units, to the first unstable stretch, then
+    bisection, assuming one sign change (_warn_unless_single_sign_change
+    checks it).  stability_at certifies the ends the eigencurve decided
+    (stable at the answer, unstable a grid step above, or stable at
+    max_units); a failed certification or sample makes critical_strain
+    rerun the scan by stability_at alone, each path prefixed 'rerun-'."""
     nearest = {"neg_count": [None, None], "c_min": [None, None]}
-    pencil = None
+    curve = None
 
     def evaluate(i: int):
         gamma = 1.0 + i * dgamma
         op = build_operator(gamma)
-        rec = None if pencil is None else pencil.record(op, gamma)
+        rec = None if curve is None else curve.record(op, gamma)
         if rec is None:
             rec = stability_at(op, gamma)
             if rerun:
@@ -584,7 +584,7 @@ def _scan(build_operator, dgamma, gamma_max, step, max_units, report_sink, *, re
     def certify(end, stable: bool) -> None:
         _, rec, op = end
         if rec.path == "pencil" and stability_at(op, rec.gamma).stable != stable:
-            raise _PencilFailed(f"inertia disagrees with the pencil at gamma={rec.gamma:.6f}")
+            raise _EigencurveFailed(f"inertia contradicts the eigencurve at gamma={rec.gamma:.6f}")
 
     lo, hi = evaluate(0), None
     if not lo[1].stable:
@@ -592,8 +592,8 @@ def _scan(build_operator, dgamma, gamma_max, step, max_units, report_sink, *, re
             f"operator is not coercive at gamma = 1 ({lo[1].detail()})",
             "unstable_at_start",
         )
-    if not rerun and _Pencil.applies(lo[2]):
-        pencil = _Pencil(lo[2])
+    if not rerun:
+        curve = _Eigencurve(lo[2])
 
     while hi is None or hi[0] - lo[0] > 1:
         if hi is None and lo[0] == max_units:

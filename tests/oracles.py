@@ -17,6 +17,7 @@ every record of a sweep to check its single-sign-change warnings against.
 import bisect
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import eigh, null_space
@@ -88,9 +89,11 @@ def dense_negative_count(op):
 
 def _coarse_then_bisect(stable, dgamma, gamma_max, coarse):
     """Coarse steps, the last cut short at the last grid stretch, until stable(i)
-    fails, then bisection: the last stable grid unit, or None if none fails."""
+    fails, then bisection: the last stable grid unit, or None if none fails.
+    The grid is counted in exact arithmetic on the decimal strings of
+    gamma_max and dgamma, so a gamma_max written on the grid is on it."""
     step = max(1, int(round(coarse / dgamma)))
-    last = int(np.floor((gamma_max - 1.0) / dgamma))
+    last = math.floor((Fraction(repr(gamma_max)) - 1) / Fraction(repr(dgamma)))
     lo = 0
     for hi in [*range(step, last, step), last]:
         if not stable(hi):
@@ -127,7 +130,8 @@ def reference_sweep(decide, dgamma, gamma_max, coarse):
     """Coarse scan plus bisection that checks the single sign change by
     keeping every evaluated record: each new one is compared with its
     nearest evaluated neighbours that carry the same measure, found by
-    bisecting the ascending grid units of those records.
+    bisecting the ascending grid units of those records.  A c_min rises
+    where the higher stretch's bracket lies wholly above the lower one's.
 
     decide(i) returns the StabilityRecord of grid stretch i.  Returns the
     answer (the critical stretch, or the reason a sweep raises with), the
@@ -145,14 +149,17 @@ def reference_sweep(decide, dgamma, gamma_max, coarse):
             units.insert(k, i)
             window = units[max(k - 1, 0) : k + 2]
             for lo, hi in zip(window, window[1:]):
-                a, b = getattr(records[lo], key), getattr(records[hi], key)
+                below, above = records[lo], records[hi]
+                a, b = below.neg_count, above.neg_count
                 g_lo, g_hi = 1.0 + lo * dgamma, 1.0 + hi * dgamma
                 if key == "neg_count" and a > b:
                     message = (
                         f"negative-eigenvalue count falls from {a} at gamma={g_lo:.6f} "
                         f"to {b} at gamma={g_hi:.6f}"
                     )
-                elif key == "c_min" and b > a + 1e-9 * (abs(a) + 1.0):
+                elif key == "c_min" and above.bracket[0] > below.bracket[1] + 1e-9 * (
+                    abs(below.bracket[1]) + 1.0
+                ):
                     message = f"coercivity increased from gamma={g_lo:.6f} to gamma={g_hi:.6f}"
                 else:
                     continue

@@ -9,8 +9,10 @@ gamma = 1, two or three more for the one eigenvalue that decides its
 other stretches from their coefficients alone, and two to certify its
 answer.  The atomistic row factors nothing: its eigenvalue is the exact
 Fourier minimum at gamma = 1, and the Fourier route certifies it.
-The fixture records the sweeps' warnings, so the single-sign-change
-assumption is checked on the table too.
+The fixture records the sweeps' warnings and counts the factorizations,
+so the single-sign-change assumption and the budget are checked on the
+table too.  The same table for N = 3 is pinned beside it; its rows take
+a few eigenvalues each, about 2 s in all.
 """
 
 import warnings
@@ -30,6 +32,7 @@ from oracles import (
 )
 from scipy.optimize import brentq
 
+from bqcf import stability
 from bqcf.blending import constant_profile, sample_beta, symmetric_profile
 from bqcf.experiments import (
     external_force,
@@ -58,13 +61,22 @@ def morse():
     return Morse(MorseParams(3.0, 3.0, 1.0))
 
 
+def counting_factorizations(monkeypatch):
+    """Count the sparse factorizations bqcf.stability makes from now on."""
+    count = []
+    splu = stability.splu
+    monkeypatch.setattr(stability, "splu", lambda *a, **k: count.append(1) or splu(*a, **k))
+    return count
+
+
 @pytest.fixture(scope="module")
 def table1_run():
-    """The table and the warnings its sweeps raised."""
-    with warnings.catch_warnings(record=True) as caught:
+    """The table, the warnings its sweeps raised and its factorizations."""
+    with warnings.catch_warnings(record=True) as caught, pytest.MonkeyPatch.context() as mp:
         warnings.simplefilter("always")
+        count = counting_factorizations(mp)
         table = run_critical_strain_table(M=2000, N=2)
-    return table, [str(w.message) for w in caught]
+    return table, [str(w.message) for w in caught], len(count)
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +152,45 @@ def test_criterion_1_table_values_pinned(table1):
     }
     announce("1 (pinned table)", not wrong, f"{len(wrong)} rows differ")
     assert not wrong, wrong
+
+
+def test_criterion_1_table_factorizations(table1_run):
+    """The N = 2 table stays within its budget of 121 factorizations."""
+    count = table1_run[2]
+    announce("1 (table factorizations)", count <= 121, f"{count} factorizations")
+    assert count <= 121
+
+
+# gamma_crit of every N = 3 table row (M = 2000) in units of dgamma = 1e-5,
+# as computed by the sweep that decided every stretch by inertia
+TABLE1_N3_GRID_UNITS = {("atomistic", "-", 0): 19492}
+for _family, _units in (
+    ("linear", (15921, 15012, 16924, 17342, 17788, 18072, 18276, 18642)),
+    ("cubic", (15921, 18128, 18477, 18636, 18794, 18916, 19017, 19214)),
+    ("quintic", (15921, 16270, 18215, 18507, 18663, 18786, 18890, 19116)),
+):
+    for _L, _u in zip((1, 2, 3, 4, 5, 6, 7, 10), _units):
+        TABLE1_N3_GRID_UNITS[("bqcf", _family, _L)] = _u
+
+
+def test_criterion_1_n3_table_pinned(monkeypatch):
+    """The N = 3 table: every gamma_crit at its pinned grid point, within
+    1,000 factorizations, and no single-sign-change warning."""
+    count = counting_factorizations(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        vals = _column_map(run_critical_strain_table(M=2000, N=3))
+    assert len(vals) == len(TABLE1_N3_GRID_UNITS) == 25
+    wrong = {
+        key: vals.get(key)
+        for key, units in TABLE1_N3_GRID_UNITS.items()
+        if vals.get(key) != 1.0 + units * 1e-5
+    }
+    ok = not wrong and len(count) <= 1000 and not caught
+    announce("1 (pinned N = 3 table)", ok, f"{len(wrong)} rows differ, {len(count)} factorizations")
+    assert not wrong, wrong
+    assert len(count) <= 1000
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_criterion_1_single_sign_change(table1_run):

@@ -1,5 +1,6 @@
+import itertools
 import warnings
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -229,22 +230,27 @@ def test_critical_strain_warns_when_count_falls(morse):
         critical_strain(build, dgamma=1e-3, gamma_max=1.3, coarse=1e-2)
 
 
-def test_critical_strain_warns_when_count_falls_by_inertia(morse):
-    # N = 3: the pencil does not apply, so inertia decides the bump and
-    # the negative-eigenvalue count falls from the midpoint to the upper end
-    cfg = ChainConfig(M=32, N=3)
+@pytest.mark.parametrize("N", [3, 4])
+def test_critical_strain_warns_when_count_falls_by_inertia(morse, N):
+    # N = 3: the eigencurve decides the bump, and the bracket of the cell's
+    # upper end lies wholly above the midpoint's.  N = 4: inertia decides
+    # it, and the negative-eigenvalue count falls from the midpoint to the
+    # upper end.
+    cfg = ChainConfig(M=32, N=N)
     beta = cubic_beta(cfg, 3)
     records = []
 
     def build_bump(gamma):
         return assemble_linear("bqcf", morse, cfg, beta, stretch_bump(gamma))
 
-    with pytest.warns(RuntimeWarning, match="count falls"):
+    match, paths = ("coercivity increased", {"pencil"}) if N == 3 else ("count falls", {"inertia"})
+    with pytest.warns(RuntimeWarning, match=match):
         g = critical_strain(
             build_bump, dgamma=1e-3, gamma_max=1.3, coarse=1e-2, report_sink=records.append
         )
     assert g == 1.0 + 100 * 1e-3
-    assert {r.path for r in records} == {"inertia"}
+    assert records[0].path == "inertia"
+    assert {r.path for r in records[1:]} == paths
 
 
 def test_neighbour_rule_matches_reference(monkeypatch):
@@ -254,7 +260,7 @@ def test_neighbour_rule_matches_reference(monkeypatch):
     # answers of a reference that keeps every record
     rng = np.random.default_rng(2024)
     monkeypatch.setattr(stability, "stability_at", lambda op, gamma: op.record)
-    stub_config = ChainConfig(M=4, N=3)  # N != 2: no pencil
+    stub_config = ChainConfig(M=5, N=4)  # N = 4: no eigencurve
     dgamma = 1e-3
     kinds = set()
     for _ in range(2000):
@@ -296,7 +302,9 @@ def test_neighbour_rule_matches_reference(monkeypatch):
     "name, bad",
     [pytest.param(n, b, id=f"{b}-{n}") for b in (np.nan, np.inf, -np.inf)
      for n in ("dgamma", "gamma_max", "coarse")]
-    + [("dgamma", 0.6), ("gamma_max", 1.000001)],  # finite, but no grid stretch above 1
+    # finite, but no grid stretch above 1; the last falls 1e-6 of a grid step
+    # short of one, far more than the rounding a gamma_max on the grid carries
+    + [("dgamma", 0.6), ("gamma_max", 1.000001), ("gamma_max", 1.000999999)],
 )
 def test_critical_strain_rejects_non_finite(morse, name, bad):
     cfg = ChainConfig(M=32, N=2)
@@ -305,6 +313,30 @@ def test_critical_strain_rejects_non_finite(morse, name, bad):
     kwargs[name] = bad
     with pytest.raises(ValueError, match=name):
         critical_strain(lambda g: assemble_linear("bqcf", morse, cfg, beta, g), **kwargs)
+
+
+@pytest.mark.parametrize("dgamma, gamma_max", [(0.1, 1.2), (1e-5, 1.00003), (1e-6, 1.000001)])
+def test_critical_strain_reaches_gamma_max_on_the_grid(morse, dgamma, gamma_max):
+    # (gamma_max - 1) / dgamma falls just short of an integer here, as
+    # 1.9999999999999996, 2.99999999999745 and 0.99999999992: the sweep must
+    # still end its grid at gamma_max, as the oracle counts it in exact
+    # decimal arithmetic (the N = 2 chain is unstable at 1.2)
+    cfg = ChainConfig(M=32, N=2)
+    beta = beta_one(cfg)
+    records = []
+
+    def build(gamma):
+        return assemble_linear("bqcf", morse, cfg, beta, gamma)
+
+    want, evaluated = dense_critical_strain(build, dgamma, gamma_max, 1e-3)
+    try:
+        got = critical_strain(build, dgamma, gamma_max, coarse=1e-3, report_sink=records.append)
+    except StrainSweepError as exc:
+        assert exc.reason == "no_instability"
+        got = None
+    assert got == want
+    assert [r.gamma for r in records] == list(evaluated)
+    assert max(evaluated) == pytest.approx(gamma_max, abs=1e-12)
 
 
 def test_atomistic_critical_strain_matches_long_wave_zero(morse):
@@ -333,11 +365,12 @@ def test_atomistic_critical_strain_matches_long_wave_zero(morse):
 @pytest.mark.parametrize("make_profile", [symmetric_profile, one_sided_profile])
 @pytest.mark.parametrize("family", ["linear", "cubic", "quintic"])
 def test_pencil_sweep_matches_dense_oracle(morse, family, make_profile):
-    # every pencil record against the dense pencil, and the whole sweep
-    # against a scan that decides each stretch by the dense count
-    cfg = ChainConfig(M=64, N=2)
-    pencil_records = 0
-    for L in (1, 4, 10):
+    # every eigencurve record against the dense pencil (its bracket holds the
+    # dense c_min, and for N = 2 its c_min is that eigenvalue), and the whole
+    # sweep against a scan that decides each stretch by the dense count
+    pencil_records = {2: 0, 3: 0}
+    for N, L in itertools.product((2, 3), (1, 4, 10)):
+        cfg = ChainConfig(M=64, N=N)
         beta = sample_beta(make_profile(cfg, family, L), cfg)
         ops, records = {}, []
 
@@ -355,34 +388,41 @@ def test_pencil_sweep_matches_dense_oracle(morse, family, make_profile):
             if rec.path == "pencil":
                 eigenvalues = evaluated[rec.gamma]
                 c = eigenvalues[0]
-                assert abs(rec.c_min - c) <= 1e-8 * (abs(c) + 1.0), (family, L, rec.gamma)
+                tol = 1e-8 * (abs(c) + 1.0)
+                lo, hi = rec.bracket
+                assert lo - tol <= c <= hi + tol and rec.c_min == hi, (N, family, L, rec.gamma)
+                if N == 2:
+                    assert abs(rec.c_min - c) <= tol, (family, L, rec.gamma)
                 assert rec.stable == (np.count_nonzero(eigenvalues < 0.0) == 0)
-                pencil_records += 1
-    assert pencil_records >= 36
+                pencil_records[N] += 1
+    assert pencil_records[2] >= 36 and pencil_records[3] >= 36, pencil_records
 
 
 @pytest.mark.parametrize("M", [16, 64])
 @pytest.mark.parametrize("which", ["bqcf", "atomistic", "continuum"])
 def test_pencil_affine_identity(morse, which, M):
-    # the identity the pencil reads x and y from: with c_k = phi''(k gamma),
-    # A(gamma) = x G/a + y A(1), y = c_2 / c_2(1), x = c_1 - y c_1(1)
-    cfg = ChainConfig(M=M, N=2)
-    gram = _h1_gram(cfg).bands / cfg.a
-    betas = [beta_one(cfg), beta_zero(cfg)]
-    for make_profile in (symmetric_profile, one_sided_profile):
-        for family in ("linear", "cubic", "quintic"):
-            betas.append(sample_beta(make_profile(cfg, family, 3), cfg))
-    gammas = np.random.default_rng(M).uniform(1.0, 1.3, 4)
-    for beta in betas:
-        op1 = assemble_linear(which, morse, cfg, beta, 1.0)
-        for gamma in gammas:
-            op = assemble_linear(which, morse, cfg, beta, gamma)
-            (c1, c2), (c1_ref, c2_ref) = op.recipe.coefficients, op1.recipe.coefficients
-            y = c2 / c2_ref
-            x = c1 - y * c1_ref
-            assert y > 0
-            err = np.max(np.abs(op.bands - (x * gram + y * op1.bands)))
-            assert err <= 1e-13 * np.max(np.abs(op.bands)), (which, gamma)
+    # the identity the eigencurve reads off each stretch's coefficients:
+    # with c_k = phi''(k gamma) and t = c_3 / |c_2| (0 for N = 2),
+    # A(gamma) = c_1 G/a + |c_2| A(0, -1, t), A(c) being the same recipe
+    # with coefficients c
+    for N in (2, 3):
+        cfg = ChainConfig(M=M, N=N)
+        gram = _h1_gram(cfg).bands / cfg.a
+        betas = [beta_one(cfg), beta_zero(cfg)]
+        for make_profile in (symmetric_profile, one_sided_profile):
+            for family in ("linear", "cubic", "quintic"):
+                betas.append(sample_beta(make_profile(cfg, family, 3), cfg))
+        gammas = np.random.default_rng(M).uniform(1.0, 1.3, 4)
+        for beta in betas:
+            for gamma in gammas:
+                op = assemble_linear(which, morse, cfg, beta, gamma)
+                c1, c2, *c3 = op.recipe.coefficients
+                assert c2 < 0
+                t = c3[0] / abs(c2) if c3 else 0.0
+                unit = replace(op.recipe, coefficients=(0.0, -1.0, t)[:N])
+                g_op = BandedPeriodicOperator(cfg, recipe=unit)
+                err = np.max(np.abs(op.bands - (c1 * gram + abs(c2) * g_op.bands)))
+                assert err <= 1e-13 * np.max(np.abs(op.bands)), (which, N, gamma)
 
 
 @pytest.mark.parametrize("copy", ["raw_bands", "distinct_beta"])
@@ -431,25 +471,36 @@ def test_reference_sweep_builds_three_band_arrays(morse, monkeypatch):
     assert len(factorizations) <= 10
 
 
-def test_n3_sweep_takes_no_pencil(morse):
-    cfg = ChainConfig(M=32, N=3)
-    for beta, paths in ((cubic_beta(cfg, 3), {"inertia"}), (beta_one(cfg), {"circulant"})):
-        records = []
+def test_n3_sweep_takes_the_eigencurve_n4_does_not(morse):
+    # past gamma = 1, the eigencurve decides every N = 3 stretch of these
+    # sweeps, and no N = 4 stretch
+    for N in (3, 4):
+        cfg = ChainConfig(M=32, N=N)
+        for beta, first in ((cubic_beta(cfg, 3), "inertia"), (beta_one(cfg), "circulant")):
+            records = []
 
-        def build(gamma):
-            return assemble_linear("bqcf", morse, cfg, beta, gamma)
+            def build(gamma):
+                return assemble_linear("bqcf", morse, cfg, beta, gamma)
 
-        critical_strain(build, dgamma=1e-3, gamma_max=1.3, coarse=1e-2, report_sink=records.append)
-        assert {r.path for r in records} == paths
+            critical_strain(build, 1e-3, 1.3, coarse=1e-2, report_sink=records.append)
+            assert records[0].path == first
+            assert {r.path for r in records[1:]} == ({"pencil"} if N == 3 else {first})
 
 
-@pytest.mark.parametrize("nu_error", [5.0, -5.0, 1e3, "raise"])
-def test_pencil_failure_reruns_by_inertia(morse, monkeypatch, nu_error):
-    # a wrong nu moves the pencil's root by a few coarse cells (+-5), or past
-    # gamma_max (1e3), so inertia contradicts it at a certified stretch; an
-    # unconverged nu leaves nothing to certify.  Either way the scan is run
-    # again by inertia alone and returns the inertia answer.
-    cfg = ChainConfig(M=64, N=2)
+@pytest.mark.parametrize(
+    "N, nu_error",
+    [pytest.param(2, e, id=str(e)) for e in (5.0, -5.0, 1e3, "raise")]
+    + [pytest.param(3, e, id=f"n3-{e}") for e in (2.0, "raise")],
+)
+def test_pencil_failure_reruns_by_inertia(morse, monkeypatch, N, nu_error):
+    # N = 2: a wrong nu moves the eigencurve's root by a few coarse cells
+    # (+-5), or past gamma_max (1e3), so inertia contradicts it at a
+    # certified stretch; an unconverged nu leaves nothing to certify.
+    # N = 3: the sample at t = 0 is pushed up by 2 (or does not converge),
+    # which lifts the chord that decides the stretches before the loss.
+    # Either way the scan is run again by inertia alone and returns the
+    # inertia answer.
+    cfg = ChainConfig(M=64, N=N)
     beta = cubic_beta(cfg, 4)
 
     def build(gamma):
@@ -459,6 +510,8 @@ def test_pencil_failure_reruns_by_inertia(morse, monkeypatch, nu_error):
     exact = stability.coercivity_constant
 
     def wrong_nu(op, **kwargs):
+        if N == 3 and op.recipe.coefficients != (0.0, -1.0, 0.0):
+            return exact(op, **kwargs)
         if nu_error == "raise":
             raise EigenSolveError("forced", 1.0)
         rep = exact(op, **kwargs)
@@ -467,7 +520,9 @@ def test_pencil_failure_reruns_by_inertia(morse, monkeypatch, nu_error):
 
     monkeypatch.setattr(stability, "coercivity_constant", wrong_nu)
     records = []
-    g = critical_strain(build, dgamma=1e-3, gamma_max=1.3, coarse=1e-2, report_sink=records.append)
+    with warnings.catch_warnings(record=True):  # a wrong sample can also read as a rising c_min
+        warnings.simplefilter("always")
+        g = critical_strain(build, 1e-3, 1.3, coarse=1e-2, report_sink=records.append)
     assert g == want
     first = next(k for k, r in enumerate(records) if r.path.startswith("rerun-"))
     rerun = records[first:]
@@ -495,7 +550,7 @@ def test_atomistic_sweep_takes_the_pencil_without_factorizing(morse, monkeypatch
     assert records[0].path == "circulant"
     assert {r.path for r in records[1:]} == {"pencil"}
     assert factorizations == []
-    monkeypatch.setattr(stability._Pencil, "record", lambda self, op, gamma: None)
+    monkeypatch.setattr(stability._Eigencurve, "record", lambda self, op, gamma: None)
     records = []
     assert critical_strain(build, 1e-5, 1.5, coarse=1e-3, report_sink=records.append) == g
     assert {r.path for r in records} == {"circulant"}
