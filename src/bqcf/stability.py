@@ -32,8 +32,9 @@ other operator is solved by spectrum slicing: shifts bracketed by that
 count, with a Lanczos run on each factor that has no eigenvalue below its
 shift (_sliced_cmin).  A critical-strain sweep needs only the sign of
 c_min at each grid stretch: stability_at reads it off the count at
-sigma = 0, and for N = 2 and 3 a few eigenvalues of one concave family
-bound it at every stretch (_Eigencurve).
+sigma = 0, and for N = 2 and 3 a few samples of one concave family bound
+it at every stretch, each sample's lower end proven by one count
+(_Eigencurve).
 """
 
 from __future__ import annotations
@@ -108,9 +109,9 @@ class StabilityRecord:
     fields (None unless the inertia path ran); c_min is set where an
     eigenvalue was computed or bounded, and bracket [lo, hi] holds it
     (lo = hi if computed).  path is 'inertia' (pivot signs of the bordered
-    factorization), 'circulant' (exact Fourier minimum), 'eigen' (the
-    inertia path's fallback, coercivity_constant) or 'pencil' (_Eigencurve,
-    with c_min = hi); a sweep's rerun prefixes 'rerun-' to each path.
+    factorization), 'circulant' (exact Fourier minimum), 'eigen'
+    (coercivity_constant, where the count cannot be trusted) or 'pencil'
+    (_Eigencurve, with c_min = hi).
     """
 
     gamma: float
@@ -397,27 +398,22 @@ def coercivity_constant(
 def stability_at(op: BandedPeriodicOperator, gamma: float = 1.0) -> StabilityRecord:
     """Decide whether c_min > 0, without an eigensolve where possible.
 
-    Constant-coefficient operators take the exact Fourier minimum; every
-    other operator is decided by the count of negative eigenvalues of S on
-    mean-zero fields from one bordered factorization (_shifted_ldl at
-    sigma = 0), falling back to coercivity_constant when that count cannot
-    be trusted.
+    An operator that is not constant-coefficient is decided by the count
+    of negative eigenvalues of S on mean-zero fields from one bordered
+    factorization (_shifted_ldl at sigma = 0).  A circulant operator, or
+    one whose count cannot be trusted, goes to coercivity_constant, and
+    the record keeps the path 'circulant' or 'eigen'.
     """
-    if _is_circulant(op):
-        c = _circulant_cmin(op)[0]
-        return StabilityRecord(gamma, c > 0.0, None, c, "circulant")
-    factored = _shifted_ldl(op.config.a * op.symmetric_part().bands)
-    if factored is not None:
-        return StabilityRecord(gamma, factored[1] == 0, factored[1], None, "inertia")
-    c = coercivity_constant(op, gamma=gamma).c_min
-    return StabilityRecord(gamma, c > 0.0, None, c, "eigen")
+    if not _is_circulant(op):
+        factored = _shifted_ldl(op.config.a * op.symmetric_part().bands)
+        if factored is not None:
+            return StabilityRecord(gamma, factored[1] == 0, factored[1], None, "inertia")
+    rep = coercivity_constant(op)
+    path = "circulant" if rep.path == "circulant" else "eigen"
+    return StabilityRecord(gamma, rep.c_min > 0.0, None, rep.c_min, path)
 
 
 _MARGIN = 1e-8  # a bound on c_min this near 0, relative to its terms, decides nothing
-
-
-class _EigencurveFailed(Exception):
-    """A decided end failed certification by inertia, or a sample did not converge."""
 
 
 class _Eigencurve:
@@ -428,15 +424,18 @@ class _Eigencurve:
     A(c) being A(1)'s recipe with coefficients c, s the sign of c_2 and
     t = c_3 / |c_2| (0 for N = 2), and c_min = c_1 + |c_2| g(t) for
     g(t) = c_min(A(0, s, t)).  g is a minimum of functions affine in t, so
-    concave: a sample's mode v_i bounds it above by g_i + s_i (t - t_i),
-    s_i = a <A(0, 0, 1) v_i, v_i> (Hellmann-Feynman), and the chord of
-    adjacent samples less their residuals bounds it below between them
-    (the successive constraint method in one parameter: Huynh, Rozza, Sen
-    & Patera, C. R. Acad. Sci. Paris I 345, 2007).  The first sample is
-    nu = c_min(A(1)), the only one for N = 2.  A stretch is decided where
-    both bounds on c_min have one sign beyond _MARGIN, else after one more
-    sample: at 0 if t lies between the samples and 0 (one chord then
-    covers the sweep), else at t unless t is a sample.
+    concave.  A sample at t_i takes g_i from the quotient of the solver's
+    mode v_i, whatever the solver reports, so g_i + s_i (t - t_i) bounds g
+    above, s_i = a <A(0, 0, 1) v_i, v_i> (Hellmann-Feynman).  One count
+    proves its lower end, g_i less _MARGIN of its terms, so the chord of
+    adjacent lower ends bounds g below between them (the successive
+    constraint method in one parameter: Huynh, Rozza, Sen & Patera, C. R.
+    Acad. Sci. Paris I 345, 2007), and every bracket returned holds c_min.
+    The first sample is nu = c_min(A(1)), the only one for N = 2.  A
+    stretch is decided where both bounds on c_min have one sign beyond
+    _MARGIN, else after one more sample: at 0 if t lies between the
+    samples and 0 (one chord then covers the sweep), else at t unless t is
+    a sample.  A sample that fails its solve or count ends the eigencurve.
     """
 
     def __init__(self, op1: BandedPeriodicOperator):
@@ -445,16 +444,27 @@ class _Eigencurve:
         self.samples = []  # (t_i, lower end of g_i, its line (g_i, s_i)), ascending in t
 
     def _add(self, op):
-        """Sample g at t = c_3 / |c_2| from op = c_1 G/a + |c_2| A(0, s, t)."""
+        """Sample g at t = c_3 / |c_2| from op = c_1 G/a + |c_2| A(0, s, t), or
+        set recipe None.  The Fourier minimum is exact and skips the count."""
         try:
             rep = coercivity_constant(op)
-        except EigenSolveError as exc:
-            raise _EigencurveFailed(f"an eigencurve sample failed: {exc}") from exc
+        except EigenSolveError:
+            self.recipe = None
+            return
+        a, G = self.config.a, _h1_gram(self.config)
+        v = rep.mode - rep.mode.mean()  # the quotient bounds c_min only on mean-zero fields
+        v = v / math.sqrt(v @ G.apply_values(v))
+        q = a * float(v @ op.apply_values(v))
+        q_lo = q - _MARGIN * (abs(q) + 1.0)
+        if rep.path != "circulant":
+            factored = _shifted_ldl(a * op.symmetric_part().bands - q_lo * G.bands)
+            if factored is None or factored[1] != 0:
+                self.recipe = None
+                return
         c1, c2, *c3 = op.recipe.coefficients
-        w, v = abs(c2), rep.mode
-        s = self.config.a * float(v @ self.unit.apply_values(v)) if c3 else 0.0
-        g = (rep.c_min - c1) / w
-        self.samples.append((c3[0] / w if c3 else 0.0, g - rep.residual / w, (g, s)))
+        w = abs(c2)
+        s = a * float(v @ self.unit.apply_values(v)) if c3 else 0.0
+        self.samples.append((c3[0] / w if c3 else 0.0, (q_lo - c1) / w, ((q - c1) / w, s)))
         self.samples.sort()
 
     def record(self, op: BandedPeriodicOperator, gamma: float) -> StabilityRecord | None:
@@ -474,6 +484,8 @@ class _Eigencurve:
             self.unit = BandedPeriodicOperator(self.config, recipe=unit)  # read for N = 3 slopes
             self._add(self.op1)
         for last in (False, True):
+            if self.recipe is None:  # the sample just taken failed
+                return None
             hi = min([g + s * (t - ti) for ti, _, (g, s) in self.samples])
             lo = -math.inf  # no chord reaches past the samples
             for (ta, la, _), (tb, lb, _) in zip(self.samples, self.samples[1:] or self.samples):
@@ -549,42 +561,33 @@ def critical_strain(
     max_units = math.floor(units + 4.0 * (math.ulp(gamma_max) / dgamma + math.ulp(units)))
     if max_units < 1:
         raise ValueError(f"gamma_max = {gamma_max} leaves no stretch above 1 at dgamma = {dgamma}")
-    scan = (build_operator, dgamma, gamma_max, step, max_units, report_sink)
-    try:
-        return _scan(*scan, rerun=False)
-    except _EigencurveFailed:
-        return _scan(*scan, rerun=True)
+    return _scan(build_operator, dgamma, gamma_max, step, max_units, report_sink)
 
 
-def _scan(build_operator, dgamma, gamma_max, step, max_units, report_sink, *, rerun):
+def _scan(build_operator, dgamma, gamma_max, step, max_units, report_sink):
     """critical_strain's scan over its bracket (lo, hi) of evaluated
-    stretches, each a (grid units, record, operator) triple: coarse steps,
-    the last cut short at max_units, to the first unstable stretch, then
-    bisection, assuming one sign change (_warn_unless_single_sign_change
-    checks it).  stability_at certifies the ends the eigencurve decided
-    (stable at the answer, unstable a grid step above, or stable at
-    max_units); a failed certification or sample makes critical_strain
-    rerun the scan by stability_at alone, each path prefixed 'rerun-'."""
+    stretches, each a (grid units, record) pair: coarse steps, the last
+    cut short at max_units, to the first unstable stretch, then bisection,
+    assuming one sign change (_warn_unless_single_sign_change checks it).
+    One pass, each stretch evaluated once: by stability_at at gamma = 1,
+    then by the eigencurve of gamma = 1's operator where it decides, else
+    by stability_at.  An eigencurve bracket is proven (see _Eigencurve),
+    so no decided stretch is checked again."""
     nearest = {"neg_count": [None, None], "c_min": [None, None]}
     curve = None
 
     def evaluate(i: int):
+        nonlocal curve
         gamma = 1.0 + i * dgamma
         op = build_operator(gamma)
-        rec = None if curve is None else curve.record(op, gamma)
-        if rec is None:
-            rec = stability_at(op, gamma)
-            if rerun:
-                rec = replace(rec, path="rerun-" + rec.path)
+        if curve is None:  # gamma = 1, the first stretch evaluated
+            rec, curve = stability_at(op, gamma), _Eigencurve(op)
+        else:
+            rec = curve.record(op, gamma) or stability_at(op, gamma)
         if report_sink is not None:
             report_sink(rec)
         _warn_unless_single_sign_change(nearest, rec)
-        return i, rec, op
-
-    def certify(end, stable: bool) -> None:
-        _, rec, op = end
-        if rec.path == "pencil" and stability_at(op, rec.gamma).stable != stable:
-            raise _EigencurveFailed(f"inertia contradicts the eigencurve at gamma={rec.gamma:.6f}")
+        return i, rec
 
     lo, hi = evaluate(0), None
     if not lo[1].stable:
@@ -592,12 +595,9 @@ def _scan(build_operator, dgamma, gamma_max, step, max_units, report_sink, *, re
             f"operator is not coercive at gamma = 1 ({lo[1].detail()})",
             "unstable_at_start",
         )
-    if not rerun:
-        curve = _Eigencurve(lo[2])
 
     while hi is None or hi[0] - lo[0] > 1:
         if hi is None and lo[0] == max_units:
-            certify(lo, True)
             raise StrainSweepError(
                 f"coercivity still positive at gamma_max = {gamma_max} ({lo[1].detail()})",
                 "no_instability",
@@ -608,8 +608,6 @@ def _scan(build_operator, dgamma, gamma_max, step, max_units, report_sink, *, re
             lo = end
         else:
             hi = end
-    certify(lo, True)
-    certify(hi, False)
     return 1.0 + lo[0] * dgamma
 
 

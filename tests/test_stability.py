@@ -450,8 +450,8 @@ def test_stretches_outside_the_recipe_go_to_inertia(morse, copy):
 
 
 def test_reference_sweep_builds_three_band_arrays(morse, monkeypatch):
-    # the sweep-ref pass: gamma = 1 (decided, then nu) and the two certified
-    # ends are the only stretches whose bands are built
+    # the sweep-ref pass: gamma = 1 (decided, then nu and its count) is the
+    # only stretch whose bands are built, and it makes 4 factorizations
     cfg = ChainConfig(M=2000, N=2)
     beta = cubic_beta(cfg, 5)
     built, factorizations, records = [], [], []
@@ -467,8 +467,8 @@ def test_reference_sweep_builds_three_band_arrays(morse, monkeypatch):
 
     g = critical_strain(build, 1e-5, 1.5, coarse=1e-3, report_sink=records.append)
     assert g == 1.0 + 19085 * 1e-5
-    assert (len(built), len(records)) == (3, 199)
-    assert len(factorizations) <= 10
+    assert (len(built), len(records)) == (1, 199)
+    assert len(factorizations) <= 4
 
 
 def test_n3_sweep_takes_the_eigencurve_n4_does_not(morse):
@@ -492,14 +492,13 @@ def test_n3_sweep_takes_the_eigencurve_n4_does_not(morse):
     [pytest.param(2, e, id=str(e)) for e in (5.0, -5.0, 1e3, "raise")]
     + [pytest.param(3, e, id=f"n3-{e}") for e in (2.0, "raise")],
 )
-def test_pencil_failure_reruns_by_inertia(morse, monkeypatch, N, nu_error):
-    # N = 2: a wrong nu moves the eigencurve's root by a few coarse cells
-    # (+-5), or past gamma_max (1e3), so inertia contradicts it at a
-    # certified stretch; an unconverged nu leaves nothing to certify.
-    # N = 3: the sample at t = 0 is pushed up by 2 (or does not converge),
-    # which lifts the chord that decides the stretches before the loss.
-    # Either way the scan is run again by inertia alone and returns the
-    # inertia answer.
+def test_pencil_failure_falls_back_to_inertia(morse, monkeypatch, N, nu_error):
+    # N = 2: nu's reported c_min is off by +-5 or 1e3; N = 3: the sample at
+    # t = 0 is off by 2.  The eigencurve reads each sample off its mode, so
+    # the answer does not depend on the reported value.  A sample that does
+    # not converge ends the eigencurve, and inertia decides every later
+    # stretch.  Either way each stretch is evaluated once, with the dense
+    # answer.
     cfg = ChainConfig(M=64, N=N)
     beta = cubic_beta(cfg, 4)
 
@@ -524,18 +523,55 @@ def test_pencil_failure_reruns_by_inertia(morse, monkeypatch, N, nu_error):
         warnings.simplefilter("always")
         g = critical_strain(build, 1e-3, 1.3, coarse=1e-2, report_sink=records.append)
     assert g == want
-    first = next(k for k, r in enumerate(records) if r.path.startswith("rerun-"))
-    rerun = records[first:]
-    assert {r.path for r in rerun} == {"rerun-inertia"}
-    assert [r.gamma for r in rerun] == list(evaluated)
-    if nu_error != "raise":
-        assert "pencil" in {r.path for r in records[:first]}
+    gammas = [r.gamma for r in records]
+    assert len(set(gammas)) == len(gammas)
+    assert not any(r.path.startswith("rerun-") for r in records)
+    if nu_error == "raise":  # N = 3 takes nu, then fails at t = 0
+        assert {r.path for r in records} == {"inertia"}
+    else:
+        assert "pencil" in {r.path for r in records}
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_wrong_sample_mode_is_rejected_by_its_count(morse, monkeypatch, N):
+    # the solver returns a higher Fourier mode in place of the lowest one:
+    # for N = 2 at nu, for N = 3 at the sample t = 0.  Its quotient lies far
+    # above c_min, so the count at its lower end finds eigenvalues below
+    # it, the eigencurve ends, and inertia decides every later stretch
+    cfg = ChainConfig(M=64, N=N)
+    beta = cubic_beta(cfg, 4)
+    gram = _h1_gram(cfg)
+    wrong = np.cos(7.0 * np.pi * cfg.positions())
+    wrong -= wrong.mean()
+    wrong /= np.sqrt(wrong @ gram.apply_values(wrong))
+
+    def build(gamma):
+        return assemble_linear("bqcf", morse, cfg, beta, gamma)
+
+    want, evaluated = dense_critical_strain(build, 1e-3, 1.3, 1e-2)
+    exact = stability.coercivity_constant
+    taken = []
+
+    def wrong_mode(op, **kwargs):
+        rep = exact(op, **kwargs)
+        if N == 2 or op.recipe.coefficients == (0.0, -1.0, 0.0):
+            taken.append(op.recipe.coefficients)
+            rep.mode = wrong.copy()
+        return rep
+
+    monkeypatch.setattr(stability, "coercivity_constant", wrong_mode)
+    records = []
+    g = critical_strain(build, 1e-3, 1.3, coarse=1e-2, report_sink=records.append)
+    assert len(taken) == 1
+    assert g == want
+    assert [r.gamma for r in records] == list(evaluated)
+    assert {r.path for r in records} == {"inertia"}
 
 
 def test_atomistic_sweep_takes_the_pencil_without_factorizing(morse, monkeypatch):
-    # the atomistic nu is the exact Fourier minimum at gamma = 1, and the
-    # Fourier route certifies, so the sweep factors nothing; deciding every
-    # stretch by the Fourier route instead gives the same answer
+    # the atomistic nu is the exact Fourier minimum at gamma = 1 and skips
+    # its count, so the sweep factors nothing; deciding every stretch by
+    # the Fourier route instead gives the same answer
     cfg = ChainConfig(M=2000, N=2)
     beta = beta_one(cfg)
 
