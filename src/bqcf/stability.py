@@ -30,11 +30,11 @@ sparse matrix is assembled per call.
 Constant-coefficient operators take the exact Fourier minimum.  Every
 other operator is solved by spectrum slicing: shifts bracketed by that
 count, with a Lanczos run on each factor that has no eigenvalue below its
-shift (_sliced_cmin).  A critical-strain sweep needs only the sign of
-c_min at each grid stretch: stability_at reads it off the count at
-sigma = 0, and for N = 2 and 3 a few samples of one concave family bound
-it at every stretch, each sample's lower end proven by one count
-(_Eigencurve).
+shift or, above a count-0 shift, only c_min (_sliced_cmin).  A
+critical-strain sweep needs only the sign of c_min at each grid stretch:
+stability_at reads it off the count at sigma = 0, and for N = 2 and 3 a
+few samples of one concave family bound it at every stretch, each
+sample's lower end proven by one count (_Eigencurve).
 """
 
 from __future__ import annotations
@@ -85,7 +85,9 @@ class CoercivityReport:
     and G-normalized.  path is 'circulant' (exact Fourier minimum) or
     'sliced' (Lanczos on inertia-checked shifts); iterations counts the
     linear solves, one per Lanczos step, and factorizations the shifted
-    factorizations, trusted or not.
+    factorizations, trusted or not (two per scaling-ladder rung: the far
+    first shift, then one a tenth of its run's residual below the
+    quotient).
     """
 
     c_min: float
@@ -252,6 +254,7 @@ def _shifted_ldl(B: np.ndarray):
 _TOL = 1e-10  # relative residual at which the sliced solver stops
 _MAX_FACTORIZATIONS = 40  # shifts per solve; every one counts, trusted or not
 _LANCZOS_STEPS = 16  # Krylov dimension per trusted factor, a multiple of 4
+_NEXT_SHIFT = 0.1  # the next shift lies this many residuals below the quotient
 
 
 def _sliced_cmin(op: BandedPeriodicOperator):
@@ -259,16 +262,21 @@ def _sliced_cmin(op: BandedPeriodicOperator):
 
     Keeps a bracket lo <= c_min <= hi: a trusted factorization at sigma
     with no eigenvalue below it raises lo to sigma, one with some lowers
-    hi to sigma, and every Rayleigh quotient lowers hi.  Only factors with
-    count 0 are used: Lanczos builds a G-orthonormal (fully
-    reorthogonalized) Krylov basis of T = (S - sigma G)^-1 G on mean-zero
-    fields, whose largest Ritz value theta is the lowest mode's
-    1 / (c - sigma).  The Ritz vector's pencil residual is checked every
-    4th step, and every step once the Lanczos estimate falls below
-    1e-7 theta.  After _LANCZOS_STEPS solves the next shift goes just
-    below the quotient (to the bracket's midpoint when that overshoots),
-    and the Ritz vector starts the next basis.  Inverse iteration is the
-    one-vector case.
+    hi to sigma, and every Rayleigh quotient lowers hi.  Lanczos builds a
+    G-orthonormal (fully reorthogonalized) Krylov basis of
+    T = (S - sigma G)^-1 G on mean-zero fields, whose eigenvalue
+    1 / (c_min - sigma) is followed by its Ritz value theta.  It runs on
+    every factor with count 0, where theta is T's largest, and on a factor
+    with count 1 above a known lo, where it is T's one negative eigenvalue
+    and so its least: the counts 0 at lo and 1 at sigma prove that a
+    converged mode below sigma is c_min's.  A larger count, or count 1
+    with no lo, bisects or widens instead.  The Ritz vector's pencil
+    residual is checked every 4th step, and every step once the Lanczos
+    estimate falls below 1e-7 |theta|.  After _LANCZOS_STEPS solves the
+    next shift goes _NEXT_SHIFT residuals below the quotient, near
+    enough that Lanczos converges in a few steps (to the bracket's
+    midpoint when that is not below hi), and the Ritz vector starts the
+    next basis.  Inverse iteration is the one-vector case.
     """
     config = op.config
     n = config.n_atoms
@@ -318,11 +326,13 @@ def _sliced_cmin(op: BandedPeriodicOperator):
             sigma = lo + 0.5 * (sigma - lo) if lo > -math.inf else sigma - (abs(sigma) + 1.0)
             continue
         lu, neg = factored
-        if neg > 0:  # overshot: bisect, or widen while no lower end is known
+        if neg:  # overshot; with count 1 above lo, c_min is the one eigenvalue below
             hi = min(hi, sigma)
-            sigma = 0.5 * (lo + hi) if lo > -math.inf else sigma - 2.0 * (abs(sigma) + 1.0)
-            continue
-        lo = sigma
+            if neg > 1 or lo == -math.inf:  # bisect, or widen while no lo is known
+                sigma = 0.5 * (lo + hi) if lo > -math.inf else sigma - 2.0 * (abs(sigma) + 1.0)
+                continue
+        else:
+            lo = sigma
         basis[0], gq, prev = v, gv, math.inf
         for j in range(_LANCZOS_STEPS):
             z = lu.solve(np.append(gq, 0.0))[:n]
@@ -337,20 +347,23 @@ def _sliced_cmin(op: BandedPeriodicOperator):
             if not math.isfinite(alpha[j] + beta[j]):
                 raise EigenSolveError(f"non-finite Lanczos step at shift {sigma:.6g}", res)
             theta, s = eigh_tridiagonal(alpha[: j + 1], beta[:j])  # Ritz pairs, ascending
-            if (j + 1) % 4 == 0 or beta[j] * abs(s[-1, -1]) < 1e-7 * theta[-1]:
-                v, lam, res, gv = residual_of(s[:, -1] @ Q)
+            k = 0 if theta[0] < 0.0 else -1  # c_min's 1 / (c - sigma) is T's least if < 0
+            if (j + 1) % 4 == 0 or beta[j] * abs(s[-1, k]) < 1e-7 * abs(theta[k]):
+                v, lam, res, gv = residual_of(s[:, k] @ Q)
                 hi = min(hi, lam)
                 scale = abs(lam) + 1.0
                 # the residual floors near 1e-9 relative at M = 8000, so a
-                # stagnating one is accepted once it meets the 1e-8 contract
-                if res <= _TOL * scale or (res <= 1e-8 * scale and res > 0.5 * prev):
+                # stagnating one is accepted once it meets the 1e-8 contract;
+                # on a count-1 factor only a mode below sigma is c_min
+                converged = res <= _TOL * scale or (res <= 1e-8 * scale and res > 0.5 * prev)
+                if converged and (lam < sigma or not neg):
                     return lam, v, res, solves, factorizations
                 prev = res
             if not beta[j] > 0.0:  # the space is invariant: shift instead
                 break
             basis[j + 1] = z / beta[j]
             gq /= beta[j]
-        sigma = lam - 2.0 * res  # just below the quotient
+        sigma = lam - _NEXT_SHIFT * res  # just below the quotient
         if not sigma < hi:  # known to overshoot
             sigma = 0.5 * (lo + hi)
     raise EigenSolveError(

@@ -22,11 +22,14 @@ def morse():
 def stability_lu(monkeypatch):
     """Count the factorizations bqcf.stability makes and the solves on them.
 
-    Setting .corrupt to a function makes every later solve return
-    corrupt(x) in place of its solution x.
+    .counts logs what each shifted factorization read: its number of
+    pencil eigenvalues below the shift, or None when its signs were not
+    trusted.  Setting .corrupt to a function makes every later solve
+    return corrupt(x) in place of its solution x.
     """
-    probe = SimpleNamespace(factorizations=0, solves=0, corrupt=None)
+    probe = SimpleNamespace(factorizations=0, solves=0, counts=[], corrupt=None)
     splu = stability.splu
+    shifted_ldl = stability._shifted_ldl
 
     class Factor:
         def __init__(self, lu):
@@ -44,5 +47,11 @@ def stability_lu(monkeypatch):
         probe.factorizations += 1
         return Factor(splu(*args, **kwargs))
 
+    def count(B):
+        factored = shifted_ldl(B)
+        probe.counts.append(None if factored is None else factored[1])
+        return factored
+
     monkeypatch.setattr(stability, "splu", factor)
+    monkeypatch.setattr(stability, "_shifted_ldl", count)
     return probe

@@ -28,6 +28,7 @@ from bqcf.stability import (
     EigenSolveError,
     StabilityRecord,
     StrainSweepError,
+    _LANCZOS_STEPS,
     _h1_gram,
     _shifted_ldl,
     bordered_matrix,
@@ -449,7 +450,7 @@ def test_stretches_outside_the_recipe_go_to_inertia(morse, copy):
     assert {r.path for r in records} == {"inertia"}
 
 
-def test_reference_sweep_builds_three_band_arrays(morse, monkeypatch):
+def test_reference_sweep_builds_one_band_array(morse, monkeypatch):
     # the sweep-ref pass: gamma = 1 (decided, then nu and its count) is the
     # only stretch whose bands are built, and it makes 4 factorizations
     cfg = ChainConfig(M=2000, N=2)
@@ -741,14 +742,39 @@ def test_sliced_matches_dense_on_untrusted_pivots(morse, leading):
 @pytest.mark.parametrize("M", [64, 500, 1000, 2000, 4000])
 def test_sliced_factorization_counts(morse, stability_lu, M):
     # the scaling ladder's budget (cubic, L = ceil(M^(1/3))): one far shift,
-    # one just below c_min and one to finish, with Lanczos on each
+    # then one a tenth of a residual below the quotient, with Lanczos on each
     (rep,) = scaling_study("cubic", "M^(1/3)", [M], morse, 2)
     assert rep.path == "sliced"
-    assert rep.factorizations == stability_lu.factorizations <= 3
-    assert rep.iterations == stability_lu.solves <= 45
+    assert rep.factorizations == stability_lu.factorizations <= 2
+    assert rep.iterations == stability_lu.solves <= 30
     cfg = ChainConfig(M=M, N=2)
     rep = coercivity_constant(assemble_linear("bqcf", morse, cfg, beta_one(cfg), 1.0))
     assert (rep.path, rep.factorizations, rep.iterations) == ("circulant", 0, 0)
+
+
+def test_ladder_rung_runs_lanczos_on_a_count_one_factor(morse, stability_lu):
+    # the second shift of the M = 64 rung lands just above c_min: its factor
+    # counts one eigenvalue below it, and the solve finishes on it
+    (rep,) = scaling_study("cubic", "M^(1/3)", [64], morse, 2)
+    assert stability_lu.counts == [0, 1]
+    assert rep.iterations > _LANCZOS_STEPS  # more than the first factor's run
+
+
+def test_sliced_matches_dense_oracle_across_counts(morse, stability_lu):
+    # cubic blends at M = 64 whose second factors count 0, 1 (Lanczos on
+    # both sides of c_min) or 2 (c_min is not T's least eigenvalue there, so
+    # that factor must bisect)
+    cases = itertools.product(
+        (2, 3), (symmetric_profile, one_sided_profile), (4, 7), (1.0, 1.1, 1.19)
+    )
+    for N, make_profile, L, gamma in cases:
+        cfg = ChainConfig(M=64, N=N)
+        beta = sample_beta(make_profile(cfg, "cubic", L), cfg)
+        op = assemble_linear("bqcf", morse, cfg, beta, gamma)
+        rep = coercivity_constant(op, gamma=gamma)
+        c = dense_cmin(op)
+        assert abs(rep.c_min - c) <= 1e-10 * (abs(c) + 1.0), (N, make_profile, L, gamma)
+    assert {0, 1, 2} <= set(stability_lu.counts)
 
 
 def test_non_finite_solve_raises(morse, stability_lu):
