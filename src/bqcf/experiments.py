@@ -51,8 +51,6 @@ from .stability import (
 )
 
 TABLE_BLEND_SIZES = (1, 2, 3, 4, 5, 6, 7, 10)
-CONSISTENCY_M_LIST = (250, 500, 1000, 2000)
-SCALING_M_LIST = (500, 1000, 2000, 4000)
 
 
 @dataclass
@@ -221,22 +219,19 @@ def loglog_slope(xs, ys) -> float:
     return float(np.polyfit(np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float)), 1)[0])
 
 
-def run_consistency_sweep(
-    N: int = 2, potential: MorseParams = MorseParams(), M_list=CONSISTENCY_M_LIST
-) -> ResultTable:
+def run_consistency_sweep(N: int = 2, potential: MorseParams = MorseParams()) -> ResultTable:
     """Force and energy gaps between linearized models as the mesh refines.
 
-    Uses the smooth test displacement u = sin(pi x); reports l2 and linf
-    force gaps, the energy gap, and their fitted log-log slopes in the
-    metadata.  Each row carries its M, so M_list is not recorded.  N must
-    be at least 2: for N = 1 the two models coincide, and a zero gap has
-    no slope.
+    Uses the smooth test displacement u = sin(pi x) at M = 250, 500, 1000
+    and 2000; reports l2 and linf force gaps, the energy gap, and their
+    fitted log-log slopes in the metadata.  N must be at least 2: for
+    N = 1 the two models coincide, and a zero gap has no slope.
     """
     if N < 2:
         raise ValueError(f"consistency needs N >= 2: for N = {N} the models coincide")
     pot = Morse(potential)
     rows = []
-    for M in M_list:
+    for M in (250, 500, 1000, 2000):
         config = ChainConfig(M=M, N=N)
         u = PeriodicField.from_function(config, lambda x: np.sin(np.pi * x))
         fa = assemble_linear("atomistic", pot, config).apply(u)
@@ -338,14 +333,11 @@ def solve_deformation(
 
 
 def run_scaling(
-    family: str = "cubic", N: int = 2, potential: MorseParams = MorseParams(), M_list=SCALING_M_LIST
+    family: str = "cubic", N: int = 2, potential: MorseParams = MorseParams()
 ) -> ResultTable:
-    """Coercivity across an M-ladder with blend size L = ceil(M^(1/3)).
-
-    Each row carries its M and L, so M_list is not recorded.
-    """
+    """Coercivity at M = 500, 1000, 2000 and 4000 with blend size L = ceil(M^(1/3))."""
     rule = "M^(1/3)"
-    reports = scaling_study(family, rule, list(M_list), Morse(potential), N)
+    reports = scaling_study(family, rule, [500, 1000, 2000, 4000], Morse(potential), N)
     return ResultTable(
         columns=COERCIVITY_COLUMNS,
         rows=[tuple(getattr(r, c) for c in COERCIVITY_COLUMNS) for r in reports],

@@ -32,9 +32,10 @@ other operator is solved by spectrum slicing: shifts bracketed by that
 count, with a Lanczos run on each factor that has no eigenvalue below its
 shift or, above a count-0 shift, only c_min (_sliced_cmin).  A
 critical-strain sweep needs only the sign of c_min at each grid stretch:
-stability_at reads it off the count at sigma = 0, and for N = 2 and 3 a
-few samples of one concave family bound it at every stretch, each
-sample's lower end proven by one count (_Eigencurve).
+for N = 2 and 3 a few samples of one concave family bound it at every
+stretch, gamma = 1 included, each sample's lower end proven by one count
+(_Eigencurve); stability_at reads it off the count at sigma = 0 wherever
+those bounds decide nothing.
 """
 
 from __future__ import annotations
@@ -57,11 +58,7 @@ from .potential import PairPotential
 
 
 class EigenSolveError(RuntimeError):
-    """Eigen-iteration failed to converge; carries the last residual."""
-
-    def __init__(self, message: str, residual: float = float("nan")):
-        super().__init__(message)
-        self.residual = residual
+    """Eigen-iteration failed to converge; the message gives the last residual."""
 
 
 class StrainSweepError(RuntimeError):
@@ -111,9 +108,9 @@ class StabilityRecord:
     fields (None unless the inertia path ran); c_min is set where an
     eigenvalue was computed or bounded, and bracket [lo, hi] holds it
     (lo = hi if computed).  path is 'inertia' (pivot signs of the bordered
-    factorization), 'circulant' (exact Fourier minimum), 'eigen'
-    (coercivity_constant, where the count cannot be trusted) or 'pencil'
-    (_Eigencurve, with c_min = hi).
+    factorization), 'circulant' or 'sliced' (coercivity_constant's path,
+    where the operator is constant-coefficient or its count cannot be
+    trusted) or 'pencil' (_Eigencurve, with c_min = hi).
     """
 
     gamma: float
@@ -268,13 +265,13 @@ def _sliced_cmin(op: BandedPeriodicOperator):
     1 / (c_min - sigma) is followed by its Ritz value theta.  It runs on
     every factor with count 0, where theta is T's largest, and on a factor
     with count 1 above a known lo, where it is T's one negative eigenvalue
-    and so its least: the counts 0 at lo and 1 at sigma prove that a
-    converged mode below sigma is c_min's.  A larger count, or count 1
-    with no lo, bisects or widens instead.  The Ritz vector's pencil
-    residual is checked every 4th step, and every step once the Lanczos
-    estimate falls below 1e-7 |theta|.  After _LANCZOS_STEPS solves the
-    next shift goes _NEXT_SHIFT residuals below the quotient, near
-    enough that Lanczos converges in a few steps (to the bracket's
+    and so its least.  A converged mode is c_min's only below cap, the
+    least shift whose count proved c_min lies under it.  A larger count,
+    or count 1 with no lo, bisects or widens instead.  The Ritz vector's
+    pencil residual is checked every 4th step, and every step once the
+    Lanczos estimate falls below 1e-7 |theta|.  After _LANCZOS_STEPS
+    solves the next shift goes _NEXT_SHIFT residuals below the quotient,
+    near enough that Lanczos converges in a few steps (to the bracket's
     midpoint when that is not below hi), and the Ritz vector starts the
     next basis.  Inverse iteration is the one-vector case.
     """
@@ -312,7 +309,7 @@ def _sliced_cmin(op: BandedPeriodicOperator):
     d_max = np.max(np.abs(op.bands), axis=1)
     bound = 0.5 * sum(o * o * d_max[N + o] for o in range(-N, N + 1) if o != 0) * a * a
     sigma = -(2.0 * bound + 50.0)
-    lo, hi = -math.inf, math.inf
+    lo, hi, cap = -math.inf, math.inf, math.inf  # cap: the least shift with a count
     v = project(np.random.default_rng(7).standard_normal(n))
     v /= np.sqrt(v @ gram(v))
     gv, res = gram(v), math.nan
@@ -327,7 +324,7 @@ def _sliced_cmin(op: BandedPeriodicOperator):
             continue
         lu, neg = factored
         if neg:  # overshot; with count 1 above lo, c_min is the one eigenvalue below
-            hi = min(hi, sigma)
+            hi, cap = min(hi, sigma), min(cap, sigma)
             if neg > 1 or lo == -math.inf:  # bisect, or widen while no lo is known
                 sigma = 0.5 * (lo + hi) if lo > -math.inf else sigma - 2.0 * (abs(sigma) + 1.0)
                 continue
@@ -345,18 +342,19 @@ def _sliced_cmin(op: BandedPeriodicOperator):
             gq = gram(z)
             alpha[j], beta[j] = h[j], math.sqrt(max(z @ gq, 0.0))
             if not math.isfinite(alpha[j] + beta[j]):
-                raise EigenSolveError(f"non-finite Lanczos step at shift {sigma:.6g}", res)
+                raise EigenSolveError(
+                    f"non-finite Lanczos step at shift {sigma:.6g} (last residual {res:.3e})"
+                )
             theta, s = eigh_tridiagonal(alpha[: j + 1], beta[:j])  # Ritz pairs, ascending
             k = 0 if theta[0] < 0.0 else -1  # c_min's 1 / (c - sigma) is T's least if < 0
             if (j + 1) % 4 == 0 or beta[j] * abs(s[-1, k]) < 1e-7 * abs(theta[k]):
                 v, lam, res, gv = residual_of(s[:, k] @ Q)
                 hi = min(hi, lam)
                 scale = abs(lam) + 1.0
-                # the residual floors near 1e-9 relative at M = 8000, so a
-                # stagnating one is accepted once it meets the 1e-8 contract;
-                # on a count-1 factor only a mode below sigma is c_min
+                # a residual stagnating at its floor (1e-9 relative at M = 8000)
+                # is accepted within the 1e-8 contract; only a mode below cap is c_min
                 converged = res <= _TOL * scale or (res <= 1e-8 * scale and res > 0.5 * prev)
-                if converged and (lam < sigma or not neg):
+                if converged and lam < cap:
                     return lam, v, res, solves, factorizations
                 prev = res
             if not beta[j] > 0.0:  # the space is invariant: shift instead
@@ -368,8 +366,7 @@ def _sliced_cmin(op: BandedPeriodicOperator):
             sigma = 0.5 * (lo + hi)
     raise EigenSolveError(
         f"c_min in [{lo:.6g}, {hi:.6g}] not resolved within "
-        f"{_MAX_FACTORIZATIONS} shifted factorizations",
-        res,
+        f"{_MAX_FACTORIZATIONS} shifted factorizations (last residual {res:.3e})"
     )
 
 
@@ -390,9 +387,7 @@ def coercivity_constant(
     solve, path = (_circulant_cmin, "circulant") if _is_circulant(op) else (_sliced_cmin, "sliced")
     lam, v, res, solves, factorizations = solve(op)
     if not res <= 1e-8 * (abs(lam) + 1.0):
-        raise EigenSolveError(
-            f"eigen-residual {res:.3e} exceeds 1e-8 * (|c_min| + 1)", res
-        )
+        raise EigenSolveError(f"eigen-residual {res:.3e} exceeds 1e-8 * (|c_min| + 1)")
     return CoercivityReport(
         c_min=lam,
         gamma=gamma,
@@ -415,49 +410,53 @@ def stability_at(op: BandedPeriodicOperator, gamma: float = 1.0) -> StabilityRec
     of negative eigenvalues of S on mean-zero fields from one bordered
     factorization (_shifted_ldl at sigma = 0).  A circulant operator, or
     one whose count cannot be trusted, goes to coercivity_constant, and
-    the record keeps the path 'circulant' or 'eigen'.
+    the record keeps its path, 'circulant' or 'sliced'.
     """
     if not _is_circulant(op):
         factored = _shifted_ldl(op.config.a * op.symmetric_part().bands)
         if factored is not None:
             return StabilityRecord(gamma, factored[1] == 0, factored[1], None, "inertia")
     rep = coercivity_constant(op)
-    path = "circulant" if rep.path == "circulant" else "eigen"
-    return StabilityRecord(gamma, rep.c_min > 0.0, None, rep.c_min, path)
+    return StabilityRecord(gamma, rep.c_min > 0.0, None, rep.c_min, rep.path)
 
 
 _MARGIN = 1e-8  # a bound on c_min this near 0, relative to its terms, decides nothing
 
 
 class _Eigencurve:
-    """c_min of the N = 2 and 3 stretches assembled like A(1), from samples.
+    """c_min of the N = 2 and 3 stretches assembled like the first, from samples.
 
     Bands are linear in the coefficients c_k = phi''(k gamma), and the k = 1
-    part is G/a whatever the blend.  So A(gamma) = c_1 G/a + |c_2| A(0, s, t),
-    A(c) being A(1)'s recipe with coefficients c, s the sign of c_2 and
-    t = c_3 / |c_2| (0 for N = 2), and c_min = c_1 + |c_2| g(t) for
-    g(t) = c_min(A(0, s, t)).  g is a minimum of functions affine in t, so
-    concave.  A sample at t_i takes g_i from the quotient of the solver's
-    mode v_i, whatever the solver reports, so g_i + s_i (t - t_i) bounds g
-    above, s_i = a <A(0, 0, 1) v_i, v_i> (Hellmann-Feynman).  One count
-    proves its lower end, g_i less _MARGIN of its terms, so the chord of
-    adjacent lower ends bounds g below between them (the successive
-    constraint method in one parameter: Huynh, Rozza, Sen & Patera, C. R.
-    Acad. Sci. Paris I 345, 2007), and every bracket returned holds c_min.
-    The first sample is nu = c_min(A(1)), the only one for N = 2.  A
-    stretch is decided where both bounds on c_min have one sign beyond
-    _MARGIN, else after one more sample: at 0 if t lies between the
-    samples and 0 (one chord then covers the sweep), else at t unless t is
-    a sample.  A sample that fails its solve or count ends the eigencurve.
+    part is G/a whatever the blend.  So a stretch with c_2 < 0 is
+    A(gamma) = c_1 G/a + |c_2| A(0, -1, t), A(c) being the first stretch's
+    recipe with coefficients c and t = c_3 / |c_2| (0 for N = 2), and
+    c_min = c_1 + |c_2| g(t) for g(t) = c_min(A(0, -1, t)).  g is a minimum
+    of functions affine in t, so concave.  A sample at t_i takes g_i from
+    the quotient of the solver's mode v_i, whatever the solver reports, so
+    g_i + s_i (t - t_i) bounds g above, s_i = a <A(0, 0, 1) v_i, v_i>
+    (Hellmann-Feynman).  One count proves its lower end, g_i less _MARGIN
+    of its terms, so the chord of adjacent lower ends bounds g below between
+    them (the successive constraint method in one parameter: Huynh, Rozza,
+    Sen & Patera, C. R. Acad. Sci. Paris I 345, 2007), and every bracket
+    returned holds c_min.  A stretch is decided where both bounds on c_min
+    have one sign beyond _MARGIN, else after one more sample: at 0 if t
+    lies between the samples and 0 (one chord then covers the sweep), else
+    at t, from the stretch itself, unless t is a sample.  So the first
+    sample is the first stretch, nu = c_min(A(1)) in a sweep, and the only
+    one for N = 2.  A sample that fails its solve or count ends the
+    eigencurve.  A stretch with c_2 >= 0 goes to stability_at; a Morse chain has none.
     """
 
     def __init__(self, op1: BandedPeriodicOperator):
-        self.config, self.op1 = op1.config, op1
-        self.recipe = op1.recipe if self.config.N in (2, 3) else None
+        self.config, N = op1.config, op1.config.N
+        self.recipe = op1.recipe if N in (2, 3) else None
+        if self.recipe is not None:  # A(0, 0, 1), read for N = 3 slopes
+            unit = replace(self.recipe, coefficients=(0.0, 0.0, 1.0)[:N])
+            self.unit = BandedPeriodicOperator(self.config, recipe=unit)
         self.samples = []  # (t_i, lower end of g_i, its line (g_i, s_i)), ascending in t
 
     def _add(self, op):
-        """Sample g at t = c_3 / |c_2| from op = c_1 G/a + |c_2| A(0, s, t), or
+        """Sample g at t = c_3 / |c_2| from op = c_1 G/a + |c_2| A(0, -1, t), or
         set recipe None.  The Fourier minimum is exact and skips the count."""
         try:
             rep = coercivity_constant(op)
@@ -475,31 +474,28 @@ class _Eigencurve:
                 self.recipe = None
                 return
         c1, c2, *c3 = op.recipe.coefficients
-        w = abs(c2)
+        w = -c2
         s = a * float(v @ self.unit.apply_values(v)) if c3 else 0.0
         self.samples.append((c3[0] / w if c3 else 0.0, (q_lo - c1) / w, ((q - c1) / w, s)))
         self.samples.sort()
 
     def record(self, op: BandedPeriodicOperator, gamma: float) -> StabilityRecord | None:
         """The stretch decided by its bracket [f_lo, f_hi] on c_min, or None.
-        It qualifies with A(1)'s kind, config, blend object and sign of c_2."""
+        It qualifies with c_2 < 0 and the first stretch's kind, config and
+        blend object."""
         r1 = self.recipe
         r = None if r1 is None else op.recipe
         if r is None or r.beta is not r1.beta or (r.kind, op.config) != (r1.kind, self.config):
             return None
         c1, c2, *c3 = r.coefficients
-        if not c2 * r1.coefficients[1] > 0.0:
+        if not c2 < 0.0:
             return None
-        w = abs(c2)
+        w = -c2
         t = c3[0] / w if c3 else 0.0
-        if not self.samples:  # nu, once a stretch qualifies
-            unit = replace(r1, coefficients=(0.0, 0.0, 1.0)[: self.config.N])
-            self.unit = BandedPeriodicOperator(self.config, recipe=unit)  # read for N = 3 slopes
-            self._add(self.op1)
         for last in (False, True):
             if self.recipe is None:  # the sample just taken failed
                 return None
-            hi = min([g + s * (t - ti) for ti, _, (g, s) in self.samples])
+            hi = min([g + s * (t - ti) for ti, _, (g, s) in self.samples], default=math.inf)
             lo = -math.inf  # no chord reaches past the samples
             for (ta, la, _), (tb, lb, _) in zip(self.samples, self.samples[1:] or self.samples):
                 if ta <= t <= tb:
@@ -509,11 +505,11 @@ class _Eigencurve:
             if f_lo > margin or f_hi < -margin:
                 return StabilityRecord(gamma, f_lo > margin, None, f_hi, "pencil", (f_lo, f_hi))
             ts = [p[0] for p in self.samples]
-            at = 0.0 if ts[-1] < t < 0.0 or 0.0 < t < ts[0] else t
+            at = 0.0 if ts and (ts[-1] < t < 0.0 or 0.0 < t < ts[0]) else t
             if last or at in ts:
                 return None
-            recipe = replace(r1, coefficients=(0.0, math.copysign(1.0, c2), at))
-            self._add(BandedPeriodicOperator(self.config, recipe=recipe))
+            zero = replace(r1, coefficients=(0.0, -1.0, 0.0))
+            self._add(op if at == t else BandedPeriodicOperator(self.config, recipe=zero))
 
 
 def _warn_unless_single_sign_change(nearest: dict, rec: StabilityRecord) -> None:
@@ -556,9 +552,9 @@ def critical_strain(
     """Largest grid stretch gamma = 1 + i*dgamma at which the operator is stable.
 
     build_operator(gamma) must return the operator at that stretch.  Each
-    stretch is built and decided once, by stability_at at gamma = 1 and
-    then by _Eigencurve where it qualifies; report_sink, if given, receives
-    its StabilityRecord right after.  See _scan for the scan and its checks.
+    stretch is built and decided once, by _Eigencurve where it qualifies,
+    else by stability_at; report_sink, if given, receives its
+    StabilityRecord right after.  See _scan for the scan and its checks.
     A gamma_max below 1 + dgamma leaves no grid and raises ValueError; one
     on the grid up to its own rounding is on it.
     """
@@ -582,10 +578,10 @@ def _scan(build_operator, dgamma, gamma_max, step, max_units, report_sink):
     stretches, each a (grid units, record) pair: coarse steps, the last
     cut short at max_units, to the first unstable stretch, then bisection,
     assuming one sign change (_warn_unless_single_sign_change checks it).
-    One pass, each stretch evaluated once: by stability_at at gamma = 1,
-    then by the eigencurve of gamma = 1's operator where it decides, else
-    by stability_at.  An eigencurve bracket is proven (see _Eigencurve),
-    so no decided stretch is checked again."""
+    One pass, each stretch evaluated once and by one rule: by the
+    eigencurve of gamma = 1's operator where it decides, else by
+    stability_at.  An eigencurve bracket is proven (see _Eigencurve), so
+    no decided stretch is checked again."""
     nearest = {"neg_count": [None, None], "c_min": [None, None]}
     curve = None
 
@@ -593,10 +589,8 @@ def _scan(build_operator, dgamma, gamma_max, step, max_units, report_sink):
         nonlocal curve
         gamma = 1.0 + i * dgamma
         op = build_operator(gamma)
-        if curve is None:  # gamma = 1, the first stretch evaluated
-            rec, curve = stability_at(op, gamma), _Eigencurve(op)
-        else:
-            rec = curve.record(op, gamma) or stability_at(op, gamma)
+        curve = curve or _Eigencurve(op)  # A(1)'s, gamma = 1 being evaluated first
+        rec = curve.record(op, gamma) or stability_at(op, gamma)
         if report_sink is not None:
             report_sink(rec)
         _warn_unless_single_sign_change(nearest, rec)

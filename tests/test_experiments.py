@@ -149,7 +149,7 @@ def test_deform_requires_force_kind():
 
 
 def test_consistency_sweep_slopes(morse):
-    table = run_consistency_sweep(N=2, M_list=(250, 500, 1000, 2000))
+    table = run_consistency_sweep(N=2)
     assert 1.85 <= float(table.metadata["force_slope_l2"]) <= 2.15
     assert 1.85 <= float(table.metadata["force_slope_linf"]) <= 2.15
     assert 1.85 <= float(table.metadata["energy_slope"]) <= 2.15
@@ -181,9 +181,9 @@ def test_run_coercivity_and_determinism(tmp_path):
 
 
 def test_run_scaling_small(morse):
-    table = run_scaling(family="cubic", N=2, M_list=(48, 64))
+    table = run_scaling(family="cubic", N=2)
     assert table.metadata["L_rule"] == "M^(1/3)"
-    assert [r[0] for r in table.rows] == [48, 64]
+    assert [r[0] for r in table.rows] == [500, 1000, 2000, 4000]
     assert min(table.column("c_min")) > 0
 
 

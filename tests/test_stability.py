@@ -193,8 +193,7 @@ def test_critical_strain_reports_each_gamma_once(morse):
     g = critical_strain(build, dgamma=1e-3, gamma_max=1.3, coarse=1e-2, report_sink=sink)
     assert [r.gamma for r in records] == built
     assert len(set(built)) == len(built)
-    assert records[0].path == "inertia"
-    assert {r.path for r in records[1:]} == {"pencil"}
+    assert {r.path for r in records} == {"pencil"}
     by_units = {round((r.gamma - 1.0) / 1e-3): r for r in records}
     units = round((g - 1.0) / 1e-3)
     assert by_units[units].stable and not by_units[units + 1].stable
@@ -231,12 +230,25 @@ def test_critical_strain_warns_when_count_falls(morse):
         critical_strain(build, dgamma=1e-3, gamma_max=1.3, coarse=1e-2)
 
 
+def test_critical_strain_compares_gamma_one_with_later_stretches(morse):
+    # gamma = 1 assembled at stretch 1.15 has a lower c_min than the later
+    # stretches, which nu, now gamma = 1's own record, must show
+    cfg = ChainConfig(M=32, N=2)
+    beta = cubic_beta(cfg, 3)
+
+    def build(gamma):
+        return assemble_linear("bqcf", morse, cfg, beta, 1.15 if gamma == 1.0 else gamma)
+
+    with pytest.warns(RuntimeWarning, match=r"coercivity increased from gamma=1\.000000"):
+        critical_strain(build, dgamma=1e-3, gamma_max=1.3, coarse=1e-2)
+
+
 @pytest.mark.parametrize("N", [3, 4])
 def test_critical_strain_warns_when_count_falls_by_inertia(morse, N):
-    # N = 3: the eigencurve decides the bump, and the bracket of the cell's
-    # upper end lies wholly above the midpoint's.  N = 4: inertia decides
-    # it, and the negative-eigenvalue count falls from the midpoint to the
-    # upper end.
+    # N = 3: the eigencurve decides every stretch, and the bracket of the
+    # cell's upper end lies wholly above the midpoint's.  N = 4: inertia
+    # decides every stretch, and the negative-eigenvalue count falls from
+    # the midpoint to the upper end.
     cfg = ChainConfig(M=32, N=N)
     beta = cubic_beta(cfg, 3)
     records = []
@@ -250,8 +262,7 @@ def test_critical_strain_warns_when_count_falls_by_inertia(morse, N):
             build_bump, dgamma=1e-3, gamma_max=1.3, coarse=1e-2, report_sink=records.append
         )
     assert g == 1.0 + 100 * 1e-3
-    assert records[0].path == "inertia"
-    assert {r.path for r in records[1:]} == paths
+    assert {r.path for r in records} == paths
 
 
 def test_neighbour_rule_matches_reference(monkeypatch):
@@ -278,7 +289,7 @@ def test_neighbour_rule_matches_reference(monkeypatch):
             if by_inertia[i]:
                 n = 0 if stable[i] else int(neg[i])
                 return StabilityRecord(gamma, bool(stable[i]), n, None, "inertia")
-            return StabilityRecord(gamma, bool(stable[i]), None, c[i] if stable[i] else -c[i], "eigen")
+            return StabilityRecord(gamma, bool(stable[i]), None, c[i] if stable[i] else -c[i], "sliced")
 
         def build(gamma):
             return SimpleNamespace(config=stub_config, record=decide(round((gamma - 1.0) / dgamma)))
@@ -428,9 +439,10 @@ def test_pencil_affine_identity(morse, which, M):
 
 @pytest.mark.parametrize("copy", ["raw_bands", "distinct_beta"])
 def test_stretches_outside_the_recipe_go_to_inertia(morse, copy):
-    # a raw-band operator carries no coefficients, and a blend equal in
-    # value but not the same object is not known to be the same blend, so
-    # every stretch is decided by inertia, with the pencil sweep's answer
+    # a raw-band operator carries no coefficients, so every stretch is
+    # decided by inertia; a blend equal in value to gamma = 1's but not the
+    # same object is not known to be the same blend, so every stretch past
+    # gamma = 1 is.  Either way the sweep gives the pencil sweep's answer
     cfg = ChainConfig(M=64, N=2)
     beta = cubic_beta(cfg, 4)
 
@@ -447,12 +459,13 @@ def test_stretches_outside_the_recipe_go_to_inertia(morse, copy):
     want = critical_strain(build, 1e-3, 1.3, coarse=1e-2, report_sink=want_records.append)
     assert "pencil" in {r.path for r in want_records}
     assert critical_strain(build_copy, 1e-3, 1.3, coarse=1e-2, report_sink=records.append) == want
-    assert {r.path for r in records} == {"inertia"}
+    assert records[0].path == ("inertia" if copy == "raw_bands" else "pencil")
+    assert {r.path for r in records[1:]} == {"inertia"}
 
 
 def test_reference_sweep_builds_one_band_array(morse, monkeypatch):
-    # the sweep-ref pass: gamma = 1 (decided, then nu and its count) is the
-    # only stretch whose bands are built, and it makes 4 factorizations
+    # the sweep-ref pass: gamma = 1 (nu, which decides it, and nu's count)
+    # is the only stretch whose bands are built, and it makes 3 factorizations
     cfg = ChainConfig(M=2000, N=2)
     beta = cubic_beta(cfg, 5)
     built, factorizations, records = [], [], []
@@ -469,12 +482,12 @@ def test_reference_sweep_builds_one_band_array(morse, monkeypatch):
     g = critical_strain(build, 1e-5, 1.5, coarse=1e-3, report_sink=records.append)
     assert g == 1.0 + 19085 * 1e-5
     assert (len(built), len(records)) == (1, 199)
-    assert len(factorizations) <= 4
+    assert len(factorizations) <= 3
 
 
 def test_n3_sweep_takes_the_eigencurve_n4_does_not(morse):
-    # past gamma = 1, the eigencurve decides every N = 3 stretch of these
-    # sweeps, and no N = 4 stretch
+    # the eigencurve decides every N = 3 stretch of these sweeps, gamma = 1
+    # included, and no N = 4 stretch
     for N in (3, 4):
         cfg = ChainConfig(M=32, N=N)
         for beta, first in ((cubic_beta(cfg, 3), "inertia"), (beta_one(cfg), "circulant")):
@@ -484,8 +497,7 @@ def test_n3_sweep_takes_the_eigencurve_n4_does_not(morse):
                 return assemble_linear("bqcf", morse, cfg, beta, gamma)
 
             critical_strain(build, 1e-3, 1.3, coarse=1e-2, report_sink=records.append)
-            assert records[0].path == first
-            assert {r.path for r in records[1:]} == ({"pencil"} if N == 3 else {first})
+            assert {r.path for r in records} == ({"pencil"} if N == 3 else {first})
 
 
 @pytest.mark.parametrize(
@@ -513,7 +525,7 @@ def test_pencil_failure_falls_back_to_inertia(morse, monkeypatch, N, nu_error):
         if N == 3 and op.recipe.coefficients != (0.0, -1.0, 0.0):
             return exact(op, **kwargs)
         if nu_error == "raise":
-            raise EigenSolveError("forced", 1.0)
+            raise EigenSolveError("forced")
         rep = exact(op, **kwargs)
         rep.c_min += nu_error
         return rep
@@ -527,8 +539,9 @@ def test_pencil_failure_falls_back_to_inertia(morse, monkeypatch, N, nu_error):
     gammas = [r.gamma for r in records]
     assert len(set(gammas)) == len(gammas)
     assert not any(r.path.startswith("rerun-") for r in records)
-    if nu_error == "raise":  # N = 3 takes nu, then fails at t = 0
-        assert {r.path for r in records} == {"inertia"}
+    if nu_error == "raise":  # N = 3 decides gamma = 1 by nu, then fails at t = 0
+        assert records[0].path == ("inertia" if N == 2 else "pencil")
+        assert {r.path for r in records[1:]} == {"inertia"}
     else:
         assert "pencil" in {r.path for r in records}
 
@@ -538,7 +551,8 @@ def test_wrong_sample_mode_is_rejected_by_its_count(morse, monkeypatch, N):
     # the solver returns a higher Fourier mode in place of the lowest one:
     # for N = 2 at nu, for N = 3 at the sample t = 0.  Its quotient lies far
     # above c_min, so the count at its lower end finds eigenvalues below
-    # it, the eigencurve ends, and inertia decides every later stretch
+    # it, the eigencurve ends, and inertia decides every later stretch (for
+    # N = 3, every stretch but gamma = 1, which nu decides)
     cfg = ChainConfig(M=64, N=N)
     beta = cubic_beta(cfg, 4)
     gram = _h1_gram(cfg)
@@ -566,13 +580,15 @@ def test_wrong_sample_mode_is_rejected_by_its_count(morse, monkeypatch, N):
     assert len(taken) == 1
     assert g == want
     assert [r.gamma for r in records] == list(evaluated)
-    assert {r.path for r in records} == {"inertia"}
+    assert records[0].path == ("inertia" if N == 2 else "pencil")
+    assert {r.path for r in records[1:]} == {"inertia"}
 
 
 def test_atomistic_sweep_takes_the_pencil_without_factorizing(morse, monkeypatch):
     # the atomistic nu is the exact Fourier minimum at gamma = 1 and skips
-    # its count, so the sweep factors nothing; deciding every stretch by
-    # the Fourier route instead gives the same answer
+    # its count, so the sweep factors nothing while nu decides every
+    # stretch; deciding each by the Fourier route instead gives the same
+    # answer
     cfg = ChainConfig(M=2000, N=2)
     beta = beta_one(cfg)
 
@@ -584,8 +600,7 @@ def test_atomistic_sweep_takes_the_pencil_without_factorizing(morse, monkeypatch
     monkeypatch.setattr(stability, "splu", lambda *a, **k: factorizations.append(1) or splu(*a, **k))
     records = []
     g = critical_strain(build, 1e-5, 1.5, coarse=1e-3, report_sink=records.append)
-    assert records[0].path == "circulant"
-    assert {r.path for r in records[1:]} == {"pencil"}
+    assert {r.path for r in records} == {"pencil"}
     assert factorizations == []
     monkeypatch.setattr(stability._Eigencurve, "record", lambda self, op, gamma: None)
     records = []
@@ -623,7 +638,7 @@ def test_inertia_falls_back_on_untrusted_pivots(morse, leading):
     # against diagonal entries ~3.6e5: a zero leading entry makes SuperLU
     # pivot, 1e-4 leaves a chain pivot below n * eps * max|d|, and 1e-300
     # overflows the next pivot into an exactly singular factor.  Each
-    # time the eigen path decides.
+    # time the sliced solver decides.
     cfg = ChainConfig(M=64, N=2)
     for gamma in (1.0, 1.25):
         base = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 5), gamma)
@@ -631,7 +646,7 @@ def test_inertia_falls_back_on_untrusted_pivots(morse, leading):
         bands[cfg.N, 0] = leading
         op = BandedPeriodicOperator(cfg, bands)
         rec = stability_at(op, gamma)
-        assert rec.path == "eigen" and rec.neg_count is None
+        assert rec.path == "sliced" and rec.neg_count is None
         assert rec.c_min == coercivity_constant(op).c_min
         assert rec.stable == (dense_negative_count(op) == 0)
 
@@ -775,6 +790,24 @@ def test_sliced_matches_dense_oracle_across_counts(morse, stability_lu):
         c = dense_cmin(op)
         assert abs(rep.c_min - c) <= 1e-10 * (abs(c) + 1.0), (N, make_profile, L, gamma)
     assert {0, 1, 2} <= set(stability_lu.counts)
+
+
+def test_sliced_returns_no_mode_above_a_counted_shift(morse, monkeypatch):
+    # with T's negative Ritz values dropped, a count-1 factor follows the
+    # largest, and the next (count-0) factor converges to the second mode,
+    # whose quotient lies above the count-1 shift that proved c_min below it
+    eigh_tridiagonal = stability.eigh_tridiagonal
+
+    def nonnegative_ritz(d, e):
+        theta, s = eigh_tridiagonal(d, e)
+        return theta[theta >= 0.0], s[:, theta >= 0.0]
+
+    monkeypatch.setattr(stability, "eigh_tridiagonal", nonnegative_ritz)
+    cfg = ChainConfig(M=64, N=2)
+    op = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 4), 1.1)
+    rep = coercivity_constant(op)
+    c = dense_cmin(op)
+    assert abs(rep.c_min - c) <= 1e-10 * (abs(c) + 1.0)
 
 
 def test_non_finite_solve_raises(morse, stability_lu):
