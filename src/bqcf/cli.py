@@ -17,6 +17,7 @@ configuration, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from . import experiments
@@ -54,22 +55,18 @@ _FLAGS = {
 }
 
 
-def _deform(**settings):
-    return experiments.solve_deformation(**settings)[1]
-
-
 def _counts(t) -> str:
     """The factorizations and solves that a coercivity table's rows took."""
     f, s = sum(t.column("factorizations")), sum(t.column("iterations"))
     return f" ({f} factorizations, {s} solves)"
 
 
-# scenario -> (help, runner, its keywords other than the Morse ones, summary)
+# scenario -> (help, runner, summary); the runner's parameters other than
+# potential are the scenario's flags
 SCENARIOS = {
     "critical-strain": (
         "critical stretch per family and blend size",
         experiments.run_critical_strain_table,
-        ("M", "N", "one_sided", "dgamma", "gamma_max", "coarse"),
         lambda t: (
             f"critical-strain: {len(t.rows)} rows, "
             f"atomistic gamma = {t.metadata['gamma_atomistic']}"
@@ -78,13 +75,11 @@ SCENARIOS = {
     "coercivity": (
         "coercivity constant of the blended operator",
         experiments.run_coercivity,
-        ("M", "N", "family", "L", "one_sided"),
         lambda t: f"coercivity: c_min = {t.column('c_min')[0]:.6g}{_counts(t)}",
     ),
     "consistency": (
         "atomistic/continuum consistency rates",
         experiments.run_consistency_sweep,
-        ("N",),
         lambda t: (
             f"consistency: force slope l2 = {t.metadata['force_slope_l2']:.3f}, "
             f"energy slope = {t.metadata['energy_slope']:.3f}"
@@ -92,8 +87,7 @@ SCENARIOS = {
     ),
     "deform": (
         "displacement under an external force",
-        _deform,
-        ("force_kind", "M", "N", "family", "L", "one_sided", "amp_scale", "mu", "sigma"),
+        experiments.solve_deformation,
         lambda t: (
             f"deform ({t.metadata['force_kind']}): "
             f"max|u_N2| = {max(abs(v) for v in t.column('u_N2')):.6g}"
@@ -102,7 +96,6 @@ SCENARIOS = {
     "scaling": (
         "coercivity across chain sizes",
         experiments.run_scaling,
-        ("family", "N"),
         lambda t: f"scaling: min c_min = {min(t.column('c_min')):.6g}{_counts(t)}",
     ),
 }
@@ -111,8 +104,9 @@ SCENARIOS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bqcf", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="scenario", required=True)
-    for scenario, (help_text, _, keywords, _) in SCENARIOS.items():
+    for scenario, (help_text, runner, _) in SCENARIOS.items():
         p = subs.add_parser(scenario, help=help_text, argument_default=argparse.SUPPRESS)
+        keywords = [k for k in inspect.signature(runner).parameters if k != "potential"]
         for key in (*keywords, *_MORSE):
             flag, options = _FLAGS[key]
             p.add_argument(flag, dest=key, **options)
@@ -149,12 +143,13 @@ def main(argv=None) -> int:
         return exc.code
     scenario = settings.pop("scenario")
     out = settings.pop("out", f"{scenario}.csv")
-    _, runner, _, summary = SCENARIOS[scenario]
+    _, runner, summary = SCENARIOS[scenario]
     if "family" in settings:
         settings["family"] = _FAMILY_ALIASES[settings["family"]]
     try:
         potential = MorseParams(**{k: settings.pop(k) for k in _MORSE if k in settings})
-        table = runner(potential=potential, **settings)
+        # called by name, so a wrapper set on the module since import runs too
+        table = getattr(experiments, runner.__name__)(potential=potential, **settings)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -263,15 +263,15 @@ def solve_deformation(
     force_kind: str, M: int = 2000, N: int = 2, potential: MorseParams = MorseParams(),
     family: str = "cubic", L: int = 5, *, one_sided: bool = False, amp_scale: float = 0.2,
     mu: float | None = None, sigma: float | None = None,
-):
+) -> ResultTable:
     """Blended response to an external force for N = 1, 2, 3.
 
     force_kind is 'sine' or 'gaussian' (see external_force); only the
     gaussian takes mu and sigma, whose defaults 4a and 50a are recorded
     as values.  Projects the force, which depends only on M, onto mean
     zero once (recording the removed mean), checks coercivity at gamma = 1
-    for the given N, and solves the three interaction ranges.  Returns
-    (u for N, table).
+    for the given N, and solves the three interaction ranges, whose
+    displacements are the table's u_N1, u_N2 and u_N3 columns.
     """
     if force_kind not in ("sine", "gaussian"):
         raise ValueError(f"deform needs force_kind 'sine' or 'gaussian', got {force_kind!r}")
@@ -324,12 +324,11 @@ def solve_deformation(
         gap_linf_N1_N2=linf_norm(PeriodicField(base, solutions[1].values - solutions[2].values)),
         gap_linf_N2_N3=linf_norm(PeriodicField(base, solutions[2].values - solutions[3].values)),
     )
-    table = ResultTable(
+    return ResultTable(
         columns=["ell", "x", "u_N1", "u_N2", "u_N3", "f_ext"],
         rows=rows,
         metadata=meta,
     )
-    return solutions[N], table
 
 
 def run_scaling(

@@ -27,10 +27,12 @@ pattern built once per (2M, N).  The sweep's test (S), every shift of the
 slicing (S - sigma G) and the deform solve (A itself) share it, so no
 sparse matrix is assembled per call.
 
-Constant-coefficient operators take the exact Fourier minimum.  Every
-other operator is solved by spectrum slicing: shifts bracketed by that
-count, with a Lanczos run on each factor that has no eigenvalue below its
-shift or, above a count-0 shift, only c_min (_sliced_cmin).  A
+Constant-coefficient operators take their least Fourier mode
+(_circulant_cmin).  Every other operator is solved by spectrum slicing:
+shifts bracketed by that count, with a Lanczos run on each factor that
+has no eigenvalue below its shift or, above a count-0 shift, only c_min
+(_sliced_cmin).  Both paths, and each eigencurve sample, evaluate their
+mode by one rule (_mode), so c_min is always a mode's quotient.  A
 critical-strain sweep needs only the sign of c_min at each grid stretch:
 for N = 2 and 3 a few samples of one concave family bound it at every
 stretch, gamma = 1 included, each sample's lower end proven by one count
@@ -79,12 +81,12 @@ class CoercivityReport:
 
     residual is the generalized eigen-residual |S v - c G v| / |G v|
     (eigenvalue units); mode is the minimizing displacement, mean-zero
-    and G-normalized.  path is 'circulant' (exact Fourier minimum) or
-    'sliced' (Lanczos on inertia-checked shifts); iterations counts the
-    linear solves, one per Lanczos step, and factorizations the shifted
-    factorizations, trusted or not (two per scaling-ladder rung: the far
-    first shift, then one a tenth of its run's residual below the
-    quotient).
+    and G-normalized; c_min is its quotient.  path is 'circulant' (the
+    least Fourier mode) or 'sliced' (Lanczos on inertia-checked shifts),
+    both evaluated by _mode; iterations counts the linear solves, one per
+    Lanczos step, and factorizations the shifted factorizations, trusted
+    or not (two per scaling-ladder rung: the far first shift, then one a
+    tenth of its run's residual below the quotient).
     """
 
     c_min: float
@@ -131,12 +133,38 @@ class StabilityRecord:
         return f"c_min = {self.c_min:.6g}" if lo == hi else f"c_min in [{lo:.6g}, {hi:.6g}]"
 
 
-def _h1_gram(config: ChainConfig) -> BandedPeriodicOperator:
-    """G = a D^T D for the periodic forward difference D: bands -1/a, 2/a, -1/a."""
+def _h1_gram(config: ChainConfig) -> np.ndarray:
+    """The bands -1/a, 2/a, -1/a of G = a D^T D, D the periodic forward difference."""
     N, a = config.N, config.a
     bands = np.zeros((2 * N + 1, config.n_atoms))
     bands[N - 1 : N + 2] = np.array([[-1.0 / a], [2.0 / a], [-1.0 / a]])
-    return BandedPeriodicOperator(config, bands)
+    return bands
+
+
+def _gram(v: np.ndarray, a: float) -> np.ndarray:
+    """G v by its stencil (2 v_l - v_{l-1} - v_{l+1}) / a."""
+    ext = np.concatenate((v[-1:], v, v[:1]))
+    return (2.0 * v - ext[:-2] - ext[2:]) / a
+
+
+def _project(x: np.ndarray) -> np.ndarray:
+    """x on mean-zero fields: x - (ebar . x) ebar, ebar the unit constant."""
+    ebar = np.full(x.shape[0], 1.0 / np.sqrt(x.shape[0]))
+    return x - (ebar @ x) * ebar
+
+
+def _mode(op: BandedPeriodicOperator, sym: BandedPeriodicOperator, v: np.ndarray):
+    """Evaluate v as a mode of op, sym being op.symmetric_part(): the
+    G-normalized mean-zero v, its quotient c = a <A v, v> (= <S v, v>, but
+    A's row sums vanish exactly where A^T's carry roundoff), the pencil
+    residual |P S v - c G v| / |G v| (eigenvalue units) and G v."""
+    a = op.config.a
+    v = _project(v)
+    v = v / np.sqrt(v @ _gram(v, a))
+    c = float(v @ op.apply_values(v)) * a
+    sv = _project(sym.apply_values(v) * a)
+    gv = _gram(v, a)
+    return v, c, float(np.linalg.norm(sv - c * gv) / np.linalg.norm(gv)), gv
 
 
 @lru_cache(maxsize=8)
@@ -165,37 +193,27 @@ def bordered_matrix(bands: np.ndarray):
 
 
 def _circulant_cmin(op: BandedPeriodicOperator):
-    """Exact minimum quotient for constant-coefficient (circulant) operators.
+    """The least Fourier mode of a constant-coefficient (circulant) operator.
 
     Fourier modes diagonalize both the operator's symmetric part and the
     H1 Gram matrix, so the quotient at wavenumber theta_m = 2 pi m / 2M is
 
-        q_m = a * sum_o d_o cos(o theta_m) / (4 sin^2(theta_m / 2) / a),
+        q_m = a * sum_o d_o cos(o theta_m) / (4 sin^2(theta_m / 2) / a).
 
-    minimized over m = 1 .. 2M-1.
+    This symbol only picks the least m = 1 .. 2M-1; its mode is evaluated
+    like any other (_mode), so c_min is the mode's quotient, which near
+    theta = 0 is far more accurate than the symbol's ratio of small terms.
     """
-    config = op.config
-    n = config.n_atoms
-    a = config.a
+    n, a = op.config.n_atoms, op.config.a
     theta = 2.0 * np.pi * np.arange(1, n) / n
     sym = np.zeros(n - 1)
     for o, d in op.diagonals.items():
         sym += d[0] * np.cos(o * theta)
-    quot = (a * sym) / (4.0 * np.sin(theta / 2.0) ** 2 / a)
-    m_star = int(np.argmin(quot)) + 1
-    lam = float(quot[m_star - 1])
+    m_star = int(np.argmin((a * sym) / (4.0 * np.sin(theta / 2.0) ** 2 / a))) + 1
     # reduce the phase modulo the period in exact integer arithmetic;
     # large raw angles would cost ~m*p*eps of phase accuracy
     phase = (m_star * np.arange(n, dtype=np.int64)) % n
-    v = np.cos(2.0 * np.pi * phase / n)
-    v = v - v.mean()
-    sym_op = op.symmetric_part()
-    G = _h1_gram(config)
-    v = v / np.sqrt(v @ G.apply_values(v))
-    sv = sym_op.apply_values(v) * a
-    sv = sv - sv.mean()
-    gv = G.apply_values(v)
-    res = float(np.linalg.norm(sv - lam * gv) / np.linalg.norm(gv))
+    v, lam, res, _ = _mode(op, op.symmetric_part(), np.cos(2.0 * np.pi * phase / n))
     return lam, v, res, 0, 0
 
 
@@ -203,13 +221,14 @@ def _is_circulant(op: BandedPeriodicOperator) -> bool:
     return bool(np.all(np.ptp(op.bands, axis=1) == 0.0))
 
 
-def _shifted_ldl(B: np.ndarray):
-    """Factor K = [[B, e], [e^T, 0]] as L D L^T and count.
+def _shifted_ldl(sym: BandedPeriodicOperator, sigma: float):
+    """Factor K = [[S - sigma G, e], [e^T, 0]] as L D L^T and count.
 
-    B holds the bands of S - sigma G.  Returns (lu, neg), where
-    neg = neg(K) - 1 is the number of eigenvalues of the pencil (S, G)
-    below sigma on mean-zero fields (for sigma = 0, the negative
-    eigenvalues of S there), or None when the signs cannot be trusted.
+    S = a * sym, sym being an operator's symmetric part, and G is built
+    here.  Returns (lu, neg), where neg = neg(K) - 1 is the number of
+    eigenvalues of the pencil (S, G) below sigma on mean-zero fields (for
+    sigma = 0, the negative eigenvalues of S there), or None when the
+    signs cannot be trusted.
 
     K is factored in its natural order with diagonal pivots only, so U's
     diagonal is the D of K = L D L^T and neg(K) = #{d_i < 0}; the border
@@ -227,10 +246,11 @@ def _shifted_ldl(B: np.ndarray):
     sign between them whatever sign roundoff gives d; a larger d has a
     resolved sign of its own.
     """
-    n = B.shape[1]
+    config = sym.config
+    n = config.n_atoms
     try:
         lu = splu(
-            bordered_matrix(B),
+            bordered_matrix(config.a * sym.bands - sigma * _h1_gram(config)),
             permc_spec="NATURAL",
             diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),
@@ -279,28 +299,6 @@ def _sliced_cmin(op: BandedPeriodicOperator):
     n = config.n_atoms
     a = config.a
     sym = op.symmetric_part()
-    S = a * sym.bands
-    G = _h1_gram(config).bands
-    ebar = np.full(n, 1.0 / np.sqrt(n))
-
-    def gram(v):  # G v by its stencil (2 v_l - v_{l-1} - v_{l+1}) / a
-        ext = np.concatenate((v[-1:], v, v[:1]))
-        return (2.0 * v - ext[:-2] - ext[2:]) / a
-
-    def project(x):
-        return x - (ebar @ x) * ebar
-
-    def residual_of(v):
-        """G-normalized v, its quotient a <A v, v> (= <S v, v>, but A's row
-        sums vanish exactly where A^T's carry roundoff), the pencil residual
-        |P S v - lam G v| / |G v| (eigenvalue units) and G v."""
-        v = project(v)
-        v = v / np.sqrt(v @ gram(v))
-        lam = float(v @ op.apply_values(v)) * a
-        sv = project(sym.apply_values(v) * a)
-        gv = gram(v)
-        return v, lam, float(np.linalg.norm(sv - lam * gv) / np.linalg.norm(gv)), gv
-
     # half the sum of o^2 max|d_o| a^2 over o != 0, a scale of the H1
     # quotient: sum_k k^2 |phi_xx(k gamma)| on the atomistic operator.  It
     # is usually below the spectrum, but not always (a zero diagonal entry
@@ -310,15 +308,15 @@ def _sliced_cmin(op: BandedPeriodicOperator):
     bound = 0.5 * sum(o * o * d_max[N + o] for o in range(-N, N + 1) if o != 0) * a * a
     sigma = -(2.0 * bound + 50.0)
     lo, hi, cap = -math.inf, math.inf, math.inf  # cap: the least shift with a count
-    v = project(np.random.default_rng(7).standard_normal(n))
-    v /= np.sqrt(v @ gram(v))
-    gv, res = gram(v), math.nan
+    v = _project(np.random.default_rng(7).standard_normal(n))
+    v /= np.sqrt(v @ _gram(v, a))
+    gv, res = _gram(v, a), math.nan
     basis = np.empty((_LANCZOS_STEPS + 1, n))  # G-orthonormal Lanczos vectors
     alpha, beta = np.empty(_LANCZOS_STEPS), np.empty(_LANCZOS_STEPS)
     solves = 0
     for factorizations in range(1, _MAX_FACTORIZATIONS + 1):
         lu = factored = None  # free the last factor before making the next
-        factored = _shifted_ldl(S - sigma * G)
+        factored = _shifted_ldl(sym, sigma)
         if factored is None:  # untrusted signs: nudge the shift toward lo
             sigma = lo + 0.5 * (sigma - lo) if lo > -math.inf else sigma - (abs(sigma) + 1.0)
             continue
@@ -335,11 +333,11 @@ def _sliced_cmin(op: BandedPeriodicOperator):
             z = lu.solve(np.append(gq, 0.0))[:n]
             solves += 1
             Q = basis[: j + 1]
-            h = Q @ gram(z)
+            h = Q @ _gram(z, a)
             z -= h @ Q
             # twice is enough; G does not see constants, so drop them here
-            z = project(z - (Q @ gram(z)) @ Q)
-            gq = gram(z)
+            z = _project(z - (Q @ _gram(z, a)) @ Q)
+            gq = _gram(z, a)
             alpha[j], beta[j] = h[j], math.sqrt(max(z @ gq, 0.0))
             if not math.isfinite(alpha[j] + beta[j]):
                 raise EigenSolveError(
@@ -348,7 +346,7 @@ def _sliced_cmin(op: BandedPeriodicOperator):
             theta, s = eigh_tridiagonal(alpha[: j + 1], beta[:j])  # Ritz pairs, ascending
             k = 0 if theta[0] < 0.0 else -1  # c_min's 1 / (c - sigma) is T's least if < 0
             if (j + 1) % 4 == 0 or beta[j] * abs(s[-1, k]) < 1e-7 * abs(theta[k]):
-                v, lam, res, gv = residual_of(s[:, k] @ Q)
+                v, lam, res, gv = _mode(op, sym, s[:, k] @ Q)
                 hi = min(hi, lam)
                 scale = abs(lam) + 1.0
                 # a residual stagnating at its floor (1e-9 relative at M = 8000)
@@ -413,7 +411,7 @@ def stability_at(op: BandedPeriodicOperator, gamma: float = 1.0) -> StabilityRec
     the record keeps its path, 'circulant' or 'sliced'.
     """
     if not _is_circulant(op):
-        factored = _shifted_ldl(op.config.a * op.symmetric_part().bands)
+        factored = _shifted_ldl(op.symmetric_part(), 0.0)
         if factored is not None:
             return StabilityRecord(gamma, factored[1] == 0, factored[1], None, "inertia")
     rep = coercivity_constant(op)
@@ -432,12 +430,13 @@ class _Eigencurve:
     recipe with coefficients c and t = c_3 / |c_2| (0 for N = 2), and
     c_min = c_1 + |c_2| g(t) for g(t) = c_min(A(0, -1, t)).  g is a minimum
     of functions affine in t, so concave.  A sample at t_i takes g_i from
-    the quotient of the solver's mode v_i, whatever the solver reports, so
-    g_i + s_i (t - t_i) bounds g above, s_i = a <A(0, 0, 1) v_i, v_i>
-    (Hellmann-Feynman).  One count proves its lower end, g_i less _MARGIN
-    of its terms, so the chord of adjacent lower ends bounds g below between
-    them (the successive constraint method in one parameter: Huynh, Rozza,
-    Sen & Patera, C. R. Acad. Sci. Paris I 345, 2007), and every bracket
+    the quotient of the solver's mode v_i, evaluated by _mode like the
+    solvers' own, whatever the solver reports, so g_i + s_i (t - t_i)
+    bounds g above, s_i = a <A(0, 0, 1) v_i, v_i> (Hellmann-Feynman).
+    One count proves its lower end, g_i less _MARGIN of its terms, so the
+    chord of adjacent lower ends bounds g below between them (the
+    successive constraint method in one parameter: Huynh, Rozza, Sen &
+    Patera, C. R. Acad. Sci. Paris I 345, 2007), and every bracket
     returned holds c_min.  A stretch is decided where both bounds on c_min
     have one sign beyond _MARGIN, else after one more sample: at 0 if t
     lies between the samples and 0 (one chord then covers the sweep), else
@@ -457,25 +456,24 @@ class _Eigencurve:
 
     def _add(self, op):
         """Sample g at t = c_3 / |c_2| from op = c_1 G/a + |c_2| A(0, -1, t), or
-        set recipe None.  The Fourier minimum is exact and skips the count."""
+        set recipe None.  The least Fourier mode is an eigenvector, so its
+        quotient is c_min to roundoff, far inside _MARGIN, and skips the count."""
         try:
             rep = coercivity_constant(op)
         except EigenSolveError:
             self.recipe = None
             return
-        a, G = self.config.a, _h1_gram(self.config)
-        v = rep.mode - rep.mode.mean()  # the quotient bounds c_min only on mean-zero fields
-        v = v / math.sqrt(v @ G.apply_values(v))
-        q = a * float(v @ op.apply_values(v))
+        sym = op.symmetric_part()
+        v, q, _, _ = _mode(op, sym, rep.mode)  # q bounds c_min only on mean-zero fields
         q_lo = q - _MARGIN * (abs(q) + 1.0)
         if rep.path != "circulant":
-            factored = _shifted_ldl(a * op.symmetric_part().bands - q_lo * G.bands)
+            factored = _shifted_ldl(sym, q_lo)
             if factored is None or factored[1] != 0:
                 self.recipe = None
                 return
         c1, c2, *c3 = op.recipe.coefficients
         w = -c2
-        s = a * float(v @ self.unit.apply_values(v)) if c3 else 0.0
+        s = self.config.a * float(v @ self.unit.apply_values(v)) if c3 else 0.0
         self.samples.append((c3[0] / w if c3 else 0.0, (q_lo - c1) / w, ((q - c1) / w, s)))
         self.samples.sort()
 
@@ -536,7 +534,7 @@ def _warn_unless_single_sign_change(nearest: dict, rec: StabilityRecord) -> None
             else:
                 continue
             warnings.warn(
-                f"{message}; sweep assumes a single sign change", RuntimeWarning, stacklevel=5
+                f"{message}; sweep assumes a single sign change", RuntimeWarning, stacklevel=4
             )
         ends[0 if rec.stable else 1] = rec
 
@@ -551,12 +549,17 @@ def critical_strain(
 ) -> float:
     """Largest grid stretch gamma = 1 + i*dgamma at which the operator is stable.
 
-    build_operator(gamma) must return the operator at that stretch.  Each
-    stretch is built and decided once, by _Eigencurve where it qualifies,
-    else by stability_at; report_sink, if given, receives its
-    StabilityRecord right after.  See _scan for the scan and its checks.
-    A gamma_max below 1 + dgamma leaves no grid and raises ValueError; one
-    on the grid up to its own rounding is on it.
+    build_operator(gamma) must return the operator at that stretch.  The
+    scan keeps a bracket (lo, hi) of evaluated stretches, each a (grid
+    units, record) pair: coarse steps, the last cut short at max_units, to
+    the first unstable stretch, then bisection, assuming one sign change
+    (_warn_unless_single_sign_change checks it).  One pass, each stretch
+    built and evaluated once and by one rule: by the eigencurve of
+    gamma = 1's operator where it decides, else by stability_at.  An
+    eigencurve bracket is proven (see _Eigencurve), so no decided stretch
+    is checked again.  report_sink, if given, receives each StabilityRecord
+    right after.  A gamma_max below 1 + dgamma leaves no grid and raises
+    ValueError; one on the grid up to its own rounding is on it.
     """
     for name, value in (("dgamma", dgamma), ("gamma_max", gamma_max), ("coarse", coarse)):
         if not math.isfinite(value):
@@ -570,18 +573,6 @@ def critical_strain(
     max_units = math.floor(units + 4.0 * (math.ulp(gamma_max) / dgamma + math.ulp(units)))
     if max_units < 1:
         raise ValueError(f"gamma_max = {gamma_max} leaves no stretch above 1 at dgamma = {dgamma}")
-    return _scan(build_operator, dgamma, gamma_max, step, max_units, report_sink)
-
-
-def _scan(build_operator, dgamma, gamma_max, step, max_units, report_sink):
-    """critical_strain's scan over its bracket (lo, hi) of evaluated
-    stretches, each a (grid units, record) pair: coarse steps, the last
-    cut short at max_units, to the first unstable stretch, then bisection,
-    assuming one sign change (_warn_unless_single_sign_change checks it).
-    One pass, each stretch evaluated once and by one rule: by the
-    eigencurve of gamma = 1's operator where it decides, else by
-    stability_at.  An eigencurve bracket is proven (see _Eigencurve), so
-    no decided stretch is checked again."""
     nearest = {"neg_count": [None, None], "c_min": [None, None]}
     curve = None
 

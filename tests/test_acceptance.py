@@ -8,7 +8,7 @@ and 25 band builds: each blended row factors two shifts for the one
 eigenvalue at gamma = 1 that decides all its stretches, gamma = 1
 included, from their coefficients alone, and one count that proves that
 eigenvalue's lower end.  The atomistic row factors nothing: its
-eigenvalue is the exact Fourier minimum at gamma = 1.
+eigenvalue is the quotient of the least Fourier mode at gamma = 1.
 The fixture records the sweeps' warnings and counts the factorizations,
 so the single-sign-change assumption and the budget are checked on the
 table too.  The same table for N = 3 is pinned beside it; its rows take
@@ -424,7 +424,7 @@ def test_criterion_7_deformation(morse):
     failures = []
     details = []
     for kind in ("sine", "gaussian"):
-        u, table = solve_deformation(kind, M=2000, N=2, family="cubic", L=5)
+        table = solve_deformation(kind, M=2000, N=2, family="cubic", L=5)
         gap12 = table.metadata["gap_linf_N1_N2"]
         gap23 = table.metadata["gap_linf_N2_N3"]
         if not gap23 < gap12:

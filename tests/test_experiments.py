@@ -96,8 +96,8 @@ def test_gaussian_force_peak():
 
 
 def test_zero_force_gives_zero_displacement(morse):
-    u, table = solve_deformation("sine", M=16, N=2, family="cubic", L=2, amp_scale=0.0)
-    assert np.max(np.abs(u.values)) < 1e-14
+    table = solve_deformation("sine", M=16, N=2, family="cubic", L=2, amp_scale=0.0)
+    assert np.max(np.abs(table.column("u_N2"))) < 1e-14
 
 
 def test_deformation_matches_dense_oracle(morse):
@@ -121,12 +121,11 @@ def test_deformation_matches_dense_oracle(morse):
 
 
 def test_deformation_table_structure(morse):
-    u, table = solve_deformation("gaussian", M=32, N=2, family="cubic", L=3)
+    table = solve_deformation("gaussian", M=32, N=2, family="cubic", L=3)
     assert table.columns == ["ell", "x", "u_N1", "u_N2", "u_N3", "f_ext"]
     assert len(table.rows) == 64
     assert abs(np.mean(table.column("u_N2"))) < 1e-10
     assert float(table.metadata["removed_mean"]) > 0  # gaussian has a mean
-    np.testing.assert_allclose(table.column("u_N2"), u.values, rtol=1e-15)
 
 
 def test_deform_rejects_unstable_operator():
@@ -254,6 +253,22 @@ def test_cli_deform_smoke(tmp_path):
     assert code == 0
     table = parse_csv(out.read_text())
     assert table.columns == ["ell", "x", "u_N1", "u_N2", "u_N3", "f_ext"]
+
+
+def test_cli_calls_a_runner_wrapped_after_import(tmp_path, monkeypatch):
+    # a tracer replaces experiments.solve_deformation by a (*args, **kwargs)
+    # wrapper: the flags still come from the runner, and the wrapper runs
+    calls = []
+    solve = experiments.solve_deformation
+
+    def traced(*args, **kwargs):
+        calls.append(kwargs["M"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_deformation", traced)
+    out = tmp_path / "d.csv"
+    assert run_cli(["deform", "--force", "sine", "--M", "16", "--L", "2", "--out", str(out)]) == 0
+    assert calls == [16]
 
 
 def test_cli_consistency_smoke(tmp_path):

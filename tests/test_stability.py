@@ -60,6 +60,19 @@ def test_nearest_neighbor_constant_quotient(morse):
     assert rep.c_min == pytest.approx(54.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("M", [500, 2000, 8000])
+@pytest.mark.parametrize("gamma", [1.0, 1.1])
+@pytest.mark.parametrize("make_beta", [beta_zero, beta_one])
+def test_nearest_neighbor_circulant_is_phi_xx(morse, make_beta, gamma, M):
+    # an N = 1 chain is phi''(gamma) G / a whatever the blend, so every
+    # mode's quotient is phi''(gamma); the Fourier symbol's ratio of small
+    # terms near theta = 0 was off by 4.7e-10 relative at M = 8000
+    cfg = ChainConfig(M=M, N=1)
+    rep = coercivity_constant(assemble_linear("bqcf", morse, cfg, make_beta(cfg), gamma))
+    assert rep.path == "circulant"
+    assert rep.c_min == pytest.approx(morse.phi_xx(gamma), rel=1e-12, abs=0.0)
+
+
 def test_continuum_equals_stability_constant(morse):
     cfg = ChainConfig(M=64, N=2)
     op = assemble_linear("bqcf", morse, cfg, beta_zero(cfg), 1.0)
@@ -419,7 +432,7 @@ def test_pencil_affine_identity(morse, which, M):
     # with coefficients c
     for N in (2, 3):
         cfg = ChainConfig(M=M, N=N)
-        gram = _h1_gram(cfg).bands / cfg.a
+        gram = _h1_gram(cfg) / cfg.a
         betas = [beta_one(cfg), beta_zero(cfg)]
         for make_profile in (symmetric_profile, one_sided_profile):
             for family in ("linear", "cubic", "quintic"):
@@ -555,10 +568,9 @@ def test_wrong_sample_mode_is_rejected_by_its_count(morse, monkeypatch, N):
     # N = 3, every stretch but gamma = 1, which nu decides)
     cfg = ChainConfig(M=64, N=N)
     beta = cubic_beta(cfg, 4)
-    gram = _h1_gram(cfg)
     wrong = np.cos(7.0 * np.pi * cfg.positions())
     wrong -= wrong.mean()
-    wrong /= np.sqrt(wrong @ gram.apply_values(wrong))
+    wrong /= np.sqrt(wrong @ dense_gram(cfg) @ wrong)
 
     def build(gamma):
         return assemble_linear("bqcf", morse, cfg, beta, gamma)
@@ -585,8 +597,8 @@ def test_wrong_sample_mode_is_rejected_by_its_count(morse, monkeypatch, N):
 
 
 def test_atomistic_sweep_takes_the_pencil_without_factorizing(morse, monkeypatch):
-    # the atomistic nu is the exact Fourier minimum at gamma = 1 and skips
-    # its count, so the sweep factors nothing while nu decides every
+    # the atomistic nu is the least Fourier mode's quotient at gamma = 1 and
+    # skips its count, so the sweep factors nothing while nu decides every
     # stretch; deciding each by the Fourier route instead gives the same
     # answer
     cfg = ChainConfig(M=2000, N=2)
@@ -679,7 +691,7 @@ def test_bordered_matrix_matches_dense(morse, N, family, make_profile):
         op = assemble_linear("bqcf", morse, cfg, beta, gamma)
         S = cfg.a * op.symmetric_part().bands
         for sigma in (0.0, seeded):
-            K = bordered_matrix(S - sigma * _h1_gram(cfg).bands)
+            K = bordered_matrix(S - sigma * _h1_gram(cfg))
             assert K.format == "csc" and K.nnz == (2 * N + 3) * cfg.n_atoms
             np.testing.assert_array_equal(K.toarray(), dense_bordered(dense_sym(op) - sigma * G))
         # the deform solve's K carries A itself
@@ -692,8 +704,7 @@ def test_bordered_matrix_matches_dense(morse, N, family, make_profile):
 
 def count_below(op, sigma):
     """Pencil eigenvalues below sigma on mean-zero fields, by inertia."""
-    S = op.config.a * op.symmetric_part().bands
-    factored = _shifted_ldl(S - sigma * _h1_gram(op.config).bands)
+    factored = _shifted_ldl(op.symmetric_part(), sigma)
     assert factored is not None, sigma
     return factored[1]
 
