@@ -11,7 +11,8 @@ bqcf.experiments reads and passes them straight through; a flag left out
 takes the runner's default, and a flag the scenario does not read is
 rejected.  Each writes a CSV (default <scenario>.csv, override with
 --out) and prints a one-line summary.  Exit codes: 0 success, 2 bad
-configuration, 3 numerical failure.
+configuration or an output path that cannot be written, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -156,7 +157,11 @@ def main(argv=None) -> int:
     except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    table.write_csv(out)
+    try:
+        table.write_csv(out)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     print(f"{summary(table)}  -> {out}")
     return 0
 

@@ -38,7 +38,7 @@ from .blending import (
     sample_beta,
     symmetric_profile,
 )
-from .lattice import ChainConfig, PeriodicField, linf_norm
+from .lattice import ChainConfig, PeriodicField
 from .operators import assemble_linear, energy_linearized
 from .potential import Morse, MorseParams
 from .stability import (
@@ -290,7 +290,7 @@ def solve_deformation(
     f_vals = force.values
     removed_mean = float(f_vals.mean())
     f0 = PeriodicField(base, f_vals - removed_mean)
-    solutions = {}
+    u = {}
     for n in (1, 2, 3):
         config = ChainConfig(M=M, N=n)
         beta = sample_beta(make_profile(config, family, L), config)
@@ -302,31 +302,19 @@ def solve_deformation(
                     f"blended operator not coercive at gamma = 1 ({rec.detail()})",
                     "unstable_at_start",
                 )
-        solutions[n] = solve_mean_zero(op, f0)
+        u[n] = solve_mean_zero(op, f0).values
 
-    x = base.positions()
-    ells = base.logical_indices()
-    rows = [
-        (
-            int(ells[p]),
-            float(x[p]),
-            float(solutions[1].values[p]),
-            float(solutions[2].values[p]),
-            float(solutions[3].values[p]),
-            float(f_vals[p]),
-        )
-        for p in range(base.n_atoms)
-    ]
+    arrays = (base.logical_indices(), base.positions(), u[1], u[2], u[3], f_vals)
     meta = _metadata(
         "deform", potential, force_kind=force_kind, M=M, N=N, family=family, L=L,
         one_sided=one_sided, amp_scale=amp_scale, **shape,
         removed_mean=removed_mean,
-        gap_linf_N1_N2=linf_norm(PeriodicField(base, solutions[1].values - solutions[2].values)),
-        gap_linf_N2_N3=linf_norm(PeriodicField(base, solutions[2].values - solutions[3].values)),
+        gap_linf_N1_N2=float(np.max(np.abs(u[1] - u[2]))),
+        gap_linf_N2_N3=float(np.max(np.abs(u[2] - u[3]))),
     )
     return ResultTable(
         columns=["ell", "x", "u_N1", "u_N2", "u_N3", "f_ext"],
-        rows=rows,
+        rows=list(zip(*(c.tolist() for c in arrays))),
         metadata=meta,
     )
 

@@ -1,4 +1,4 @@
-"""Periodic 1D lattice: fields, difference operators, norms.
+"""Periodic 1D lattice: the chain, its fields and the forward difference.
 
 The chain has 2M atoms on the periodic reference domain (-1, 1] with
 spacing a = 1/M.  Atom ell sits at x_ell = a*ell for the logical index
@@ -20,6 +20,7 @@ symmetric alternatives are deliberately not substituted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -29,7 +30,8 @@ class ChainConfig:
     """Periodic chain descriptor.
 
     M is the half atom count (the chain has 2M atoms), N the interaction
-    range in neighbors.  N must stay strictly below M so that the 2N + 1
+    range in neighbors; both must be integers (numpy's included), not
+    integer-valued floats.  N must stay strictly below M so that the 2N + 1
     band offsets -N..N of an operator are distinct modulo 2M.
     """
 
@@ -37,10 +39,10 @@ class ChainConfig:
     N: int = 2
 
     def __post_init__(self):
-        if int(self.M) != self.M or self.M < 2:
+        if not isinstance(self.M, Integral) or self.M < 2:
             raise ValueError(f"M must be an integer >= 2, got {self.M}")
-        if int(self.N) != self.N or not 1 <= self.N < self.M:
-            raise ValueError(f"N must satisfy 1 <= N < M, got N={self.N}, M={self.M}")
+        if not isinstance(self.N, Integral) or not 1 <= self.N < self.M:
+            raise ValueError(f"N must be an integer with 1 <= N < M, got N={self.N}, M={self.M}")
 
     @property
     def a(self) -> float:
@@ -87,16 +89,8 @@ class PeriodicField:
         """Sample a callable of x on the lattice (f should be 2-periodic)."""
         return cls(config, f(config.positions()))
 
-    def shifted(self, k: int) -> np.ndarray:
-        """Raw array of u_{ell+k} in physical order."""
-        return np.roll(self.values, -k)
-
 
 def forward_diff(u: PeriodicField) -> PeriodicField:
     """u'_ell = (u_{ell+1} - u_ell)/a with periodic wraparound."""
     v = u.values
     return PeriodicField(u.config, (np.roll(v, -1) - v) * u.config.M)
-
-
-def linf_norm(u: PeriodicField) -> float:
-    return float(np.max(np.abs(u.values)))

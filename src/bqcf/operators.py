@@ -77,6 +77,12 @@ class OperatorRecipe:
     coefficients: tuple
 
 
+def _finite(bands: np.ndarray) -> np.ndarray:
+    if not np.isfinite(bands).all():
+        raise FloatingPointError("operator bands hold a NaN or infinity")
+    return bands
+
+
 def _recipe_bands(config: ChainConfig, recipe: OperatorRecipe) -> np.ndarray:
     """Each k's stencil added, in order, into one band array, whose
     diagonal is then set to minus the off-diagonal sum in apply order, so
@@ -90,7 +96,7 @@ def _recipe_bands(config: ChainConfig, recipe: OperatorRecipe) -> np.ndarray:
         bands[[N - k, N + k]] += -(w * c) * inv_a2
         bands[[N - 1, N + 1]] += -((1.0 - w) * (c * k * k)) * inv_a2
     bands[N] = -_row_sums(bands)
-    return bands
+    return _finite(bands)
 
 
 class BandedPeriodicOperator:
@@ -100,7 +106,8 @@ class BandedPeriodicOperator:
     for the offsets o = -N..N of the config's interaction range.  It is
     made from raw bands, or from a recipe (as assembly does), in which
     case the bands are built on first access and are read-only, so they
-    cannot drift from the recipe.  recipe is None for raw bands.
+    cannot drift from the recipe.  recipe is None for raw bands.  Bands with
+    a NaN or infinity raise FloatingPointError when made, before any solve.
     """
 
     def __init__(self, config: ChainConfig, bands=None, *, recipe: OperatorRecipe | None = None):
@@ -114,7 +121,7 @@ class BandedPeriodicOperator:
             shape = (2 * config.N + 1, config.n_atoms)
             if bands.shape != shape:
                 raise ValueError(f"bands have shape {bands.shape}, expected {shape}")
-            self._bands = bands
+            self._bands = _finite(bands)
 
     @property
     def bands(self) -> np.ndarray:
@@ -212,7 +219,7 @@ def energy_linearized(
     if which == "atomistic":
         total = 0.0
         for k in range(1, config.N + 1):
-            d = (u.shifted(k) - u.values) * config.M
+            d = (np.roll(u.values, -k) - u.values) * config.M
             total += 0.5 * a * float(pot.phi_xx(k * gamma)) * float(np.sum(d * d))
         return total
     if which == "continuum":

@@ -377,8 +377,9 @@ def coercivity_constant(
 ) -> CoercivityReport:
     """Minimal H1 Rayleigh quotient of the operator over mean-zero fields.
 
-    gamma, L and family are carried through into the report for sweep
-    bookkeeping; path says which route solved it (see CoercivityReport).
+    gamma, L and family are copied into the report, whose fields fill the
+    coercivity and scaling rows; path says which route solved it (see
+    CoercivityReport).
     Raises EigenSolveError when the eigen-residual cannot be driven down.
     """
     config = op.config

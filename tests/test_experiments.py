@@ -126,6 +126,15 @@ def test_deformation_table_structure(morse):
     assert len(table.rows) == 64
     assert abs(np.mean(table.column("u_N2"))) < 1e-10
     assert float(table.metadata["removed_mean"]) > 0  # gaussian has a mean
+    # each row is the atom's index, position, three displacements and force,
+    # as plain Python numbers; each gap is the sup of two displacement columns
+    cfg = ChainConfig(M=32, N=2)
+    assert table.column("ell") == [int(e) for e in cfg.logical_indices()]
+    assert table.column("x") == [float(x) for x in cfg.positions()]
+    assert {type(c) for r in table.rows for c in r[1:]} == {float}
+    u1, u2, u3 = (np.array(table.column(c)) for c in ("u_N1", "u_N2", "u_N3"))
+    assert table.metadata["gap_linf_N1_N2"] == np.max(np.abs(u1 - u2))
+    assert table.metadata["gap_linf_N2_N3"] == np.max(np.abs(u2 - u3))
 
 
 def test_deform_rejects_unstable_operator():
@@ -227,8 +236,18 @@ def test_cli_coercivity_non_finite_operator_exit_code(tmp_path, capsys, monkeypa
     out = tmp_path / "c.csv"
     code = run_cli(["coercivity", "--M", "64", "--out", str(out)])
     assert code == 3
-    assert "not resolved" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "NaN or infinity" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_cli_unwritable_out_exit_code(tmp_path, capsys, where):
+    out = tmp_path / "missing" / "c.csv" if where == "missing directory" else tmp_path
+    code = run_cli(["coercivity", "--M", "64", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
 
 
 def test_cli_coercivity_non_finite_solve_exit_code(tmp_path, capsys, stability_lu):

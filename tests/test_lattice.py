@@ -4,7 +4,7 @@ import pytest
 from oracles import at, backward_diff, higher_diff, inner, l2_norm, summation_by_parts_residual
 
 from bqcf.experiments import loglog_slope
-from bqcf.lattice import ChainConfig, PeriodicField, forward_diff, linf_norm
+from bqcf.lattice import ChainConfig, PeriodicField, forward_diff
 
 
 def test_config_invariants():
@@ -22,6 +22,14 @@ def test_config_rejects_bad_range():
         ChainConfig(M=4, N=0)
     with pytest.raises(ValueError):
         ChainConfig(M=1, N=1)
+
+
+def test_config_rejects_integer_valued_floats():
+    # an 8.0 would compare equal to ChainConfig(M=8) and fail deep in assembly
+    for M, N in ((8.0, 2), (8, 2.0)):
+        with pytest.raises(ValueError, match="integer"):
+            ChainConfig(M=M, N=N)
+    assert ChainConfig(M=np.int64(8), N=np.int32(2)) == ChainConfig(M=8, N=2)
 
 
 def test_field_wraparound_random_indices():
@@ -113,9 +121,8 @@ def test_higher_diff_rejects_bad_order():
 def test_norms_constant_field():
     cfg = ChainConfig(M=37, N=2)
     u = PeriodicField(cfg, np.ones(cfg.n_atoms))
-    l2, linf, ip, h1 = l2_norm(u), linf_norm(u), inner(u, u), l2_norm(forward_diff(u))
+    l2, ip, h1 = l2_norm(u), inner(u, u), l2_norm(forward_diff(u))
     assert l2 == pytest.approx(np.sqrt(2.0), rel=1e-14)  # domain measure is 2
-    assert linf == 1.0
     assert ip == pytest.approx(l2**2, rel=1e-14)
     assert h1 == 0.0
 
@@ -123,9 +130,8 @@ def test_norms_constant_field():
 def test_norms_hand_example():
     cfg = ChainConfig(M=2, N=1)
     u = PeriodicField(cfg, [0.0, 1.0, 0.0, -1.0])
-    l2, linf, ip = l2_norm(u), linf_norm(u), inner(u, u)
+    l2, ip = l2_norm(u), inner(u, u)
     assert l2**2 == pytest.approx(1.0, rel=1e-14)
-    assert linf == 1.0
     assert ip == pytest.approx(1.0, rel=1e-14)
 
 

@@ -858,15 +858,26 @@ def test_scaling_ladder_pinned_and_certified(morse):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_operator_raises(morse, bad):
+    # raw bands are checked when the operator is made, before any solver runs
     cfg = ChainConfig(M=64, N=2)
     base = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 5), 1.0)
     bands = base.bands.copy()
     bands[cfg.N, 3] = bad
-    op = BandedPeriodicOperator(cfg, bands)
-    with pytest.raises(EigenSolveError, match="40 shifted factorizations"):
+    with pytest.raises(FloatingPointError, match="NaN or infinity"):
+        BandedPeriodicOperator(cfg, bands)
+
+
+def test_non_finite_blend_raises_when_bands_are_made(morse, stability_lu):
+    # a recipe's bands are checked when they are built, before any factorization
+    cfg = ChainConfig(M=64, N=2)
+    beta = cubic_beta(cfg, 5).values.copy()
+    beta[3] = float("nan")
+    op = assemble_linear("bqcf", morse, cfg, PeriodicField(cfg, beta), 1.0)
+    with pytest.raises(FloatingPointError, match="NaN or infinity"):
         coercivity_constant(op)
-    with pytest.raises(EigenSolveError):
+    with pytest.raises(FloatingPointError, match="NaN or infinity"):
         stability_at(op)
+    assert stability_lu.factorizations == 0
 
 
 # ------------------------------------------------------------ decomposition
