@@ -2,14 +2,13 @@
 
 __version__ = "0.1.0"
 
-from .lattice import ChainConfig, PeriodicField
+from .lattice import ChainConfig
 from .potential import Morse, MorseParams
 from .blending import BlendingProfile, sample_beta, symmetric_profile
 from .operators import BandedPeriodicOperator, assemble_linear
 
 __all__ = [
     "ChainConfig",
-    "PeriodicField",
     "Morse",
     "MorseParams",
     "BlendingProfile",

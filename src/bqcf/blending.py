@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ChainConfig, PeriodicField
+from .lattice import ChainConfig
 
 SPLINE_FAMILIES = ("linear", "cubic", "quintic")
 CONSTANT_FAMILIES = ("constant_one", "constant_zero")
@@ -102,25 +102,24 @@ def one_sided_profile(config: ChainConfig, family: str, L: int) -> BlendingProfi
     return _blend_profile(config, family, L, 0, True)
 
 
-def sample_beta(profile: BlendingProfile, config: ChainConfig) -> PeriodicField:
-    """Sample the blending function at every lattice site."""
+def sample_beta(profile: BlendingProfile, config: ChainConfig) -> np.ndarray:
+    """The blending function at every lattice site, in physical order."""
     if profile.family == "constant_one":
-        return PeriodicField(config, np.ones(config.n_atoms))
+        return np.ones(config.n_atoms)
     if profile.family == "constant_zero":
-        return PeriodicField.zeros(config)
+        return np.zeros(config.n_atoms)
     L = profile.L
     ell = config.logical_indices()
     d = (ell if profile.one_sided else np.abs(ell)) - profile.edge
     t = np.arange(1, L + 1) / (L + 1)
     table = np.concatenate(([1.0], spline_shape(profile.family, t), [0.0]))
-    return PeriodicField(config, table[np.clip(d, 0, L + 1)])
+    return table[np.clip(d, 0, L + 1)]
 
 
-def pair_weight_field(beta: PeriodicField, k: int) -> np.ndarray:
+def pair_weight_field(beta: np.ndarray, k: int) -> np.ndarray:
     """Pair weights for all sites at once (physical storage order)."""
     if k < 1:
         raise ValueError(f"neighbor index k must be >= 1, got {k}")
-    v = beta.values
-    n = v.shape[0]
-    ext = np.concatenate((v[n - k :], v, v[:k]))  # ext[k + p] = v[p], periodically
-    return (ext[:n] + 2.0 * v + ext[2 * k : 2 * k + n]) / 4.0
+    n = beta.shape[0]
+    ext = np.concatenate((beta[n - k :], beta, beta[:k]))  # ext[k + p] = beta[p], periodically
+    return (ext[:n] + 2.0 * beta + ext[2 * k : 2 * k + n]) / 4.0

@@ -11,8 +11,8 @@ bqcf.experiments reads and passes them straight through; a flag left out
 takes the runner's default, and a flag the scenario does not read is
 rejected.  Each writes a CSV (default <scenario>.csv, override with
 --out) and prints a one-line summary.  Exit codes: 0 success, 2 bad
-configuration or an output path that cannot be written, 3 numerical
-failure.
+configuration, a run that does not fit in memory or an output path that
+cannot be written, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -153,6 +153,9 @@ def main(argv=None) -> int:
         table = getattr(experiments, runner.__name__)(potential=potential, **settings)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {scenario} does not fit in memory: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -38,7 +38,7 @@ from .blending import (
     sample_beta,
     symmetric_profile,
 )
-from .lattice import ChainConfig, PeriodicField
+from .lattice import ChainConfig
 from .operators import assemble_linear, energy_linearized
 from .potential import Morse, MorseParams
 from .stability import (
@@ -105,12 +105,12 @@ def _metadata(scenario: str, potential: MorseParams, **settings) -> dict:
     }
 
 
-def external_force(kind: str, params, config: ChainConfig) -> PeriodicField:
-    """Sample the external force field.
+def external_force(kind: str, params, config: ChainConfig) -> np.ndarray:
+    """The external force at every lattice site, in physical order.
 
     params is (amp_scale, mu, sigma); only the gaussian reads mu and
-    sigma.  sine: 0.01 * s * sin(-pi x); gaussian: 0.01 * s *
-    exp(-(x - mu)^2 / (2 sigma^2)).
+    sigma, and needs both, with 2 sigma^2 a positive float.  sine:
+    0.01 * s * sin(-pi x); gaussian: 0.01 * s * exp(-(x - mu)^2 / (2 sigma^2)).
     """
     amp_scale, mu, sigma = params
     for name, value in (("amp_scale", amp_scale), ("mu", mu), ("sigma", sigma)):
@@ -118,15 +118,17 @@ def external_force(kind: str, params, config: ChainConfig) -> PeriodicField:
             raise ValueError(f"{name} must be finite, got {value}")
     x = config.positions()
     if kind == "sine":
-        return PeriodicField(config, 0.01 * amp_scale * np.sin(-x * np.pi))
+        return 0.01 * amp_scale * np.sin(-x * np.pi)
     if kind == "gaussian":
-        if sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
-        return PeriodicField(config, 0.01 * amp_scale * np.exp(-((x - mu) ** 2) / (2.0 * sigma**2)))
+        if mu is None or sigma is None:
+            raise ValueError("the gaussian force needs mu and sigma")
+        if not (sigma > 0 and 2.0 * sigma**2 > 0.0):
+            raise ValueError(f"sigma must be positive with 2 sigma^2 > 0, got {sigma}")
+        return 0.01 * amp_scale * np.exp(-((x - mu) ** 2) / (2.0 * sigma**2))
     raise ValueError(f"unknown force kind {kind!r}")
 
 
-def solve_mean_zero(op, rhs: PeriodicField) -> PeriodicField:
+def solve_mean_zero(op, rhs: np.ndarray) -> np.ndarray:
     """Solve the force balance on the mean-zero subspace.
 
     The operator annihilates constants, so the system is posed on
@@ -134,8 +136,8 @@ def solve_mean_zero(op, rhs: PeriodicField) -> PeriodicField:
     border column absorbs the (generally nonzero) mean of A u produced by
     the non-symmetric blend, the border row pins mean(u) = 0.
     """
-    sol = splu(bordered_matrix(op.bands)).solve(np.append(rhs.values, 0.0))
-    return PeriodicField(op.config, sol[: op.config.n_atoms])
+    sol = splu(bordered_matrix(op.bands)).solve(np.append(rhs, 0.0))
+    return sol[: op.config.n_atoms]
 
 
 def run_critical_strain_table(
@@ -233,10 +235,10 @@ def run_consistency_sweep(N: int = 2, potential: MorseParams = MorseParams()) ->
     rows = []
     for M in (250, 500, 1000, 2000):
         config = ChainConfig(M=M, N=N)
-        u = PeriodicField.from_function(config, lambda x: np.sin(np.pi * x))
-        fa = assemble_linear("atomistic", pot, config).apply(u)
-        fc = assemble_linear("continuum", pot, config).apply(u)
-        gap = fc.values - fa.values
+        u = np.sin(np.pi * config.positions())
+        fa = assemble_linear("atomistic", pot, config).apply_values(u)
+        fc = assemble_linear("continuum", pot, config).apply_values(u)
+        gap = fc - fa
         err_l2 = float(np.sqrt(np.sum(gap**2) * config.a))
         err_linf = float(np.max(np.abs(gap)))
         e_gap = abs(
@@ -268,10 +270,11 @@ def solve_deformation(
 
     force_kind is 'sine' or 'gaussian' (see external_force); only the
     gaussian takes mu and sigma, whose defaults 4a and 50a are recorded
-    as values.  Projects the force, which depends only on M, onto mean
-    zero once (recording the removed mean), checks coercivity at gamma = 1
-    for the given N, and solves the three interaction ranges, whose
-    displacements are the table's u_N1, u_N2 and u_N3 columns.
+    as values.  Samples the force and the blend, which depend only on M,
+    once, projects the force onto mean zero (recording the removed mean),
+    checks coercivity at gamma = 1 for the given N, and solves the three
+    interaction ranges, whose displacements are the table's u_N1, u_N2 and
+    u_N3 columns.
     """
     if force_kind not in ("sine", "gaussian"):
         raise ValueError(f"deform needs force_kind 'sine' or 'gaussian', got {force_kind!r}")
@@ -286,15 +289,13 @@ def solve_deformation(
         raise ValueError("the sine force takes no mu or sigma")
     pot = Morse(potential)
     make_profile = one_sided_profile if one_sided else symmetric_profile
-    force = external_force(force_kind, (amp_scale, shape.get("mu"), shape.get("sigma")), base)
-    f_vals = force.values
+    f_vals = external_force(force_kind, (amp_scale, shape.get("mu"), shape.get("sigma")), base)
     removed_mean = float(f_vals.mean())
-    f0 = PeriodicField(base, f_vals - removed_mean)
+    f0 = f_vals - removed_mean
+    beta = sample_beta(make_profile(base, family, L), base)
     u = {}
     for n in (1, 2, 3):
-        config = ChainConfig(M=M, N=n)
-        beta = sample_beta(make_profile(config, family, L), config)
-        op = assemble_linear("bqcf", pot, config, beta, 1.0)
+        op = assemble_linear("bqcf", pot, ChainConfig(M=M, N=n), beta, 1.0)
         if n == N:
             rec = stability_at(op, 1.0)
             if not rec.stable:
@@ -302,7 +303,7 @@ def solve_deformation(
                     f"blended operator not coercive at gamma = 1 ({rec.detail()})",
                     "unstable_at_start",
                 )
-        u[n] = solve_mean_zero(op, f0).values
+        u[n] = solve_mean_zero(op, f0)
 
     arrays = (base.logical_indices(), base.positions(), u[1], u[2], u[3], f_vals)
     meta = _metadata(

@@ -1,12 +1,12 @@
-"""Periodic 1D lattice: the chain, its fields and the forward difference.
+"""Periodic 1D lattice: the chain and the forward difference.
 
 The chain has 2M atoms on the periodic reference domain (-1, 1] with
 spacing a = 1/M.  Atom ell sits at x_ell = a*ell for the logical index
-ell = -M+1, ..., M.  Fields are stored in physical order
-p = ell + M - 1, so periodic wraparound is plain modular arithmetic on
-physical indices.  All fields are float64; stretch sweeps resolved to
-1e-5 and O(a^2) consistency checks at M = 4000 need the full 52-bit
-mantissa.
+ell = -M+1, ..., M.  A field (a blend beta, a force, a displacement) is a
+float64 array of the 2M site values in physical order p = ell + M - 1,
+so periodic wraparound is plain modular arithmetic on physical indices.
+Stretch sweeps resolved to 1e-5 and O(a^2) consistency checks at M = 4000
+need the full 52-bit mantissa.
 
 Difference stencils (a is the lattice spacing):
 
@@ -62,35 +62,6 @@ class ChainConfig:
         return self.logical_indices() / self.M
 
 
-class PeriodicField:
-    """A 2M-periodic real field sampled at the lattice sites.
-
-    `values[p]` holds the sample at logical index ell = p - M + 1.
-    Fields are treated as immutable once constructed.
-    """
-
-    __slots__ = ("config", "values")
-
-    def __init__(self, config: ChainConfig, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (config.n_atoms,):
-            raise ValueError(
-                f"expected {config.n_atoms} samples for M={config.M}, got shape {values.shape}"
-            )
-        self.config = config
-        self.values = values
-
-    @classmethod
-    def zeros(cls, config: ChainConfig) -> "PeriodicField":
-        return cls(config, np.zeros(config.n_atoms))
-
-    @classmethod
-    def from_function(cls, config: ChainConfig, f) -> "PeriodicField":
-        """Sample a callable of x on the lattice (f should be 2-periodic)."""
-        return cls(config, f(config.positions()))
-
-
-def forward_diff(u: PeriodicField) -> PeriodicField:
-    """u'_ell = (u_{ell+1} - u_ell)/a with periodic wraparound."""
-    v = u.values
-    return PeriodicField(u.config, (np.roll(v, -1) - v) * u.config.M)
+def forward_diff(v: np.ndarray, config: ChainConfig) -> np.ndarray:
+    """v'_ell = (v_{ell+1} - v_ell)/a with periodic wraparound."""
+    return (np.roll(v, -1) - v) * config.M

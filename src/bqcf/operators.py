@@ -49,7 +49,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .blending import pair_weight_field
-from .lattice import ChainConfig, PeriodicField, forward_diff
+from .lattice import ChainConfig, forward_diff
 from .potential import PairPotential
 
 
@@ -73,7 +73,7 @@ class OperatorRecipe:
     k = 1..N, in order."""
 
     kind: str
-    beta: PeriodicField | None
+    beta: np.ndarray | None
     coefficients: tuple
 
 
@@ -138,10 +138,13 @@ class BandedPeriodicOperator:
         return MappingProxyType({o: bands[N + o] for o in range(-N, N + 1)})
 
     def apply_values(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-vector product on a raw value array, in the row-difference
-        form, which annihilates constants exactly when the row sums vanish.
-        u_{p+o} is read as a view of one periodic extension of v."""
-        N, n, bands = self.config.N, v.shape[0], self.bands
+        """Matrix-vector product A v on a field, in the row-difference form,
+        which annihilates constants exactly when the row sums vanish.
+        v_{p+o} is read as a view of one periodic extension of v."""
+        N, n = self.config.N, self.config.n_atoms
+        if v.shape != (n,):
+            raise ValueError(f"field has shape {v.shape}, expected ({n},)")
+        bands = self.bands
         ext = np.concatenate((v[n - N :], v, v[:N]))
         out = _row_sums(bands) * v
         for o in range(-N, N + 1):
@@ -150,11 +153,6 @@ class BandedPeriodicOperator:
                 diff *= bands[N + o]
                 out += diff
         return out
-
-    def apply(self, u: PeriodicField) -> PeriodicField:
-        if u.config != self.config:
-            raise ValueError("field and operator configs differ")
-        return PeriodicField(self.config, self.apply_values(u.values))
 
     def symmetric_part(self) -> "BandedPeriodicOperator":
         """(A + A^T)/2: entry p of band o of A^T is entry p + o of band -o
@@ -178,14 +176,14 @@ def assemble_linear(
     which: str,
     pot: PairPotential,
     config: ChainConfig,
-    beta: PeriodicField | None = None,
+    beta: np.ndarray | None = None,
     gamma: float = 1.0,
 ) -> BandedPeriodicOperator:
     """Assemble the full linearized force operator (sum over neighbors).
 
-    which: 'atomistic' | 'continuum' | 'bqcf'; beta is only consulted for
-    'bqcf'.  The coefficients c_k = phi_xx(k gamma) are evaluated now, the
-    bands on first access.
+    which: 'atomistic' | 'continuum' | 'bqcf'; beta, the blend's 2M site
+    values, is only consulted for 'bqcf'.  The coefficients
+    c_k = phi_xx(k gamma) are evaluated now, the bands on first access.
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
@@ -194,8 +192,9 @@ def assemble_linear(
     if which == "bqcf":
         if beta is None:
             raise ValueError("bqcf assembly needs a sampled blending field")
-        if beta.config != config:
-            raise ValueError("beta sampled on a different config")
+        beta = np.asarray(beta, dtype=float)
+        if beta.shape != (config.n_atoms,):
+            raise ValueError(f"beta has shape {beta.shape}, expected ({config.n_atoms},)")
     else:
         beta = None
     coefficients = tuple(float(pot.phi_xx(k * gamma)) for k in range(1, config.N + 1))
@@ -203,7 +202,7 @@ def assemble_linear(
 
 
 def energy_linearized(
-    u: PeriodicField,
+    u: np.ndarray,
     pot: PairPotential,
     config: ChainConfig,
     which: str,
@@ -215,15 +214,18 @@ def energy_linearized(
     continuum:  sum_ell sum_k (a/2) k^2 (u'_ell)^2 phi_xx(k g)
     (both folded over +-k).
     """
+    u = np.asarray(u, dtype=float)
+    if u.shape != (config.n_atoms,):
+        raise ValueError(f"u has shape {u.shape}, expected ({config.n_atoms},)")
     a = config.a
     if which == "atomistic":
         total = 0.0
         for k in range(1, config.N + 1):
-            d = (np.roll(u.values, -k) - u.values) * config.M
+            d = (np.roll(u, -k) - u) * config.M
             total += 0.5 * a * float(pot.phi_xx(k * gamma)) * float(np.sum(d * d))
         return total
     if which == "continuum":
-        du = forward_diff(u).values
+        du = forward_diff(u, config)
         coef = sum(
             k * k * float(pot.phi_xx(k * gamma)) for k in range(1, config.N + 1)
         )

@@ -611,12 +611,18 @@ def critical_strain(
 
 
 def blend_size_for_rule(rule: str, M: int) -> int:
-    """Blend size prescribed by a growth rule: 'M^(1/5)' or 'M^(1/3)'."""
-    if rule == "M^(1/5)":
-        return int(np.ceil(M ** (1.0 / 5.0)))
-    if rule == "M^(1/3)":
-        return int(np.ceil(M ** (1.0 / 3.0)))
-    raise ValueError(f"unknown blend-size rule {rule!r}")
+    """Blend size prescribed by a growth rule, 'M^(1/5)' or 'M^(1/3)': the
+    least integer L with L^p >= M, decided in integers, as the float root
+    of a perfect power can land just above it."""
+    p = {"M^(1/5)": 5, "M^(1/3)": 3}.get(rule)
+    if p is None:
+        raise ValueError(f"unknown blend-size rule {rule!r}")
+    L = round(M ** (1.0 / p))
+    while L**p < M:
+        L += 1
+    while (L - 1) ** p >= M:
+        L -= 1
+    return L
 
 
 def scaling_study(
@@ -633,7 +639,8 @@ def scaling_study(
     For each M the blend size follows L_rule and the operator is
     assembled at the given stretch; returns one CoercivityReport per M.
     """
-    if list(M_list) != sorted(M_list):
+    M_list = list(M_list)
+    if M_list != sorted(M_list):
         raise ValueError("M_list must be sorted ascending")
     reports = []
     for M in M_list:

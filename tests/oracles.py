@@ -35,8 +35,7 @@ def at(values, ell):
 def pair_weight(beta, ell, k):
     """Pair weight (beta_{ell-k} + 2 beta_ell + beta_{ell+k}) / 4 at the
     logical index or indices ell."""
-    v = beta.values
-    return (at(v, ell - k) + 2.0 * at(v, ell) + at(v, ell + k)) / 4.0
+    return (at(beta, ell - k) + 2.0 * at(beta, ell) + at(beta, ell + k)) / 4.0
 
 
 def dense_matrix(op):
@@ -184,18 +183,18 @@ def _backward(v, M):
     return (v - np.roll(v, 1)) * M
 
 
-def backward_diff(u):
+def backward_diff(u, config):
     """(u_ell - u_{ell-1}) / a with periodic wraparound."""
-    return _backward(u.values, u.config.M)
+    return _backward(u, config.M)
 
 
-def higher_diff(u, order):
+def higher_diff(u, config, order):
     """Iterated difference of order 2, 3 or 4: the backward difference of
     the forward difference, then alternately forward and backward again."""
     if order not in (2, 3, 4):
         raise ValueError(f"order must be 2, 3 or 4, got {order}")
-    M = u.config.M
-    d = _backward(_forward(u.values, M), M)
+    M = config.M
+    d = _backward(_forward(u, M), M)
     if order >= 3:
         d = _forward(d, M)
     if order == 4:
@@ -206,9 +205,8 @@ def higher_diff(u, order):
 def summation_by_parts_residual(u, v):
     """|sum_ell u_ell (v_ell - v_{ell-1}) + sum_ell (u_ell - u_{ell-1}) v_{ell-1}|
     over the full periodic index set: zero in exact arithmetic."""
-    uu, vv = u.values, v.values
-    vm1 = np.roll(vv, 1)
-    return float(abs(np.sum(uu * (vv - vm1)) + np.sum((uu - np.roll(uu, 1)) * vm1)))
+    vm1 = np.roll(v, 1)
+    return float(abs(np.sum(u * (v - vm1)) + np.sum((u - np.roll(u, 1)) * vm1)))
 
 
 def derivative_sup_bounds(beta, config, L):
@@ -220,9 +218,9 @@ def derivative_sup_bounds(beta, config, L):
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
     la = L * config.a
-    c1 = float(np.max(np.abs(_forward(beta.values, config.M)))) * la
-    c2 = float(np.max(np.abs(higher_diff(beta, 2)))) * la**2
-    c3 = float(np.max(np.abs(higher_diff(beta, 3)))) * la**3
+    c1 = float(np.max(np.abs(_forward(beta, config.M)))) * la
+    c2 = float(np.max(np.abs(higher_diff(beta, config, 2)))) * la**2
+    c3 = float(np.max(np.abs(higher_diff(beta, config, 3)))) * la**3
     return c1, c2, c3
 
 
@@ -243,8 +241,7 @@ def stability_constant(pot, N, gamma):
 def _bonds(u, config, gamma):
     """Bond arguments gamma k + (u_{ell+k} - u_ell) / a for k = 1..N, each
     checked to be positive."""
-    v = u.values
-    bonds = [gamma * k + (np.roll(v, -k) - v) * config.M for k in range(1, config.N + 1)]
+    bonds = [gamma * k + (np.roll(u, -k) - u) * config.M for k in range(1, config.N + 1)]
     for k, b in enumerate(bonds, 1):
         if np.any(b <= 0.0):
             raise ValueError(
@@ -272,11 +269,11 @@ def force_nonlinear_atomistic(u, pot, config, gamma=1.0):
     extension of phi_x supplies the k < 0 terms.
     """
     _bonds(u, config, gamma)
-    v, M = u.values, config.M
+    M = config.M
     out = np.zeros(config.n_atoms)
     for k in [*range(1, config.N + 1), *range(-1, -config.N - 1, -1)]:
-        fwd = pot.phi_x(gamma * k + (np.roll(v, -k) - v) * M)
-        bwd = pot.phi_x(gamma * k + (v - np.roll(v, k)) * M)
+        fwd = pot.phi_x(gamma * k + (np.roll(u, -k) - u) * M)
+        bwd = pot.phi_x(gamma * k + (u - np.roll(u, k)) * M)
         out -= 0.5 * M * (fwd - bwd)
     return out
 
@@ -284,21 +281,19 @@ def force_nonlinear_atomistic(u, pot, config, gamma=1.0):
 # ----------------------------------- field algebra and the criterion-5 identity
 
 
-def inner(u, w):
+def inner(u, w, config):
     """Weighted inner product sum_ell u_ell w_ell a."""
-    if u.config != w.config:
-        raise ValueError("fields must share a ChainConfig")
-    return float(np.dot(u.values, w.values) * u.config.a)
+    return float(np.dot(u, w) * config.a)
 
 
-def l2_norm(u):
+def l2_norm(u, config):
     """sqrt(sum_ell u_ell^2 a)."""
-    return float(np.sqrt(np.dot(u.values, u.values) * u.config.a))
+    return float(np.sqrt(np.dot(u, u) * config.a))
 
 
 def bilinear(op, u, v):
-    """<A u, v> in the a-weighted inner product, through op.apply."""
-    return inner(op.apply(u), v)
+    """<A u, v> in the a-weighted inner product, through op.apply_values."""
+    return inner(op.apply_values(u), v, op.config)
 
 
 def neighbor_operator(kind, pot, config, beta, gamma, k):
@@ -341,14 +336,14 @@ def decompose_bilinear_n2(u, beta, pot, config, gamma=1.0):
     c2 = float(pot.phi_xx(2.0 * gamma))
     direct = bilinear(neighbor_operator("bqcf", pot, config, beta, gamma, 2), u, u)
 
-    v, w = u.values, pair_weight(beta, config.logical_indices(), 2)
-    du = _forward(v, config.M)
-    d2u = np.roll(v, -1) - 2.0 * v + np.roll(v, 1)
+    w = pair_weight(beta, config.logical_indices(), 2)
+    du = _forward(u, config.M)
+    d2u = np.roll(u, -1) - 2.0 * u + np.roll(u, 1)
     dw_plus = np.roll(w, -1) - w
     dw_minus = w - np.roll(w, 1)
     T1 = 4.0 * c2 * float(du @ du) * a
     T2 = -(c2 / a) * float(np.sum(w * d2u**2))
-    W = -(c2 / a) * float(np.sum(d2u * (dw_plus * np.roll(v, -1) - dw_minus * np.roll(v, 1))))
+    W = -(c2 / a) * float(np.sum(d2u * (dw_plus * np.roll(u, -1) - dw_minus * np.roll(u, 1))))
 
     via = T1 + T2 + W
     scale = max(abs(direct), abs(via), 1e-30)

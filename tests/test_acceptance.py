@@ -41,7 +41,7 @@ from bqcf.experiments import (
     solve_deformation,
     solve_mean_zero,
 )
-from bqcf.lattice import ChainConfig, PeriodicField, forward_diff
+from bqcf.lattice import ChainConfig, forward_diff
 from bqcf.operators import assemble_linear
 from bqcf.potential import Morse, MorseParams
 from bqcf.stability import (
@@ -262,9 +262,9 @@ def test_criterion_3_exact_identities(morse):
     for M in (8, 128, 2000):
         config = ChainConfig(M=M, N=2)
         for _ in range(10):
-            u = PeriodicField(config, rng.standard_normal(config.n_atoms))
-            v = PeriodicField(config, rng.standard_normal(config.n_atoms))
-            bound = 1e-12 * (np.abs(u.values).max() * np.abs(v.values).max() * config.n_atoms)
+            u = rng.standard_normal(config.n_atoms)
+            v = rng.standard_normal(config.n_atoms)
+            bound = 1e-12 * (np.abs(u).max() * np.abs(v).max() * config.n_atoms)
             if summation_by_parts_residual(u, v) > bound:
                 failures.append(f"summation-by-parts residual above bound at M={M}")
 
@@ -288,14 +288,13 @@ def test_criterion_3_exact_identities(morse):
 
     # N=1 Rayleigh quotient exactly constant
     config1 = ChainConfig(M=64, N=1)
-    beta = PeriodicField(config1, rng.uniform(0, 1, config1.n_atoms))
+    beta = rng.uniform(0, 1, config1.n_atoms)
     op1 = assemble_linear("bqcf", morse, config1, beta, 1.0)
     quots = []
     for _ in range(100):
         w = rng.standard_normal(config1.n_atoms)
         w -= w.mean()
-        u = PeriodicField(config1, w)
-        quots.append(bilinear(op1, u, u) / l2_norm(forward_diff(u)) ** 2)
+        quots.append(bilinear(op1, w, w) / l2_norm(forward_diff(w, config1), config1) ** 2)
     spread = (max(quots) - min(quots)) / abs(np.mean(quots))
     if spread > 1e-9:
         failures.append(f"N=1 quotient spread {spread:.2e} above 1e-9")
@@ -306,10 +305,10 @@ def test_criterion_3_exact_identities(morse):
         "one": sample_beta(constant_profile("constant_one"), config2),
         "cubic": sample_beta(symmetric_profile(config2, "cubic", 5), config2),
     }
-    c = PeriodicField(config2, np.full(config2.n_atoms, 2.5))
+    c = np.full(config2.n_atoms, 2.5)
     for which in ("atomistic", "continuum", "bqcf"):
         op = assemble_linear(which, morse, config2, betas["cubic"], 1.1)
-        if np.max(np.abs(op.apply(c).values)) > 1e-11:
+        if np.max(np.abs(op.apply_values(c))) > 1e-11:
             failures.append(f"{which} operator does not annihilate constants")
 
     announce("3 (exact identities)", not failures, f"{len(failures)} issue(s)")
@@ -323,16 +322,16 @@ def test_criterion_4_oracle_equivalence(morse):
     op = assemble_linear("bqcf", morse, config, beta, 1.1)
     A = dense_matrix(op)
     rng = np.random.default_rng(77)
-    u = PeriodicField(config, rng.standard_normal(config.n_atoms))
-    v = PeriodicField(config, rng.standard_normal(config.n_atoms))
+    u = rng.standard_normal(config.n_atoms)
+    v = rng.standard_normal(config.n_atoms)
 
     # banded apply vs dense
-    gap = np.max(np.abs(op.apply(u).values - A @ u.values))
-    if gap > 1e-8 * (np.max(np.abs(A @ u.values)) + 1):
+    gap = np.max(np.abs(op.apply_values(u) - A @ u))
+    if gap > 1e-8 * (np.max(np.abs(A @ u)) + 1):
         failures.append(f"apply vs dense gap {gap:.2e}")
 
     # bilinear vs dense
-    bd = config.a * float(v.values @ (A @ u.values))
+    bd = config.a * float(v @ (A @ u))
     if abs(bilinear(op, u, v) - bd) > 1e-8 * (abs(bd) + 1):
         failures.append("bilinear vs dense mismatch")
 
@@ -346,27 +345,26 @@ def test_criterion_4_oracle_equivalence(morse):
     from scipy.linalg import null_space
 
     f = external_force("sine", (0.2, None, None), config)
-    f0 = PeriodicField(config, f.values - f.values.mean())
+    f0 = f - f.mean()
     u_sol = solve_mean_zero(op, f0)
     Q = null_space(np.ones((1, config.n_atoms)))
-    expected = Q @ np.linalg.solve(Q.T @ A @ Q, Q.T @ f0.values)
-    if np.max(np.abs(u_sol.values - expected)) > 1e-8 * (np.max(np.abs(expected)) + 1):
+    expected = Q @ np.linalg.solve(Q.T @ A @ Q, Q.T @ f0)
+    if np.max(np.abs(u_sol - expected)) > 1e-8 * (np.max(np.abs(expected)) + 1):
         failures.append("deformation solve vs dense oracle mismatch")
 
     # nonlinear force vs finite-difference energy gradient
     config8 = ChainConfig(M=8, N=2)
-    w = PeriodicField(config8, 0.01 * rng.standard_normal(config8.n_atoms))
+    w = 0.01 * rng.standard_normal(config8.n_atoms)
     force = force_nonlinear_atomistic(w, morse, config8)
     h = 1e-7
     fd = np.zeros(config8.n_atoms)
     for p in range(config8.n_atoms):
-        up = w.values.copy()
+        up = w.copy()
         up[p] += h
-        um = w.values.copy()
+        um = w.copy()
         um[p] -= h
         fd[p] = (
-            energy_atomistic(PeriodicField(config8, up), morse, config8)
-            - energy_atomistic(PeriodicField(config8, um), morse, config8)
+            energy_atomistic(up, morse, config8) - energy_atomistic(um, morse, config8)
         ) / (2 * h * config8.a)
     rel = np.max(np.abs(force - fd)) / (np.max(np.abs(fd)) + 1e-12)
     if rel > 1e-6:
@@ -379,7 +377,7 @@ def test_criterion_4_oracle_equivalence(morse):
 def test_criterion_5_bilinear_decomposition(morse):
     config = ChainConfig(M=64, N=2)
     rng = np.random.default_rng(5)
-    u = PeriodicField(config, rng.standard_normal(config.n_atoms))
+    u = rng.standard_normal(config.n_atoms)
 
     failures = []
     residuals = []
@@ -438,8 +436,7 @@ def test_criterion_7_deformation(morse):
         beta1 = sample_beta(constant_profile("constant_one"), config)
         op_atom = assemble_linear("bqcf", morse, config, beta1, 1.0)
         f = external_force(kind, (0.2, 4.0 * config.a, 50.0 * config.a), config)
-        f0 = PeriodicField(config, f.values - f.values.mean())
-        u_atom = solve_mean_zero(op_atom, f0).values
+        u_atom = solve_mean_zero(op_atom, f - f.mean())
         rel = np.max(np.abs(np.array(table.column("u_N2")) - u_atom)) / np.max(
             np.abs(u_atom)
         )

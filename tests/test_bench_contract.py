@@ -13,7 +13,7 @@ import numpy as np
 
 from bqcf import experiments, stability
 from bqcf.blending import sample_beta, symmetric_profile
-from bqcf.lattice import ChainConfig, PeriodicField
+from bqcf.lattice import ChainConfig
 from bqcf.operators import assemble_linear
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -36,7 +36,7 @@ def test_tracer_patches_and_restores_every_entry_point(morse):
     tracer = load("layertrace").Tracer()
     originals = [(owner, attr, vars(owner)[attr]) for owner, attr, _ in tracer.targets()]
     op = cubic_operator(morse)
-    f = PeriodicField(op.config, np.sin(np.pi * op.config.positions()))
+    f = np.sin(np.pi * op.config.positions())
     with tracer.patched():
         stability.coercivity_constant(op)
         experiments.solve_mean_zero(op, f)

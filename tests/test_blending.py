@@ -9,7 +9,7 @@ from bqcf.blending import (
     spline_shape,
     symmetric_profile,
 )
-from bqcf.lattice import ChainConfig, PeriodicField
+from bqcf.lattice import ChainConfig
 from oracles import at, derivative_sup_bounds, pair_weight
 
 
@@ -29,8 +29,10 @@ def test_constant_profiles():
     cfg = ChainConfig(M=12, N=2)
     ones = sample_beta(constant_profile("constant_one"), cfg)
     zeros = sample_beta(constant_profile("constant_zero"), cfg)
-    assert np.all(ones.values == 1.0)
-    assert np.all(zeros.values == 0.0)
+    for beta in (ones, zeros):
+        assert beta.dtype == np.float64 and beta.shape == (cfg.n_atoms,)
+    assert np.all(ones == 1.0)
+    assert np.all(zeros == 0.0)
 
 
 def test_symmetric_layout_trichotomy():
@@ -44,9 +46,9 @@ def test_symmetric_layout_trichotomy():
         core = np.abs(ells) <= n_a
         blend = (np.abs(ells) > n_a) & (np.abs(ells) <= n_a + 6)
         cont = np.abs(ells) > n_a + 6
-        assert np.all(beta.values[core] == 1.0)
-        assert np.all(beta.values[cont] == 0.0)
-        assert np.all((beta.values[blend] > 0.0) & (beta.values[blend] < 1.0))
+        assert np.all(beta[core] == 1.0)
+        assert np.all(beta[cont] == 0.0)
+        assert np.all((beta[blend] > 0.0) & (beta[blend] < 1.0))
 
 
 def test_symmetric_layout_mirror_symmetry():
@@ -54,7 +56,7 @@ def test_symmetric_layout_mirror_symmetry():
     ells = np.arange(1, cfg.M)  # beta(-ell) == beta(ell), bit for bit
     for fam in ("linear", "cubic", "quintic"):
         beta = sample_beta(symmetric_profile(cfg, fam, L=5), cfg)
-        np.testing.assert_array_equal(at(beta.values, ells), at(beta.values, -ells))
+        np.testing.assert_array_equal(at(beta, ells), at(beta, -ells))
 
 
 def test_blend_values_follow_spline():
@@ -64,24 +66,24 @@ def test_blend_values_follow_spline():
     expected = spline_shape("quintic", j / (L + 1))
     beta = sample_beta(symmetric_profile(cfg, "quintic", L), cfg)
     n_a = round(0.5 * cfg.M)
-    np.testing.assert_array_equal(at(beta.values, n_a + j), expected)  # descending blend
-    np.testing.assert_array_equal(at(beta.values, -(n_a + j)), expected)  # ascending blend
+    np.testing.assert_array_equal(at(beta, n_a + j), expected)  # descending blend
+    np.testing.assert_array_equal(at(beta, -(n_a + j)), expected)  # ascending blend
     one_sided = sample_beta(one_sided_profile(cfg, "quintic", L), cfg)
-    np.testing.assert_array_equal(at(one_sided.values, j), expected)
+    np.testing.assert_array_equal(at(one_sided, j), expected)
 
 
 def test_one_sided_profile_has_seam_jump():
     cfg = ChainConfig(M=32, N=2)
     beta = sample_beta(one_sided_profile(cfg, "cubic", L=4), cfg)
     # first logical site is atomistic, last is continuum: the step sits at the seam
-    assert beta.values[0] == 1.0
-    assert beta.values[-1] == 0.0
+    assert beta[0] == 1.0
+    assert beta[-1] == 0.0
 
 
 def test_pair_weight_constants():
     cfg = ChainConfig(M=8, N=2)
-    ones = PeriodicField(cfg, np.ones(cfg.n_atoms))
-    zeros = PeriodicField.zeros(cfg)
+    ones = np.ones(cfg.n_atoms)
+    zeros = np.zeros(cfg.n_atoms)
     for k in (1, 2, 3):
         assert np.all(pair_weight_field(ones, k) == 1.0)
         assert np.all(pair_weight_field(zeros, k) == 0.0)
@@ -90,7 +92,7 @@ def test_pair_weight_constants():
 def test_pair_weight_step_profile_hand_value():
     # beta = (0, 0, 1, 1) at ell = -1..2 on M=2, stored at p = ell + 1
     cfg = ChainConfig(M=2, N=1)
-    beta = PeriodicField(cfg, [0.0, 0.0, 1.0, 1.0])
+    beta = np.array([0.0, 0.0, 1.0, 1.0])
     w = pair_weight_field(beta, 1)
     # at ell = 1 (first 1-site): (beta_0 + 2 beta_1 + beta_2)/4 = (0 + 2 + 1)/4
     assert w[2] == pytest.approx(3.0 / 4.0)
@@ -101,8 +103,7 @@ def test_pair_weight_step_profile_hand_value():
 def test_pair_weight_symmetric_in_k():
     cfg = ChainConfig(M=16, N=3)
     rng = np.random.default_rng(4)
-    beta = PeriodicField(cfg, rng.uniform(0, 1, cfg.n_atoms))
-    v = beta.values
+    beta = v = rng.uniform(0, 1, cfg.n_atoms)
     for ell in (-10, 0, 7):
         p = ell + cfg.M - 1
         for k in (1, 2, 3):
@@ -115,7 +116,7 @@ def test_pair_weight_symmetric_in_k():
 def test_pair_weight_field_matches_scalar():
     cfg = ChainConfig(M=12, N=2)
     rng = np.random.default_rng(11)
-    beta = PeriodicField(cfg, rng.uniform(0, 1, cfg.n_atoms))
+    beta = rng.uniform(0, 1, cfg.n_atoms)
     w = pair_weight_field(beta, 2)
     ells = cfg.logical_indices()
     for p in range(0, cfg.n_atoms, 3):
@@ -125,14 +126,14 @@ def test_pair_weight_field_matches_scalar():
 
 def test_pair_weight_rejects_bad_k():
     cfg = ChainConfig(M=4, N=1)
-    beta = PeriodicField.zeros(cfg)
+    beta = np.zeros(cfg.n_atoms)
     with pytest.raises(ValueError):
         pair_weight_field(beta, 0)
 
 
 def test_derivative_bounds_constant_profile():
     cfg = ChainConfig(M=32, N=2)
-    ones = PeriodicField(cfg, np.ones(cfg.n_atoms))
+    ones = np.ones(cfg.n_atoms)
     assert derivative_sup_bounds(ones, cfg, L=4) == (0.0, 0.0, 0.0)
 
 

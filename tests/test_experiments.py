@@ -16,7 +16,7 @@ from bqcf.experiments import (
     solve_deformation,
     solve_mean_zero,
 )
-from bqcf.lattice import ChainConfig, PeriodicField
+from bqcf.lattice import ChainConfig
 from bqcf.operators import BandedPeriodicOperator, assemble_linear
 from bqcf.potential import MorseParams
 from bqcf.stability import StrainSweepError
@@ -77,19 +77,34 @@ def test_row_width_validation():
 def test_sine_force_values():
     cfg = ChainConfig(M=16, N=2)
     f = external_force("sine", (0.2, None, None), cfg)
-    assert at(f.values, 0) == pytest.approx(0.0, abs=1e-18)
+    assert f.dtype == np.float64 and f.shape == (cfg.n_atoms,)
+    assert at(f, 0) == pytest.approx(0.0, abs=1e-18)
     # at x = -1/2 with scale 1/5: 0.01 * (1/5) * sin(pi/2)
-    assert at(f.values, -8) == pytest.approx(0.002, rel=1e-12)
+    assert at(f, -8) == pytest.approx(0.002, rel=1e-12)
 
 
 def test_gaussian_force_peak():
     cfg = ChainConfig(M=16, N=2)
     f = external_force("gaussian", (0.2, 4.0 * cfg.a, 50.0 * cfg.a), cfg)
-    assert at(f.values, 4) == pytest.approx(0.01 * 0.2, rel=1e-12)  # peak at mu = 4a
+    assert at(f, 4) == pytest.approx(0.01 * 0.2, rel=1e-12)  # peak at mu = 4a
     with pytest.raises(ValueError):
         external_force("gaussian", (0.2, 0.0, -1.0), cfg)
     with pytest.raises(ValueError):
         external_force("square", (0.2, None, None), cfg)
+
+
+@pytest.mark.parametrize(
+    "mu, sigma, message",
+    [
+        (None, None, "needs mu and sigma"),
+        (0.0, None, "needs mu and sigma"),
+        (None, 0.1, "needs mu and sigma"),
+        (0.0, 1e-200, "2 sigma"),  # 2 sigma^2 underflows to 0
+    ],
+)
+def test_gaussian_force_rejects_parameters_it_cannot_evaluate(mu, sigma, message):
+    with pytest.raises(ValueError, match=message):
+        external_force("gaussian", (0.2, mu, sigma), ChainConfig(M=16, N=2))
 
 
 # ------------------------------------------------------------- deformation
@@ -106,7 +121,7 @@ def test_deformation_matches_dense_oracle(morse):
     beta = sample_beta(constant_profile("constant_one"), config)
     op = assemble_linear("bqcf", morse, config, beta, 1.0)
     f = external_force("sine", (0.2, None, None), config)
-    f0 = PeriodicField(config, f.values - f.values.mean())
+    f0 = f - f.mean()
     u = solve_mean_zero(op, f0)
     # oracle: least-squares on the mean-zero complement of the dense matrix
     n = config.n_atoms
@@ -114,10 +129,11 @@ def test_deformation_matches_dense_oracle(morse):
     from scipy.linalg import null_space
 
     Q = null_space(np.ones((1, n)))
-    z = np.linalg.solve(Q.T @ A @ Q, Q.T @ f0.values)
+    z = np.linalg.solve(Q.T @ A @ Q, Q.T @ f0)
     expected = Q @ z
-    assert np.max(np.abs(u.values - expected)) < 1e-10
-    assert abs(u.values.mean()) < 1e-12
+    assert u.shape == (n,)
+    assert np.max(np.abs(u - expected)) < 1e-10
+    assert abs(u.mean()) < 1e-12
 
 
 def test_deformation_table_structure(morse):
@@ -166,9 +182,9 @@ def test_consistency_sweep_slopes(morse):
 def test_consistency_identical_at_n1(morse):
     for M in (64, 256):
         config = ChainConfig(M=M, N=1)
-        u = PeriodicField.from_function(config, lambda x: np.sin(np.pi * x))
-        fa = assemble_linear("atomistic", morse, config).apply(u).values
-        fc = assemble_linear("continuum", morse, config).apply(u).values
+        u = np.sin(np.pi * config.positions())
+        fa = assemble_linear("atomistic", morse, config).apply_values(u)
+        fc = assemble_linear("continuum", morse, config).apply_values(u)
         assert np.max(np.abs(fa - fc)) <= 1e-13 * (np.max(np.abs(fa)) + 1)
 
 
@@ -433,8 +449,7 @@ def test_cli_numerical_failure_exit_code(tmp_path):
 @pytest.mark.parametrize(
     "args",
     [
-        # mu = 4a lies on a site and 2 sigma^2 underflows to 0: 0/0 there
-        ["--force", "gaussian", "--sigma", "1e-200"],
+        ["--force", "gaussian", "--M", "200", "--amp-scale", "1e308"],
         ["--force", "sine", "--M", "40", "--amp-scale", "1e308"],
     ],
 )
@@ -480,6 +495,32 @@ def test_cli_rejects_non_finite_force_input(tmp_path, capsys, force, flag, value
     assert code == 2
     err = capsys.readouterr().err
     assert name in err and "finite" in err
+    assert not out.exists()
+
+
+def test_cli_deform_underflowing_sigma_exit_code(tmp_path, capsys):
+    # 2 sigma^2 underflows to 0 here; the force would divide 0 by 0 at mu
+    out = tmp_path / "d.csv"
+    code = run_cli(
+        ["deform", "--force", "gaussian", "--M", "50", "--sigma", "1e-300", "--out", str(out)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: sigma must be positive with 2 sigma^2 > 0")
+    assert not out.exists()
+
+
+def test_cli_run_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
+    # stands in for a chain too large to allocate; no large array is made
+    def out_of_memory(**settings):
+        raise MemoryError("Unable to allocate 1.46 TiB for an array")
+
+    monkeypatch.setattr(experiments, "run_coercivity", out_of_memory)
+    out = tmp_path / "c.csv"
+    code = run_cli(["coercivity", "--M", "100000000000", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: coercivity does not fit in memory: Unable to allocate 1.46 TiB for an array\n"
+    )
     assert not out.exists()
 
 

@@ -3,8 +3,10 @@ import pytest
 
 from oracles import at, backward_diff, higher_diff, inner, l2_norm, summation_by_parts_residual
 
+from bqcf.blending import constant_profile, sample_beta
 from bqcf.experiments import loglog_slope
-from bqcf.lattice import ChainConfig, PeriodicField, forward_diff
+from bqcf.lattice import ChainConfig, forward_diff
+from bqcf.operators import assemble_linear, energy_linearized
 
 
 def test_config_invariants():
@@ -35,29 +37,40 @@ def test_config_rejects_integer_valued_floats():
 def test_field_wraparound_random_indices():
     cfg = ChainConfig(M=16, N=2)
     rng = np.random.default_rng(0)
-    u = PeriodicField(cfg, rng.standard_normal(cfg.n_atoms))
+    u = rng.standard_normal(cfg.n_atoms)
     ells = rng.integers(-1000, 1000, size=200)
-    assert np.array_equal(at(u.values, ells), at(u.values, ells + 2 * cfg.M))
-    assert np.array_equal(at(u.values, ells), at(u.values, ells - 6 * cfg.M))
+    assert np.array_equal(at(u, ells), at(u, ells + 2 * cfg.M))
+    assert np.array_equal(at(u, ells), at(u, ells - 6 * cfg.M))
 
 
-def test_field_shape_validation():
+def test_field_shape_validation(morse):
+    # a field is 2M site values: a blend, displacement or force of another
+    # length is rejected where it enters, never broadcast
     cfg = ChainConfig(M=4, N=1)
-    with pytest.raises(ValueError):
-        PeriodicField(cfg, np.zeros(7))
+    for wrong in (np.zeros(7), np.zeros(1), np.zeros((1, 8)), np.zeros(10)):
+        with pytest.raises(ValueError, match="shape"):
+            assemble_linear("bqcf", morse, cfg, wrong)
+        with pytest.raises(ValueError, match="shape"):
+            assemble_linear("atomistic", morse, cfg).apply_values(wrong)
+        for which in ("atomistic", "continuum"):
+            with pytest.raises(ValueError, match="shape"):
+                energy_linearized(wrong, morse, cfg, which)
+    # beta depends only on M, so one sampled for another N fits
+    beta = sample_beta(constant_profile("constant_one"), ChainConfig(M=4, N=3))
+    assert assemble_linear("bqcf", morse, cfg, beta).recipe.beta is beta
 
 
 def test_forward_diff_constant_is_zero():
     cfg = ChainConfig(M=13, N=2)
-    u = PeriodicField(cfg, np.full(cfg.n_atoms, 2.375))
-    assert np.all(forward_diff(u).values == 0.0)
+    u = np.full(cfg.n_atoms, 2.375)
+    assert np.all(forward_diff(u, cfg) == 0.0)
 
 
 def test_forward_diff_hand_example():
     # M=2, a=1/2, u = (0, 1, 0, -1) at ell = -1..2
     cfg = ChainConfig(M=2, N=1)
-    u = PeriodicField(cfg, [0.0, 1.0, 0.0, -1.0])
-    np.testing.assert_array_equal(forward_diff(u).values, [2.0, -2.0, -2.0, 2.0])
+    u = np.array([0.0, 1.0, 0.0, -1.0])
+    np.testing.assert_array_equal(forward_diff(u, cfg), [2.0, -2.0, -2.0, 2.0])
 
 
 def test_forward_diff_first_order_rate():
@@ -65,25 +78,25 @@ def test_forward_diff_first_order_rate():
     ms = [250, 500, 1000, 2000]
     for M in ms:
         cfg = ChainConfig(M=M, N=1)
-        u = PeriodicField.from_function(cfg, lambda x: np.sin(np.pi * x))
+        u = np.sin(np.pi * cfg.positions())
         exact = np.pi * np.cos(np.pi * cfg.positions())
-        errs.append(np.max(np.abs(forward_diff(u).values - exact)))
+        errs.append(np.max(np.abs(forward_diff(u, cfg) - exact)))
     slope = loglog_slope(ms, errs)
     assert -1.1 < slope < -0.9
 
 
 def test_higher_diff_constant_zero_all_orders():
     cfg = ChainConfig(M=9, N=2)
-    u = PeriodicField(cfg, np.full(cfg.n_atoms, -4.2))
+    u = np.full(cfg.n_atoms, -4.2)
     for order in (2, 3, 4):
-        assert np.all(higher_diff(u, order) == 0.0)
+        assert np.all(higher_diff(u, cfg, order) == 0.0)
 
 
 def test_higher_diff_quadratic_exact_inside():
     # second difference of x^2 is exactly 2 away from the periodic seam
     cfg = ChainConfig(M=32, N=2)
-    u = PeriodicField(cfg, cfg.positions() ** 2)
-    d2 = higher_diff(u, 2)
+    u = cfg.positions() ** 2
+    d2 = higher_diff(u, cfg, 2)
     interior = slice(4, cfg.n_atoms - 4)
     np.testing.assert_allclose(d2[interior], 2.0, rtol=1e-9)
 
@@ -95,9 +108,9 @@ def test_higher_diff_order4_rate():
     ms = [25, 50, 100, 200]
     for M in ms:
         cfg = ChainConfig(M=M, N=1)
-        u = PeriodicField.from_function(cfg, lambda x: np.sin(np.pi * x))
+        u = np.sin(np.pi * cfg.positions())
         exact = np.pi**4 * np.sin(np.pi * cfg.positions())
-        errs.append(np.max(np.abs(higher_diff(u, 4) - exact)))
+        errs.append(np.max(np.abs(higher_diff(u, cfg, 4) - exact)))
     slope = loglog_slope(ms, errs)
     assert -2.2 < slope < -1.8
 
@@ -105,23 +118,23 @@ def test_higher_diff_order4_rate():
 def test_higher_diff_composition():
     cfg = ChainConfig(M=11, N=2)
     rng = np.random.default_rng(5)
-    u = PeriodicField(cfg, rng.standard_normal(cfg.n_atoms))
-    direct = higher_diff(u, 2)
-    composed = backward_diff(forward_diff(u))
+    u = rng.standard_normal(cfg.n_atoms)
+    direct = higher_diff(u, cfg, 2)
+    composed = backward_diff(forward_diff(u, cfg), cfg)
     np.testing.assert_array_equal(direct, composed)
 
 
 def test_higher_diff_rejects_bad_order():
     cfg = ChainConfig(M=4, N=1)
-    u = PeriodicField.zeros(cfg)
+    u = np.zeros(cfg.n_atoms)
     with pytest.raises(ValueError):
-        higher_diff(u, 5)
+        higher_diff(u, cfg, 5)
 
 
 def test_norms_constant_field():
     cfg = ChainConfig(M=37, N=2)
-    u = PeriodicField(cfg, np.ones(cfg.n_atoms))
-    l2, ip, h1 = l2_norm(u), inner(u, u), l2_norm(forward_diff(u))
+    u = np.ones(cfg.n_atoms)
+    l2, ip, h1 = l2_norm(u, cfg), inner(u, u, cfg), l2_norm(forward_diff(u, cfg), cfg)
     assert l2 == pytest.approx(np.sqrt(2.0), rel=1e-14)  # domain measure is 2
     assert ip == pytest.approx(l2**2, rel=1e-14)
     assert h1 == 0.0
@@ -129,8 +142,8 @@ def test_norms_constant_field():
 
 def test_norms_hand_example():
     cfg = ChainConfig(M=2, N=1)
-    u = PeriodicField(cfg, [0.0, 1.0, 0.0, -1.0])
-    l2, ip = l2_norm(u), inner(u, u)
+    u = np.array([0.0, 1.0, 0.0, -1.0])
+    l2, ip = l2_norm(u, cfg), inner(u, u, cfg)
     assert l2**2 == pytest.approx(1.0, rel=1e-14)
     assert ip == pytest.approx(1.0, rel=1e-14)
 
@@ -138,14 +151,14 @@ def test_norms_hand_example():
 def test_inner_is_l2_squared():
     cfg = ChainConfig(M=8, N=2)
     rng = np.random.default_rng(1)
-    u = PeriodicField(cfg, rng.standard_normal(cfg.n_atoms))
-    l2, ip = l2_norm(u), inner(u, u)
+    u = rng.standard_normal(cfg.n_atoms)
+    l2, ip = l2_norm(u, cfg), inner(u, u, cfg)
     assert ip == pytest.approx(l2**2, rel=1e-13)
 
 
 def test_summation_by_parts_zero_field():
     cfg = ChainConfig(M=6, N=1)
-    z = PeriodicField.zeros(cfg)
+    z = np.zeros(cfg.n_atoms)
     assert summation_by_parts_residual(z, z) == 0.0
 
 
@@ -154,17 +167,15 @@ def test_summation_by_parts_random_pairs():
     for M in (8, 64, 500):
         cfg = ChainConfig(M=M, N=1)
         for _ in range(20):
-            u = PeriodicField(cfg, rng.standard_normal(cfg.n_atoms))
-            v = PeriodicField(cfg, rng.standard_normal(cfg.n_atoms))
-            bound = 1e-12 * (
-                np.max(np.abs(u.values)) * np.max(np.abs(v.values)) * cfg.n_atoms
-            )
+            u = rng.standard_normal(cfg.n_atoms)
+            v = rng.standard_normal(cfg.n_atoms)
+            bound = 1e-12 * (np.max(np.abs(u)) * np.max(np.abs(v)) * cfg.n_atoms)
             assert summation_by_parts_residual(u, v) <= bound
 
 
 def test_summation_by_parts_alternating():
     cfg = ChainConfig(M=4, N=1)
-    u = PeriodicField(cfg, [1.0, -1.0] * 4)
+    u = np.array([1.0, -1.0] * 4)
     bound = 1e-12 * (1.0 * 1.0 * cfg.n_atoms)
     assert summation_by_parts_residual(u, u) <= bound
 
@@ -172,7 +183,7 @@ def test_summation_by_parts_alternating():
 def test_periodicity_preserved_by_operations():
     cfg = ChainConfig(M=10, N=2)
     rng = np.random.default_rng(9)
-    u = PeriodicField(cfg, rng.standard_normal(cfg.n_atoms))
-    for produced in (forward_diff(u).values, higher_diff(u, 2), higher_diff(u, 3)):
+    u = rng.standard_normal(cfg.n_atoms)
+    for produced in (forward_diff(u, cfg), higher_diff(u, cfg, 2), higher_diff(u, cfg, 3)):
         ells = rng.integers(-50, 50, size=40)
         assert np.array_equal(at(produced, ells), at(produced, ells + cfg.n_atoms))

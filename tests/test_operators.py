@@ -14,13 +14,13 @@ from oracles import (
 from bqcf import operators
 from bqcf.blending import constant_profile, sample_beta, symmetric_profile
 from bqcf.experiments import loglog_slope
-from bqcf.lattice import ChainConfig, PeriodicField, forward_diff
+from bqcf.lattice import ChainConfig, forward_diff
 from bqcf.operators import BandedPeriodicOperator, assemble_linear, energy_linearized
 
 
 def random_field(cfg, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
-    return PeriodicField(cfg, scale * rng.standard_normal(cfg.n_atoms))
+    return scale * rng.standard_normal(cfg.n_atoms)
 
 
 def cubic_beta(cfg, L=3):
@@ -35,7 +35,7 @@ def brute_force_energy(u, pot, cfg, gamma=1.0):
         for k in range(-cfg.N, cfg.N + 1):
             if k == 0:
                 continue
-            bond = gamma * k + (at(u.values, ell + k) - at(u.values, ell)) / cfg.a
+            bond = gamma * k + (at(u, ell + k) - at(u, ell)) / cfg.a
             total += 0.5 * cfg.a * float(pot.phi(bond))
     return total
 
@@ -47,16 +47,16 @@ def test_apply_annihilates_constants_exactly(morse):
     for which, gamma in (("atomistic", 1.0), ("continuum", 1.2), ("bqcf", 1.1)):
         cfg = ChainConfig(M=20, N=2)
         op = assemble_linear(which, morse, cfg, cubic_beta(cfg), gamma)
-        c = PeriodicField(cfg, np.full(cfg.n_atoms, -3.7))
-        assert np.max(np.abs(op.apply(c).values)) == 0.0
+        c = np.full(cfg.n_atoms, -3.7)
+        assert np.max(np.abs(op.apply_values(c))) == 0.0
 
 
 def test_apply_matches_dense_oracle(morse):
     cfg = ChainConfig(M=8, N=2)
     op = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 2), 1.05)
     u = random_field(cfg, 3)
-    dense = dense_matrix(op) @ u.values
-    banded = op.apply(u).values
+    dense = dense_matrix(op) @ u
+    banded = op.apply_values(u)
     scale = np.max(np.abs(dense)) + 1.0
     assert np.max(np.abs(dense - banded)) / scale < 1e-13
 
@@ -65,8 +65,8 @@ def test_apply_linearity(morse):
     cfg = ChainConfig(M=8, N=2)
     op = assemble_linear("atomistic", morse, cfg)
     u, v = random_field(cfg, 1), random_field(cfg, 2)
-    lhs = op.apply(PeriodicField(cfg, 2.5 * u.values - 0.5 * v.values)).values
-    rhs = 2.5 * op.apply(u).values - 0.5 * op.apply(v).values
+    lhs = op.apply_values(2.5 * u - 0.5 * v)
+    rhs = 2.5 * op.apply_values(u) - 0.5 * op.apply_values(v)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-9)
 
 
@@ -170,10 +170,10 @@ def test_bqcf_matches_brute_force_formula(morse):
     beta = cubic_beta(cfg, 2)
     u = random_field(cfg, 7)
     op = assemble_linear("bqcf", morse, cfg, beta, 1.0)
-    got = op.apply(u).values
+    got = op.apply_values(u)
     ells = cfg.logical_indices()
     a2 = cfg.a**2
-    b, v = beta.values, u.values
+    b, v = beta, u
     expected = np.zeros(cfg.n_atoms)
     for p, ell in enumerate(ells):
         acc = 0.0
@@ -205,13 +205,13 @@ def test_assemble_validation(morse):
 
 def test_energy_reference_is_zero(morse):
     cfg = ChainConfig(M=16, N=1)
-    u = PeriodicField.zeros(cfg)
+    u = np.zeros(cfg.n_atoms)
     assert energy_atomistic(u, morse, cfg) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_energy_uniform_stretch_closed_form(morse):
     cfg = ChainConfig(M=16, N=2)
-    u = PeriodicField.zeros(cfg)
+    u = np.zeros(cfg.n_atoms)
     gamma = 1.13
     expected = 2.0 * (float(morse.phi(gamma)) + float(morse.phi(2 * gamma)))
     assert energy_atomistic(u, morse, cfg, gamma) == pytest.approx(expected, rel=1e-13)
@@ -230,23 +230,23 @@ def test_energy_rejects_crossing(morse):
     values = np.zeros(cfg.n_atoms)
     values[3] = -1.5 * cfg.a  # pushes one bond argument negative
     with pytest.raises(ValueError, match="bond"):
-        energy_atomistic(PeriodicField(cfg, values), morse, cfg)
+        energy_atomistic(values, morse, cfg)
 
 
 def test_linearized_energy_constant_is_zero(morse):
     cfg = ChainConfig(M=8, N=2)
-    c = PeriodicField(cfg, np.full(cfg.n_atoms, 0.4))
+    c = np.full(cfg.n_atoms, 0.4)
     assert energy_linearized(c, morse, cfg, "atomistic") == 0.0
     assert energy_linearized(c, morse, cfg, "continuum") == 0.0
 
 
 def test_linearized_energy_hand_field(morse):
     cfg = ChainConfig(M=4, N=2)
-    u = PeriodicField(cfg, [0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0])
+    u = np.array([0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0])
     a = cfg.a
     # atomistic: per k, sum_ell (a/2) ((u_{l+k}-u_l)/a)^2 phi_xx(k)
-    d1 = (np.roll(u.values, -1) - u.values) / a
-    d2 = (np.roll(u.values, -2) - u.values) / a
+    d1 = (np.roll(u, -1) - u) / a
+    d2 = (np.roll(u, -2) - u) / a
     exp_atom = 0.5 * a * float(morse.phi_xx(1.0)) * np.sum(d1**2) + 0.5 * a * float(
         morse.phi_xx(2.0)
     ) * np.sum(d2**2)
@@ -265,7 +265,7 @@ def test_energy_consistency_rate(morse):
     gaps = []
     for M in ms:
         cfg = ChainConfig(M=M, N=2)
-        u = PeriodicField.from_function(cfg, lambda x: np.sin(np.pi * x))
+        u = np.sin(np.pi * cfg.positions())
         gaps.append(
             abs(
                 energy_linearized(u, morse, cfg, "continuum")
@@ -281,7 +281,7 @@ def test_energy_consistency_rate(morse):
 
 def test_nonlinear_force_zero_at_reference(morse):
     cfg = ChainConfig(M=12, N=3)
-    f = force_nonlinear_atomistic(PeriodicField.zeros(cfg), morse, cfg)
+    f = force_nonlinear_atomistic(np.zeros(cfg.n_atoms), morse, cfg)
     assert np.max(np.abs(f)) == 0.0
 
 
@@ -292,13 +292,12 @@ def test_nonlinear_force_is_energy_gradient(morse):
     h = 1e-7
     fd = np.zeros(cfg.n_atoms)
     for p in range(cfg.n_atoms):
-        up = u.values.copy()
+        up = u.copy()
         up[p] += h
-        um = u.values.copy()
+        um = u.copy()
         um[p] -= h
         fd[p] = (
-            energy_atomistic(PeriodicField(cfg, up), morse, cfg)
-            - energy_atomistic(PeriodicField(cfg, um), morse, cfg)
+            energy_atomistic(up, morse, cfg) - energy_atomistic(um, morse, cfg)
         ) / (2 * h * cfg.a)
     scale = np.max(np.abs(fd)) + 1e-12
     assert np.max(np.abs(f - fd)) / scale < 1e-6
@@ -312,7 +311,7 @@ def test_nonlinear_force_linearization(morse):
     def rel_gap(eps):
         u = random_field(cfg, 5, scale=eps)
         f_nl = force_nonlinear_atomistic(u, morse, cfg)
-        f_lin = assemble_linear("atomistic", morse, cfg).apply(u).values
+        f_lin = assemble_linear("atomistic", morse, cfg).apply_values(u)
         return np.max(np.abs(f_nl - f_lin)) / (np.max(np.abs(f_lin)) + 1e-12)
 
     r1, r2 = rel_gap(1e-6), rel_gap(1e-7)
@@ -325,7 +324,7 @@ def test_nonlinear_force_rejects_crossing(morse):
     values = np.zeros(cfg.n_atoms)
     values[2] = -2.0 * cfg.a
     with pytest.raises(ValueError, match="bond"):
-        force_nonlinear_atomistic(PeriodicField(cfg, values), morse, cfg)
+        force_nonlinear_atomistic(values, morse, cfg)
 
 
 def test_force_consistency_rate(morse):
@@ -334,9 +333,9 @@ def test_force_consistency_rate(morse):
         errs = []
         for M in ms:
             cfg = ChainConfig(M=M, N=N)
-            u = PeriodicField.from_function(cfg, lambda x: np.sin(np.pi * x))
-            fa = assemble_linear("atomistic", morse, cfg).apply(u).values
-            fc = assemble_linear("continuum", morse, cfg).apply(u).values
+            u = np.sin(np.pi * cfg.positions())
+            fa = assemble_linear("atomistic", morse, cfg).apply_values(u)
+            fc = assemble_linear("continuum", morse, cfg).apply_values(u)
             errs.append(np.max(np.abs(fa - fc)))
         slope = -loglog_slope(ms, errs)
         assert 1.8 <= slope <= 2.2
@@ -350,18 +349,18 @@ def test_bilinear_nearest_neighbor_identity(morse):
     # for any blending field, and <F u, u> = phi_xx(gamma) |u'|^2
     cfg = ChainConfig(M=32, N=1)
     rng = np.random.default_rng(8)
-    beta = PeriodicField(cfg, rng.uniform(0, 1, cfg.n_atoms))
+    beta = rng.uniform(0, 1, cfg.n_atoms)
     for gamma in (1.0, 1.1):
         op = assemble_linear("bqcf", morse, cfg, beta, gamma)
         u = random_field(cfg, 17)
-        expected = float(morse.phi_xx(gamma)) * l2_norm(forward_diff(u)) ** 2
+        expected = float(morse.phi_xx(gamma)) * l2_norm(forward_diff(u, cfg), cfg) ** 2
         assert bilinear(op, u, u) == pytest.approx(expected, rel=1e-11)
 
 
 def test_bilinear_constant_is_zero(morse):
     cfg = ChainConfig(M=8, N=2)
     op = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 2), 1.0)
-    c = PeriodicField(cfg, np.full(cfg.n_atoms, 1.3))
+    c = np.full(cfg.n_atoms, 1.3)
     u = random_field(cfg, 2)
     assert bilinear(op, c, u) == 0.0
 
@@ -372,7 +371,7 @@ def test_bilinear_matches_dense_oracle(morse):
     op = assemble_linear("bqcf", morse, cfg, beta, 1.1)
     A = dense_matrix(op)
     u, v = random_field(cfg, 31), random_field(cfg, 32)
-    expected = cfg.a * float(v.values @ (A @ u.values))
+    expected = cfg.a * float(v @ (A @ u))
     assert bilinear(op, u, v) == pytest.approx(expected, rel=1e-12)
 
 

@@ -22,7 +22,7 @@ from oracles import (
 
 from bqcf import operators, stability
 from bqcf.blending import constant_profile, one_sided_profile, sample_beta, symmetric_profile
-from bqcf.lattice import ChainConfig, PeriodicField, forward_diff
+from bqcf.lattice import ChainConfig, forward_diff
 from bqcf.operators import BandedPeriodicOperator, assemble_linear
 from bqcf.stability import (
     EigenSolveError,
@@ -31,6 +31,7 @@ from bqcf.stability import (
     _LANCZOS_STEPS,
     _h1_gram,
     _shifted_ldl,
+    blend_size_for_rule,
     bordered_matrix,
     coercivity_constant,
     critical_strain,
@@ -111,14 +112,13 @@ def test_report_invariants(morse):
 def test_quotient_exactly_constant_for_n1(morse):
     cfg = ChainConfig(M=48, N=1)
     rng = np.random.default_rng(13)
-    beta = PeriodicField(cfg, rng.uniform(0, 1, cfg.n_atoms))
+    beta = rng.uniform(0, 1, cfg.n_atoms)
     op = assemble_linear("bqcf", morse, cfg, beta, 1.0)
     quotients = []
     for _ in range(100):
         v = rng.standard_normal(cfg.n_atoms)
         v -= v.mean()
-        u = PeriodicField(cfg, v)
-        quotients.append(bilinear(op, u, u) / l2_norm(forward_diff(u)) ** 2)
+        quotients.append(bilinear(op, v, v) / l2_norm(forward_diff(v, cfg), cfg) ** 2)
     spread = (max(quotients) - min(quotients)) / abs(np.mean(quotients))
     assert spread <= 1e-9
 
@@ -465,8 +465,7 @@ def test_stretches_outside_the_recipe_go_to_inertia(morse, copy):
     def build_copy(gamma):
         if copy == "raw_bands":
             return BandedPeriodicOperator(cfg, build(gamma).bands.copy())
-        twin = PeriodicField(cfg, beta.values.copy())
-        return assemble_linear("bqcf", morse, cfg, twin, gamma)
+        return assemble_linear("bqcf", morse, cfg, beta.copy(), gamma)
 
     want_records, records = [], []
     want = critical_strain(build, 1e-3, 1.3, coarse=1e-2, report_sink=want_records.append)
@@ -870,9 +869,9 @@ def test_non_finite_operator_raises(morse, bad):
 def test_non_finite_blend_raises_when_bands_are_made(morse, stability_lu):
     # a recipe's bands are checked when they are built, before any factorization
     cfg = ChainConfig(M=64, N=2)
-    beta = cubic_beta(cfg, 5).values.copy()
+    beta = cubic_beta(cfg, 5)
     beta[3] = float("nan")
-    op = assemble_linear("bqcf", morse, cfg, PeriodicField(cfg, beta), 1.0)
+    op = assemble_linear("bqcf", morse, cfg, beta, 1.0)
     with pytest.raises(FloatingPointError, match="NaN or infinity"):
         coercivity_constant(op)
     with pytest.raises(FloatingPointError, match="NaN or infinity"):
@@ -889,7 +888,7 @@ def test_decomposition_closes(morse):
     checked = 0
     for M in (16, 64, 500):
         cfg = ChainConfig(M=M, N=2)
-        u = PeriodicField(cfg, np.random.default_rng(M).standard_normal(cfg.n_atoms))
+        u = np.random.default_rng(M).standard_normal(cfg.n_atoms)
         betas = [beta_one(cfg), beta_zero(cfg)]
         for make_profile in (symmetric_profile, one_sided_profile):
             for family in ("linear", "cubic", "quintic"):
@@ -926,6 +925,24 @@ def test_scaling_study_small_grid_positive(morse):
     for rep in reports:
         assert rep.c_min > 0
         assert rep.L == int(np.ceil(rep.M ** (1 / 3)))
+
+
+def test_scaling_study_takes_a_generator(morse):
+    reports = scaling_study("cubic", "M^(1/3)", (M for M in (64, 128)), morse, 2)
+    assert [r.M for r in reports] == [64, 128]
+    with pytest.raises(ValueError, match="sorted"):
+        scaling_study("cubic", "M^(1/3)", (M for M in (128, 64)), morse, 2)
+
+
+def test_blend_size_rule_is_exact_on_perfect_powers():
+    # the float root of a perfect power can land just above it (3125 ** 0.2
+    # is 5.000000000000001): L is the least integer with L^p >= M
+    for rule, p, top in (("M^(1/3)", 3, 200), ("M^(1/5)", 5, 40)):
+        for L in range(1, top + 1):
+            assert blend_size_for_rule(rule, L**p) == L
+            assert blend_size_for_rule(rule, L**p + 1) == L + 1
+            if L > 1:
+                assert blend_size_for_rule(rule, L**p - 1) == L
 
 
 def test_scaling_study_validation(morse):
