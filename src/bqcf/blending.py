@@ -52,17 +52,18 @@ def spline_shape(family: str, t):
 
 @dataclass(frozen=True)
 class BlendingProfile:
-    """Spline family, blend size L and the last atomistic site `edge`.
+    """Spline family, blend size L, the last atomistic site `edge`, and M.
 
     A symmetric profile puts a site at distance |ell| - edge from the
-    core, a one-sided profile at ell - edge.  The constant families have
-    no blend (L = 0).
+    core, a one-sided profile at ell - edge, on a chain of that M.  The
+    constant families have no blend (L = 0) and fit every M (M = None).
     """
 
     family: str
     L: int = 0
     edge: int = 0
     one_sided: bool = False
+    M: int | None = None
 
     def __post_init__(self):
         if self.family not in SPLINE_FAMILIES + CONSTANT_FAMILIES:
@@ -85,7 +86,7 @@ def _blend_profile(config: ChainConfig, family, L, edge, one_sided) -> BlendingP
         raise ValueError(
             f"layout does not fit: atomistic edge {edge} plus blend {L} exceeds M={config.M}"
         )
-    return BlendingProfile(family, L, edge, one_sided)
+    return BlendingProfile(family, L, edge, one_sided, config.M)
 
 
 def symmetric_profile(config: ChainConfig, family: str, L: int) -> BlendingProfile:
@@ -103,11 +104,13 @@ def one_sided_profile(config: ChainConfig, family: str, L: int) -> BlendingProfi
 
 
 def sample_beta(profile: BlendingProfile, config: ChainConfig) -> np.ndarray:
-    """The blending function at every lattice site, in physical order."""
+    """The blending function at every site of a chain of the profile's M, in physical order."""
     if profile.family == "constant_one":
         return np.ones(config.n_atoms)
     if profile.family == "constant_zero":
         return np.zeros(config.n_atoms)
+    if profile.M != config.M:
+        raise ValueError(f"profile laid out for M={profile.M}, sampled at M={config.M}")
     L = profile.L
     ell = config.logical_indices()
     d = (ell if profile.one_sided else np.abs(ell)) - profile.edge

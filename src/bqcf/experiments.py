@@ -110,7 +110,8 @@ def external_force(kind: str, params, config: ChainConfig) -> np.ndarray:
 
     params is (amp_scale, mu, sigma); only the gaussian reads mu and
     sigma, and needs both, with 2 sigma^2 a positive float.  sine:
-    0.01 * s * sin(-pi x); gaussian: 0.01 * s * exp(-(x - mu)^2 / (2 sigma^2)).
+    0.01 * s * sin(-pi x); gaussian: 0.01 * s * exp(-(x - mu)^2 / (2 sigma^2)),
+    with ((x - mu) / sigma)^2 / 2 in the exponent where 2 sigma^2 overflows.
     """
     amp_scale, mu, sigma = params
     for name, value in (("amp_scale", amp_scale), ("mu", mu), ("sigma", sigma)):
@@ -122,9 +123,12 @@ def external_force(kind: str, params, config: ChainConfig) -> np.ndarray:
     if kind == "gaussian":
         if mu is None or sigma is None:
             raise ValueError("the gaussian force needs mu and sigma")
-        if not (sigma > 0 and 2.0 * sigma**2 > 0.0):
-            raise ValueError(f"sigma must be positive with 2 sigma^2 > 0, got {sigma}")
-        return 0.01 * amp_scale * np.exp(-((x - mu) ** 2) / (2.0 * sigma**2))
+        with np.errstate(over="ignore"):  # an overflow rounds the force to 0 or a constant
+            two_var = 2.0 * np.float64(sigma) ** 2  # Python's sigma**2, but inf past the range
+            if not (sigma > 0 and two_var > 0.0):
+                raise ValueError(f"sigma must be positive with 2 sigma^2 > 0, got {sigma}")
+            q = (x - mu) ** 2 / two_var if two_var < math.inf else ((x - mu) / sigma) ** 2 / 2.0
+            return 0.01 * amp_scale * np.exp(-q)
     raise ValueError(f"unknown force kind {kind!r}")
 
 

@@ -9,8 +9,8 @@ reference linearization).  They are one blend,
                    + (1 - w_{ell,k}) k^2 (u_{ell+1} - 2 u_ell + u_{ell-1}) ] / a^2,
 
 with the pair weight w_{ell,k} = (beta_{ell-k} + 2 beta_ell + beta_{ell+k}) / 4
-for the blended (B-QCF) operator, w = 1 for the atomistic operator and
-w = 0 for the continuum operator.
+for the blended (B-QCF) operator.  The atomistic and continuum operators
+are the blend at beta = 1 and beta = 0, where w = 1 and w = 0.
 
 With this sign convention the quadratic form <F u, u> is positive for
 stable configurations, e.g. <F u, u> = phi_xx(1) |u'|^2 for N = 1.
@@ -27,8 +27,8 @@ constant fields are annihilated exactly in floating point.  Every band is
 affine in the N coefficients phi_xx(k gamma).
 
 An operator is always the whole sum over k = 1..N.  An assembled one
-carries its recipe: its kind, the blend it read and c_k = phi_xx(k gamma)
-for k = 1..N, evaluated at assembly.  Its bands are built from the recipe
+carries its recipe: the blend it read and c_k = phi_xx(k gamma) for
+k = 1..N, evaluated at assembly.  Its bands are built from the recipe
 on first access, so a caller that only needs the coefficients (a sweep's
 stretches, see stability._Eigencurve) never pays for them.
 
@@ -68,12 +68,10 @@ def _row_sums(bands: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class OperatorRecipe:
-    """How an operator was assembled: its kind, the blend it read (None
-    unless kind is 'bqcf') and the coefficients c_k = phi_xx(k gamma) for
-    k = 1..N, in order."""
+    """How an operator was assembled: the blend it read (2M site values)
+    and the coefficients c_k = phi_xx(k gamma) for k = 1..N, in order."""
 
-    kind: str
-    beta: np.ndarray | None
+    beta: np.ndarray
     coefficients: tuple
 
 
@@ -90,9 +88,8 @@ def _recipe_bands(config: ChainConfig, recipe: OperatorRecipe) -> np.ndarray:
     N = config.N
     inv_a2 = float(config.M) ** 2
     bands = np.zeros((2 * N + 1, config.n_atoms))
-    kind = recipe.kind
     for k, c in enumerate(recipe.coefficients, 1):
-        w = pair_weight_field(recipe.beta, k) if kind == "bqcf" else float(kind == "atomistic")
+        w = pair_weight_field(recipe.beta, k)
         bands[[N - k, N + k]] += -(w * c) * inv_a2
         bands[[N - 1, N + 1]] += -((1.0 - w) * (c * k * k)) * inv_a2
     bands[N] = -_row_sums(bands)
@@ -181,8 +178,9 @@ def assemble_linear(
 ) -> BandedPeriodicOperator:
     """Assemble the full linearized force operator (sum over neighbors).
 
-    which: 'atomistic' | 'continuum' | 'bqcf'; beta, the blend's 2M site
-    values, is only consulted for 'bqcf'.  The coefficients
+    which: 'atomistic' | 'continuum' | 'bqcf'.  'bqcf' reads beta, the
+    blend's 2M site values; 'atomistic' and 'continuum' ignore it and read
+    the constant blend beta = 1 or beta = 0.  The coefficients
     c_k = phi_xx(k gamma) are evaluated now, the bands on first access.
     """
     if not (math.isfinite(gamma) and gamma > 0):
@@ -196,9 +194,9 @@ def assemble_linear(
         if beta.shape != (config.n_atoms,):
             raise ValueError(f"beta has shape {beta.shape}, expected ({config.n_atoms},)")
     else:
-        beta = None
+        beta = np.full(config.n_atoms, float(which == "atomistic"))
     coefficients = tuple(float(pot.phi_xx(k * gamma)) for k in range(1, config.N + 1))
-    return BandedPeriodicOperator(config, recipe=OperatorRecipe(which, beta, coefficients))
+    return BandedPeriodicOperator(config, recipe=OperatorRecipe(beta, coefficients))
 
 
 def energy_linearized(

@@ -52,15 +52,6 @@ class PairPotential:
     def __init__(self):
         self.check_assumptions()
 
-    def _phi(self, r):
-        raise NotImplementedError
-
-    def _phi_x(self, r):
-        raise NotImplementedError
-
-    def _phi_xx(self, r):
-        raise NotImplementedError
-
     @staticmethod
     def _checked_abs(r):
         r = np.asarray(r, dtype=float)

@@ -480,11 +480,11 @@ class _Eigencurve:
 
     def record(self, op: BandedPeriodicOperator, gamma: float) -> StabilityRecord | None:
         """The stretch decided by its bracket [f_lo, f_hi] on c_min, or None.
-        It qualifies with c_2 < 0 and the first stretch's kind, config and
-        blend object."""
+        It qualifies with c_2 < 0 and the first stretch's config and blend
+        object."""
         r1 = self.recipe
         r = None if r1 is None else op.recipe
-        if r is None or r.beta is not r1.beta or (r.kind, op.config) != (r1.kind, self.config):
+        if r is None or r.beta is not r1.beta or op.config != self.config:
             return None
         c1, c2, *c3 = r.coefficients
         if not c2 < 0.0:

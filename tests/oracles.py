@@ -312,6 +312,20 @@ def neighbor_operator(kind, pot, config, beta, gamma, k):
     return BandedPeriodicOperator(config, bands)
 
 
+def pure_model_mismatch(op, kind, pot, gamma):
+    """The offsets at which op is not the atomistic or continuum operator
+    (kind) that neighbor_operator sums over k = 1..N with its own weight,
+    w = 1 or w = 0: each off-diagonal band that differs at all, and 0 if
+    the diagonal, which the oracle sums per k, differs beyond roundoff."""
+    config = op.config
+    N = config.N
+    want = sum(neighbor_operator(kind, pot, config, None, gamma, k).bands for k in range(1, N + 1))
+    bad = [o for o in range(-N, N + 1) if o and not np.array_equal(op.bands[N + o], want[N + o])]
+    if np.max(np.abs(op.bands[N] - want[N])) > 1e-14 * np.max(np.abs(want)):
+        bad.append(0)
+    return bad
+
+
 @dataclass
 class DecompositionReport:
     """Both sides of the exact identity <F_2 u, u> = T1 + T2 + W derived in

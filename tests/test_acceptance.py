@@ -27,6 +27,7 @@ from oracles import (
     energy_atomistic,
     force_nonlinear_atomistic,
     l2_norm,
+    pure_model_mismatch,
     stability_constant,
     summation_by_parts_residual,
 )
@@ -268,23 +269,15 @@ def test_criterion_3_exact_identities(morse):
             if summation_by_parts_residual(u, v) > bound:
                 failures.append(f"summation-by-parts residual above bound at M={M}")
 
-    # blend degenerations, exact in coefficients
+    # blend degenerations: beta = 1 and 0 give the oracle's atomistic and
+    # continuum operators, off-diagonals exactly, the diagonal to roundoff
     config = ChainConfig(M=64, N=3)
-    beta1 = sample_beta(constant_profile("constant_one"), config)
-    beta0 = sample_beta(constant_profile("constant_zero"), config)
     for gamma in (1.0, 1.1):
-        bq1 = assemble_linear("bqcf", morse, config, beta1, gamma)
-        at = assemble_linear("atomistic", morse, config, gamma=gamma)
-        bq0 = assemble_linear("bqcf", morse, config, beta0, gamma)
-        co = assemble_linear("continuum", morse, config, gamma=gamma)
-        for lhs, rhs, tag in ((bq1, at, "beta=1"), (bq0, co, "beta=0")):
-            offs = set(lhs.diagonals) | set(rhs.diagonals)
-            for o in offs:
-                z = np.zeros(config.n_atoms)
-                if not np.array_equal(
-                    lhs.diagonals.get(o, z), rhs.diagonals.get(o, z)
-                ):
-                    failures.append(f"{tag} degeneration differs at offset {o}")
+        for family, kind in (("constant_one", "atomistic"), ("constant_zero", "continuum")):
+            beta = sample_beta(constant_profile(family), config)
+            op = assemble_linear("bqcf", morse, config, beta, gamma)
+            for o in pure_model_mismatch(op, kind, morse, gamma):
+                failures.append(f"{family} degeneration differs at offset {o}")
 
     # N=1 Rayleigh quotient exactly constant
     config1 = ChainConfig(M=64, N=1)

@@ -190,3 +190,16 @@ def test_profile_validation():
         symmetric_profile(cfg, "septic", L=2)
     with pytest.raises(ValueError):
         symmetric_profile(cfg, "cubic", L=12)  # does not fit beside the core
+
+
+def test_spline_profile_is_sampled_only_at_its_own_M():
+    # a layout's core edge is round(M/2) of the M it was made for, so on
+    # another chain it would put the core in the wrong place (here, everywhere)
+    made, other = ChainConfig(M=2000), ChainConfig(M=500)
+    for make_profile in (symmetric_profile, one_sided_profile):
+        profile = make_profile(made, "cubic", 5)
+        with pytest.raises(ValueError, match="M=2000, sampled at M=500"):
+            sample_beta(profile, other)
+        assert sample_beta(profile, ChainConfig(M=2000, N=3)).shape == (made.n_atoms,)
+    for family in ("constant_one", "constant_zero"):  # constants fit every M
+        assert sample_beta(constant_profile(family), other).shape == (other.n_atoms,)

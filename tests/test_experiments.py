@@ -87,6 +87,9 @@ def test_gaussian_force_peak():
     cfg = ChainConfig(M=16, N=2)
     f = external_force("gaussian", (0.2, 4.0 * cfg.a, 50.0 * cfg.a), cfg)
     assert at(f, 4) == pytest.approx(0.01 * 0.2, rel=1e-12)  # peak at mu = 4a
+    # past the float range of 2 sigma^2, the exponent is ((x - mu) / sigma)^2 / 2
+    f = external_force("gaussian", (0.2, 1e154, 1e154), cfg)
+    assert np.all(f == 0.002 * np.exp(-0.5))
     with pytest.raises(ValueError):
         external_force("gaussian", (0.2, 0.0, -1.0), cfg)
     with pytest.raises(ValueError):
@@ -507,6 +510,23 @@ def test_cli_deform_underflowing_sigma_exit_code(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: sigma must be positive with 2 sigma^2 > 0")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, forces",
+    [
+        ("--sigma", "1e200", {0.002}),  # 2 sigma^2 overflows: a constant force
+        ("--mu", "1e300", {0.0}),  # (x - mu)^2 overflows: no force
+        ("--sigma", "1e-160", {0.0, 0.002}),  # the exponent overflows off mu = 4a
+    ],
+)
+def test_cli_deform_gaussian_rounds_extreme_parameters(tmp_path, flag, value, forces):
+    # a force that rounds to 0 or to a constant is a result, reached
+    # without an OverflowError or a numpy warning
+    out = tmp_path / "d.csv"
+    code = run_cli(["deform", "--force", "gaussian", "--M", "50", flag, value, "--out", str(out)])
+    assert code == 0
+    assert set(parse_csv(out.read_text()).column("f_ext")) == forces
 
 
 def test_cli_run_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):

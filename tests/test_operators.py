@@ -9,6 +9,7 @@ from oracles import (
     force_nonlinear_atomistic,
     l2_norm,
     neighbor_operator,
+    pure_model_mismatch,
 )
 
 from bqcf import operators
@@ -98,11 +99,14 @@ def test_assembled_operator_carries_its_recipe(morse, monkeypatch):
     monkeypatch.setattr(
         operators, "_recipe_bands", lambda *a: built.append(1) or recipe_bands(*a)
     )
-    for which in ("bqcf", "atomistic", "continuum"):
+    for which, constant in (("bqcf", None), ("atomistic", 1.0), ("continuum", 0.0)):
         op = assemble_linear(which, morse, cfg, beta, 1.1)
         r = op.recipe
-        assert r.kind == which and len(r.coefficients) == cfg.N
-        assert r.beta is (beta if which == "bqcf" else None)
+        if constant is None:
+            assert r.beta is beta
+        else:  # the pure kinds are the constant blend, whatever beta is passed
+            assert r.beta.dtype == np.float64 and r.beta.shape == (cfg.n_atoms,)
+            assert np.all(r.beta == constant)
         assert r.coefficients == tuple(float(morse.phi_xx(k * 1.1)) for k in (1, 2, 3))
         assert built == []
         assert op.bands is op.bands and len(built) == 1
@@ -130,24 +134,14 @@ def test_beta_one_degenerates_to_atomistic(morse):
     cfg = ChainConfig(M=12, N=3)
     beta1 = sample_beta(constant_profile("constant_one"), cfg)
     bq = assemble_linear("bqcf", morse, cfg, beta1, 1.07)
-    at = assemble_linear("atomistic", morse, cfg, gamma=1.07)
-    offsets = set(bq.diagonals) | set(at.diagonals)
-    for o in offsets:
-        lhs = bq.diagonals.get(o, np.zeros(cfg.n_atoms))
-        rhs = at.diagonals.get(o, np.zeros(cfg.n_atoms))
-        assert np.array_equal(lhs, rhs), f"offset {o} differs"
+    assert pure_model_mismatch(bq, "atomistic", morse, 1.07) == []
 
 
 def test_beta_zero_degenerates_to_continuum(morse):
     cfg = ChainConfig(M=12, N=3)
     beta0 = sample_beta(constant_profile("constant_zero"), cfg)
     bq = assemble_linear("bqcf", morse, cfg, beta0, 1.07)
-    co = assemble_linear("continuum", morse, cfg, gamma=1.07)
-    offsets = set(bq.diagonals) | set(co.diagonals)
-    for o in offsets:
-        lhs = bq.diagonals.get(o, np.zeros(cfg.n_atoms))
-        rhs = co.diagonals.get(o, np.zeros(cfg.n_atoms))
-        assert np.array_equal(lhs, rhs), f"offset {o} differs"
+    assert pure_model_mismatch(bq, "continuum", morse, 1.07) == []
 
 
 def test_per_neighbor_sum_is_full_operator(morse):

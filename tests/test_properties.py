@@ -4,7 +4,7 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_cmin, dense_matrix, dense_negative_count
+from oracles import dense_cmin, dense_matrix, dense_negative_count, pure_model_mismatch
 
 from bqcf.blending import (
     SPLINE_FAMILIES,
@@ -47,11 +47,16 @@ def test_constants_are_annihilated_exactly(morse, blend, which, gamma, c):
 @small
 @given(blends(), gammas)
 def test_constant_blends_are_the_pure_models(morse, blend, gamma):
-    config, _ = blend
+    # both the blend at beta = 1 or 0 and the kind assembled by name are
+    # the oracle's pure model, summed over k
+    config, beta = blend
     for family, which in (("constant_one", "atomistic"), ("constant_zero", "continuum")):
-        beta = sample_beta(constant_profile(family), config)
-        blended = assemble_linear("bqcf", morse, config, beta, gamma)
-        assert blended.bands.tobytes() == assemble_linear(which, morse, config, None, gamma).bands.tobytes()
+        constant = sample_beta(constant_profile(family), config)
+        for op in (
+            assemble_linear("bqcf", morse, config, constant, gamma),
+            assemble_linear(which, morse, config, beta, gamma),  # which ignores beta
+        ):
+            assert pure_model_mismatch(op, which, morse, gamma) == [], (which, config)
 
 
 @small

@@ -619,6 +619,25 @@ def test_atomistic_sweep_takes_the_pencil_without_factorizing(morse, monkeypatch
     assert {r.path for r in records} == {"circulant"}
 
 
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("which, make_beta", [("atomistic", beta_one), ("continuum", beta_zero)])
+def test_pure_kind_sweep_takes_the_fourier_route(morse, stability_lu, which, make_beta, N):
+    # assemble_linear(which) reads a fresh constant blend at each call, so
+    # the eigencurve qualifies no stretch past gamma = 1, and stability_at
+    # decides each by its least Fourier mode: the answer of the sweep over
+    # one constant blend, and no factorization
+    cfg = ChainConfig(M=500, N=N)
+    beta = make_beta(cfg)
+    records = []
+    g = critical_strain(
+        lambda gamma: assemble_linear(which, morse, cfg, gamma=gamma),
+        1e-5, 1.5, coarse=1e-3, report_sink=records.append,
+    )
+    assert stability_lu.factorizations == 0
+    assert records[0].path == "pencil" and {r.path for r in records[1:]} == {"circulant"}
+    assert g == critical_strain(lambda gamma: assemble_linear("bqcf", morse, cfg, beta, gamma))
+
+
 # ------------------------------------------------------- inertia predicate
 
 
