@@ -141,7 +141,7 @@ def solve_mean_zero(op, rhs: np.ndarray) -> np.ndarray:
     the non-symmetric blend, the border row pins mean(u) = 0.
     """
     sol = splu(bordered_matrix(op.bands)).solve(np.append(rhs, 0.0))
-    return sol[: op.config.n_atoms]
+    return sol[: op.config.n_atoms] + 0.0  # a zero entry, not the -0.0 a negative pivot gives
 
 
 def run_critical_strain_table(
@@ -294,7 +294,8 @@ def solve_deformation(
     pot = Morse(potential)
     make_profile = one_sided_profile if one_sided else symmetric_profile
     f_vals = external_force(force_kind, (amp_scale, shape.get("mu"), shape.get("sigma")), base)
-    removed_mean = float(f_vals.mean())
+    # equal values are their own mean, which the float sum need not return
+    removed_mean = float(f_vals[0] if np.all(f_vals == f_vals[0]) else f_vals.mean())
     f0 = f_vals - removed_mean
     beta = sample_beta(make_profile(base, family, L), base)
     u = {}

@@ -35,9 +35,10 @@ stretches, see stability._Eigencurve) never pays for them.
 The quadratic energies of the linearized atomistic and continuum models
 live here too.
 
-Operators are immutable once assembled and safe to share across
-threads: the recipe is fixed at assembly, and concurrent first accesses
-to the bands at worst build the same array twice.
+Operators are immutable once made and safe to share across threads:
+the recipe is fixed at assembly, raw bands are kept as a read-only copy,
+and the symmetric part is kept once built.  Concurrent first accesses
+at worst build the same array twice.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 
 from .blending import pair_weight_field
 from .lattice import ChainConfig, forward_diff
-from .potential import PairPotential
+from .potential import Morse
 
 
 def _row_sums(bands: np.ndarray) -> np.ndarray:
@@ -101,10 +102,11 @@ class BandedPeriodicOperator:
 
     bands[N + o][p] is the entry coupling row p to column (p + o) mod 2M,
     for the offsets o = -N..N of the config's interaction range.  It is
-    made from raw bands, or from a recipe (as assembly does), in which
-    case the bands are built on first access and are read-only, so they
-    cannot drift from the recipe.  recipe is None for raw bands.  Bands with
-    a NaN or infinity raise FloatingPointError when made, before any solve.
+    made from raw bands, which it copies, or from a recipe (as assembly
+    does), in which case the bands are built on first access.  Either way
+    the bands are read-only, so they cannot drift from the recipe or from
+    the kept symmetric part.  recipe is None for raw bands.  Bands with a
+    NaN or infinity raise FloatingPointError when made, before any solve.
     """
 
     def __init__(self, config: ChainConfig, bands=None, *, recipe: OperatorRecipe | None = None):
@@ -112,12 +114,13 @@ class BandedPeriodicOperator:
             raise ValueError("give the operator either its bands or its recipe")
         self.config = config
         self.recipe = recipe
-        self._bands = None
+        self._bands = self._sym = None
         if bands is not None:
-            bands = np.asarray(bands, dtype=float)
+            bands = np.array(bands, dtype=float)
             shape = (2 * config.N + 1, config.n_atoms)
             if bands.shape != shape:
                 raise ValueError(f"bands have shape {bands.shape}, expected {shape}")
+            bands.setflags(write=False)
             self._bands = _finite(bands)
 
     @property
@@ -152,12 +155,15 @@ class BandedPeriodicOperator:
         return out
 
     def symmetric_part(self) -> "BandedPeriodicOperator":
-        """(A + A^T)/2: entry p of band o of A^T is entry p + o of band -o
-        of A, read from one periodic extension of the bands."""
-        N, n, bands = self.config.N, self.config.n_atoms, self.bands
-        ext = np.concatenate((bands[:, n - N :], bands, bands[:, :N]), axis=1)
-        t = np.array([ext[N - o, N + o : N + o + n] for o in range(-N, N + 1)])
-        return BandedPeriodicOperator(self.config, 0.5 * (bands + t))
+        """(A + A^T)/2, built on first call and kept: entry p of band o of
+        A^T is entry p + o of band -o of A, read from one periodic
+        extension of the bands."""
+        if self._sym is None:
+            N, n, bands = self.config.N, self.config.n_atoms, self.bands
+            ext = np.concatenate((bands[:, n - N :], bands, bands[:, :N]), axis=1)
+            t = np.array([ext[N - o, N + o : N + o + n] for o in range(-N, N + 1)])
+            self._sym = BandedPeriodicOperator(self.config, 0.5 * (bands + t))
+        return self._sym
 
     def to_sparse(self):
         """CSR matrix (scipy) with periodic wraparound."""
@@ -171,7 +177,7 @@ class BandedPeriodicOperator:
 
 def assemble_linear(
     which: str,
-    pot: PairPotential,
+    pot: Morse,
     config: ChainConfig,
     beta: np.ndarray | None = None,
     gamma: float = 1.0,
@@ -201,7 +207,7 @@ def assemble_linear(
 
 def energy_linearized(
     u: np.ndarray,
-    pot: PairPotential,
+    pot: Morse,
     config: ChainConfig,
     which: str,
     gamma: float = 1.0,

@@ -20,8 +20,9 @@ number of pencil eigenvalues below sigma is neg(K(sigma)) - 1, read off
 the pivots of one sparse LU of K taken without pivoting: for the
 symmetric K that factorization is L D L^T with D the diagonal of U.
 
-S and G are band arrays like the operator's own: S averages A's bands
-with their row rolls (the bands of A^T), G has the bands -1/a, 2/a, -1/a.
+S and G are band arrays like the operator's own: S is a times the
+symmetric part the operator keeps, A's bands averaged with their row
+rolls (the bands of A^T); G has the bands -1/a, 2/a, -1/a.
 bordered_matrix refills K from the bands of its leading block on a CSC
 pattern built once per (2M, N).  The sweep's test (S), every shift of the
 slicing (S - sigma G) and the deform solve (A itself) share it, so no
@@ -56,7 +57,7 @@ from scipy.sparse.linalg import eigsh  # noqa: F401  unused; perfbench/layertrac
 from .blending import sample_beta, symmetric_profile
 from .lattice import ChainConfig
 from .operators import BandedPeriodicOperator, assemble_linear
-from .potential import PairPotential
+from .potential import Morse
 
 
 class EigenSolveError(RuntimeError):
@@ -133,14 +134,6 @@ class StabilityRecord:
         return f"c_min = {self.c_min:.6g}" if lo == hi else f"c_min in [{lo:.6g}, {hi:.6g}]"
 
 
-def _h1_gram(config: ChainConfig) -> np.ndarray:
-    """The bands -1/a, 2/a, -1/a of G = a D^T D, D the periodic forward difference."""
-    N, a = config.N, config.a
-    bands = np.zeros((2 * N + 1, config.n_atoms))
-    bands[N - 1 : N + 2] = np.array([[-1.0 / a], [2.0 / a], [-1.0 / a]])
-    return bands
-
-
 def _gram(v: np.ndarray, a: float) -> np.ndarray:
     """G v by its stencil (2 v_l - v_{l-1} - v_{l+1}) / a."""
     ext = np.concatenate((v[-1:], v, v[:1]))
@@ -153,8 +146,8 @@ def _project(x: np.ndarray) -> np.ndarray:
     return x - (ebar @ x) * ebar
 
 
-def _mode(op: BandedPeriodicOperator, sym: BandedPeriodicOperator, v: np.ndarray):
-    """Evaluate v as a mode of op, sym being op.symmetric_part(): the
+def _mode(op: BandedPeriodicOperator, v: np.ndarray):
+    """Evaluate v as a mode of op, S being a * op.symmetric_part(): the
     G-normalized mean-zero v, its quotient c = a <A v, v> (= <S v, v>, but
     A's row sums vanish exactly where A^T's carry roundoff), the pencil
     residual |P S v - c G v| / |G v| (eigenvalue units) and G v."""
@@ -162,7 +155,7 @@ def _mode(op: BandedPeriodicOperator, sym: BandedPeriodicOperator, v: np.ndarray
     v = _project(v)
     v = v / np.sqrt(v @ _gram(v, a))
     c = float(v @ op.apply_values(v)) * a
-    sv = _project(sym.apply_values(v) * a)
+    sv = _project(op.symmetric_part().apply_values(v) * a)
     gv = _gram(v, a)
     return v, c, float(np.linalg.norm(sv - c * gv) / np.linalg.norm(gv)), gv
 
@@ -213,7 +206,7 @@ def _circulant_cmin(op: BandedPeriodicOperator):
     # reduce the phase modulo the period in exact integer arithmetic;
     # large raw angles would cost ~m*p*eps of phase accuracy
     phase = (m_star * np.arange(n, dtype=np.int64)) % n
-    v, lam, res, _ = _mode(op, op.symmetric_part(), np.cos(2.0 * np.pi * phase / n))
+    v, lam, res, _ = _mode(op, np.cos(2.0 * np.pi * phase / n))
     return lam, v, res, 0, 0
 
 
@@ -221,14 +214,14 @@ def _is_circulant(op: BandedPeriodicOperator) -> bool:
     return bool(np.all(np.ptp(op.bands, axis=1) == 0.0))
 
 
-def _shifted_ldl(sym: BandedPeriodicOperator, sigma: float):
+def _shifted_ldl(op: BandedPeriodicOperator, sigma: float):
     """Factor K = [[S - sigma G, e], [e^T, 0]] as L D L^T and count.
 
-    S = a * sym, sym being an operator's symmetric part, and G is built
-    here.  Returns (lu, neg), where neg = neg(K) - 1 is the number of
-    eigenvalues of the pencil (S, G) below sigma on mean-zero fields (for
-    sigma = 0, the negative eigenvalues of S there), or None when the
-    signs cannot be trusted.
+    S = a * op.symmetric_part(), and sigma G is taken off its bands -1..1,
+    G's being -1/a, 2/a, -1/a.  Returns (lu, neg), where neg = neg(K) - 1
+    is the number of eigenvalues of the pencil (S, G) below sigma on
+    mean-zero fields (for sigma = 0, the negative eigenvalues of S there),
+    or None when the signs cannot be trusted.
 
     K is factored in its natural order with diagonal pivots only, so U's
     diagonal is the D of K = L D L^T and neg(K) = #{d_i < 0}; the border
@@ -246,11 +239,13 @@ def _shifted_ldl(sym: BandedPeriodicOperator, sigma: float):
     sign between them whatever sign roundoff gives d; a larger d has a
     resolved sign of its own.
     """
-    config = sym.config
-    n = config.n_atoms
+    config = op.config
+    n, N, a = config.n_atoms, config.N, config.a
+    shifted = a * op.symmetric_part().bands
+    shifted[N - 1 : N + 2] -= sigma * np.array([[-1.0 / a], [2.0 / a], [-1.0 / a]])
     try:
         lu = splu(
-            bordered_matrix(config.a * sym.bands - sigma * _h1_gram(config)),
+            bordered_matrix(shifted),
             permc_spec="NATURAL",
             diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),
@@ -298,7 +293,6 @@ def _sliced_cmin(op: BandedPeriodicOperator):
     config = op.config
     n = config.n_atoms
     a = config.a
-    sym = op.symmetric_part()
     # half the sum of o^2 max|d_o| a^2 over o != 0, a scale of the H1
     # quotient: sum_k k^2 |phi_xx(k gamma)| on the atomistic operator.  It
     # is usually below the spectrum, but not always (a zero diagonal entry
@@ -316,7 +310,7 @@ def _sliced_cmin(op: BandedPeriodicOperator):
     solves = 0
     for factorizations in range(1, _MAX_FACTORIZATIONS + 1):
         lu = factored = None  # free the last factor before making the next
-        factored = _shifted_ldl(sym, sigma)
+        factored = _shifted_ldl(op, sigma)
         if factored is None:  # untrusted signs: nudge the shift toward lo
             sigma = lo + 0.5 * (sigma - lo) if lo > -math.inf else sigma - (abs(sigma) + 1.0)
             continue
@@ -346,7 +340,7 @@ def _sliced_cmin(op: BandedPeriodicOperator):
             theta, s = eigh_tridiagonal(alpha[: j + 1], beta[:j])  # Ritz pairs, ascending
             k = 0 if theta[0] < 0.0 else -1  # c_min's 1 / (c - sigma) is T's least if < 0
             if (j + 1) % 4 == 0 or beta[j] * abs(s[-1, k]) < 1e-7 * abs(theta[k]):
-                v, lam, res, gv = _mode(op, sym, s[:, k] @ Q)
+                v, lam, res, gv = _mode(op, s[:, k] @ Q)
                 hi = min(hi, lam)
                 scale = abs(lam) + 1.0
                 # a residual stagnating at its floor (1e-9 relative at M = 8000)
@@ -412,7 +406,7 @@ def stability_at(op: BandedPeriodicOperator, gamma: float = 1.0) -> StabilityRec
     the record keeps its path, 'circulant' or 'sliced'.
     """
     if not _is_circulant(op):
-        factored = _shifted_ldl(op.symmetric_part(), 0.0)
+        factored = _shifted_ldl(op, 0.0)
         if factored is not None:
             return StabilityRecord(gamma, factored[1] == 0, factored[1], None, "inertia")
     rep = coercivity_constant(op)
@@ -464,11 +458,10 @@ class _Eigencurve:
         except EigenSolveError:
             self.recipe = None
             return
-        sym = op.symmetric_part()
-        v, q, _, _ = _mode(op, sym, rep.mode)  # q bounds c_min only on mean-zero fields
+        v, q, _, _ = _mode(op, rep.mode)  # q bounds c_min only on mean-zero fields
         q_lo = q - _MARGIN * (abs(q) + 1.0)
         if rep.path != "circulant":
-            factored = _shifted_ldl(sym, q_lo)
+            factored = _shifted_ldl(op, q_lo)
             if factored is None or factored[1] != 0:
                 self.recipe = None
                 return
@@ -629,7 +622,7 @@ def scaling_study(
     family: str,
     L_rule: str,
     M_list,
-    pot: PairPotential,
+    pot: Morse,
     N: int,
     *,
     gamma: float = 1.0,

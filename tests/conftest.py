@@ -47,8 +47,8 @@ def stability_lu(monkeypatch):
         probe.factorizations += 1
         return Factor(splu(*args, **kwargs))
 
-    def count(sym, sigma):
-        factored = shifted_ldl(sym, sigma)
+    def count(op, sigma):
+        factored = shifted_ldl(op, sigma)
         probe.counts.append(None if factored is None else factored[1])
         return factored
 

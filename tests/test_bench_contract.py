@@ -38,12 +38,15 @@ def test_tracer_patches_and_restores_every_entry_point(morse):
     op = cubic_operator(morse)
     f = np.sin(np.pi * op.config.positions())
     with tracer.patched():
+        cubic_operator(morse)
         stability.coercivity_constant(op)
         experiments.solve_mean_zero(op, f)
     assert all(vars(owner)[attr] is fn for owner, attr, fn in originals)
     # every factorization goes through a module global the tracer wraps
     assert tracer.calls["stability.splu"] > 0 and tracer.calls["experiments.splu"] == 1
     assert tracer.calls["operators.apply_values"] > 0
+    # the tracer names PairPotential, an alias of Morse, so assembly's phi_xx calls count
+    assert tracer.calls["potential.phi_xx"] > 0
 
 
 def test_plain_apply_matches_program_apply(morse):

@@ -529,6 +529,16 @@ def test_cli_deform_gaussian_rounds_extreme_parameters(tmp_path, flag, value, fo
     assert set(parse_csv(out.read_text()).column("f_ext")) == forces
 
 
+def test_constant_force_is_its_own_mean():
+    # 0.002 at every site, whose float mean is 0.0020000000000000005: the
+    # force less its mean is exactly 0, and so is every displacement (+0.0)
+    table = solve_deformation("gaussian", M=50, sigma=1e200)
+    assert set(table.column("f_ext")) == {0.002}
+    assert table.metadata["removed_mean"] == 0.002
+    u = np.array([table.column(c) for c in ("u_N1", "u_N2", "u_N3")])
+    assert not np.signbit(u).any() and not u.any()
+
+
 def test_cli_run_out_of_memory_exit_code(tmp_path, capsys, monkeypatch):
     # stands in for a chain too large to allocate; no large array is made
     def out_of_memory(**settings):

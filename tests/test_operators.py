@@ -110,9 +110,11 @@ def test_assembled_operator_carries_its_recipe(morse, monkeypatch):
         assert r.coefficients == tuple(float(morse.phi_xx(k * 1.1)) for k in (1, 2, 3))
         assert built == []
         assert op.bands is op.bands and len(built) == 1
+        assert op.symmetric_part() is op.symmetric_part()  # built once, then kept
         built.clear()
-    raw = BandedPeriodicOperator(cfg, op.bands)
-    assert raw.recipe is None and raw.bands is op.bands
+    raw = BandedPeriodicOperator(cfg, op.bands)  # raw bands are copied
+    assert raw.recipe is None and raw.bands is not op.bands
+    np.testing.assert_array_equal(raw.bands, op.bands)
     with pytest.raises(ValueError, match="either"):
         BandedPeriodicOperator(cfg)
     with pytest.raises(ValueError, match="either"):
@@ -125,9 +127,13 @@ def test_bands_built_from_a_recipe_are_read_only(morse):
     op = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 2), 1.1)
     with pytest.raises(ValueError, match="read-only"):
         op.diagonals[0][3] = 0.0
-    raw = BandedPeriodicOperator(cfg, op.bands.copy())
-    raw.diagonals[0][3] = 0.0  # raw bands stay as the caller gave them
-    assert raw.bands[cfg.N, 3] == 0.0
+    # raw bands are a read-only copy, so the kept symmetric part cannot go stale
+    given = op.bands.copy()
+    raw = BandedPeriodicOperator(cfg, given)
+    with pytest.raises(ValueError, match="read-only"):
+        raw.diagonals[0][3] = 0.0
+    given[cfg.N, 3] = 0.0
+    assert raw.bands[cfg.N, 3] == op.bands[cfg.N, 3] != 0.0
 
 
 def test_beta_one_degenerates_to_atomistic(morse):

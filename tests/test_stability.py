@@ -23,13 +23,12 @@ from oracles import (
 from bqcf import operators, stability
 from bqcf.blending import constant_profile, one_sided_profile, sample_beta, symmetric_profile
 from bqcf.lattice import ChainConfig, forward_diff
-from bqcf.operators import BandedPeriodicOperator, assemble_linear
+from bqcf.operators import BandedPeriodicOperator, OperatorRecipe, assemble_linear
 from bqcf.stability import (
     EigenSolveError,
     StabilityRecord,
     StrainSweepError,
     _LANCZOS_STEPS,
-    _h1_gram,
     _shifted_ldl,
     blend_size_for_rule,
     bordered_matrix,
@@ -432,7 +431,9 @@ def test_pencil_affine_identity(morse, which, M):
     # with coefficients c
     for N in (2, 3):
         cfg = ChainConfig(M=M, N=N)
-        gram = _h1_gram(cfg) / cfg.a
+        # G/a is the constant blend's k = 1 stencil, exact for w = 1
+        unit_k1 = OperatorRecipe(beta_one(cfg), (1.0, 0.0, 0.0)[:N])
+        gram = BandedPeriodicOperator(cfg, recipe=unit_k1).bands
         betas = [beta_one(cfg), beta_zero(cfg)]
         for make_profile in (symmetric_profile, one_sided_profile):
             for family in ("linear", "cubic", "quintic"):
@@ -698,18 +699,21 @@ def test_stability_record_paths(morse):
 @pytest.mark.parametrize("make_profile", [symmetric_profile, one_sided_profile])
 @pytest.mark.parametrize("family", ["linear", "cubic", "quintic"])
 @pytest.mark.parametrize("N", [1, 2, 3])
-def test_bordered_matrix_matches_dense(morse, N, family, make_profile):
-    # K(sigma) refilled on the cached pattern against K built densely from
-    # the diagonals, a (A + A^T) / 2 and a second-difference G
+def test_bordered_matrix_matches_dense(morse, N, family, make_profile, monkeypatch):
+    # the K(sigma) _shifted_ldl factors, refilled on the cached pattern,
+    # against K built densely from the diagonals, a (A + A^T) / 2 and a
+    # second-difference G
     cfg = ChainConfig(M=64, N=N)
     beta = sample_beta(make_profile(cfg, family, 5), cfg)
     G = dense_gram(cfg)
     seeded = float(np.random.default_rng(N).uniform(-200.0, 200.0))
+    factored, splu = [], stability.splu
+    monkeypatch.setattr(stability, "splu", lambda K, **kw: factored.append(K) or splu(K, **kw))
     for gamma in (1.0, 1.1, 1.2):
         op = assemble_linear("bqcf", morse, cfg, beta, gamma)
-        S = cfg.a * op.symmetric_part().bands
         for sigma in (0.0, seeded):
-            K = bordered_matrix(S - sigma * _h1_gram(cfg))
+            _shifted_ldl(op, sigma)
+            K = factored.pop()
             assert K.format == "csc" and K.nnz == (2 * N + 3) * cfg.n_atoms
             np.testing.assert_array_equal(K.toarray(), dense_bordered(dense_sym(op) - sigma * G))
         # the deform solve's K carries A itself
@@ -722,7 +726,7 @@ def test_bordered_matrix_matches_dense(morse, N, family, make_profile):
 
 def count_below(op, sigma):
     """Pencil eigenvalues below sigma on mean-zero fields, by inertia."""
-    factored = _shifted_ldl(op.symmetric_part(), sigma)
+    factored = _shifted_ldl(op, sigma)
     assert factored is not None, sigma
     return factored[1]
 
