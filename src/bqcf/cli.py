@@ -91,7 +91,7 @@ SCENARIOS = {
         experiments.solve_deformation,
         lambda t: (
             f"deform ({t.metadata['force_kind']}): "
-            f"max|u_N2| = {max(abs(v) for v in t.column('u_N2')):.6g}"
+            f"max|u_N2| = {max(map(abs, t.column('u_N2'))):.6g}"
         ),
     ),
     "scaling": (

@@ -16,16 +16,18 @@ M = 2000, N = 2, Morse well (D_e = 3, alpha = 3, r_e = 1), cubic blending
 with L = 5 and sweep resolution dgamma = 1e-5.
 
 Outputs are ResultTables written as CSV: '#'-prefixed metadata lines (the
-scenario, version, Morse parameters and the runner's settings), a header
-row, then comma-separated values.  Runs are deterministic, so identical
-settings produce byte-identical files.
+scenario, version, Morse parameters and the runner's settings, each value
+written with str()), a header row, then comma-separated values: a float as
+%.17g, 17 significant digits that read back exactly, and an integer or text
+as str().  Runs are deterministic, so identical settings produce
+byte-identical files.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -62,36 +64,46 @@ class ResultTable:
     metadata: dict
 
     def __post_init__(self):
-        for r in self.rows:
-            if len(r) != len(self.columns):
-                raise ValueError("row width does not match column count")
-        for name, values in [*zip(self.columns, zip(*self.rows)), *self.metadata.items()]:
-            values = np.asarray(values)  # text and None give no float array
-            if values.dtype.kind == "f" and not np.isfinite(values).all():
-                raise FloatingPointError(f"{name} holds a NaN or infinity")
+        if any(len(r) != len(self.columns) for r in self.rows):
+            raise ValueError("row width does not match column count")
+        formats = []  # per column: %.17g if every cell is a float, %s if none is
+        for name, values in zip(self.columns, zip(*self.rows)):
+            _check_finite(name, values)
+            floats = sum(map(isinstance, values, repeat(float)))
+            formats.append("%.17g" if floats == len(values) else "%s" if floats == 0 else None)
+        for name, value in self.metadata.items():
+            _check_finite(name, value)
+        self._row_format = None if None in formats else ",".join(formats) + "\n"
 
     def column(self, name: str) -> list:
         i = self.columns.index(name)
         return [r[i] for r in self.rows]
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        for key in sorted(self.metadata):
-            buf.write(f"# {key} = {self.metadata[key]}\n")
-        buf.write(",".join(self.columns) + "\n")
-        for r in self.rows:
-            buf.write(",".join(_format_cell(c) for c in r) + "\n")
-        return buf.getvalue()
+        lines = [f"# {key} = {self.metadata[key]}\n" for key in sorted(self.metadata)]
+        lines.append(",".join(self.columns) + "\n")
+        if self._row_format is None:  # a column mixes floats with other cells: a format per row
+            for r in self.rows:
+                fmt = ",".join("%.17g" if isinstance(c, float) else "%s" for c in r)
+                lines.append(fmt % tuple(r) + "\n")
+        else:
+            lines += [self._row_format % tuple(r) for r in self.rows]
+        return "".join(lines)
 
     def write_csv(self, path) -> None:
+        text = self.to_csv_text()  # before open, so a failure leaves an existing file whole
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv_text())
+            fh.write(text)
 
 
-def _format_cell(c) -> str:
-    if isinstance(c, float):
-        return format(c, ".17g")
-    return str(c)
+def _check_finite(name, values) -> None:
+    """Reject a NaN or infinity in a column or a metadata value: over its float
+    array, or over its float cells where text or None give no float array."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "OSU":
+        arr = np.array([c for c in np.ravel(np.array(values, object)) if isinstance(c, float)])
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise FloatingPointError(f"{name} holds a NaN or infinity")
 
 
 def _metadata(scenario: str, potential: MorseParams, **settings) -> dict:

@@ -11,7 +11,8 @@ operators against.  Every oracle computes from an operator's diagonals
 and config, a field's values and the potential's phi, phi_x and phi_xx
 only, never from the package code it checks; bilinear is a helper, not
 an oracle, as it applies the operator under test.  reference_sweep keeps
-every record of a sweep to check its single-sign-change warnings against.
+every record of a sweep to check its single-sign-change warnings against,
+and csv_text writes a result table cell by cell, as the CSV writer must.
 """
 
 import bisect
@@ -362,3 +363,17 @@ def decompose_bilinear_n2(u, beta, pot, config, gamma=1.0):
     via = T1 + T2 + W
     scale = max(abs(direct), abs(via), 1e-30)
     return DecompositionReport(T1, T2, W, direct, via, abs(direct - via) / scale)
+
+
+def csv_text(table):
+    """A ResultTable's CSV text by the per-cell rule: the sorted metadata as
+    '# key = value' lines, the header, then each row with every cell written
+    as format(c, '.17g') if it is a float and as str(c) otherwise."""
+
+    def cell(c):
+        return format(c, ".17g") if isinstance(c, float) else str(c)
+
+    lines = [f"# {key} = {table.metadata[key]}" for key in sorted(table.metadata)]
+    lines.append(",".join(table.columns))
+    lines += [",".join(cell(c) for c in r) for r in table.rows]
+    return "".join(line + "\n" for line in lines)

@@ -32,21 +32,26 @@ def cubic_operator(morse, M=64, gamma=1.1):
     return assemble_linear("bqcf", morse, cfg, beta, gamma)
 
 
-def test_tracer_patches_and_restores_every_entry_point(morse):
+def test_tracer_patches_and_restores_every_entry_point(morse, tmp_path):
     tracer = load("layertrace").Tracer()
     originals = [(owner, attr, vars(owner)[attr]) for owner, attr, _ in tracer.targets()]
     op = cubic_operator(morse)
     f = np.sin(np.pi * op.config.positions())
+    table = experiments.ResultTable(columns=["x", "f"], rows=[(0, 1.5), (1, -0.25)], metadata={})
+    path = tmp_path / "t.csv"
     with tracer.patched():
         cubic_operator(morse)
         stability.coercivity_constant(op)
         experiments.solve_mean_zero(op, f)
+        table.write_csv(path)
     assert all(vars(owner)[attr] is fn for owner, attr, fn in originals)
     # every factorization goes through a module global the tracer wraps
     assert tracer.calls["stability.splu"] > 0 and tracer.calls["experiments.splu"] == 1
     assert tracer.calls["operators.apply_values"] > 0
     # the tracer names PairPotential, an alias of Morse, so assembly's phi_xx calls count
     assert tracer.calls["potential.phi_xx"] > 0
+    # the CSV text is built and written inside ResultTable.write_csv, the method the tracer times
+    assert tracer.calls["experiments.write_csv"] == 1 and tracer.csv_bytes == path.stat().st_size
 
 
 def test_plain_apply_matches_program_apply(morse):

@@ -1,8 +1,12 @@
+import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from oracles import at, dense_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import at, csv_text, dense_matrix
 
 from bqcf import experiments
 from bqcf.blending import constant_profile, sample_beta
@@ -12,6 +16,7 @@ from bqcf.experiments import (
     external_force,
     run_coercivity,
     run_consistency_sweep,
+    run_critical_strain_table,
     run_scaling,
     solve_deformation,
     solve_mean_zero,
@@ -69,6 +74,87 @@ def test_csv_roundtrip(tmp_path):
 def test_row_width_validation():
     with pytest.raises(ValueError):
         ResultTable(columns=["a", "b"], rows=[(1.0,)], metadata={})
+
+
+@pytest.mark.parametrize(
+    "rows, metadata",
+    [
+        ([(None,), (math.nan,)], {}),  # mixed columns give no float array
+        ([("x",), (math.inf,)], {}),
+        ([(1.0,)], {"gaps": ("x", -math.inf)}),
+        ([(1.0,)], {"gap": math.nan}),
+        ([(1,), (math.nan,)], {}),
+    ],
+)
+def test_nan_or_infinity_is_rejected(rows, metadata):
+    with pytest.raises(FloatingPointError):
+        ResultTable(columns=["a"], rows=rows, metadata=metadata)
+
+
+def test_failed_write_keeps_the_existing_file(tmp_path):
+    class NoText:
+        def __str__(self):
+            raise RuntimeError("no text")
+
+    path = tmp_path / "t.csv"
+    path.write_text("kept\n")
+    with pytest.raises(RuntimeError):
+        ResultTable(columns=["a"], rows=[(NoText(),)], metadata={}).write_csv(path)
+    assert path.read_text() == "kept\n"
+
+
+SCENARIO_TABLES = {  # the README's two deform commands, and each other scenario at a small size
+    "deform-sine": lambda: solve_deformation("sine", M=2000, N=2, family="cubic", L=5),
+    "deform-gaussian": lambda: solve_deformation("gaussian", amp_scale=0.2, mu=0.002, sigma=0.025),
+    "coercivity": lambda: run_coercivity(M=48, N=2, family="cubic", L=4),
+    "coercivity-atomistic": lambda: run_coercivity(M=64, N=1, family="constant_one"),
+    "scaling": lambda: run_scaling(),
+    "consistency": lambda: run_consistency_sweep(N=3),
+    "critical-strain": lambda: run_critical_strain_table(M=48, dgamma=1e-3),
+}
+
+
+@pytest.mark.parametrize("scenario", SCENARIO_TABLES)
+def test_csv_text_matches_the_per_cell_oracle(scenario):
+    table = SCENARIO_TABLES[scenario]()
+    assert table.to_csv_text() == csv_text(table)
+
+
+_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e17, 1e308, -1e308, sys.float_info.max]),
+)
+_integers = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([10**17 + 1, 2**63, -(2**63) - 1]),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+)
+CELLS = {
+    "float": st.one_of(_finite, _finite.map(np.float64)),
+    "int": _integers,
+    "text": st.one_of(st.none(), st.text(max_size=4)),
+}
+CELLS["int or float"] = st.one_of(CELLS["int"], CELLS["float"])
+CELLS["any"] = st.one_of(*CELLS.values())
+
+
+@st.composite
+def tables(draw):
+    """A ResultTable whose columns each draw one kind of cell, or mix them,
+    with its rows as tuples or as lists."""
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(*(CELLS[k] for k in kinds)), max_size=6))
+    if draw(st.booleans()):
+        rows = [list(r) for r in rows]
+    metadata = draw(st.dictionaries(st.sampled_from(["M", "N", "gap"]), CELLS["any"]))
+    return ResultTable(columns=[f"c{i}" for i in range(len(kinds))], rows=rows, metadata=metadata)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(tables())
+def test_csv_text_matches_the_oracle_on_any_cells(table):
+    assert table.to_csv_text() == csv_text(table)
 
 
 # ---------------------------------------------------------- external forces
