@@ -30,7 +30,8 @@ sparse matrix is assembled per call.
 
 Constant-coefficient operators take their least Fourier mode
 (_circulant_cmin).  Every other operator is solved by spectrum slicing:
-shifts bracketed by that count, with a Lanczos run on each factor that
+shifts bracketed by that count, the first placed by a Lanczos estimate
+that factors nothing, with a Lanczos run on each factor that
 has no eigenvalue below its shift or, above a count-0 shift, only c_min
 (_sliced_cmin).  Both paths, and each eigencurve sample, evaluate their
 mode by one rule (_mode), so c_min is always a mode's quotient.  A
@@ -86,8 +87,8 @@ class CoercivityReport:
     least Fourier mode) or 'sliced' (Lanczos on inertia-checked shifts),
     both evaluated by _mode; iterations counts the linear solves, one per
     Lanczos step, and factorizations the shifted factorizations, trusted
-    or not (two per scaling-ladder rung: the far first shift, then one a
-    tenth of its run's residual below the quotient).
+    or not (one per scaling-ladder rung: the estimate's first shift, just
+    below c_min).
     """
 
     c_min: float
@@ -267,6 +268,67 @@ _TOL = 1e-10  # relative residual at which the sliced solver stops
 _MAX_FACTORIZATIONS = 40  # shifts per solve; every one counts, trusted or not
 _LANCZOS_STEPS = 16  # Krylov dimension per trusted factor, a multiple of 4
 _NEXT_SHIFT = 0.1  # the next shift lies this many residuals below the quotient
+_ESTIMATE_STEPS = 8  # Lanczos steps of the first shift's estimate, which factors nothing
+_ESTIMATE_MARGIN = 1e-3  # the first shift lies this far below q - r, relative to |q| + 1
+
+
+def _solve_gram(b: np.ndarray, a: float) -> np.ndarray:
+    """The mean-zero x with G x = b, for mean-zero b, by two running sums.
+
+    With y_l = x_l - x_{l-1}, G x = b reads y_{l+1} = y_l - a b_l, so y is
+    a running sum of b, shifted to mean zero as the periodic x requires,
+    and x is a running sum of y."""
+    y = -a * (np.cumsum(b) - b)
+    x = np.cumsum(y - y.mean())
+    return x - x.mean()
+
+
+def _lanczos_step(z: np.ndarray, Q: np.ndarray, a: float):
+    """z, the operator applied to Q's last row, G-orthogonalized against the
+    G-orthonormal rows of Q.  Returns (alpha, beta, z, G z): alpha is z's
+    coefficient on that last row and beta = |z|_G, the next row being z / beta."""
+    h = Q @ _gram(z, a)
+    z = z - h @ Q
+    # twice is enough; G does not see constants, so drop them here
+    z = _project(z - (Q @ _gram(z, a)) @ Q)
+    gz = _gram(z, a)
+    return h[-1], math.sqrt(max(z @ gz, 0.0)), z, gz
+
+
+def _first_shift(op: BandedPeriodicOperator):
+    """The first shift of _sliced_cmin and its start vector, from an estimate.
+
+    _ESTIMATE_STEPS Lanczos steps on G^-1 P S, self-adjoint in the G inner
+    product on mean-zero fields, from the two longest waves
+    cos + sin(2 pi l / 2M): each step is one banded S apply and one
+    _solve_gram, so no factorization.  The least Ritz value q bounds c_min
+    above; with its residual r = beta |s_k| the shift is
+    q - r - _ESTIMATE_MARGIN (|q| + 1), and the Ritz vector is the start.
+    A step with beta <= 1e-8 (|alpha| + 1) ends the run, its basis
+    spanning an invariant space (the longest waves are eigenvectors of a
+    constant-coefficient operator).  The estimate proves nothing; the
+    solver checks the shift by inertia like any other.
+    """
+    config = op.config
+    n, a = config.n_atoms, config.a
+    sym = op.symmetric_part()
+    wave = 2.0 * np.pi * np.arange(n) / n
+    v = _project(np.cos(wave) + np.sin(wave))
+    basis = np.empty((_ESTIMATE_STEPS + 1, n))  # G-orthonormal Lanczos vectors
+    basis[0] = v / np.sqrt(v @ _gram(v, a))
+    alpha, beta = np.empty(_ESTIMATE_STEPS), np.empty(_ESTIMATE_STEPS)
+    for k in range(1, _ESTIMATE_STEPS + 1):
+        Q = basis[:k]
+        z = _solve_gram(_project(a * sym.apply_values(Q[-1])), a)
+        alpha[k - 1], beta[k - 1], z, _ = _lanczos_step(z, Q, a)
+        if not math.isfinite(alpha[k - 1] + beta[k - 1]):
+            raise EigenSolveError("non-finite Lanczos step in the first shift's estimate")
+        if not beta[k - 1] > 1e-8 * (abs(alpha[k - 1]) + 1.0):
+            break
+        basis[k] = z / beta[k - 1]
+    theta, s = eigh_tridiagonal(alpha[:k], beta[: k - 1])  # Ritz pairs, ascending
+    q, r = theta[0], beta[k - 1] * abs(s[-1, 0])
+    return q - r - _ESTIMATE_MARGIN * (abs(q) + 1.0), s[:, 0] @ basis[:k]
 
 
 def _sliced_cmin(op: BandedPeriodicOperator):
@@ -274,7 +336,9 @@ def _sliced_cmin(op: BandedPeriodicOperator):
 
     Keeps a bracket lo <= c_min <= hi: a trusted factorization at sigma
     with no eigenvalue below it raises lo to sigma, one with some lowers
-    hi to sigma, and every Rayleigh quotient lowers hi.  Lanczos builds a
+    hi to sigma, and every Rayleigh quotient lowers hi.  The first shift
+    and start vector come from a Lanczos estimate that factors nothing
+    (_first_shift), placed just below c_min's estimate.  Lanczos builds a
     G-orthonormal (fully reorthogonalized) Krylov basis of
     T = (S - sigma G)^-1 G on mean-zero fields, whose eigenvalue
     1 / (c_min - sigma) is followed by its Ritz value theta.  It runs on
@@ -293,18 +357,9 @@ def _sliced_cmin(op: BandedPeriodicOperator):
     config = op.config
     n = config.n_atoms
     a = config.a
-    # half the sum of o^2 max|d_o| a^2 over o != 0, a scale of the H1
-    # quotient: sum_k k^2 |phi_xx(k gamma)| on the atomistic operator.  It
-    # is usually below the spectrum, but not always (a zero diagonal entry
-    # can put c_min far under it), so it too is checked by inertia
-    N = config.N
-    d_max = np.max(np.abs(op.bands), axis=1)
-    bound = 0.5 * sum(o * o * d_max[N + o] for o in range(-N, N + 1) if o != 0) * a * a
-    sigma = -(2.0 * bound + 50.0)
-    lo, hi, cap = -math.inf, math.inf, math.inf  # cap: the least shift with a count
-    v = _project(np.random.default_rng(7).standard_normal(n))
-    v /= np.sqrt(v @ _gram(v, a))
-    gv, res = _gram(v, a), math.nan
+    sigma, v = _first_shift(op)
+    lo, cap = -math.inf, math.inf  # cap: the least shift with a count
+    v, hi, res, gv = _mode(op, v)
     basis = np.empty((_LANCZOS_STEPS + 1, n))  # G-orthonormal Lanczos vectors
     alpha, beta = np.empty(_LANCZOS_STEPS), np.empty(_LANCZOS_STEPS)
     solves = 0
@@ -327,12 +382,7 @@ def _sliced_cmin(op: BandedPeriodicOperator):
             z = lu.solve(np.append(gq, 0.0))[:n]
             solves += 1
             Q = basis[: j + 1]
-            h = Q @ _gram(z, a)
-            z -= h @ Q
-            # twice is enough; G does not see constants, so drop them here
-            z = _project(z - (Q @ _gram(z, a)) @ Q)
-            gq = _gram(z, a)
-            alpha[j], beta[j] = h[j], math.sqrt(max(z @ gq, 0.0))
+            alpha[j], beta[j], z, gq = _lanczos_step(z, Q, a)
             if not math.isfinite(alpha[j] + beta[j]):
                 raise EigenSolveError(
                     f"non-finite Lanczos step at shift {sigma:.6g} (last residual {res:.3e})"

@@ -3,11 +3,11 @@
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 PASS/FAIL lines.  The critical-strain table (criterion 1) runs the full
 M = 2000 sweep grid once and is shared between its subtests; it takes
-about 1 s on two cores.  Its 4,789 stretches cost 72 factorizations
-and 25 band builds: each blended row factors two shifts for the one
-eigenvalue at gamma = 1 that decides all its stretches, gamma = 1
-included, from their coefficients alone, and one count that proves that
-eigenvalue's lower end.  The atomistic row factors nothing: its
+about 1 s on two cores.  Its 4,789 stretches cost 48 factorizations,
+within a budget of 72, and 25 band builds: each blended row factors one
+shift for the one eigenvalue at gamma = 1 that decides all its
+stretches, gamma = 1 included, from their coefficients alone, and one
+count that proves that eigenvalue's lower end.  The atomistic row factors nothing: its
 eigenvalue is the quotient of the least Fourier mode at gamma = 1.
 The fixture records the sweeps' warnings and counts the factorizations,
 so the single-sign-change assumption and the budget are checked on the

@@ -11,6 +11,7 @@ from oracles import (
     dense_bordered,
     dense_cmin,
     dense_critical_strain,
+    dense_eigenvalues,
     dense_gram,
     dense_matrix,
     dense_negative_count,
@@ -774,7 +775,7 @@ def test_sliced_oracle_sweep_reaches_negative_cmin(morse):
 @pytest.mark.parametrize("leading", [0.0, 1e-4, 1e-300])
 def test_sliced_matches_dense_on_untrusted_pivots(morse, leading):
     # the operators whose pivots at sigma = 0 cannot be trusted: c_min = -901
-    # at gamma = 1 lies far below the form-bound shift, which inertia widens
+    # at gamma = 1 lies far below the rest of the spectrum
     cfg = ChainConfig(M=64, N=2)
     for gamma in (1.0, 1.25):
         base = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 5), gamma)
@@ -789,40 +790,115 @@ def test_sliced_matches_dense_on_untrusted_pivots(morse, leading):
 
 @pytest.mark.parametrize("M", [64, 500, 1000, 2000, 4000])
 def test_sliced_factorization_counts(morse, stability_lu, M):
-    # the scaling ladder's budget (cubic, L = ceil(M^(1/3))): one far shift,
-    # then one a tenth of a residual below the quotient, with Lanczos on each
+    # the scaling ladder's budget (cubic, L = ceil(M^(1/3))): the estimate
+    # places the one shift just below c_min, and Lanczos converges on it
     (rep,) = scaling_study("cubic", "M^(1/3)", [M], morse, 2)
     assert rep.path == "sliced"
-    assert rep.factorizations == stability_lu.factorizations <= 2
-    assert rep.iterations == stability_lu.solves <= 30
+    assert rep.factorizations == stability_lu.factorizations == 1
+    assert rep.iterations == stability_lu.solves <= 12
     cfg = ChainConfig(M=M, N=2)
     rep = coercivity_constant(assemble_linear("bqcf", morse, cfg, beta_one(cfg), 1.0))
     assert (rep.path, rep.factorizations, rep.iterations) == ("circulant", 0, 0)
 
 
-def test_ladder_rung_runs_lanczos_on_a_count_one_factor(morse, stability_lu):
-    # the second shift of the M = 64 rung lands just above c_min: its factor
-    # counts one eigenvalue below it, and the solve finishes on it
+# c_min of wide blends at gamma = 1 (N = 2), whose long-wave band the blend
+# splits by 6e-4 to 0.1, as the solver found it from a far first shift in 4
+# to 12 factorizations
+CLUSTERED_CMIN = {
+    (2000, "cubic", 80): 44.30454857882389,
+    (2000, "linear", 80): 44.05137970738788,
+    (2000, "linear", 320): 44.25457010467304,
+    (8000, "cubic", 80): 44.292563044603696,
+    (8000, "cubic", 320): 44.315352142270015,
+}
+
+
+@pytest.mark.parametrize("M, family, L", list(CLUSTERED_CMIN))
+def test_sliced_clustered_spectra_factorizations(morse, stability_lu, M, family, L):
+    cfg = ChainConfig(M=M, N=2)
+    beta = sample_beta(symmetric_profile(cfg, family, L), cfg)
+    rep = coercivity_constant(assemble_linear("bqcf", morse, cfg, beta, 1.0))
+    c = CLUSTERED_CMIN[M, family, L]
+    assert abs(rep.c_min - c) <= 1e-10 * (abs(c) + 1.0)
+    assert rep.factorizations == stability_lu.factorizations <= 2
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("make_beta", [beta_zero, beta_one])
+def test_sliced_matches_circulant_on_constant_blends(morse, stability_lu, make_beta, N):
+    # the longest waves are eigenvectors here, so the estimate's Lanczos
+    # breaks down (beta_j ~ 0) at its first step, without a warning or a NaN
+    cfg = ChainConfig(M=64, N=N)
+    op = assemble_linear("bqcf", morse, cfg, make_beta(cfg), 1.0)
+    c = stability._circulant_cmin(op)[0]
+    lam, _, res, _, factorizations = stability._sliced_cmin(op)
+    assert abs(lam - c) <= 1e-10 * (abs(c) + 1.0)
+    assert res <= 1e-10 * (abs(c) + 1.0)
+    assert factorizations == stability_lu.factorizations == 1
+
+
+@pytest.mark.parametrize("M", [8, 64, 4000])
+def test_solve_gram_inverts_gram_on_mean_zero_fields(M):
+    # to roundoff: G x - b within a few ulps of the terms G sums, and the
+    # solve of G x within the n eps of a running sum
+    cfg = ChainConfig(M=M, N=2)
+    a, eps = cfg.a, np.finfo(float).eps
+    rng = np.random.default_rng(M)
+    b, x = (stability._project(rng.standard_normal(cfg.n_atoms)) for _ in range(2))
+    solved = stability._solve_gram(b, a)
+    assert abs(solved.mean()) <= cfg.n_atoms * eps * np.abs(solved).max()
+    residual = np.abs(stability._gram(solved, a) - b).max()
+    assert residual <= 10.0 * eps * (4.0 / a) * np.abs(solved).max()
+    error = np.abs(stability._solve_gram(stability._gram(x, a), a) - x).max()
+    assert error <= 10.0 * cfg.n_atoms * eps * np.abs(x).max()
+
+
+def far_start(op):
+    """The solver's start before its estimate: a shift below every spectrum
+    here and a seed-7 random vector."""
+    return -200.0, np.random.default_rng(7).standard_normal(op.config.n_atoms)
+
+
+def test_ladder_rung_runs_lanczos_on_a_count_one_factor(morse, stability_lu, monkeypatch):
+    # from the far start, the second shift of the M = 64 rung lands just
+    # above c_min: its factor counts one eigenvalue below it, and the solve
+    # finishes on it
+    monkeypatch.setattr(stability, "_first_shift", far_start)
     (rep,) = scaling_study("cubic", "M^(1/3)", [64], morse, 2)
     assert stability_lu.counts == [0, 1]
     assert rep.iterations > _LANCZOS_STEPS  # more than the first factor's run
 
 
-def test_sliced_matches_dense_oracle_across_counts(morse, stability_lu):
-    # cubic blends at M = 64 whose second factors count 0, 1 (Lanczos on
-    # both sides of c_min) or 2 (c_min is not T's least eigenvalue there, so
-    # that factor must bisect)
+def test_sliced_matches_dense_oracle_across_counts(morse, stability_lu, monkeypatch):
+    # cubic blends at M = 64, each solved from three first shifts.  From the
+    # far start the second factors count 1 (Lanczos on both sides of c_min)
+    # or 2 (c_min is not T's least eigenvalue there, so that factor must
+    # bisect).  The estimate's vector at a shift between the least two or
+    # the second and third eigenvalues makes the first factor count 1 or 2,
+    # and with no lower end known the solver widens
+    first_shift = stability._first_shift
     cases = itertools.product(
         (2, 3), (symmetric_profile, one_sided_profile), (4, 7), (1.0, 1.1, 1.19)
     )
+    after_far = set()
     for N, make_profile, L, gamma in cases:
         cfg = ChainConfig(M=64, N=N)
         beta = sample_beta(make_profile(cfg, "cubic", L), cfg)
         op = assemble_linear("bqcf", morse, cfg, beta, gamma)
-        rep = coercivity_constant(op, gamma=gamma)
-        c = dense_cmin(op)
-        assert abs(rep.c_min - c) <= 1e-10 * (abs(c) + 1.0), (N, make_profile, L, gamma)
-    assert {0, 1, 2} <= set(stability_lu.counts)
+        lam = dense_eigenvalues(op)
+        c = lam[0]
+        starts = [far_start] + [
+            lambda op, i=i: (0.5 * (lam[i - 1] + lam[i]), first_shift(op)[1]) for i in (1, 2)
+        ]
+        for count, start in enumerate(starts):
+            monkeypatch.setattr(stability, "_first_shift", start)
+            stability_lu.counts.clear()
+            rep = coercivity_constant(op, gamma=gamma)
+            assert abs(rep.c_min - c) <= 1e-10 * (abs(c) + 1.0), (N, make_profile, L, gamma, count)
+            assert stability_lu.counts[0] == count
+            if count == 0:
+                after_far.update(stability_lu.counts[1:])
+    assert {1, 2} <= after_far
 
 
 def test_sliced_returns_no_mode_above_a_counted_shift(morse, monkeypatch):
