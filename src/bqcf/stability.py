@@ -28,12 +28,11 @@ pattern built once per (2M, N).  The sweep's test (S), every shift of the
 slicing (S - sigma G) and the deform solve (A itself) share it, so no
 sparse matrix is assembled per call.
 
-Constant-coefficient operators take their least Fourier mode
-(_circulant_cmin).  Every other operator is solved by spectrum slicing:
-shifts bracketed by that count, the first placed by a Lanczos estimate
-that factors nothing, with a Lanczos run on each factor that
+Every operator, constant-coefficient or blended, is solved by spectrum
+slicing: shifts bracketed by that count, the first placed by a Lanczos
+estimate that factors nothing, with a Lanczos run on each factor that
 has no eigenvalue below its shift or, above a count-0 shift, only c_min
-(_sliced_cmin).  Both paths, and each eigencurve sample, evaluate their
+(_sliced_cmin).  The solver and each eigencurve sample evaluate their
 mode by one rule (_mode), so c_min is always a mode's quotient.  A
 critical-strain sweep needs only the sign of c_min at each grid stretch:
 for N = 2 and 3 a few samples of one concave family bound it at every
@@ -83,9 +82,9 @@ class CoercivityReport:
 
     residual is the generalized eigen-residual |S v - c G v| / |G v|
     (eigenvalue units); mode is the minimizing displacement, mean-zero
-    and G-normalized; c_min is its quotient.  path is 'circulant' (the
-    least Fourier mode) or 'sliced' (Lanczos on inertia-checked shifts),
-    both evaluated by _mode; iterations counts the linear solves, one per
+    and G-normalized; c_min is its quotient.  path is 'sliced' (Lanczos
+    on inertia-checked shifts, the mode evaluated by _mode), the one route
+    of every operator; iterations counts the linear solves, one per
     Lanczos step, and factorizations the shifted factorizations, trusted
     or not (one per scaling-ladder rung: the estimate's first shift, just
     below c_min).
@@ -112,9 +111,8 @@ class StabilityRecord:
     fields (None unless the inertia path ran); c_min is set where an
     eigenvalue was computed or bounded, and bracket [lo, hi] holds it
     (lo = hi if computed).  path is 'inertia' (pivot signs of the bordered
-    factorization), 'circulant' or 'sliced' (coercivity_constant's path,
-    where the operator is constant-coefficient or its count cannot be
-    trusted) or 'pencil' (_Eigencurve, with c_min = hi).
+    factorization), 'sliced' (coercivity_constant's path, where that count
+    cannot be trusted) or 'pencil' (_Eigencurve, with c_min = hi).
     """
 
     gamma: float
@@ -184,35 +182,6 @@ def bordered_matrix(bands: np.ndarray):
     indices, indptr, source = _bordered_pattern(n, bands.shape[0] // 2)
     values = np.append(bands, 1.0 / np.sqrt(n))
     return csc_matrix((values[source], indices, indptr), shape=(n + 1, n + 1))
-
-
-def _circulant_cmin(op: BandedPeriodicOperator):
-    """The least Fourier mode of a constant-coefficient (circulant) operator.
-
-    Fourier modes diagonalize both the operator's symmetric part and the
-    H1 Gram matrix, so the quotient at wavenumber theta_m = 2 pi m / 2M is
-
-        q_m = a * sum_o d_o cos(o theta_m) / (4 sin^2(theta_m / 2) / a).
-
-    This symbol only picks the least m = 1 .. 2M-1; its mode is evaluated
-    like any other (_mode), so c_min is the mode's quotient, which near
-    theta = 0 is far more accurate than the symbol's ratio of small terms.
-    """
-    n, a = op.config.n_atoms, op.config.a
-    theta = 2.0 * np.pi * np.arange(1, n) / n
-    sym = np.zeros(n - 1)
-    for o, d in op.diagonals.items():
-        sym += d[0] * np.cos(o * theta)
-    m_star = int(np.argmin((a * sym) / (4.0 * np.sin(theta / 2.0) ** 2 / a))) + 1
-    # reduce the phase modulo the period in exact integer arithmetic;
-    # large raw angles would cost ~m*p*eps of phase accuracy
-    phase = (m_star * np.arange(n, dtype=np.int64)) % n
-    v, lam, res, _ = _mode(op, np.cos(2.0 * np.pi * phase / n))
-    return lam, v, res, 0, 0
-
-
-def _is_circulant(op: BandedPeriodicOperator) -> bool:
-    return bool(np.all(np.ptp(op.bands, axis=1) == 0.0))
 
 
 def _shifted_ldl(op: BandedPeriodicOperator, sigma: float):
@@ -348,7 +317,10 @@ def _sliced_cmin(op: BandedPeriodicOperator):
     least shift whose count proved c_min lies under it.  A larger count,
     or count 1 with no lo, bisects or widens instead.  The Ritz vector's
     pencil residual is checked every 4th step, and every step once the
-    Lanczos estimate falls below 1e-7 |theta|.  After _LANCZOS_STEPS
+    Lanczos estimate falls below 1e-7 |theta|.  One that stops halving
+    between checks, the start vector's own counting as the first, is
+    accepted within the 1e-8 (|c| + 1) contract, so a start that is
+    already an eigenvector stops at its first check.  After _LANCZOS_STEPS
     solves the next shift goes _NEXT_SHIFT residuals below the quotient,
     near enough that Lanczos converges in a few steps (to the bracket's
     midpoint when that is not below hi), and the Ritz vector starts the
@@ -377,7 +349,7 @@ def _sliced_cmin(op: BandedPeriodicOperator):
                 continue
         else:
             lo = sigma
-        basis[0], gq, prev = v, gv, math.inf
+        basis[0], gq, prev = v, gv, res
         for j in range(_LANCZOS_STEPS):
             z = lu.solve(np.append(gq, 0.0))[:n]
             solves += 1
@@ -427,8 +399,7 @@ def coercivity_constant(
     Raises EigenSolveError when the eigen-residual cannot be driven down.
     """
     config = op.config
-    solve, path = (_circulant_cmin, "circulant") if _is_circulant(op) else (_sliced_cmin, "sliced")
-    lam, v, res, solves, factorizations = solve(op)
+    lam, v, res, solves, factorizations = _sliced_cmin(op)
     if not res <= 1e-8 * (abs(lam) + 1.0):
         raise EigenSolveError(f"eigen-residual {res:.3e} exceeds 1e-8 * (|c_min| + 1)")
     return CoercivityReport(
@@ -441,7 +412,7 @@ def coercivity_constant(
         iterations=solves,
         residual=res,
         mode=v,
-        path=path,
+        path="sliced",
         factorizations=factorizations,
     )
 
@@ -449,16 +420,16 @@ def coercivity_constant(
 def stability_at(op: BandedPeriodicOperator, gamma: float = 1.0) -> StabilityRecord:
     """Decide whether c_min > 0, without an eigensolve where possible.
 
-    An operator that is not constant-coefficient is decided by the count
-    of negative eigenvalues of S on mean-zero fields from one bordered
-    factorization (_shifted_ldl at sigma = 0).  A circulant operator, or
-    one whose count cannot be trusted, goes to coercivity_constant, and
-    the record keeps its path, 'circulant' or 'sliced'.
+    Every operator is decided by the count of negative eigenvalues of S
+    on mean-zero fields from one bordered factorization (_shifted_ldl at
+    sigma = 0).  One whose count cannot be trusted (see _shifted_ldl; an
+    exactly constant N = 1 operator can have S 1 = 0 exactly, a zero pivot
+    that SuperLU permutes) goes to coercivity_constant, and the record's
+    path is 'sliced'.
     """
-    if not _is_circulant(op):
-        factored = _shifted_ldl(op, 0.0)
-        if factored is not None:
-            return StabilityRecord(gamma, factored[1] == 0, factored[1], None, "inertia")
+    factored = _shifted_ldl(op, 0.0)
+    if factored is not None:
+        return StabilityRecord(gamma, factored[1] == 0, factored[1], None, "inertia")
     rep = coercivity_constant(op)
     return StabilityRecord(gamma, rep.c_min > 0.0, None, rep.c_min, rep.path)
 
@@ -501,8 +472,8 @@ class _Eigencurve:
 
     def _add(self, op):
         """Sample g at t = c_3 / |c_2| from op = c_1 G/a + |c_2| A(0, -1, t), or
-        set recipe None.  The least Fourier mode is an eigenvector, so its
-        quotient is c_min to roundoff, far inside _MARGIN, and skips the count."""
+        set recipe None.  Every sample, of a constant blend too, proves its
+        lower end by one count at q less _MARGIN of its terms."""
         try:
             rep = coercivity_constant(op)
         except EigenSolveError:
@@ -510,11 +481,10 @@ class _Eigencurve:
             return
         v, q, _, _ = _mode(op, rep.mode)  # q bounds c_min only on mean-zero fields
         q_lo = q - _MARGIN * (abs(q) + 1.0)
-        if rep.path != "circulant":
-            factored = _shifted_ldl(op, q_lo)
-            if factored is None or factored[1] != 0:
-                self.recipe = None
-                return
+        factored = _shifted_ldl(op, q_lo)
+        if factored is None or factored[1] != 0:
+            self.recipe = None
+            return
         c1, c2, *c3 = op.recipe.coefficients
         w = -c2
         s = self.config.a * float(v @ self.unit.apply_values(v)) if c3 else 0.0
@@ -523,11 +493,13 @@ class _Eigencurve:
 
     def record(self, op: BandedPeriodicOperator, gamma: float) -> StabilityRecord | None:
         """The stretch decided by its bracket [f_lo, f_hi] on c_min, or None.
-        It qualifies with c_2 < 0 and the first stretch's config and blend
-        object."""
+        It qualifies with c_2 < 0, the first stretch's config and its blend:
+        the same object, or equal values (a pure kind reads a fresh constant
+        blend per stretch)."""
         r1 = self.recipe
         r = None if r1 is None else op.recipe
-        if r is None or r.beta is not r1.beta or op.config != self.config:
+        same_blend = r is not None and (r.beta is r1.beta or np.array_equal(r.beta, r1.beta))
+        if not same_blend or op.config != self.config:
             return None
         c1, c2, *c3 = r.coefficients
         if not c2 < 0.0:

@@ -3,12 +3,11 @@
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 PASS/FAIL lines.  The critical-strain table (criterion 1) runs the full
 M = 2000 sweep grid once and is shared between its subtests; it takes
-about 1 s on two cores.  Its 4,789 stretches cost 48 factorizations,
-within a budget of 72, and 25 band builds: each blended row factors one
-shift for the one eigenvalue at gamma = 1 that decides all its
-stretches, gamma = 1 included, from their coefficients alone, and one
-count that proves that eigenvalue's lower end.  The atomistic row factors nothing: its
-eigenvalue is the quotient of the least Fourier mode at gamma = 1.
+about 1 s on two cores.  Its 4,789 stretches cost 50 factorizations,
+the budget, and 25 band builds: each row, the atomistic one included,
+factors one shift for the one eigenvalue at gamma = 1 that decides all
+its stretches, gamma = 1 included, from their coefficients alone, and
+one count that proves that eigenvalue's lower end.
 The fixture records the sweeps' warnings and counts the factorizations,
 so the single-sign-change assumption and the budget are checked on the
 table too.  The same table for N = 3 is pinned beside it; its rows take
@@ -156,10 +155,10 @@ def test_criterion_1_table_values_pinned(table1):
 
 
 def test_criterion_1_table_factorizations(table1_run):
-    """The N = 2 table stays within its budget of 72 factorizations."""
+    """The N = 2 table stays within its budget of 50 factorizations."""
     count = table1_run[2]
-    announce("1 (table factorizations)", count <= 72, f"{count} factorizations")
-    assert count <= 72
+    announce("1 (table factorizations)", count <= 50, f"{count} factorizations")
+    assert count <= 50
 
 
 # gamma_crit of every N = 3 table row (M = 2000) in units of dgamma = 1e-5,
@@ -176,7 +175,7 @@ for _family, _units in (
 
 def test_criterion_1_n3_table_pinned(monkeypatch):
     """The N = 3 table: every gamma_crit at its pinned grid point, within
-    213 factorizations, and no single-sign-change warning."""
+    146 factorizations, and no single-sign-change warning."""
     count = counting_factorizations(monkeypatch)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -187,10 +186,10 @@ def test_criterion_1_n3_table_pinned(monkeypatch):
         for key, units in TABLE1_N3_GRID_UNITS.items()
         if vals.get(key) != 1.0 + units * 1e-5
     }
-    ok = not wrong and len(count) <= 213 and not caught
+    ok = not wrong and len(count) <= 146 and not caught
     announce("1 (pinned N = 3 table)", ok, f"{len(wrong)} rows differ, {len(count)} factorizations")
     assert not wrong, wrong
-    assert len(count) <= 213
+    assert len(count) <= 146
     assert not caught, [str(w.message) for w in caught]
 
 

@@ -313,11 +313,11 @@ def test_cli_coercivity_pure_atomistic(tmp_path, capsys):
         ["coercivity", "--M", "64", "--N", "1", "--family", "one", "--out", str(out)]
     )
     assert code == 0
-    assert "(0 factorizations, 0 solves)" in capsys.readouterr().out
+    assert "(1 factorizations, 1 solves)" in capsys.readouterr().out
     table = parse_csv(out.read_text())
     c_min = table.rows[0][table.columns.index("c_min")]
     assert c_min == pytest.approx(54.0, abs=1e-4)
-    assert table.rows[0][table.columns.index("path")] == "circulant"
+    assert table.rows[0][table.columns.index("path")] == "sliced"
 
 
 def test_cli_deform_unstable_exit_code(tmp_path, capsys):

@@ -66,11 +66,11 @@ def test_nearest_neighbor_constant_quotient(morse):
 @pytest.mark.parametrize("make_beta", [beta_zero, beta_one])
 def test_nearest_neighbor_circulant_is_phi_xx(morse, make_beta, gamma, M):
     # an N = 1 chain is phi''(gamma) G / a whatever the blend, so every
-    # mode's quotient is phi''(gamma); the Fourier symbol's ratio of small
-    # terms near theta = 0 was off by 4.7e-10 relative at M = 8000
+    # mode's quotient is phi''(gamma); a Fourier symbol's ratio of small
+    # terms near theta = 0 is off by 4.7e-10 relative at M = 8000
     cfg = ChainConfig(M=M, N=1)
     rep = coercivity_constant(assemble_linear("bqcf", morse, cfg, make_beta(cfg), gamma))
-    assert rep.path == "circulant"
+    assert rep.path == "sliced"
     assert rep.c_min == pytest.approx(morse.phi_xx(gamma), rel=1e-12, abs=0.0)
 
 
@@ -455,11 +455,13 @@ def test_pencil_affine_identity(morse, which, M):
 @pytest.mark.parametrize("copy", ["raw_bands", "distinct_beta"])
 def test_stretches_outside_the_recipe_go_to_inertia(morse, copy):
     # a raw-band operator carries no coefficients, so every stretch is
-    # decided by inertia; a blend equal in value to gamma = 1's but not the
-    # same object is not known to be the same blend, so every stretch past
-    # gamma = 1 is.  Either way the sweep gives the pencil sweep's answer
+    # decided by inertia; a blend one ulp away from gamma = 1's at one site
+    # is not the same blend, so every stretch past gamma = 1 is.  Either
+    # way the sweep gives the pencil sweep's answer
     cfg = ChainConfig(M=64, N=2)
     beta = cubic_beta(cfg, 4)
+    nudged = beta.copy()
+    nudged[cfg.M] = np.nextafter(nudged[cfg.M], 0.0)
 
     def build(gamma):
         return assemble_linear("bqcf", morse, cfg, beta, gamma)
@@ -467,7 +469,7 @@ def test_stretches_outside_the_recipe_go_to_inertia(morse, copy):
     def build_copy(gamma):
         if copy == "raw_bands":
             return BandedPeriodicOperator(cfg, build(gamma).bands.copy())
-        return assemble_linear("bqcf", morse, cfg, beta.copy(), gamma)
+        return assemble_linear("bqcf", morse, cfg, beta if gamma == 1.0 else nudged, gamma)
 
     want_records, records = [], []
     want = critical_strain(build, 1e-3, 1.3, coarse=1e-2, report_sink=want_records.append)
@@ -477,9 +479,27 @@ def test_stretches_outside_the_recipe_go_to_inertia(morse, copy):
     assert {r.path for r in records[1:]} == {"inertia"}
 
 
+def test_equal_blend_copies_take_the_eigencurve(morse, stability_lu):
+    # a fresh copy of the blend at each stretch is the same blend by value,
+    # so the eigencurve decides every stretch as it does for one object,
+    # with the same factorizations and the same answer
+    cfg = ChainConfig(M=64, N=2)
+    beta = cubic_beta(cfg, 4)
+    runs = []
+    for blend in (lambda: beta, beta.copy):
+        stability_lu.factorizations, records = 0, []
+        g = critical_strain(
+            lambda gamma: assemble_linear("bqcf", morse, cfg, blend(), gamma),
+            1e-3, 1.3, coarse=1e-2, report_sink=records.append,
+        )
+        runs.append((g, stability_lu.factorizations, [(r.gamma, r.path) for r in records]))
+    assert runs[0] == runs[1]
+    assert {path for _, path in runs[1][2]} == {"pencil"}
+
+
 def test_reference_sweep_builds_one_band_array(morse, monkeypatch):
     # the sweep-ref pass: gamma = 1 (nu, which decides it, and nu's count)
-    # is the only stretch whose bands are built, and it makes 3 factorizations
+    # is the only stretch whose bands are built, and it makes 2 factorizations
     cfg = ChainConfig(M=2000, N=2)
     beta = cubic_beta(cfg, 5)
     built, factorizations, records = [], [], []
@@ -496,7 +516,7 @@ def test_reference_sweep_builds_one_band_array(morse, monkeypatch):
     g = critical_strain(build, 1e-5, 1.5, coarse=1e-3, report_sink=records.append)
     assert g == 1.0 + 19085 * 1e-5
     assert (len(built), len(records)) == (1, 199)
-    assert len(factorizations) <= 3
+    assert len(factorizations) <= 2
 
 
 def test_n3_sweep_takes_the_eigencurve_n4_does_not(morse):
@@ -504,14 +524,14 @@ def test_n3_sweep_takes_the_eigencurve_n4_does_not(morse):
     # included, and no N = 4 stretch
     for N in (3, 4):
         cfg = ChainConfig(M=32, N=N)
-        for beta, first in ((cubic_beta(cfg, 3), "inertia"), (beta_one(cfg), "circulant")):
+        for beta in (cubic_beta(cfg, 3), beta_one(cfg)):
             records = []
 
             def build(gamma):
                 return assemble_linear("bqcf", morse, cfg, beta, gamma)
 
             critical_strain(build, 1e-3, 1.3, coarse=1e-2, report_sink=records.append)
-            assert {r.path for r in records} == ({"pencil"} if N == 3 else {first})
+            assert {r.path for r in records} == ({"pencil"} if N == 3 else {"inertia"})
 
 
 @pytest.mark.parametrize(
@@ -598,10 +618,10 @@ def test_wrong_sample_mode_is_rejected_by_its_count(morse, monkeypatch, N):
 
 
 def test_atomistic_sweep_takes_the_pencil_without_factorizing(morse, monkeypatch):
-    # the atomistic nu is the least Fourier mode's quotient at gamma = 1 and
-    # skips its count, so the sweep factors nothing while nu decides every
-    # stretch; deciding each by the Fourier route instead gives the same
-    # answer
+    # the atomistic nu takes one factorization for its solve, the longest
+    # waves being its mode, and one for the count that proves its lower
+    # end; nu then decides every stretch, which factors nothing more.
+    # Deciding each stretch by inertia instead gives the same answer
     cfg = ChainConfig(M=2000, N=2)
     beta = beta_one(cfg)
 
@@ -614,20 +634,20 @@ def test_atomistic_sweep_takes_the_pencil_without_factorizing(morse, monkeypatch
     records = []
     g = critical_strain(build, 1e-5, 1.5, coarse=1e-3, report_sink=records.append)
     assert {r.path for r in records} == {"pencil"}
-    assert factorizations == []
+    assert len(factorizations) == 2
     monkeypatch.setattr(stability._Eigencurve, "record", lambda self, op, gamma: None)
     records = []
     assert critical_strain(build, 1e-5, 1.5, coarse=1e-3, report_sink=records.append) == g
-    assert {r.path for r in records} == {"circulant"}
+    assert {r.path for r in records} == {"inertia"}
 
 
 @pytest.mark.parametrize("N", [2, 3])
 @pytest.mark.parametrize("which, make_beta", [("atomistic", beta_one), ("continuum", beta_zero)])
-def test_pure_kind_sweep_takes_the_fourier_route(morse, stability_lu, which, make_beta, N):
-    # assemble_linear(which) reads a fresh constant blend at each call, so
-    # the eigencurve qualifies no stretch past gamma = 1, and stability_at
-    # decides each by its least Fourier mode: the answer of the sweep over
-    # one constant blend, and no factorization
+def test_pure_kind_sweep_is_decided_by_the_eigencurve(morse, stability_lu, which, make_beta, N):
+    # assemble_linear(which) reads a fresh constant blend at each call,
+    # equal in value to gamma = 1's, so the eigencurve decides every
+    # stretch: the answer of the sweep over one constant blend, for one
+    # solve and one count per sample (one sample for N = 2, two for N = 3)
     cfg = ChainConfig(M=500, N=N)
     beta = make_beta(cfg)
     records = []
@@ -635,8 +655,8 @@ def test_pure_kind_sweep_takes_the_fourier_route(morse, stability_lu, which, mak
         lambda gamma: assemble_linear(which, morse, cfg, gamma=gamma),
         1e-5, 1.5, coarse=1e-3, report_sink=records.append,
     )
-    assert stability_lu.factorizations == 0
-    assert records[0].path == "pencil" and {r.path for r in records[1:]} == {"circulant"}
+    assert stability_lu.factorizations == 2 * (N - 1)
+    assert {r.path for r in records} == {"pencil"}
     assert g == critical_strain(lambda gamma: assemble_linear("bqcf", morse, cfg, beta, gamma))
 
 
@@ -645,7 +665,7 @@ def test_pure_kind_sweep_takes_the_fourier_route(morse, stability_lu, which, mak
 
 def test_inertia_count_matches_dense_oracle(morse):
     rng = np.random.default_rng(20240)
-    cases = 0
+    paths = []
     for N in (1, 2, 3):
         cfg = ChainConfig(M=64, N=N)
         for make_profile in (symmetric_profile, one_sided_profile):
@@ -656,13 +676,15 @@ def test_inertia_count_matches_dense_oracle(morse):
                     op = assemble_linear("bqcf", morse, cfg, beta, gamma)
                     rec = stability_at(op, gamma)
                     assert rec.stable == (coercivity_constant(op).c_min > 0.0)
-                    if rec.path == "circulant":  # N = 1 blends can be exactly constant
+                    paths.append(rec.path)
+                    if rec.path == "sliced":  # S 1 = 0 exactly, a zero pivot that SuperLU permutes
+                        c = dense_cmin(op)
+                        assert abs(rec.c_min - c) <= 1e-10 * (abs(c) + 1.0), (N, family, L)
                         continue
                     assert rec.path == "inertia"
                     assert rec.neg_count == dense_negative_count(op), (N, family, L, gamma)
                     assert rec.stable == (rec.neg_count == 0)
-                    cases += 1
-    assert cases >= 36
+    assert paths.count("inertia") >= 36
 
 
 @pytest.mark.parametrize("leading", [0.0, 1e-4, 1e-300])
@@ -685,9 +707,10 @@ def test_inertia_falls_back_on_untrusted_pivots(morse, leading):
 
 def test_stability_record_paths(morse):
     cfg = ChainConfig(M=32, N=2)
-    rec = stability_at(assemble_linear("bqcf", morse, cfg, beta_one(cfg), 1.1), 1.1)
-    assert (rec.path, rec.neg_count, rec.stable) == ("circulant", None, True)
-    assert rec.c_min > 0
+    op = assemble_linear("bqcf", morse, cfg, beta_one(cfg), 1.1)
+    rec = stability_at(op, 1.1)
+    assert (rec.path, rec.neg_count, rec.c_min, rec.stable) == ("inertia", 0, None, True)
+    assert coercivity_constant(op).c_min > 0
     rec = stability_at(assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 3), 1.1), 1.1)
     assert (rec.path, rec.neg_count, rec.c_min, rec.stable) == ("inertia", 0, None, True)
     with pytest.raises(FrozenInstanceError):
@@ -798,7 +821,7 @@ def test_sliced_factorization_counts(morse, stability_lu, M):
     assert rep.iterations == stability_lu.solves <= 12
     cfg = ChainConfig(M=M, N=2)
     rep = coercivity_constant(assemble_linear("bqcf", morse, cfg, beta_one(cfg), 1.0))
-    assert (rep.path, rep.factorizations, rep.iterations) == ("circulant", 0, 0)
+    assert (rep.path, rep.factorizations, rep.iterations) == ("sliced", 1, 1)
 
 
 # c_min of wide blends at gamma = 1 (N = 2), whose long-wave band the blend
@@ -830,11 +853,38 @@ def test_sliced_matches_circulant_on_constant_blends(morse, stability_lu, make_b
     # breaks down (beta_j ~ 0) at its first step, without a warning or a NaN
     cfg = ChainConfig(M=64, N=N)
     op = assemble_linear("bqcf", morse, cfg, make_beta(cfg), 1.0)
-    c = stability._circulant_cmin(op)[0]
+    c = dense_cmin(op)
     lam, _, res, _, factorizations = stability._sliced_cmin(op)
     assert abs(lam - c) <= 1e-10 * (abs(c) + 1.0)
     assert res <= 1e-10 * (abs(c) + 1.0)
     assert factorizations == stability_lu.factorizations == 1
+
+
+@pytest.mark.parametrize("M", [500, 2000, 8000])
+@pytest.mark.parametrize("gamma", [1.0, 1.19])
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("make_beta", [beta_zero, beta_one])
+def test_sliced_resolves_constant_blends_at_their_start(morse, stability_lu, make_beta, N, gamma, M):
+    # the estimate starts from the longest waves, an exact eigenvector here
+    # with its residual already at the eps M^2 floor; a first check that
+    # does not halve it is accepted, where a run that goes on divides by a
+    # roundoff-sized beta_j, climbs to 1e-4 and fails after 40 factors.
+    # The m = 1 Fourier quotient, sum_k phi''(k gamma) sin^2(k theta / 2)
+    # / sin^2(theta / 2) at theta = pi / M, is c_min for beta = 1 (and
+    # sum_k k^2 phi''(k gamma), every eigenvalue, for beta = 0)
+    cfg = ChainConfig(M=M, N=N)
+    op = assemble_linear("bqcf", morse, cfg, make_beta(cfg), gamma)
+    k = np.arange(1, N + 1)
+    phi = morse.phi_xx(k * gamma)
+    if make_beta is beta_one:
+        half = np.pi / (2.0 * M)
+        want = float(phi @ np.sin(k * half) ** 2 / np.sin(half) ** 2)
+    else:
+        want = float(phi @ k**2)
+    lam, _, res, _, factorizations = stability._sliced_cmin(op)
+    assert factorizations == stability_lu.factorizations <= 2
+    assert res <= 1e-8 * (abs(lam) + 1.0)
+    assert abs(lam - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("M", [8, 64, 4000])
