@@ -37,8 +37,8 @@ live here too.
 
 Operators are immutable once made and safe to share across threads:
 the recipe is fixed at assembly, raw bands are kept as a read-only copy,
-and the symmetric part is kept once built.  Concurrent first accesses
-at worst build the same array twice.
+and the row sums and the symmetric part are kept once built.  Concurrent
+first accesses at worst build the same array twice.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class BandedPeriodicOperator:
             raise ValueError("give the operator either its bands or its recipe")
         self.config = config
         self.recipe = recipe
-        self._bands = self._sym = None
+        self._bands = self._sums = self._sym = None
         if bands is not None:
             bands = np.array(bands, dtype=float)
             shape = (2 * config.N + 1, config.n_atoms)
@@ -140,13 +140,18 @@ class BandedPeriodicOperator:
     def apply_values(self, v: np.ndarray) -> np.ndarray:
         """Matrix-vector product A v on a field, in the row-difference form,
         which annihilates constants exactly when the row sums vanish.
-        v_{p+o} is read as a view of one periodic extension of v."""
+        v_{p+o} is read as a view of one periodic extension of v; the row
+        sums are kept, read-only, from the first call."""
         N, n = self.config.N, self.config.n_atoms
         if v.shape != (n,):
             raise ValueError(f"field has shape {v.shape}, expected ({n},)")
         bands = self.bands
+        if self._sums is None:
+            sums = _row_sums(bands)
+            sums.setflags(write=False)
+            self._sums = sums
         ext = np.concatenate((v[n - N :], v, v[:N]))
-        out = _row_sums(bands) * v
+        out = self._sums * v
         for o in range(-N, N + 1):
             if o != 0:
                 diff = ext[N + o : N + o + n] - v

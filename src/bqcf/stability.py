@@ -26,7 +26,9 @@ rolls (the bands of A^T); G has the bands -1/a, 2/a, -1/a.
 bordered_matrix refills K from the bands of its leading block on a CSC
 pattern built once per (2M, N).  The sweep's test (S), every shift of the
 slicing (S - sigma G) and the deform solve (A itself) share it, so no
-sparse matrix is assembled per call.
+sparse matrix is assembled per call.  The stability factorizations drop
+K's exact zeros first (a blend's d_{+-k} vanish on its continuum rows),
+which only cuts fill; the deform solve factors the full pattern.
 
 Every operator, constant-coefficient or blended, is solved by spectrum
 slicing: shifts bracketed by that count, the first placed by a Lanczos
@@ -36,9 +38,10 @@ has no eigenvalue below its shift or, above a count-0 shift, only c_min
 mode by one rule (_mode), so c_min is always a mode's quotient.  A
 critical-strain sweep needs only the sign of c_min at each grid stretch:
 for N = 2 and 3 a few samples of one concave family bound it at every
-stretch, gamma = 1 included, each sample's lower end proven by one count
-(_Eigencurve); stability_at reads it off the count at sigma = 0 wherever
-those bounds decide nothing.
+stretch, gamma = 1 included, each sample's lower end proven by one count,
+and for N = 1 the one sample at gamma = 1 does (_Eigencurve);
+stability_at reads it off the count at sigma = 0 wherever those bounds
+decide nothing.
 """
 
 from __future__ import annotations
@@ -134,14 +137,28 @@ class StabilityRecord:
 
 
 def _gram(v: np.ndarray, a: float) -> np.ndarray:
-    """G v by its stencil (2 v_l - v_{l-1} - v_{l+1}) / a."""
-    ext = np.concatenate((v[-1:], v, v[:1]))
-    return (2.0 * v - ext[:-2] - ext[2:]) / a
+    """G v by its stencil (2 v_l - v_{l-1} - v_{l+1}) / a, in that order,
+    computed in place with the periodic ends taken apart."""
+    g = 2.0 * v
+    g[1:] -= v[:-1]
+    g[0] -= v[-1]
+    g[:-1] -= v[1:]
+    g[-1] -= v[0]
+    g /= a
+    return g
+
+
+@lru_cache(maxsize=8)
+def _unit_constant(n: int) -> np.ndarray:
+    """The unit constant field 1 / sqrt(n), read-only, kept per n."""
+    ebar = np.full(n, 1.0 / np.sqrt(n))
+    ebar.setflags(write=False)
+    return ebar
 
 
 def _project(x: np.ndarray) -> np.ndarray:
     """x on mean-zero fields: x - (ebar . x) ebar, ebar the unit constant."""
-    ebar = np.full(x.shape[0], 1.0 / np.sqrt(x.shape[0]))
+    ebar = _unit_constant(x.shape[0])
     return x - (ebar @ x) * ebar
 
 
@@ -193,6 +210,7 @@ def _shifted_ldl(op: BandedPeriodicOperator, sigma: float):
     mean-zero fields (for sigma = 0, the negative eigenvalues of S there),
     or None when the signs cannot be trusted.
 
+    K's exact zeros are dropped first, on a copy of the shared pattern.
     K is factored in its natural order with diagonal pivots only, so U's
     diagonal is the D of K = L D L^T and neg(K) = #{d_i < 0}; the border
     adds exactly one, whatever the chain block is (Sylvester's law of
@@ -213,9 +231,11 @@ def _shifted_ldl(op: BandedPeriodicOperator, sigma: float):
     n, N, a = config.n_atoms, config.N, config.a
     shifted = a * op.symmetric_part().bands
     shifted[N - 1 : N + 2] -= sigma * np.array([[-1.0 / a], [2.0 / a], [-1.0 / a]])
+    K = bordered_matrix(shifted).copy()  # the cached pattern is shared and read-only
+    K.eliminate_zeros()
     try:
         lu = splu(
-            bordered_matrix(shifted),
+            K,
             permc_spec="NATURAL",
             diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True),
@@ -438,7 +458,7 @@ _MARGIN = 1e-8  # a bound on c_min this near 0, relative to its terms, decides n
 
 
 class _Eigencurve:
-    """c_min of the N = 2 and 3 stretches assembled like the first, from samples.
+    """c_min of the N <= 3 stretches assembled like the first, from samples.
 
     Bands are linear in the coefficients c_k = phi''(k gamma), and the k = 1
     part is G/a whatever the blend.  So a stretch with c_2 < 0 is
@@ -460,20 +480,35 @@ class _Eigencurve:
     sample is the first stretch, nu = c_min(A(1)) in a sweep, and the only
     one for N = 2.  A sample that fails its solve or count ends the
     eigencurve.  A stretch with c_2 >= 0 goes to stability_at; a Morse chain has none.
+
+    An N = 1 stretch is c_1 A(1) up to the rounding of its bands, so the
+    first stretch's one sample, taken over its c_1, decides every stretch:
+    c_min >= c_1 g_lo for c_1 > 0, g_lo the sample's lower end, and for
+    c_1 < 0, where c_min is c_1 times A(1)'s largest eigenvalue,
+    c_min <= c_1 q, q the sample's quotient, which that eigenvalue tops.
     """
 
     def __init__(self, op1: BandedPeriodicOperator):
         self.config, N = op1.config, op1.config.N
-        self.recipe = op1.recipe if N in (2, 3) else None
-        if self.recipe is not None:  # A(0, 0, 1), read for N = 3 slopes
-            unit = replace(self.recipe, coefficients=(0.0, 0.0, 1.0)[:N])
+        self.recipe = op1.recipe if N <= 3 else None
+        if self.recipe is not None and N == 3:  # A(0, 0, 1), read for slopes
+            unit = replace(self.recipe, coefficients=(0.0, 0.0, 1.0))
             self.unit = BandedPeriodicOperator(self.config, recipe=unit)
         self.samples = []  # (t_i, lower end of g_i, its line (g_i, s_i)), ascending in t
 
+    @staticmethod
+    def _split(coefficients):
+        """(b, w, t) with c_min = b + w g(t): (c_1, |c_2|, t) for N = 2 and 3,
+        and (0, c_1, 0) for N = 1, where that holds for c_1 > 0."""
+        if len(coefficients) == 1:
+            return 0.0, coefficients[0], 0.0
+        c1, c2, *c3 = coefficients
+        return c1, -c2, (c3[0] / -c2 if c3 else 0.0)
+
     def _add(self, op):
-        """Sample g at t = c_3 / |c_2| from op = c_1 G/a + |c_2| A(0, -1, t), or
-        set recipe None.  Every sample, of a constant blend too, proves its
-        lower end by one count at q less _MARGIN of its terms."""
+        """Sample g at t from op = b + w A(0, -1, t) (op = w A(1) for N = 1),
+        w > 0, or set recipe None.  Every sample, of a constant blend too,
+        proves its lower end by one count at q less _MARGIN of its terms."""
         try:
             rep = coercivity_constant(op)
         except EigenSolveError:
@@ -485,27 +520,24 @@ class _Eigencurve:
         if factored is None or factored[1] != 0:
             self.recipe = None
             return
-        c1, c2, *c3 = op.recipe.coefficients
-        w = -c2
-        s = self.config.a * float(v @ self.unit.apply_values(v)) if c3 else 0.0
-        self.samples.append((c3[0] / w if c3 else 0.0, (q_lo - c1) / w, ((q - c1) / w, s)))
+        b, w, t = self._split(op.recipe.coefficients)
+        s = self.config.a * float(v @ self.unit.apply_values(v)) if self.config.N == 3 else 0.0
+        self.samples.append((t, (q_lo - b) / w, ((q - b) / w, s)))
         self.samples.sort()
 
     def record(self, op: BandedPeriodicOperator, gamma: float) -> StabilityRecord | None:
         """The stretch decided by its bracket [f_lo, f_hi] on c_min, or None.
-        It qualifies with c_2 < 0, the first stretch's config and its blend:
-        the same object, or equal values (a pure kind reads a fresh constant
-        blend per stretch)."""
+        It qualifies with c_2 < 0 (any c_1 once sampled, for N = 1), the
+        first stretch's config and its blend: the same object, or equal
+        values (a pure kind reads a fresh constant blend per stretch)."""
         r1 = self.recipe
         r = None if r1 is None else op.recipe
         same_blend = r is not None and (r.beta is r1.beta or np.array_equal(r.beta, r1.beta))
         if not same_blend or op.config != self.config:
             return None
-        c1, c2, *c3 = r.coefficients
-        if not c2 < 0.0:
+        b, w, t = self._split(r.coefficients)
+        if not (w > 0.0 or (self.config.N == 1 and self.samples)):
             return None
-        w = -c2
-        t = c3[0] / w if c3 else 0.0
         for last in (False, True):
             if self.recipe is None:  # the sample just taken failed
                 return None
@@ -514,8 +546,11 @@ class _Eigencurve:
             for (ta, la, _), (tb, lb, _) in zip(self.samples, self.samples[1:] or self.samples):
                 if ta <= t <= tb:
                     lo = la if ta == tb else la + (lb - la) * (t - ta) / (tb - ta)
-            f_lo, f_hi = c1 + w * lo, c1 + w * hi
-            margin = _MARGIN * (abs(c1) + w * (abs(hi) + 1.0))
+            if w > 0.0:
+                f_lo, f_hi = b + w * lo, b + w * hi
+            else:  # N = 1, c_1 <= 0: A(1)'s largest eigenvalue is at least hi
+                f_lo, f_hi = -math.inf, w * hi
+            margin = _MARGIN * (abs(b) + abs(w) * (abs(hi) + 1.0))
             if f_lo > margin or f_hi < -margin:
                 return StabilityRecord(gamma, f_lo > margin, None, f_hi, "pencil", (f_lo, f_hi))
             ts = [p[0] for p in self.samples]

@@ -71,6 +71,37 @@ def dense_bordered(B):
     return K
 
 
+def gram_extended(v, a):
+    """G v from one concatenated periodic extension of v, by the formula
+    that stability._gram evaluates in place, in the same order."""
+    ext = np.concatenate((v[-1:], v, v[:1]))
+    return (2.0 * v - ext[:-2] - ext[2:]) / a
+
+
+def project_fresh(x):
+    """x - (ebar . x) ebar with the unit constant ebar built on the spot."""
+    ebar = np.full(x.shape[0], 1.0 / np.sqrt(x.shape[0]))
+    return x - (ebar @ x) * ebar
+
+
+def apply_fresh(op, v):
+    """A v in the row-difference form of BandedPeriodicOperator.apply_values,
+    its row sums recomputed from the bands: d_{-k} + d_k for k = 1..N, then
+    the diagonal."""
+    N, n, bands = op.config.N, op.config.n_atoms, op.bands
+    sums = np.zeros(n)
+    for k in range(1, N + 1):
+        sums = sums + (bands[N - k] + bands[N + k])
+    ext = np.concatenate((v[n - N :], v, v[:N]))
+    out = (sums + bands[N]) * v
+    for o in range(-N, N + 1):
+        if o != 0:
+            diff = ext[N + o : N + o + n] - v
+            diff *= bands[N + o]
+            out += diff
+    return out
+
+
 def dense_eigenvalues(op):
     """Every eigenvalue of the pencil (S, G) on mean-zero fields, ascending."""
     Z = null_space(np.ones((1, op.config.n_atoms)))

@@ -161,6 +161,24 @@ def test_criterion_1_table_factorizations(table1_run):
     assert count <= 50
 
 
+def test_criterion_1_n1_table_takes_one_sample_per_row(monkeypatch):
+    """The N = 1 table at M = 500: c_min = phi''(gamma) whatever the blend,
+    so every row has the atomistic critical stretch, as the sweep that
+    decided every stretch by inertia found with 6,096 factorizations.  One
+    eigencurve sample at gamma = 1 and its count decide each row's
+    stretches: 50 factorizations."""
+    count = counting_factorizations(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table = run_critical_strain_table(M=500, N=1)
+    gammas = {row[3] for row in table.rows}
+    ok = gammas == {1.0 + 23104 * 1e-5} and len(count) == 50 and not caught
+    announce("1 (N = 1 table)", ok, f"{len(count)} factorizations")
+    assert gammas == {1.0 + 23104 * 1e-5}
+    assert len(count) == 50
+    assert not caught, [str(w.message) for w in caught]
+
+
 # gamma_crit of every N = 3 table row (M = 2000) in units of dgamma = 1e-5,
 # as computed by the sweep that decided every stretch by inertia
 TABLE1_N3_GRID_UNITS = {("atomistic", "-", 0): 19492}

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from oracles import (
+    apply_fresh,
     bilinear,
     decompose_bilinear_n2,
     dense_bordered,
@@ -16,7 +17,9 @@ from oracles import (
     dense_matrix,
     dense_negative_count,
     dense_sym,
+    gram_extended,
     l2_norm,
+    project_fresh,
     reference_sweep,
     stability_constant,
 )
@@ -641,6 +644,36 @@ def test_atomistic_sweep_takes_the_pencil_without_factorizing(morse, monkeypatch
     assert {r.path for r in records} == {"inertia"}
 
 
+@pytest.mark.parametrize("make_profile", [symmetric_profile, one_sided_profile])
+def test_n1_sweep_is_decided_by_one_sample(morse, stability_lu, make_profile):
+    # an N = 1 stretch is c_1 A(1) up to rounding: the first stretch's one
+    # sample and its count decide every stretch, above and below c_1 = 0,
+    # each bracket holding the dense c_min, and the sweep gives the dense
+    # answer, exactly constant blends included
+    cfg = ChainConfig(M=64, N=1)
+    blends = [sample_beta(make_profile(cfg, f, L), cfg) for f, L in (("linear", 1), ("cubic", 4))]
+    for beta in (*blends, beta_one(cfg), beta_zero(cfg)):
+        ops, records = {}, []
+
+        def build(gamma):
+            ops[gamma] = assemble_linear("bqcf", morse, cfg, beta, gamma)
+            return ops[gamma]
+
+        before = stability_lu.factorizations
+        g = critical_strain(build, 1e-3, 1.3, coarse=2e-2, report_sink=records.append)
+        want, evaluated = dense_critical_strain(ops.__getitem__, 1e-3, 1.3, 2e-2)
+        assert g == want and [r.gamma for r in records] == list(evaluated)
+        assert stability_lu.factorizations - before == 2
+        assert {r.path for r in records} == {"pencil"}
+        assert {r.stable for r in records} == {True, False}
+        for rec in records:
+            c = evaluated[rec.gamma][0]
+            tol = 1e-8 * (abs(c) + 1.0)
+            lo, hi = rec.bracket
+            assert lo - tol <= c <= hi + tol and rec.c_min == hi, rec.gamma
+            assert rec.stable == (c > 0.0)
+
+
 @pytest.mark.parametrize("N", [2, 3])
 @pytest.mark.parametrize("which, make_beta", [("atomistic", beta_one), ("continuum", beta_zero)])
 def test_pure_kind_sweep_is_decided_by_the_eigencurve(morse, stability_lu, which, make_beta, N):
@@ -738,11 +771,81 @@ def test_bordered_matrix_matches_dense(morse, N, family, make_profile, monkeypat
         for sigma in (0.0, seeded):
             _shifted_ldl(op, sigma)
             K = factored.pop()
-            assert K.format == "csc" and K.nnz == (2 * N + 3) * cfg.n_atoms
-            np.testing.assert_array_equal(K.toarray(), dense_bordered(dense_sym(op) - sigma * G))
-        # the deform solve's K carries A itself
-        K = bordered_matrix(op.bands).toarray()
-        np.testing.assert_array_equal(K, dense_bordered(dense_matrix(op)))
+            dense = dense_bordered(dense_sym(op) - sigma * G)
+            # the stability K stores exactly the oracle's nonzeros, and no zero
+            assert K.format == "csc" and K.nnz == np.count_nonzero(dense)
+            assert np.all(K.data != 0.0)
+            np.testing.assert_array_equal(K.toarray(), dense)
+        # the deform solve's K carries A itself, on the full cached pattern
+        K = bordered_matrix(op.bands)
+        assert K.nnz == (2 * N + 3) * cfg.n_atoms
+        np.testing.assert_array_equal(K.toarray(), dense_bordered(dense_matrix(op)))
+
+
+def test_pruned_zero_chain_diagonal_keeps_the_count(morse, monkeypatch):
+    # a shift that makes one chain diagonal of K(sigma) exactly 0.0, so the
+    # stability K drops it from its structure: each count is the dense one,
+    # or None, never another.  At M = 64, sigma = S_pp a / 2 takes S_pp off
+    # exactly, 2 / a = 128 being a power of two.  A row whose diagonal no
+    # other row shares (the one-sided blend's transition rows) loses that
+    # one entry; row 0 takes every atomistic row's, the first pivot among them
+    cfg = ChainConfig(M=64, N=2)
+    factored, splu = [], stability.splu
+    monkeypatch.setattr(stability, "splu", lambda K, **kw: factored.append(K) or splu(K, **kw))
+    trusted = 0
+    for gamma in (1.0, 1.15):
+        beta = sample_beta(one_sided_profile(cfg, "cubic", 5), cfg)
+        op = assemble_linear("bqcf", morse, cfg, beta, gamma)
+        diagonal = cfg.a * op.symmetric_part().bands[cfg.N]
+        eigenvalues = dense_eigenvalues(op)
+        own = [p for p in range(cfg.n_atoms) if np.count_nonzero(diagonal == diagonal[p]) == 1]
+        assert len(own) >= 8
+        for p in [0, *own]:
+            sigma = diagonal[p] * cfg.a / 2.0
+            got = _shifted_ldl(op, sigma)
+            K = factored.pop()
+            assert p not in K.indices[K.indptr[p] : K.indptr[p + 1]]
+            if got is not None:
+                assert got[1] == np.count_nonzero(eigenvalues < sigma), (gamma, p)
+                trusted += p != 0
+    assert trusted >= 14
+
+
+@pytest.mark.parametrize("M", [64, 300])
+def test_pruned_counts_bracket_the_ladder_cmin(morse, M):
+    # on the ladder's blend (cubic, L = ceil(M^(1/3))), the pruned K's
+    # counts just below and just above c_min are the dense pencil's
+    cfg = ChainConfig(M=M, N=2)
+    beta = cubic_beta(cfg, blend_size_for_rule("M^(1/3)", M))
+    for gamma in (1.0, 1.1):
+        op = assemble_linear("bqcf", morse, cfg, beta, gamma)
+        eigenvalues = dense_eigenvalues(op)
+        c = eigenvalues[0]
+        for sigma in (c - 1e-8 * (abs(c) + 1.0), c + 1e-8 * (abs(c) + 1.0)):
+            assert count_below(op, sigma) == np.count_nonzero(eigenvalues < sigma)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_kept_invariants_give_the_same_bits(morse, N):
+    # the kept row sums, the kept unit constant and the in-place G v give
+    # bit for bit what their plain formulas give, on random fields
+    cfg = ChainConfig(M=40, N=N)
+    rng = np.random.default_rng(N)
+    op = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 4), 1.1)
+    raw = BandedPeriodicOperator(cfg, rng.standard_normal((2 * N + 1, cfg.n_atoms)))
+    for A in (op, op.symmetric_part(), raw):
+        for _ in range(3):
+            v = rng.standard_normal(cfg.n_atoms)
+            np.testing.assert_array_equal(A.apply_values(v), apply_fresh(A, v))
+            np.testing.assert_array_equal(stability._gram(v, cfg.a), gram_extended(v, cfg.a))
+            np.testing.assert_array_equal(stability._project(v), project_fresh(v))
+        with pytest.raises(ValueError, match="read-only"):
+            A._sums[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        stability._unit_constant(cfg.n_atoms)[0] = 1.0
+    for n in (2, 3):  # the shortest periodic fields, whose ends meet
+        v = rng.standard_normal(n)
+        np.testing.assert_array_equal(stability._gram(v, 0.5), gram_extended(v, 0.5))
 
 
 # ------------------------------------------------------ sliced c_min solver
