@@ -31,11 +31,13 @@ K's exact zeros first (a blend's d_{+-k} vanish on its continuum rows),
 which only cuts fill; the deform solve factors the full pattern.
 
 Every operator, constant-coefficient or blended, is solved by spectrum
-slicing: shifts bracketed by that count, the first placed by a Lanczos
-estimate that factors nothing, with a Lanczos run on each factor that
-has no eigenvalue below its shift or, above a count-0 shift, only c_min
-(_sliced_cmin).  The solver and each eigencurve sample evaluate their
-mode by one rule (_mode), so c_min is always a mode's quotient.  A
+slicing: shifts bracketed by that count, the first placed by an estimate
+that factors nothing (Lanczos on G^-1 P S), with a shift-invert Lanczos
+run on each factor that has no eigenvalue below its shift or, above a
+count-0 shift, only c_min (_sliced_cmin).  Both are one G-orthonormal
+Lanczos routine (_lanczos), told only how to apply its operator.  The
+solver and each eigencurve sample evaluate their mode by one rule
+(_mode), so c_min is always a mode's quotient.  A
 critical-strain sweep needs only the sign of c_min at each grid stretch:
 for N = 2 and 3 a few samples of one concave family bound it at every
 stretch, gamma = 1 included, each sample's lower end proven by one count,
@@ -148,32 +150,24 @@ def _gram(v: np.ndarray, a: float) -> np.ndarray:
     return g
 
 
-@lru_cache(maxsize=8)
-def _unit_constant(n: int) -> np.ndarray:
-    """The unit constant field 1 / sqrt(n), read-only, kept per n."""
-    ebar = np.full(n, 1.0 / np.sqrt(n))
-    ebar.setflags(write=False)
-    return ebar
-
-
 def _project(x: np.ndarray) -> np.ndarray:
-    """x on mean-zero fields: x - (ebar . x) ebar, ebar the unit constant."""
-    ebar = _unit_constant(x.shape[0])
-    return x - (ebar @ x) * ebar
+    """x on mean-zero fields: x less its mean."""
+    return x - x.mean()
 
 
 def _mode(op: BandedPeriodicOperator, v: np.ndarray):
     """Evaluate v as a mode of op, S being a * op.symmetric_part(): the
     G-normalized mean-zero v, its quotient c = a <A v, v> (= <S v, v>, but
-    A's row sums vanish exactly where A^T's carry roundoff), the pencil
-    residual |P S v - c G v| / |G v| (eigenvalue units) and G v."""
+    A's row sums vanish exactly where A^T's carry roundoff) and the pencil
+    residual |P S v - c G v| / |G v| (eigenvalue units)."""
     a = op.config.a
     v = _project(v)
-    v = v / np.sqrt(v @ _gram(v, a))
+    gv = _gram(v, a)
+    norm = math.sqrt(v @ gv)
+    v, gv = v / norm, gv / norm
     c = float(v @ op.apply_values(v)) * a
     sv = _project(op.symmetric_part().apply_values(v) * a)
-    gv = _gram(v, a)
-    return v, c, float(np.linalg.norm(sv - c * gv) / np.linalg.norm(gv)), gv
+    return v, c, float(np.linalg.norm(sv - c * gv) / np.linalg.norm(gv))
 
 
 @lru_cache(maxsize=8)
@@ -268,27 +262,42 @@ def _solve_gram(b: np.ndarray, a: float) -> np.ndarray:
     a running sum of b, shifted to mean zero as the periodic x requires,
     and x is a running sum of y."""
     y = -a * (np.cumsum(b) - b)
-    x = np.cumsum(y - y.mean())
-    return x - x.mean()
+    return _project(np.cumsum(_project(y)))
 
 
-def _lanczos_step(z: np.ndarray, Q: np.ndarray, a: float):
-    """z, the operator applied to Q's last row, G-orthogonalized against the
-    G-orthonormal rows of Q.  Returns (alpha, beta, z, G z): alpha is z's
-    coefficient on that last row and beta = |z|_G, the next row being z / beta."""
-    h = Q @ _gram(z, a)
-    z = z - h @ Q
-    # twice is enough; G does not see constants, so drop them here
-    z = _project(z - (Q @ _gram(z, a)) @ Q)
-    gz = _gram(z, a)
-    return h[-1], math.sqrt(max(z @ gz, 0.0)), z, gz
+def _lanczos(apply, q: np.ndarray, a: float, steps: int):
+    """Lanczos from the G-normalized mean-zero q on an operator self-adjoint
+    in the G inner product on mean-zero fields, apply(q, G q) applying it.
+    Each step G-orthogonalizes the image against the whole basis twice,
+    dropping constants, which G does not see, and yields (alpha, beta, Q):
+    the tridiagonal so far, beta[-1] = |z|_G, and the G-orthonormal basis.
+    The run ends after `steps` steps or at beta = 0, the basis spanning an
+    invariant space; a step that is not finite raises EigenSolveError."""
+    basis = np.empty((steps + 1, q.shape[0]))
+    alpha, beta = np.empty(steps), np.empty(steps)
+    basis[0], gq = q, _gram(q, a)
+    for j in range(steps):
+        Q = basis[: j + 1]
+        z = apply(Q[-1], gq)
+        h = Q @ _gram(z, a)
+        z = z - h @ Q
+        z = _project(z - (Q @ _gram(z, a)) @ Q)
+        gq = _gram(z, a)
+        alpha[j], beta[j] = h[-1], math.sqrt(max(z @ gq, 0.0))
+        if not math.isfinite(alpha[j] + beta[j]):
+            raise EigenSolveError("non-finite Lanczos step")
+        yield alpha[: j + 1], beta[: j + 1], Q
+        if not beta[j] > 0.0:
+            return
+        basis[j + 1] = z / beta[j]
+        gq /= beta[j]
 
 
 def _first_shift(op: BandedPeriodicOperator):
     """The first shift of _sliced_cmin and its start vector, from an estimate.
 
-    _ESTIMATE_STEPS Lanczos steps on G^-1 P S, self-adjoint in the G inner
-    product on mean-zero fields, from the two longest waves
+    _ESTIMATE_STEPS _lanczos steps on G^-1 P S, self-adjoint in the G
+    inner product on mean-zero fields, from the two longest waves
     cos + sin(2 pi l / 2M): each step is one banded S apply and one
     _solve_gram, so no factorization.  The least Ritz value q bounds c_min
     above; with its residual r = beta |s_k| the shift is
@@ -303,21 +312,18 @@ def _first_shift(op: BandedPeriodicOperator):
     sym = op.symmetric_part()
     wave = 2.0 * np.pi * np.arange(n) / n
     v = _project(np.cos(wave) + np.sin(wave))
-    basis = np.empty((_ESTIMATE_STEPS + 1, n))  # G-orthonormal Lanczos vectors
-    basis[0] = v / np.sqrt(v @ _gram(v, a))
-    alpha, beta = np.empty(_ESTIMATE_STEPS), np.empty(_ESTIMATE_STEPS)
-    for k in range(1, _ESTIMATE_STEPS + 1):
-        Q = basis[:k]
-        z = _solve_gram(_project(a * sym.apply_values(Q[-1])), a)
-        alpha[k - 1], beta[k - 1], z, _ = _lanczos_step(z, Q, a)
-        if not math.isfinite(alpha[k - 1] + beta[k - 1]):
-            raise EigenSolveError("non-finite Lanczos step in the first shift's estimate")
-        if not beta[k - 1] > 1e-8 * (abs(alpha[k - 1]) + 1.0):
-            break
-        basis[k] = z / beta[k - 1]
-    theta, s = eigh_tridiagonal(alpha[:k], beta[: k - 1])  # Ritz pairs, ascending
-    q, r = theta[0], beta[k - 1] * abs(s[-1, 0])
-    return q - r - _ESTIMATE_MARGIN * (abs(q) + 1.0), s[:, 0] @ basis[:k]
+    v = v / math.sqrt(v @ _gram(v, a))
+    try:
+        for alpha, beta, Q in _lanczos(
+            lambda q, gq: _solve_gram(_project(a * sym.apply_values(q)), a), v, a, _ESTIMATE_STEPS
+        ):
+            if not beta[-1] > 1e-8 * (abs(alpha[-1]) + 1.0):
+                break
+    except EigenSolveError as err:
+        raise EigenSolveError(f"{err} in the first shift's estimate") from None
+    theta, s = eigh_tridiagonal(alpha, beta[:-1])  # Ritz pairs, ascending
+    q, r = theta[0], beta[-1] * abs(s[-1, 0])
+    return q - r - _ESTIMATE_MARGIN * (abs(q) + 1.0), s[:, 0] @ Q
 
 
 def _sliced_cmin(op: BandedPeriodicOperator):
@@ -327,9 +333,9 @@ def _sliced_cmin(op: BandedPeriodicOperator):
     with no eigenvalue below it raises lo to sigma, one with some lowers
     hi to sigma, and every Rayleigh quotient lowers hi.  The first shift
     and start vector come from a Lanczos estimate that factors nothing
-    (_first_shift), placed just below c_min's estimate.  Lanczos builds a
-    G-orthonormal (fully reorthogonalized) Krylov basis of
-    T = (S - sigma G)^-1 G on mean-zero fields, whose eigenvalue
+    (_first_shift), placed just below c_min's estimate.  _lanczos builds a
+    G-orthonormal Krylov basis of T = (S - sigma G)^-1 G on mean-zero
+    fields, one bordered solve per step, whose eigenvalue
     1 / (c_min - sigma) is followed by its Ritz value theta.  It runs on
     every factor with count 0, where theta is T's largest, and on a factor
     with count 1 above a known lo, where it is T's one negative eigenvalue
@@ -341,19 +347,16 @@ def _sliced_cmin(op: BandedPeriodicOperator):
     between checks, the start vector's own counting as the first, is
     accepted within the 1e-8 (|c| + 1) contract, so a start that is
     already an eigenvector stops at its first check.  After _LANCZOS_STEPS
-    solves the next shift goes _NEXT_SHIFT residuals below the quotient,
-    near enough that Lanczos converges in a few steps (to the bracket's
-    midpoint when that is not below hi), and the Ritz vector starts the
-    next basis.  Inverse iteration is the one-vector case.
+    solves, or an invariant space, the next shift goes _NEXT_SHIFT
+    residuals below the quotient, near enough that Lanczos converges in a
+    few steps (to the bracket's midpoint when that is not below hi), and
+    the Ritz vector starts the next basis.  Inverse iteration is the
+    one-vector case.
     """
-    config = op.config
-    n = config.n_atoms
-    a = config.a
+    n = op.config.n_atoms
     sigma, v = _first_shift(op)
     lo, cap = -math.inf, math.inf  # cap: the least shift with a count
-    v, hi, res, gv = _mode(op, v)
-    basis = np.empty((_LANCZOS_STEPS + 1, n))  # G-orthonormal Lanczos vectors
-    alpha, beta = np.empty(_LANCZOS_STEPS), np.empty(_LANCZOS_STEPS)
+    v, hi, res = _mode(op, v)
     solves = 0
     for factorizations in range(1, _MAX_FACTORIZATIONS + 1):
         lu = factored = None  # free the last factor before making the next
@@ -369,32 +372,26 @@ def _sliced_cmin(op: BandedPeriodicOperator):
                 continue
         else:
             lo = sigma
-        basis[0], gq, prev = v, gv, res
-        for j in range(_LANCZOS_STEPS):
-            z = lu.solve(np.append(gq, 0.0))[:n]
-            solves += 1
-            Q = basis[: j + 1]
-            alpha[j], beta[j], z, gq = _lanczos_step(z, Q, a)
-            if not math.isfinite(alpha[j] + beta[j]):
-                raise EigenSolveError(
-                    f"non-finite Lanczos step at shift {sigma:.6g} (last residual {res:.3e})"
-                )
-            theta, s = eigh_tridiagonal(alpha[: j + 1], beta[:j])  # Ritz pairs, ascending
-            k = 0 if theta[0] < 0.0 else -1  # c_min's 1 / (c - sigma) is T's least if < 0
-            if (j + 1) % 4 == 0 or beta[j] * abs(s[-1, k]) < 1e-7 * abs(theta[k]):
-                v, lam, res, gv = _mode(op, s[:, k] @ Q)
-                hi = min(hi, lam)
-                scale = abs(lam) + 1.0
-                # a residual stagnating at its floor (1e-9 relative at M = 8000)
-                # is accepted within the 1e-8 contract; only a mode below cap is c_min
-                converged = res <= _TOL * scale or (res <= 1e-8 * scale and res > 0.5 * prev)
-                if converged and lam < cap:
-                    return lam, v, res, solves, factorizations
-                prev = res
-            if not beta[j] > 0.0:  # the space is invariant: shift instead
-                break
-            basis[j + 1] = z / beta[j]
-            gq /= beta[j]
+        prev = res
+        try:
+            for alpha, beta, Q in _lanczos(
+                lambda q, gq: lu.solve(np.append(gq, 0.0))[:n], v, op.config.a, _LANCZOS_STEPS
+            ):
+                solves += 1
+                theta, s = eigh_tridiagonal(alpha, beta[:-1])  # Ritz pairs, ascending
+                k = 0 if theta[0] < 0.0 else -1  # c_min's 1 / (c - sigma) is T's least if < 0
+                if len(alpha) % 4 == 0 or beta[-1] * abs(s[-1, k]) < 1e-7 * abs(theta[k]):
+                    v, lam, res = _mode(op, s[:, k] @ Q)
+                    hi = min(hi, lam)
+                    scale = abs(lam) + 1.0
+                    # a residual stagnating at its floor (1e-9 relative at M = 8000)
+                    # is accepted within the 1e-8 contract; only a mode below cap is c_min
+                    converged = res <= _TOL * scale or (res <= 1e-8 * scale and res > 0.5 * prev)
+                    if converged and lam < cap:
+                        return lam, v, res, solves, factorizations
+                    prev = res
+        except EigenSolveError as err:
+            raise EigenSolveError(f"{err} at shift {sigma:.6g} (last residual {res:.3e})") from None
         sigma = lam - _NEXT_SHIFT * res  # just below the quotient
         if not sigma < hi:  # known to overshoot
             sigma = 0.5 * (lo + hi)
@@ -514,7 +511,7 @@ class _Eigencurve:
         except EigenSolveError:
             self.recipe = None
             return
-        v, q, _, _ = _mode(op, rep.mode)  # q bounds c_min only on mean-zero fields
+        v, q, _ = _mode(op, rep.mode)  # q bounds c_min only on mean-zero fields
         q_lo = q - _MARGIN * (abs(q) + 1.0)
         factored = _shifted_ldl(op, q_lo)
         if factored is None or factored[1] != 0:
@@ -662,16 +659,13 @@ def critical_strain(
 
 def blend_size_for_rule(rule: str, M: int) -> int:
     """Blend size prescribed by a growth rule, 'M^(1/5)' or 'M^(1/3)': the
-    least integer L with L^p >= M, decided in integers, as the float root
-    of a perfect power can land just above it."""
+    least integer L with L^p >= M, counted up from 1 in integers."""
     p = {"M^(1/5)": 5, "M^(1/3)": 3}.get(rule)
     if p is None:
         raise ValueError(f"unknown blend-size rule {rule!r}")
-    L = round(M ** (1.0 / p))
+    L = 1
     while L**p < M:
         L += 1
-    while (L - 1) ** p >= M:
-        L -= 1
     return L
 
 

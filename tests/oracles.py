@@ -78,12 +78,6 @@ def gram_extended(v, a):
     return (2.0 * v - ext[:-2] - ext[2:]) / a
 
 
-def project_fresh(x):
-    """x - (ebar . x) ebar with the unit constant ebar built on the spot."""
-    ebar = np.full(x.shape[0], 1.0 / np.sqrt(x.shape[0]))
-    return x - (ebar @ x) * ebar
-
-
 def apply_fresh(op, v):
     """A v in the row-difference form of BandedPeriodicOperator.apply_values,
     its row sums recomputed from the bands: d_{-k} + d_k for k = 1..N, then

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import at, csv_text, dense_matrix
 
 from bqcf import experiments
-from bqcf.blending import constant_profile, sample_beta
+from bqcf.blending import constant_profile, sample_beta, symmetric_profile
 from bqcf.cli import main
 from bqcf.experiments import (
     ResultTable,
@@ -23,8 +23,8 @@ from bqcf.experiments import (
 )
 from bqcf.lattice import ChainConfig
 from bqcf.operators import BandedPeriodicOperator, assemble_linear
-from bqcf.potential import MorseParams
-from bqcf.stability import StrainSweepError
+from bqcf.potential import Morse, MorseParams
+from bqcf.stability import StrainSweepError, critical_strain
 
 
 # ------------------------------------------------------------ result tables
@@ -415,6 +415,27 @@ def test_cli_critical_strain_smoke(tmp_path):
     assert table.columns[0] == "model"
     assert table.rows[0][0] == "atomistic"
     assert len(table.rows) == 1 + 3 * 8
+
+
+def test_critical_strain_table_records_blends_unstable_at_one():
+    # a softer well (alpha = 1.5) on the N = 3 chain at M = 64: the atomistic
+    # chain holds to gamma = 1.045, and the narrowest blends are not coercive
+    # at gamma = 1, where the sweep raises; the table records those rows as 1,
+    # off by gamma_atomistic - 1
+    params = MorseParams(alpha=1.5)
+    table = run_critical_strain_table(M=64, N=3, potential=params, dgamma=1e-3)
+    g_at = table.metadata["gamma_atomistic"]
+    assert g_at == table.rows[0][3] == 1.045
+    unstable = (("linear", 1), ("cubic", 1), ("quintic", 1), ("quintic", 2))
+    at_one = {(family, L): err for _, family, L, g, err in table.rows[1:] if g == 1.0}
+    assert at_one == {key: g_at - 1.0 for key in unstable}
+    config = ChainConfig(M=64, N=3)
+    pot = Morse(params)
+    for family, L in unstable:
+        beta = sample_beta(symmetric_profile(config, family, L), config)
+        with pytest.raises(StrainSweepError) as info:
+            critical_strain(lambda g: assemble_linear("bqcf", pot, config, beta, g), 1e-3, 1.5)
+        assert info.value.reason == "unstable_at_start"
 
 
 def test_cli_scan_exact_matches_bisection(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 from oracles import (
     apply_fresh,
     bilinear,
@@ -19,12 +20,11 @@ from oracles import (
     dense_sym,
     gram_extended,
     l2_norm,
-    project_fresh,
     reference_sweep,
     stability_constant,
 )
 
-from bqcf import operators, stability
+from bqcf import cli, operators, stability
 from bqcf.blending import constant_profile, one_sided_profile, sample_beta, symmetric_profile
 from bqcf.lattice import ChainConfig, forward_diff
 from bqcf.operators import BandedPeriodicOperator, OperatorRecipe, assemble_linear
@@ -827,8 +827,8 @@ def test_pruned_counts_bracket_the_ladder_cmin(morse, M):
 
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_kept_invariants_give_the_same_bits(morse, N):
-    # the kept row sums, the kept unit constant and the in-place G v give
-    # bit for bit what their plain formulas give, on random fields
+    # the kept row sums and the in-place G v give bit for bit what their
+    # plain formulas give, on random fields
     cfg = ChainConfig(M=40, N=N)
     rng = np.random.default_rng(N)
     op = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 4), 1.1)
@@ -838,11 +838,8 @@ def test_kept_invariants_give_the_same_bits(morse, N):
             v = rng.standard_normal(cfg.n_atoms)
             np.testing.assert_array_equal(A.apply_values(v), apply_fresh(A, v))
             np.testing.assert_array_equal(stability._gram(v, cfg.a), gram_extended(v, cfg.a))
-            np.testing.assert_array_equal(stability._project(v), project_fresh(v))
         with pytest.raises(ValueError, match="read-only"):
             A._sums[0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        stability._unit_constant(cfg.n_atoms)[0] = 1.0
     for n in (2, 3):  # the shortest periodic fields, whose ends meet
         v = rng.standard_normal(n)
         np.testing.assert_array_equal(stability._gram(v, 0.5), gram_extended(v, 0.5))
@@ -1004,6 +1001,100 @@ def test_solve_gram_inverts_gram_on_mean_zero_fields(M):
     assert residual <= 10.0 * eps * (4.0 / a) * np.abs(solved).max()
     error = np.abs(stability._solve_gram(stability._gram(x, a), a) - x).max()
     assert error <= 10.0 * cfg.n_atoms * eps * np.abs(x).max()
+
+
+def g_normalized(v, a):
+    """v on mean-zero fields with unit G-norm: a start for _lanczos."""
+    v = stability._project(v)
+    return v / np.sqrt(v @ stability._gram(v, a))
+
+
+@pytest.mark.parametrize("M", [16, 32, 64])
+def test_lanczos_basis_and_extreme_ritz_value(morse, M):
+    # the routine on both of its operators: the estimate's G^-1 P S from the
+    # longest waves, and the shift-invert T = (S - sigma G)^-1 G half a unit
+    # below c_min (the one-sided blend leaves a clear gap above it) from a
+    # random start.  Each basis is G-orthonormal and mean-zero, and T's
+    # largest Ritz value gives the dense c_min as sigma + 1 / theta
+    cfg = ChainConfig(M=M, N=2)
+    n, a = cfg.n_atoms, cfg.a
+    beta = sample_beta(one_sided_profile(cfg, "cubic", 4), cfg)
+    op = assemble_linear("bqcf", morse, cfg, beta, 1.1)
+    c = dense_cmin(op)
+    sigma = c - 0.5
+    lu, neg = _shifted_ldl(op, sigma)
+    assert neg == 0
+    sym = op.symmetric_part()
+    wave = 2.0 * np.pi * np.arange(n) / n
+    runs = {
+        "estimate": (
+            lambda q, gq: stability._solve_gram(stability._project(a * sym.apply_values(q)), a),
+            g_normalized(np.cos(wave) + np.sin(wave), a),
+        ),
+        "shift-invert": (
+            lambda q, gq: lu.solve(np.append(gq, 0.0))[:n],
+            g_normalized(np.random.default_rng(M).standard_normal(n), a),
+        ),
+    }
+    G = dense_gram(cfg)
+    for name, (apply, start) in runs.items():
+        steps = list(stability._lanczos(apply, start, a, _LANCZOS_STEPS))
+        assert len(steps) == _LANCZOS_STEPS, name
+        alpha, beta, Q = steps[-1]
+        np.testing.assert_array_equal(Q[0], start)
+        np.testing.assert_allclose(Q @ G @ Q.T, np.eye(_LANCZOS_STEPS), rtol=0, atol=1e-12)
+        assert np.abs(Q.sum(axis=1)).max() <= 1e-12, name
+    theta = eigh_tridiagonal(alpha, beta[:-1], eigvals_only=True)
+    assert abs(sigma + 1.0 / theta[-1] - c) <= 1e-12 * abs(c)
+
+
+@pytest.mark.parametrize("M", [16, 64])
+def test_lanczos_stops_on_an_invariant_space(M):
+    # q = (e_0 - e_2) / (2 sqrt(M)) has G-norm 1 exactly, so the image 2 q
+    # leaves exactly nothing after orthogonalization: beta = 0 ends the run
+    # after its one step
+    cfg = ChainConfig(M=M, N=2)
+    q = np.zeros(cfg.n_atoms)
+    q[0], q[2] = 1.0, -1.0
+    q /= 2.0 * np.sqrt(M)
+    ((alpha, beta, Q),) = stability._lanczos(lambda q, gq: 2.0 * q, q, cfg.a, 8)
+    assert (list(alpha), list(beta)) == ([2.0], [0.0])
+    np.testing.assert_array_equal(Q, [q])
+
+
+def test_non_finite_lanczos_steps_raise(morse, monkeypatch):
+    # the routine raises on a non-finite step; the estimate names itself
+    cfg = ChainConfig(M=16, N=2)
+    start = g_normalized(np.cos(2.0 * np.pi * np.arange(cfg.n_atoms) / cfg.n_atoms), cfg.a)
+    steps = stability._lanczos(lambda q, gq: np.full_like(q, np.nan), start, cfg.a, 8)
+    with pytest.raises(EigenSolveError, match="^non-finite Lanczos step$"):
+        next(steps)
+    monkeypatch.setattr(stability, "_solve_gram", lambda b, a: np.full_like(b, np.nan))
+    op = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 4), 1.0)
+    with pytest.raises(EigenSolveError, match="^non-finite Lanczos step in the first shift's estimate$"):
+        stability._first_shift(op)
+
+
+def test_untrusted_factors_end_at_the_factorization_limit(morse, monkeypatch, capsys, tmp_path):
+    # with no factor trusted the shift is nudged on every one, and the solve
+    # gives up after exactly 40; the CLI reports it as a numerical failure
+    shifts = []
+
+    def untrusted(op, sigma):
+        shifts.append(sigma)
+
+    monkeypatch.setattr(stability, "_shifted_ldl", untrusted)
+    cfg = ChainConfig(M=64, N=2)
+    op = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 5), 1.0)
+    with pytest.raises(EigenSolveError, match="not resolved within 40 shifted factorizations"):
+        coercivity_constant(op)
+    assert len(shifts) == 40
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["coercivity", "--M", "64"]) == 3
+    err = capsys.readouterr().err
+    assert "not resolved within 40 shifted factorizations" in err
+    assert not (tmp_path / "coercivity.csv").exists()
 
 
 def far_start(op):
@@ -1195,6 +1286,17 @@ def test_blend_size_rule_is_exact_on_perfect_powers():
             assert blend_size_for_rule(rule, L**p + 1) == L + 1
             if L > 1:
                 assert blend_size_for_rule(rule, L**p - 1) == L
+
+
+def test_blend_size_rule_brackets_every_M():
+    # L^p >= M > (L - 1)^p for both rules over M = 2..10^5
+    Ms = np.arange(2, 100_001)
+    for rule, p in (("M^(1/3)", 3), ("M^(1/5)", 5)):
+        Ls = np.array([blend_size_for_rule(rule, int(M)) for M in Ms])
+        assert np.all(Ls**p >= Ms) and np.all((Ls - 1) ** p < Ms), rule
+    # the cmin-ladder's blend sizes
+    ladder = [blend_size_for_rule("M^(1/3)", M) for M in (500, 1000, 2000, 4000, 8000)]
+    assert ladder == [8, 10, 13, 16, 20]
 
 
 def test_scaling_study_validation(morse):
