@@ -192,7 +192,8 @@ def assemble_linear(
     which: 'atomistic' | 'continuum' | 'bqcf'.  'bqcf' reads beta, the
     blend's 2M site values; 'atomistic' and 'continuum' ignore it and read
     the constant blend beta = 1 or beta = 0.  The coefficients
-    c_k = phi_xx(k gamma) are evaluated now, the bands on first access.
+    c_k = phi_xx(k gamma) are evaluated now, by one phi_xx call on the N
+    stretched distances, and the bands on first access.
     """
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
@@ -206,7 +207,7 @@ def assemble_linear(
             raise ValueError(f"beta has shape {beta.shape}, expected ({config.n_atoms},)")
     else:
         beta = np.full(config.n_atoms, float(which == "atomistic"))
-    coefficients = tuple(float(pot.phi_xx(k * gamma)) for k in range(1, config.N + 1))
+    coefficients = tuple(pot.phi_xx(np.arange(1, config.N + 1) * gamma).tolist())
     return BandedPeriodicOperator(config, recipe=OperatorRecipe(beta, coefficients))
 
 

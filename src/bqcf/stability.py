@@ -28,7 +28,11 @@ pattern built once per (2M, N).  The sweep's test (S), every shift of the
 slicing (S - sigma G) and the deform solve (A itself) share it, so no
 sparse matrix is assembled per call.  The stability factorizations drop
 K's exact zeros first (a blend's d_{+-k} vanish on its continuum rows),
-which only cuts fill; the deform solve factors the full pattern.
+which only cuts fill, and take SuperLU panels _PANEL = 4 columns wide:
+K's factor is a band plus a border, its supernodes a few columns wide,
+and SuperLU's default panel, sized for wide supernodes, factors it 1.2
+to 1.7 times slower.  The deform solve factors the full pattern with
+SuperLU's defaults, on which the bits of its CSVs rest.
 
 Every operator, constant-coefficient or blended, is solved by spectrum
 slicing: shifts bracketed by that count, the first placed by an estimate
@@ -195,6 +199,9 @@ def bordered_matrix(bands: np.ndarray):
     return csc_matrix((values[source], indices, indptr), shape=(n + 1, n + 1))
 
 
+_PANEL = 4  # SuperLU panel width; K's factor is a band plus a border, its supernodes narrow
+
+
 def _shifted_ldl(op: BandedPeriodicOperator, sigma: float):
     """Factor K = [[S - sigma G, e], [e^T, 0]] as L D L^T and count.
 
@@ -205,7 +212,8 @@ def _shifted_ldl(op: BandedPeriodicOperator, sigma: float):
     or None when the signs cannot be trusted.
 
     K's exact zeros are dropped first, on a copy of the shared pattern.
-    K is factored in its natural order with diagonal pivots only, so U's
+    K is factored in its natural order with diagonal pivots only (in
+    panels of _PANEL columns, which sets only the speed), so U's
     diagonal is the D of K = L D L^T and neg(K) = #{d_i < 0}; the border
     adds exactly one, whatever the chain block is (Sylvester's law of
     inertia; G is positive definite on mean-zero fields).  The signs are
@@ -232,6 +240,7 @@ def _shifted_ldl(op: BandedPeriodicOperator, sigma: float):
             K,
             permc_spec="NATURAL",
             diag_pivot_thresh=0.0,
+            panel_size=_PANEL,
             options=dict(SymmetricMode=True),
         )
     except RuntimeError:  # exactly singular factor
@@ -253,6 +262,7 @@ _LANCZOS_STEPS = 16  # Krylov dimension per trusted factor, a multiple of 4
 _NEXT_SHIFT = 0.1  # the next shift lies this many residuals below the quotient
 _ESTIMATE_STEPS = 8  # Lanczos steps of the first shift's estimate, which factors nothing
 _ESTIMATE_MARGIN = 1e-3  # the first shift lies this far below q - r, relative to |q| + 1
+_BREAKDOWN = 1e-12  # beta at most this share of the image's G-norm is roundoff
 
 
 def _solve_gram(b: np.ndarray, a: float) -> np.ndarray:
@@ -271,26 +281,29 @@ def _lanczos(apply, q: np.ndarray, a: float, steps: int):
     Each step G-orthogonalizes the image against the whole basis twice,
     dropping constants, which G does not see, and yields (alpha, beta, Q):
     the tridiagonal so far, beta[-1] = |z|_G, and the G-orthonormal basis.
-    The run ends after `steps` steps or at beta = 0, the basis spanning an
-    invariant space; a step that is not finite raises EigenSolveError."""
-    basis = np.empty((steps + 1, q.shape[0]))
+    G Q is kept beside Q, so both passes read (G Q) z and a step forms one
+    G-product, G z.  The run ends after `steps` steps or at a breakdown,
+    the basis spanning an invariant space: beta at most _BREAKDOWN of the
+    image's G-norm before orthogonalization, sqrt(|h|^2 + beta^2) for
+    its G-coefficients h on the basis.  A step that is not finite raises
+    EigenSolveError."""
+    basis, gbasis = np.empty((2, steps + 1, q.shape[0]))
     alpha, beta = np.empty(steps), np.empty(steps)
-    basis[0], gq = q, _gram(q, a)
+    basis[0], gbasis[0] = q, _gram(q, a)
     for j in range(steps):
-        Q = basis[: j + 1]
-        z = apply(Q[-1], gq)
-        h = Q @ _gram(z, a)
+        Q, GQ = basis[: j + 1], gbasis[: j + 1]
+        z = apply(Q[-1], GQ[-1])
+        h = GQ @ z
         z = z - h @ Q
-        z = _project(z - (Q @ _gram(z, a)) @ Q)
-        gq = _gram(z, a)
-        alpha[j], beta[j] = h[-1], math.sqrt(max(z @ gq, 0.0))
+        z = _project(z - (GQ @ z) @ Q)
+        gz = _gram(z, a)
+        alpha[j], beta[j] = h[-1], math.sqrt(max(z @ gz, 0.0))
         if not math.isfinite(alpha[j] + beta[j]):
             raise EigenSolveError("non-finite Lanczos step")
         yield alpha[: j + 1], beta[: j + 1], Q
-        if not beta[j] > 0.0:
+        if not beta[j] > _BREAKDOWN * math.sqrt(h @ h + beta[j] ** 2):
             return
-        basis[j + 1] = z / beta[j]
-        gq /= beta[j]
+        basis[j + 1], gbasis[j + 1] = z / beta[j], gz / beta[j]
 
 
 def _first_shift(op: BandedPeriodicOperator):
@@ -358,6 +371,12 @@ def _sliced_cmin(op: BandedPeriodicOperator):
     lo, cap = -math.inf, math.inf  # cap: the least shift with a count
     v, hi, res = _mode(op, v)
     solves = 0
+    rhs = np.zeros(n + 1)  # [G q, 0], refilled for every bordered solve
+
+    def solve(q, gq):
+        rhs[:n] = gq
+        return lu.solve(rhs)[:n]
+
     for factorizations in range(1, _MAX_FACTORIZATIONS + 1):
         lu = factored = None  # free the last factor before making the next
         factored = _shifted_ldl(op, sigma)
@@ -374,9 +393,7 @@ def _sliced_cmin(op: BandedPeriodicOperator):
             lo = sigma
         prev = res
         try:
-            for alpha, beta, Q in _lanczos(
-                lambda q, gq: lu.solve(np.append(gq, 0.0))[:n], v, op.config.a, _LANCZOS_STEPS
-            ):
+            for alpha, beta, Q in _lanczos(solve, v, op.config.a, _LANCZOS_STEPS):
                 solves += 1
                 theta, s = eigh_tridiagonal(alpha, beta[:-1])  # Ritz pairs, ascending
                 k = 0 if theta[0] < 0.0 else -1  # c_min's 1 / (c - sigma) is T's least if < 0

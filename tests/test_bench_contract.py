@@ -79,7 +79,7 @@ def test_reference_sweep_factorizations(tmp_path):
     with workloads.counting_splu() as count:
         gamma_c = workload.run_pass(ops, lambda: None)
     assert gamma_c == workloads.SWEEP_GAMMA_C
-    assert len(ops) == 199 and count[0] <= 2
+    assert len(ops) == 199 and count[0] == 2
 
 
 def test_deform_cli_pass_at_seed_531(tmp_path):

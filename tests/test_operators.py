@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,29 @@ def test_assembled_operator_carries_its_recipe(morse, monkeypatch):
         BandedPeriodicOperator(cfg)
     with pytest.raises(ValueError, match="either"):
         BandedPeriodicOperator(cfg, op.bands, recipe=op.recipe)
+
+
+def test_recipe_coefficients_match_scalar_phi_xx_calls(morse):
+    # assembly takes c_1..c_N from one phi_xx call on k gamma, k = 1..N; they
+    # are the bits of N scalar calls at every stretch of the reference
+    # sweep's grid 1 + i 1e-5 (i <= 50,000) and at 1,000 seeded stretches
+    rng = np.random.default_rng(20)
+    gammas = [1.0 + i * 1e-5 for i in range(50_001)] + rng.uniform(0.5, 3.0, 1000).tolist()
+    scalar = [tuple(float(morse.phi_xx(k * gamma)) for k in (1, 2, 3, 4)) for gamma in gammas]
+    for N in (1, 2, 3, 4):
+        cfg = ChainConfig(M=8, N=N)
+        beta = np.ones(cfg.n_atoms)
+        mismatched = [
+            gamma
+            for gamma, want in zip(gammas, scalar)
+            if assemble_linear("bqcf", morse, cfg, beta, gamma).recipe.coefficients != want[:N]
+        ]
+        assert mismatched == [], N
+    calls = []
+    counted = SimpleNamespace(phi_xx=lambda r: calls.append(r) or morse.phi_xx(r))
+    cfg = ChainConfig(M=8, N=3)
+    assemble_linear("bqcf", counted, cfg, np.ones(cfg.n_atoms), 1.1)
+    assert len(calls) == 1
 
 
 def test_bands_built_from_a_recipe_are_read_only(morse):

@@ -911,11 +911,16 @@ def test_sliced_matches_dense_on_untrusted_pivots(morse, leading):
         assert abs(rep.c_min - c) <= 1e-10 * (abs(c) + 1.0)
 
 
-@pytest.mark.parametrize("M", [64, 500, 1000, 2000, 4000])
-def test_sliced_factorization_counts(morse, stability_lu, M):
-    # the scaling ladder's budget (cubic, L = ceil(M^(1/3))): the estimate
-    # places the one shift just below c_min, and Lanczos converges on it
-    (rep,) = scaling_study("cubic", "M^(1/3)", [M], morse, 2)
+@pytest.mark.parametrize(
+    "M, gamma",
+    [pytest.param(M, 1.0, id=str(M)) for M in (64, 500, 1000, 2000, 4000, 8000)]
+    + [pytest.param(8000, 1.1414584158358552, id="8000-near-critical")],
+)
+def test_sliced_factorization_counts(morse, stability_lu, M, gamma):
+    # the scaling ladder's budget (cubic, L = ceil(M^(1/3))), its near-critical
+    # rung included: the estimate places the one shift just below c_min, and
+    # Lanczos converges on it
+    (rep,) = scaling_study("cubic", "M^(1/3)", [M], morse, 2, gamma=gamma)
     assert rep.path == "sliced"
     assert rep.factorizations == stability_lu.factorizations == 1
     assert rep.iterations == stability_lu.solves <= 12
@@ -1060,6 +1065,95 @@ def test_lanczos_stops_on_an_invariant_space(M):
     ((alpha, beta, Q),) = stability._lanczos(lambda q, gq: 2.0 * q, q, cfg.a, 8)
     assert (list(alpha), list(beta)) == ([2.0], [0.0])
     np.testing.assert_array_equal(Q, [q])
+
+
+@pytest.mark.parametrize("M", [16, 32, 64])
+def test_lanczos_stops_at_a_roundoff_breakdown(M):
+    # from a random G-normalized start the image 2 q leaves only roundoff
+    # after orthogonalization, beta ~ 5e-17 rather than 0 on about half the
+    # starts: the run ends after its one step instead of normalizing it
+    cfg = ChainConfig(M=M, N=2)
+    rng = np.random.default_rng(M)
+    for _ in range(15):
+        start = g_normalized(rng.standard_normal(cfg.n_atoms), cfg.a)
+        ((alpha, beta, Q),) = stability._lanczos(lambda q, gq: 2.0 * q, start, cfg.a, 8)
+        assert abs(alpha[0] - 2.0) <= 1e-14 and beta[0] <= 1e-14
+        np.testing.assert_array_equal(Q, [start])
+
+
+def test_lanczos_basis_stays_orthonormal_through_a_breakdown(morse):
+    # the estimate's G^-1 P S of a cubic L = 4 blend at M = 32 (gamma = 1.1)
+    # from the longest waves spans an invariant space after 50 steps (beta
+    # 3e-14, then 3e-15); a run that went on normalized roundoff and lost
+    # G-orthogonality entirely by step 57
+    cfg = ChainConfig(M=32, N=2)
+    n, a = cfg.n_atoms, cfg.a
+    sym = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 4), 1.1).symmetric_part()
+    wave = 2.0 * np.pi * np.arange(n) / n
+    steps = list(
+        stability._lanczos(
+            lambda q, gq: stability._solve_gram(stability._project(a * sym.apply_values(q)), a),
+            g_normalized(np.cos(wave) + np.sin(wave), a),
+            a,
+            63,
+        )
+    )
+    alpha, beta, Q = steps[-1]
+    assert len(steps) < 63
+    np.testing.assert_allclose(Q @ dense_gram(cfg) @ Q.T, np.eye(len(alpha)), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("M", [16, 64, 300])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_shifted_ldl_panel_matches_superlu_defaults(morse, monkeypatch, N, M):
+    # the factor's panel width only sets SuperLU's blocking: on the same
+    # pruned K, the default options give the same count, or the same None,
+    # at sigma = 0, 40 and next to each of the three least pencil
+    # eigenvalues, where the count changes.  The one exception is the
+    # roundoff-sized last chain pivot of an operator with S 1 = 0 up to
+    # roundoff (a constant blend, or N = 1): one blocking can leave it at
+    # exactly 0, which SuperLU permutes (None), the other at 1e-21; the
+    # count it then trusts is the dense one.  The solve the shifted Lanczos
+    # makes, [G q, 0], agrees in G-norm on mean-zero fields to 1e-10
+    # relative plus its condition (|sigma| + 1) / gap times 1e-14: the two
+    # differ by ~1e-7 at 1e-9 from an eigenvalue, as two backward-stable
+    # solves of a matrix that near singular do
+    cfg = ChainConfig(M=M, N=N)
+    n, a = cfg.n_atoms, cfg.a
+    splu = stability.splu
+
+    def default_panel(*args, panel_size, **kwargs):
+        return splu(*args, **kwargs)
+
+    def g_norm(v):
+        return np.sqrt(v @ stability._gram(v, a))
+
+    blends = {
+        "cubic": cubic_beta(cfg, 4),
+        "linear": sample_beta(symmetric_profile(cfg, "linear", 4), cfg),
+        "zero": beta_zero(cfg),
+        "one": beta_one(cfg),
+    }
+    q = stability._project(np.random.default_rng(M).standard_normal(n))
+    rhs = np.append(stability._gram(q, a), 0.0)
+    for name, beta in blends.items():
+        op = assemble_linear("bqcf", morse, cfg, beta, 1.0)
+        eigenvalues = dense_eigenvalues(op)
+        near = [lam * (1.0 + s) for lam in eigenvalues[:3] for s in (-1e-9, 1e-9)]
+        for sigma in (0.0, 40.0, *near):
+            got = _shifted_ldl(op, sigma)
+            with monkeypatch.context() as patched:
+                patched.setattr(stability, "splu", default_panel)
+                want = _shifted_ldl(op, sigma)
+            case = (name, sigma)
+            if (got is None) != (want is None):
+                assert N == 1 or name in ("zero", "one"), case
+                assert (got or want)[1] == np.count_nonzero(eigenvalues < sigma), case
+            elif got is not None:
+                assert got[1] == want[1], case
+                x, y = (stability._project(f[0].solve(rhs)[:n]) for f in (got, want))
+                condition = (abs(sigma) + 1.0) / np.abs(eigenvalues - sigma).min()
+                assert g_norm(x - y) <= (1e-10 + 1e-14 * condition) * g_norm(y), case
 
 
 def test_non_finite_lanczos_steps_raise(morse, monkeypatch):
