@@ -52,7 +52,7 @@ class Morse:
     def _exp_term(self, r):
         """q = exp(-alpha (|r| - r_e)), for r != 0."""
         r = np.asarray(r, dtype=float)
-        if np.any(r == 0.0):
+        if np.count_nonzero(r) < r.size:
             raise ValueError("pair potential is undefined at r = 0")
         p = self.params
         return np.exp(-p.alpha * (np.abs(r) - p.r_e))

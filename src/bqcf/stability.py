@@ -43,9 +43,10 @@ Lanczos routine (_lanczos), told only how to apply its operator.  The
 solver and each eigencurve sample evaluate their mode by one rule
 (_mode), so c_min is always a mode's quotient.  A
 critical-strain sweep needs only the sign of c_min at each grid stretch:
-for N = 2 and 3 a few samples of one concave family bound it at every
-stretch, gamma = 1 included, each sample's lower end proven by one count,
-and for N = 1 the one sample at gamma = 1 does (_Eigencurve);
+for every N >= 2 a few samples of one concave family in N - 2 parameters
+bound it at every stretch, gamma = 1 included, from above by planes and
+from below on simplices of samples, each sample's lower end proven by one
+count, and for N = 1 the one sample at gamma = 1 does (_Eigencurve);
 stability_at reads it off the count at sigma = 0 wherever those bounds
 decide nothing.
 """
@@ -56,6 +57,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -472,28 +474,40 @@ _MARGIN = 1e-8  # a bound on c_min this near 0, relative to its terms, decides n
 
 
 class _Eigencurve:
-    """c_min of the N <= 3 stretches assembled like the first, from samples.
+    """c_min of the stretches assembled like the first, from samples.
 
     Bands are linear in the coefficients c_k = phi''(k gamma), and the k = 1
     part is G/a whatever the blend.  So a stretch with c_2 < 0 is
     A(gamma) = c_1 G/a + |c_2| A(0, -1, t), A(c) being the first stretch's
-    recipe with coefficients c and t = c_3 / |c_2| (0 for N = 2), and
+    recipe with coefficients c and t = (c_3, ..., c_N) / |c_2|, and
     c_min = c_1 + |c_2| g(t) for g(t) = c_min(A(0, -1, t)).  g is a minimum
     of functions affine in t, so concave.  A sample at t_i takes g_i from
     the quotient of the solver's mode v_i, evaluated by _mode like the
-    solvers' own, whatever the solver reports, so g_i + s_i (t - t_i)
-    bounds g above, s_i = a <A(0, 0, 1) v_i, v_i> (Hellmann-Feynman).
-    One count proves its lower end, g_i less _MARGIN of its terms, so the
-    chord of adjacent lower ends bounds g below between them (the
-    successive constraint method in one parameter: Huynh, Rozza, Sen &
-    Patera, C. R. Acad. Sci. Paris I 345, 2007), and every bracket
-    returned holds c_min.  A stretch is decided where both bounds on c_min
-    have one sign beyond _MARGIN, else after one more sample: at 0 if t
-    lies between the samples and 0 (one chord then covers the sweep), else
-    at t, from the stretch itself, unless t is a sample.  So the first
-    sample is the first stretch, nu = c_min(A(1)) in a sweep, and the only
-    one for N = 2.  A sample that fails its solve or count ends the
-    eigencurve.  A stretch with c_2 >= 0 goes to stability_at; a Morse chain has none.
+    solvers' own, whatever the solver reports, so the plane
+    g_i + s_i . (t - t_i) bounds g above, s_ij = a <A(e_j) v_i, v_i>
+    (Hellmann-Feynman), A(e_j) the unit operator of t_j.  One count proves
+    its lower end, g_i less _MARGIN of its terms, so on a simplex of samples
+    the barycentric interpolation of their lower ends bounds g below (the
+    successive constraint method: Huynh, Rozza, Sen & Patera, C. R. Acad.
+    Sci. Paris I 345, 2007), and every bracket returned holds c_min.
+
+    The first sample fixes the frame (_frame).  A coordinate whose effect
+    |t_j| rho_j on g stays within _MARGIN, rho_j bounding A(e_j)'s
+    G-quotient, is folded: g(t) lies within eps = sum |t_j| rho_j of h,
+    g with the folded coordinates at 0, so a stretch's bounds on h move out
+    by eps, and every sample is of h, on the range of the last kept
+    coefficient.  The kept coordinates are scaled by the first sample's,
+    u_j = t_j / t_1j, so a sweep runs in the unit box from u = (1, ..., 1)
+    toward 0.  A stretch is decided where both bounds on c_min have one
+    sign beyond _MARGIN, else after one more round of samples: the missing
+    vertices of the Freudenthal-Kuhn simplex of the box that holds u, else
+    one at u from the stretch, which splits the simplex of samples that
+    holds it (stellar subdivision; outside the box it stands alone), unless
+    u is a sample.  So the first sample is the first stretch, nu = c_min(A(1))
+    in a sweep, and the only one for N = 2; for N = 3 the simplices are the
+    chords between adjacent samples, the first from t_1 to 0.  A sample that
+    fails its solve or count ends the eigencurve.  A stretch with c_2 >= 0
+    goes to stability_at; a Morse chain has none.
 
     An N = 1 stretch is c_1 A(1) up to the rounding of its bands, so the
     first stretch's one sample, taken over its c_1, decides every stretch:
@@ -503,41 +517,133 @@ class _Eigencurve:
     """
 
     def __init__(self, op1: BandedPeriodicOperator):
-        self.config, N = op1.config, op1.config.N
-        self.recipe = op1.recipe if N <= 3 else None
-        if self.recipe is not None and N == 3:  # A(0, 0, 1), read for slopes
-            unit = replace(self.recipe, coefficients=(0.0, 0.0, 1.0))
-            self.unit = BandedPeriodicOperator(self.config, recipe=unit)
-        self.samples = []  # (t_i, lower end of g_i, its line (g_i, s_i)), ascending in t
+        self.config, self.recipe = op1.config, op1.recipe
+        self.samples = []  # (u_i, lower end of h(u_i), g_i's plane: its value at 0, its slopes in u)
+        self.points = {}  # u_i -> i
+        self.roots = {}  # Kuhn key -> simplex [vertex indices, split weights, children]
+        self.kept = self.folded = None  # [(j, t_1j, A(e_j))] and [(j, rho_j)], set by _frame
 
     @staticmethod
     def _split(coefficients):
-        """(b, w, t) with c_min = b + w g(t): (c_1, |c_2|, t) for N = 2 and 3,
-        and (0, c_1, 0) for N = 1, where that holds for c_1 > 0."""
-        if len(coefficients) == 1:
-            return 0.0, coefficients[0], 0.0
-        c1, c2, *c3 = coefficients
-        return c1, -c2, (c3[0] / -c2 if c3 else 0.0)
+        """(b, w, t) with c_min = b + w g(t): (c_1, |c_2|, (c_3, ..., c_N) / |c_2|)
+        for N >= 2, t = () unless c_2 < 0, and (0, c_1, ()) for N = 1, where
+        that holds for c_1 > 0."""
+        c1, *c = coefficients
+        if not c:
+            return 0.0, c1, ()
+        w = -c[0]
+        return c1, w, (tuple([x / w for x in c[1:]]) if w > 0.0 else ())
+
+    def _frame(self, t):
+        """Fold and scale the coordinates from the first sample's t = t_1:
+        those of least effect |t_1j| rho_j are folded while their effects sum
+        to at most _MARGIN.  For t_j = c_k / |c_2|, k = j + 2, A(e_j) is the
+        unit k stencil, and rho_j = (a M)^2 (B + B' k^2) / sin^2(pi / 2M),
+        B and B' the largest |beta| and |1 - beta|, bounds |a <A(e_j) v, v>|
+        for G-normalized mean-zero v: A(e_j) holds -w M^2 at +-k and
+        -(1 - w) k^2 M^2 at +-1, w averaging the blend, and minus their sum
+        on the diagonal, so each of its rows and columns sums in magnitude to
+        at most 4 M^2 (B + B' k^2), which bounds its 2-norm (Gershgorin), and
+        |v|^2 <= a / (4 sin^2(pi / 2M)), G's least eigenvalue on mean-zero
+        fields being 4 sin^2(pi / 2M) / a.  The lists count j from 0."""
+        kept, self.folded = [], []
+        if t:
+            beta, config = self.recipe.beta, self.config
+            big, far = float(np.abs(beta).max()), float(np.abs(1.0 - beta).max())
+            poincare = (config.a * config.M / math.sin(math.pi / config.n_atoms)) ** 2
+            rho = [poincare * (big + far * k * k) for k in range(3, len(t) + 3)]
+            budget = _MARGIN
+            for j in sorted(range(len(t)), key=lambda j: abs(t[j]) * rho[j]):
+                budget -= abs(t[j]) * rho[j]
+                if budget >= 0.0:
+                    self.folded.append((j, rho[j]))
+                else:  # A(e_j) on the range of its own stencil, its bands built once read
+                    unit = replace(self.recipe, coefficients=(0.0,) * (j + 2) + (1.0,))
+                    kept.append((j, t[j], BandedPeriodicOperator(replace(config, N=j + 3), recipe=unit)))
+        self.kept = sorted(kept, key=lambda k: k[0])
+
+    def _sample_op(self, coefficients):
+        """The operator of h at these coefficients: the folded ones at 0, on
+        the range of the last kept one."""
+        folded = {j + 2 for j, _ in self.folded}
+        n = max((j + 3 for j, _, _ in self.kept), default=2)
+        c = tuple(0.0 if k in folded else x for k, x in enumerate(coefficients[:n]))
+        return BandedPeriodicOperator(replace(self.config, N=n), recipe=replace(self.recipe, coefficients=c))
 
     def _add(self, op):
-        """Sample g at t from op = b + w A(0, -1, t) (op = w A(1) for N = 1),
-        w > 0, or set recipe None.  Every sample, of a constant blend too,
-        proves its lower end by one count at q less _MARGIN of its terms."""
+        """Sample h at op = b + w A(0, -1, t) (op = w A(1) for N = 1), w > 0,
+        and return its index, or set recipe None.  Every sample, of a
+        constant blend too, proves its lower end by one count at q less
+        _MARGIN of its terms.  A kept j's slope is scaled like u_j."""
         try:
             rep = coercivity_constant(op)
         except EigenSolveError:
             self.recipe = None
-            return
+            return None
         v, q, _ = _mode(op, rep.mode)  # q bounds c_min only on mean-zero fields
+        slopes = [s * self.config.a * float(v @ unit.apply_values(v)) for _, s, unit in self.kept]
         q_lo = q - _MARGIN * (abs(q) + 1.0)
         factored = _shifted_ldl(op, q_lo)
         if factored is None or factored[1] != 0:
             self.recipe = None
-            return
+            return None
         b, w, t = self._split(op.recipe.coefficients)
-        s = self.config.a * float(v @ self.unit.apply_values(v)) if self.config.N == 3 else 0.0
-        self.samples.append((t, (q_lo - b) / w, ((q - b) / w, s)))
-        self.samples.sort()
+        u = tuple([t[j] / s for j, s, _ in self.kept])
+        plane = (q - b) / w - sum(map(mul, slopes, u))  # g_i's plane at u = 0
+        self.points[u] = len(self.samples)
+        self.samples.append((u, (q_lo - b) / w, plane, slopes))
+        return self.points[u]
+
+    def _walk(self, u):
+        """(key, leaf, mu): u's Freudenthal-Kuhn simplex of the unit box,
+        keyed by u's coordinates in descending order, with vertices
+        x_0 = 0, ..., x_d = (1, ..., 1), x_k having ones at the key's first
+        k; the leaf of its subdivision that holds u (None while its vertices
+        are not all sampled); and u's barycentric weights on the leaf's
+        vertices.  None outside the box.  Child i of a simplex split at p,
+        of weights lam, swaps vertex i for p; u lies in the child of least
+        r = mu_i / lam_i over lam_i > 0, with weights mu - r lam there and
+        r at p.  A sample's u is a leaf of its own, whose key is None."""
+        if u in self.points:
+            return None, [[self.points[u]], None, None], [1.0]
+        order = sorted(range(len(u)), key=u.__getitem__, reverse=True)
+        ends = [1.0, *(u[j] for j in order), 0.0]
+        mu = [x - y for x, y in zip(ends, ends[1:])]
+        if min(mu) < 0.0:
+            return None
+        key = tuple(order)
+        node = self.roots.get(key)
+        while node is not None and node[1] is not None:
+            _, lam, children = node
+            r, i = min((m / l, i) for i, (m, l) in enumerate(zip(mu, lam)) if l > 0.0)
+            mu = [m - l * r for m, l in zip(mu, lam)]
+            mu[i] = r
+            node = children[i]
+        return key, node, mu
+
+    def _refine(self, op, u, found):
+        """Take the next round of samples for the stretch op at u, where
+        _walk found found: the vertices of u's Kuhn simplex, if one is
+        missing, else one at u, which splits the leaf that holds it."""
+        if self.samples and found is not None and found[1] is None:
+            key, vertices = found[0], []
+            for k in range(len(key) + 1):
+                x = tuple(float(j in key[:k]) for j in range(len(u)))
+                if x not in self.points:
+                    t = [0.0] * (self.config.N - 2)
+                    for xj, (j, s, _) in zip(x, self.kept):
+                        t[j] = s * xj
+                    if self._add(self._sample_op((0.0, -1.0, *t))) is None:
+                        return
+                vertices.append(self.points[x])
+            self.roots[key] = [vertices, None, None]
+            return
+        i = self._add(self._sample_op(op.recipe.coefficients) if self.folded else op)
+        if i is not None and found is not None and found[1] is not None:
+            leaf, lam = found[1], found[2]
+            leaf[1:] = lam, {
+                k: [leaf[0][:k] + [i] + leaf[0][k + 1 :], None, None] for k, l in enumerate(lam) if l > 0.0
+            }
 
     def record(self, op: BandedPeriodicOperator, gamma: float) -> StabilityRecord | None:
         """The stretch decided by its bracket [f_lo, f_hi] on c_min, or None.
@@ -552,14 +658,19 @@ class _Eigencurve:
         b, w, t = self._split(r.coefficients)
         if not (w > 0.0 or (self.config.N == 1 and self.samples)):
             return None
+        if self.kept is None:
+            self._frame(t)
+        u = tuple([t[j] / s for j, s, _ in self.kept])
+        eps = sum([abs(t[j]) * rho for j, rho in self.folded])
         for last in (False, True):
-            if self.recipe is None:  # the sample just taken failed
+            if self.recipe is None:  # a sample just taken failed
                 return None
-            hi = min([g + s * (t - ti) for ti, _, (g, s) in self.samples], default=math.inf)
-            lo = -math.inf  # no chord reaches past the samples
-            for (ta, la, _), (tb, lb, _) in zip(self.samples, self.samples[1:] or self.samples):
-                if ta <= t <= tb:
-                    lo = la if ta == tb else la + (lb - la) * (t - ta) / (tb - ta)
+            hi = eps + min([g + sum(map(mul, s, u)) for _, _, g, s in self.samples], default=math.inf)
+            found = self._walk(u)
+            if found is None or found[1] is None:
+                lo = -math.inf
+            else:
+                lo = sum([m * self.samples[i][1] for m, i in zip(found[2], found[1][0])]) - eps
             if w > 0.0:
                 f_lo, f_hi = b + w * lo, b + w * hi
             else:  # N = 1, c_1 <= 0: A(1)'s largest eigenvalue is at least hi
@@ -567,12 +678,9 @@ class _Eigencurve:
             margin = _MARGIN * (abs(b) + abs(w) * (abs(hi) + 1.0))
             if f_lo > margin or f_hi < -margin:
                 return StabilityRecord(gamma, f_lo > margin, None, f_hi, "pencil", (f_lo, f_hi))
-            ts = [p[0] for p in self.samples]
-            at = 0.0 if ts and (ts[-1] < t < 0.0 or 0.0 < t < ts[0]) else t
-            if last or at in ts:
+            if last or u in self.points:
                 return None
-            zero = replace(r1, coefficients=(0.0, -1.0, 0.0))
-            self._add(op if at == t else BandedPeriodicOperator(self.config, recipe=zero))
+            self._refine(op, u, found)
 
 
 def _warn_unless_single_sign_change(nearest: dict, rec: StabilityRecord) -> None:

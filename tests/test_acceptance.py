@@ -11,9 +11,11 @@ one count that proves that eigenvalue's lower end.
 The fixture records the sweeps' warnings and counts the factorizations,
 so the single-sign-change assumption and the budget are checked on the
 table too.  The same table for N = 3 is pinned beside it; its rows take
-a few eigenvalues each, about 2 s in all.
+a few eigenvalues each, about 2 s in all.  The N = 4 table is pinned by
+its CSV's SHA-256 and its factorization budget.
 """
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -32,7 +34,7 @@ from oracles import (
 )
 from scipy.optimize import brentq
 
-from bqcf import stability
+from bqcf import cli, stability
 from bqcf.blending import constant_profile, sample_beta, symmetric_profile
 from bqcf.experiments import (
     external_force,
@@ -208,6 +210,28 @@ def test_criterion_1_n3_table_pinned(monkeypatch):
     announce("1 (pinned N = 3 table)", ok, f"{len(wrong)} rows differ, {len(count)} factorizations")
     assert not wrong, wrong
     assert len(count) <= 146
+    assert not caught, [str(w.message) for w in caught]
+
+
+# SHA-256 of the N = 4 table's CSV (M = 2000), as written by the sweep that
+# decided every stretch by inertia
+TABLE1_N4_SHA256 = "264b80fdaaa72173266f6104f4bcfe4e4cf3ac153fd2ef75a97c82ea28329cb1"
+
+
+def test_criterion_1_n4_table_pinned(monkeypatch, tmp_path):
+    """The N = 4 table: its CSV byte for byte the one of the sweep that
+    decided every stretch by inertia (4,689 factorizations), within 300
+    factorizations, and no single-sign-change warning."""
+    count = counting_factorizations(monkeypatch)
+    out = tmp_path / "n4.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["critical-strain", "--M", "2000", "--N", "4", "--out", str(out)])
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    ok = code == 0 and digest == TABLE1_N4_SHA256 and len(count) <= 300 and not caught
+    announce("1 (pinned N = 4 table)", ok, f"{len(count)} factorizations")
+    assert code == 0 and digest == TABLE1_N4_SHA256
+    assert len(count) <= 300
     assert not caught, [str(w.message) for w in caught]
 
 

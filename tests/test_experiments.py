@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 import warnings
@@ -415,6 +416,25 @@ def test_cli_critical_strain_smoke(tmp_path):
     assert table.columns[0] == "model"
     assert table.rows[0][0] == "atomistic"
     assert len(table.rows) == 1 + 3 * 8
+
+
+def test_cli_critical_strain_with_coefficients_that_underflow(tmp_path):
+    # at alpha = 100, c_9 = c_10 = phi''(9) = phi''(10) underflow to exactly 0,
+    # so the eigencurve folds those coordinates and divides by none of them;
+    # the CSV is byte for byte the one of the sweep that decided every
+    # stretch by inertia
+    out = tmp_path / "cs.csv"
+    code = run_cli(["critical-strain", "--M", "32", "--N", "10", "--alpha", "100", "--out", str(out)])
+    assert code == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "9703d7668ab091e15e2a30666b918885b2c1fea583fb6ff6d6004cdb6b7b6b14"
+    # at alpha = 1000 every c_k, k >= 2, underflows, c_2 to -0.0, so t is
+    # undefined: those stretches go to inertia, and the chain is c_1 G/a,
+    # unstable past phi''(gamma) = 0 at gamma = 1 + ln 2 / alpha
+    code = run_cli(["critical-strain", "--M", "32", "--N", "3", "--alpha", "1000", "--out", str(out)])
+    assert code == 0
+    table = parse_csv(out.read_text())
+    assert {row[table.columns.index("gamma_crit")] for row in table.rows} == {1.0 + 69 * 1e-5}
 
 
 def test_critical_strain_table_records_blends_unstable_at_one():

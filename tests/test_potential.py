@@ -37,11 +37,13 @@ def test_derivatives_match_fd_on_grid(morse):
 
 
 def test_rejects_nonpositive_r(morse):
-    # a negative r is the even (odd for phi_x) extension; r = 0 is undefined
+    # a negative r is the even (odd for phi_x) extension; r = 0 is undefined,
+    # and a NaN is no zero: it passes the guard and comes out NaN
     for f in (morse.phi, morse.phi_x, morse.phi_xx):
-        for r in (0.0, -0.0, np.array([1.0, 0.0])):
+        for r in (0.0, -0.0, np.array([1.0, 0.0]), np.array([np.nan, 0.0])):
             with pytest.raises(ValueError):
                 f(r)
+        assert np.isnan(f(np.nan)) and np.isnan(f(np.array([1.0, np.nan]))[1])
 
 
 def test_params_validation():

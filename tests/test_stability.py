@@ -262,15 +262,17 @@ def test_critical_strain_compares_gamma_one_with_later_stretches(morse):
 @pytest.mark.parametrize("N", [3, 4])
 def test_critical_strain_warns_when_count_falls_by_inertia(morse, N):
     # N = 3: the eigencurve decides every stretch, and the bracket of the
-    # cell's upper end lies wholly above the midpoint's.  N = 4: inertia
-    # decides every stretch, and the negative-eigenvalue count falls from
-    # the midpoint to the upper end.
+    # cell's upper end lies wholly above the midpoint's.  N = 4: the builder
+    # passes raw bands, which carry no recipe, so inertia decides every
+    # stretch, and the negative-eigenvalue count falls from the midpoint to
+    # the upper end.
     cfg = ChainConfig(M=32, N=N)
     beta = cubic_beta(cfg, 3)
     records = []
 
     def build_bump(gamma):
-        return assemble_linear("bqcf", morse, cfg, beta, stretch_bump(gamma))
+        op = assemble_linear("bqcf", morse, cfg, beta, stretch_bump(gamma))
+        return op if N == 3 else BandedPeriodicOperator(cfg, op.bands)
 
     match, paths = ("coercivity increased", {"pencil"}) if N == 3 else ("count falls", {"inertia"})
     with pytest.warns(RuntimeWarning, match=match):
@@ -288,7 +290,7 @@ def test_neighbour_rule_matches_reference(monkeypatch):
     # answers of a reference that keeps every record
     rng = np.random.default_rng(2024)
     monkeypatch.setattr(stability, "stability_at", lambda op, gamma: op.record)
-    stub_config = ChainConfig(M=5, N=4)  # N = 4: no eigencurve
+    stub_config = ChainConfig(M=5, N=4)
     dgamma = 1e-3
     kinds = set()
     for _ in range(2000):
@@ -308,7 +310,9 @@ def test_neighbour_rule_matches_reference(monkeypatch):
             return StabilityRecord(gamma, bool(stable[i]), None, c[i] if stable[i] else -c[i], "sliced")
 
         def build(gamma):
-            return SimpleNamespace(config=stub_config, record=decide(round((gamma - 1.0) / dgamma)))
+            # recipe None, as for raw bands: no eigencurve
+            record = decide(round((gamma - 1.0) / dgamma))
+            return SimpleNamespace(config=stub_config, recipe=None, record=record)
 
         want, messages, order = reference_sweep(decide, dgamma, gamma_max, coarse)
         reported = []
@@ -396,8 +400,8 @@ def test_pencil_sweep_matches_dense_oracle(morse, family, make_profile):
     # every eigencurve record against the dense pencil (its bracket holds the
     # dense c_min, and for N = 2 its c_min is that eigenvalue), and the whole
     # sweep against a scan that decides each stretch by the dense count
-    pencil_records = {2: 0, 3: 0}
-    for N, L in itertools.product((2, 3), (1, 4, 10)):
+    pencil_records = {2: 0, 3: 0, 4: 0, 5: 0}
+    for N, L in itertools.product(pencil_records, (1, 4, 10)):
         cfg = ChainConfig(M=64, N=N)
         beta = sample_beta(make_profile(cfg, family, L), cfg)
         ops, records = {}, []
@@ -423,20 +427,20 @@ def test_pencil_sweep_matches_dense_oracle(morse, family, make_profile):
                     assert abs(rec.c_min - c) <= tol, (family, L, rec.gamma)
                 assert rec.stable == (np.count_nonzero(eigenvalues < 0.0) == 0)
                 pencil_records[N] += 1
-    assert pencil_records[2] >= 36 and pencil_records[3] >= 36, pencil_records
+    assert min(pencil_records.values()) >= 36, pencil_records
 
 
 @pytest.mark.parametrize("M", [16, 64])
 @pytest.mark.parametrize("which", ["bqcf", "atomistic", "continuum"])
 def test_pencil_affine_identity(morse, which, M):
     # the identity the eigencurve reads off each stretch's coefficients:
-    # with c_k = phi''(k gamma) and t = c_3 / |c_2| (0 for N = 2),
+    # with c_k = phi''(k gamma) and t = (c_3, ..., c_N) / |c_2|,
     # A(gamma) = c_1 G/a + |c_2| A(0, -1, t), A(c) being the same recipe
     # with coefficients c
-    for N in (2, 3):
+    for N in (2, 3, 5):
         cfg = ChainConfig(M=M, N=N)
         # G/a is the constant blend's k = 1 stencil, exact for w = 1
-        unit_k1 = OperatorRecipe(beta_one(cfg), (1.0, 0.0, 0.0)[:N])
+        unit_k1 = OperatorRecipe(beta_one(cfg), (1.0,) + (0.0,) * (N - 1))
         gram = BandedPeriodicOperator(cfg, recipe=unit_k1).bands
         betas = [beta_one(cfg), beta_zero(cfg)]
         for make_profile in (symmetric_profile, one_sided_profile):
@@ -448,8 +452,7 @@ def test_pencil_affine_identity(morse, which, M):
                 op = assemble_linear(which, morse, cfg, beta, gamma)
                 c1, c2, *c3 = op.recipe.coefficients
                 assert c2 < 0
-                t = c3[0] / abs(c2) if c3 else 0.0
-                unit = replace(op.recipe, coefficients=(0.0, -1.0, t)[:N])
+                unit = replace(op.recipe, coefficients=(0.0, -1.0, *(c / abs(c2) for c in c3)))
                 g_op = BandedPeriodicOperator(cfg, recipe=unit)
                 err = np.max(np.abs(op.bands - (c1 * gram + abs(c2) * g_op.bands)))
                 assert err <= 1e-13 * np.max(np.abs(op.bands)), (which, N, gamma)
@@ -522,10 +525,10 @@ def test_reference_sweep_builds_one_band_array(morse, monkeypatch):
     assert len(factorizations) <= 2
 
 
-def test_n3_sweep_takes_the_eigencurve_n4_does_not(morse):
-    # the eigencurve decides every N = 3 stretch of these sweeps, gamma = 1
-    # included, and no N = 4 stretch
-    for N in (3, 4):
+def test_every_n_sweep_takes_the_eigencurve(morse):
+    # the eigencurve decides every stretch of these sweeps, gamma = 1
+    # included, whatever N
+    for N in (2, 3, 4, 5):
         cfg = ChainConfig(M=32, N=N)
         for beta in (cubic_beta(cfg, 3), beta_one(cfg)):
             records = []
@@ -534,17 +537,57 @@ def test_n3_sweep_takes_the_eigencurve_n4_does_not(morse):
                 return assemble_linear("bqcf", morse, cfg, beta, gamma)
 
             critical_strain(build, 1e-3, 1.3, coarse=1e-2, report_sink=records.append)
-            assert {r.path for r in records} == ({"pencil"} if N == 3 else {"inertia"})
+            assert {r.path for r in records} == {"pencil"}, (N, beta[0])
+
+
+def test_long_range_sweep_folds_its_tail(morse, monkeypatch):
+    # N = 60 at M = 300: t_j = c_(j+2) / |c_2| falls like e^(-3j), so all
+    # but about a dozen coordinates are folded.  The sweep takes at most
+    # 20 samples, none on the full range, and gives the answer of the sweep
+    # that decided every stretch by inertia
+    cfg = ChainConfig(M=300, N=60)
+    beta = cubic_beta(cfg, 5)
+    ranges, records = [], []
+    add = stability._Eigencurve._add
+    monkeypatch.setattr(
+        stability._Eigencurve, "_add", lambda self, op: ranges.append(op.config.N) or add(self, op)
+    )
+    g = critical_strain(
+        lambda gamma: assemble_linear("bqcf", morse, cfg, beta, gamma), report_sink=records.append
+    )
+    assert g == 1.0 + 19235 * 1e-5
+    assert {r.path for r in records} == {"pencil"}
+    assert len(ranges) <= 20 and max(ranges) < cfg.N, ranges
+
+
+@pytest.mark.parametrize("M", [8, 16])
+def test_fold_bound_tops_every_unit_quotient(morse, M):
+    # rho_j, read off the recipe, bounds |a <A(e_j) v, v>| over G-normalized
+    # mean-zero v: no eigenvalue of the dense pencil of A(e_j) lies beyond
+    # it, for blends in [0, 1] and beyond
+    N = M - 1
+    cfg = ChainConfig(M=M, N=N)
+    rng = np.random.default_rng(M)
+    blends = [cubic_beta(cfg, 2), beta_one(cfg), beta_zero(cfg), rng.uniform(-0.5, 1.5, cfg.n_atoms)]
+    for beta in blends:
+        op = assemble_linear("bqcf", morse, cfg, beta, 1.0)
+        curve = stability._Eigencurve(op)
+        curve._frame((0.0,) * (N - 2))  # of no effect, so every coordinate is folded
+        assert [j for j, _ in curve.folded] == list(range(N - 2))
+        for j, rho in curve.folded:
+            unit = replace(op.recipe, coefficients=tuple(float(k == j + 2) for k in range(N)))
+            eigenvalues = dense_eigenvalues(BandedPeriodicOperator(cfg, recipe=unit))
+            assert np.max(np.abs(eigenvalues)) <= rho, (j, beta[0])
 
 
 @pytest.mark.parametrize(
     "N, nu_error",
     [pytest.param(2, e, id=str(e)) for e in (5.0, -5.0, 1e3, "raise")]
-    + [pytest.param(3, e, id=f"n3-{e}") for e in (2.0, "raise")],
+    + [pytest.param(N, e, id=f"n{N}-{e}") for N in (3, 4) for e in (2.0, "raise")],
 )
 def test_pencil_failure_falls_back_to_inertia(morse, monkeypatch, N, nu_error):
-    # N = 2: nu's reported c_min is off by +-5 or 1e3; N = 3: the sample at
-    # t = 0 is off by 2.  The eigencurve reads each sample off its mode, so
+    # N = 2: nu's reported c_min is off by +-5 or 1e3; N = 3 and 4: the
+    # sample at t = 0 is off by 2.  The eigencurve reads each sample off its mode, so
     # the answer does not depend on the reported value.  A sample that does
     # not converge ends the eigencurve, and inertia decides every later
     # stretch.  Either way each stretch is evaluated once, with the dense
@@ -559,7 +602,7 @@ def test_pencil_failure_falls_back_to_inertia(morse, monkeypatch, N, nu_error):
     exact = stability.coercivity_constant
 
     def wrong_nu(op, **kwargs):
-        if N == 3 and op.recipe.coefficients != (0.0, -1.0, 0.0):
+        if N > 2 and op.recipe.coefficients != (0.0, -1.0) + (0.0,) * (N - 2):
             return exact(op, **kwargs)
         if nu_error == "raise":
             raise EigenSolveError("forced")
@@ -576,7 +619,7 @@ def test_pencil_failure_falls_back_to_inertia(morse, monkeypatch, N, nu_error):
     gammas = [r.gamma for r in records]
     assert len(set(gammas)) == len(gammas)
     assert not any(r.path.startswith("rerun-") for r in records)
-    if nu_error == "raise":  # N = 3 decides gamma = 1 by nu, then fails at t = 0
+    if nu_error == "raise":  # N > 2 decides gamma = 1 by nu, then fails at t = 0
         assert records[0].path == ("inertia" if N == 2 else "pencil")
         assert {r.path for r in records[1:]} == {"inertia"}
     else:
