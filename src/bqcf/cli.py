@@ -70,7 +70,7 @@ SCENARIOS = {
         experiments.run_critical_strain_table,
         lambda t: (
             f"critical-strain: {len(t.rows)} rows, "
-            f"atomistic gamma = {t.metadata['gamma_atomistic']}"
+            f"atomistic gamma = {t.metadata['gamma_atomistic']:.10g}"
         ),
     ),
     "coercivity": (

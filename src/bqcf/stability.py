@@ -35,18 +35,18 @@ to 1.7 times slower.  The deform solve factors the full pattern with
 SuperLU's defaults, on which the bits of its CSVs rest.
 
 Every operator, constant-coefficient or blended, is solved by spectrum
-slicing: shifts bracketed by that count, the first placed by an estimate
-that factors nothing (Lanczos on G^-1 P S), with a shift-invert Lanczos
-run on each factor that has no eigenvalue below its shift or, above a
-count-0 shift, only c_min (_sliced_cmin).  Both are one G-orthonormal
+slicing (coercivity_constant): shifts bracketed by that count, the first
+placed by an estimate that factors nothing (Lanczos on G^-1 P S), with a
+shift-invert Lanczos run on each factor that has no eigenvalue below its
+shift or, above a count-0 shift, only c_min.  Both are one G-orthonormal
 Lanczos routine (_lanczos), told only how to apply its operator.  The
 solver and each eigencurve sample evaluate their mode by one rule
-(_mode), so c_min is always a mode's quotient.  A
-critical-strain sweep needs only the sign of c_min at each grid stretch:
-for every N >= 2 a few samples of one concave family in N - 2 parameters
-bound it at every stretch, gamma = 1 included, from above by planes and
-from below on simplices of samples, each sample's lower end proven by one
-count, and for N = 1 the one sample at gamma = 1 does (_Eigencurve);
+(_mode), so c_min is always a mode's quotient.  A critical-strain sweep
+needs only the sign of c_min at each grid stretch: a few samples of one
+concave family in N - 2 parameters bound it at every stretch, gamma = 1
+included, from above by planes and from below on simplices of samples,
+each sample's lower end proven by one count, and where c_2, ..., c_N all
+vanish (N = 1 among them) c_min = c_1 needs no sample (_Eigencurve);
 stability_at reads it off the count at sigma = 0 wherever those bounds
 decide nothing.
 """
@@ -229,7 +229,10 @@ def _shifted_ldl(op: BandedPeriodicOperator, sigma: float):
     e^T 1 = sqrt(n) and S 1 ~ 0.  While |d t| < c^2 the block's
     determinant is negative, so the two pivots hold exactly one negative
     sign between them whatever sign roundoff gives d; a larger d has a
-    resolved sign of its own.
+    resolved sign of its own.  That roundoff pivot also bounds what the
+    factor solves: where S 1 = 0 up to roundoff (constant blends, N = 1),
+    only right-hand sides [G q, 0] come back accurate, and a constant or
+    border component comes back with noise of order 1e-2.
     """
     config = op.config
     n, N, a = config.n_atoms, config.N, config.a
@@ -309,7 +312,8 @@ def _lanczos(apply, q: np.ndarray, a: float, steps: int):
 
 
 def _first_shift(op: BandedPeriodicOperator):
-    """The first shift of _sliced_cmin and its start vector, from an estimate.
+    """The first shift of coercivity_constant and its start vector, from an
+    estimate.
 
     _ESTIMATE_STEPS _lanczos steps on G^-1 P S, self-adjoint in the G
     inner product on mean-zero fields, from the two longest waves
@@ -317,10 +321,9 @@ def _first_shift(op: BandedPeriodicOperator):
     _solve_gram, so no factorization.  The least Ritz value q bounds c_min
     above; with its residual r = beta |s_k| the shift is
     q - r - _ESTIMATE_MARGIN (|q| + 1), and the Ritz vector is the start.
-    A step with beta <= 1e-8 (|alpha| + 1) ends the run, its basis
-    spanning an invariant space (the longest waves are eigenvectors of a
-    constant-coefficient operator).  The estimate proves nothing; the
-    solver checks the shift by inertia like any other.
+    The run ends where _lanczos ends it (the longest waves are eigenvectors
+    of a constant-coefficient operator, an invariant space).  The estimate
+    proves nothing; the solver checks the shift by inertia like any other.
     """
     config = op.config
     n, a = config.n_atoms, config.a
@@ -329,11 +332,9 @@ def _first_shift(op: BandedPeriodicOperator):
     v = _project(np.cos(wave) + np.sin(wave))
     v = v / math.sqrt(v @ _gram(v, a))
     try:
-        for alpha, beta, Q in _lanczos(
+        *_, (alpha, beta, Q) = _lanczos(
             lambda q, gq: _solve_gram(_project(a * sym.apply_values(q)), a), v, a, _ESTIMATE_STEPS
-        ):
-            if not beta[-1] > 1e-8 * (abs(alpha[-1]) + 1.0):
-                break
+        )
     except EigenSolveError as err:
         raise EigenSolveError(f"{err} in the first shift's estimate") from None
     theta, s = eigh_tridiagonal(alpha, beta[:-1])  # Ritz pairs, ascending
@@ -341,8 +342,16 @@ def _first_shift(op: BandedPeriodicOperator):
     return q - r - _ESTIMATE_MARGIN * (abs(q) + 1.0), s[:, 0] @ Q
 
 
-def _sliced_cmin(op: BandedPeriodicOperator):
-    """Smallest pencil eigenvalue by shifted Lanczos with inertia checks.
+def coercivity_constant(
+    op: BandedPeriodicOperator,
+    *,
+    gamma: float = 1.0,
+    L: int = 0,
+    family: str = "",
+) -> CoercivityReport:
+    """Minimal H1 Rayleigh quotient of the operator over mean-zero fields,
+    by shifted Lanczos with inertia checks; gamma, L and family are copied
+    into the report, whose fields fill the coercivity and scaling rows.
 
     Keeps a bracket lo <= c_min <= hi: a trusted factorization at sigma
     with no eigenvalue below it raises lo to sigma, one with some lowers
@@ -366,9 +375,11 @@ def _sliced_cmin(op: BandedPeriodicOperator):
     residuals below the quotient, near enough that Lanczos converges in a
     few steps (to the bracket's midpoint when that is not below hi), and
     the Ritz vector starts the next basis.  Inverse iteration is the
-    one-vector case.
+    one-vector case.  Raises EigenSolveError when the residual is not
+    resolved within _MAX_FACTORIZATIONS shifts.
     """
-    n = op.config.n_atoms
+    config = op.config
+    n = config.n_atoms
     sigma, v = _first_shift(op)
     lo, cap = -math.inf, math.inf  # cap: the least shift with a count
     v, hi, res = _mode(op, v)
@@ -395,7 +406,7 @@ def _sliced_cmin(op: BandedPeriodicOperator):
             lo = sigma
         prev = res
         try:
-            for alpha, beta, Q in _lanczos(solve, v, op.config.a, _LANCZOS_STEPS):
+            for alpha, beta, Q in _lanczos(solve, v, config.a, _LANCZOS_STEPS):
                 solves += 1
                 theta, s = eigh_tridiagonal(alpha, beta[:-1])  # Ritz pairs, ascending
                 k = 0 if theta[0] < 0.0 else -1  # c_min's 1 / (c - sigma) is T's least if < 0
@@ -407,7 +418,10 @@ def _sliced_cmin(op: BandedPeriodicOperator):
                     # is accepted within the 1e-8 contract; only a mode below cap is c_min
                     converged = res <= _TOL * scale or (res <= 1e-8 * scale and res > 0.5 * prev)
                     if converged and lam < cap:
-                        return lam, v, res, solves, factorizations
+                        return CoercivityReport(
+                            lam, gamma, L, family, config.M, config.N,
+                            solves, res, v, "sliced", factorizations,
+                        )
                     prev = res
         except EigenSolveError as err:
             raise EigenSolveError(f"{err} at shift {sigma:.6g} (last residual {res:.3e})") from None
@@ -417,39 +431,6 @@ def _sliced_cmin(op: BandedPeriodicOperator):
     raise EigenSolveError(
         f"c_min in [{lo:.6g}, {hi:.6g}] not resolved within "
         f"{_MAX_FACTORIZATIONS} shifted factorizations (last residual {res:.3e})"
-    )
-
-
-def coercivity_constant(
-    op: BandedPeriodicOperator,
-    *,
-    gamma: float = 1.0,
-    L: int = 0,
-    family: str = "",
-) -> CoercivityReport:
-    """Minimal H1 Rayleigh quotient of the operator over mean-zero fields.
-
-    gamma, L and family are copied into the report, whose fields fill the
-    coercivity and scaling rows; path says which route solved it (see
-    CoercivityReport).
-    Raises EigenSolveError when the eigen-residual cannot be driven down.
-    """
-    config = op.config
-    lam, v, res, solves, factorizations = _sliced_cmin(op)
-    if not res <= 1e-8 * (abs(lam) + 1.0):
-        raise EigenSolveError(f"eigen-residual {res:.3e} exceeds 1e-8 * (|c_min| + 1)")
-    return CoercivityReport(
-        c_min=lam,
-        gamma=gamma,
-        L=L,
-        family=family,
-        M=config.M,
-        N=config.N,
-        iterations=solves,
-        residual=res,
-        mode=v,
-        path="sliced",
-        factorizations=factorizations,
     )
 
 
@@ -506,14 +487,12 @@ class _Eigencurve:
     u is a sample.  So the first sample is the first stretch, nu = c_min(A(1))
     in a sweep, and the only one for N = 2; for N = 3 the simplices are the
     chords between adjacent samples, the first from t_1 to 0.  A sample that
-    fails its solve or count ends the eigencurve.  A stretch with c_2 >= 0
-    goes to stability_at; a Morse chain has none.
+    fails its solve or count ends the eigencurve.
 
-    An N = 1 stretch is c_1 A(1) up to the rounding of its bands, so the
-    first stretch's one sample, taken over its c_1, decides every stretch:
-    c_min >= c_1 g_lo for c_1 > 0, g_lo the sample's lower end, and for
-    c_1 < 0, where c_min is c_1 times A(1)'s largest eigenvalue,
-    c_min <= c_1 q, q the sample's quotient, which that eigenvalue tops.
+    A stretch whose c_2, ..., c_N all vanish (every N = 1 stretch, and those
+    whose tail underflows) is c_1 G/a, so c_min = c_1, with no sample.  A
+    stretch with c_2 >= 0 and a nonzero tail goes to stability_at; a Morse
+    chain has none.
     """
 
     def __init__(self, op1: BandedPeriodicOperator):
@@ -526,13 +505,12 @@ class _Eigencurve:
     @staticmethod
     def _split(coefficients):
         """(b, w, t) with c_min = b + w g(t): (c_1, |c_2|, (c_3, ..., c_N) / |c_2|)
-        for N >= 2, t = () unless c_2 < 0, and (0, c_1, ()) for N = 1, where
-        that holds for c_1 > 0."""
+        for c_2 < 0, (c_1, 0, ()) for a tail c_2, ..., c_N of zeros, else None."""
         c1, *c = coefficients
-        if not c:
-            return 0.0, c1, ()
+        if not any(c):
+            return c1, 0.0, ()
         w = -c[0]
-        return c1, w, (tuple([x / w for x in c[1:]]) if w > 0.0 else ())
+        return (c1, w, tuple([x / w for x in c[1:]])) if w > 0.0 else None
 
     def _frame(self, t):
         """Fold and scale the coordinates from the first sample's t = t_1:
@@ -571,10 +549,10 @@ class _Eigencurve:
         return BandedPeriodicOperator(replace(self.config, N=n), recipe=replace(self.recipe, coefficients=c))
 
     def _add(self, op):
-        """Sample h at op = b + w A(0, -1, t) (op = w A(1) for N = 1), w > 0,
-        and return its index, or set recipe None.  Every sample, of a
-        constant blend too, proves its lower end by one count at q less
-        _MARGIN of its terms.  A kept j's slope is scaled like u_j."""
+        """Sample h at op = b + w A(0, -1, t), w > 0, and return its index,
+        or set recipe None.  Every sample, of a constant blend too, proves
+        its lower end by one count at q less _MARGIN of its terms.  A kept
+        j's slope is scaled like u_j."""
         try:
             rep = coercivity_constant(op)
         except EigenSolveError:
@@ -647,16 +625,19 @@ class _Eigencurve:
 
     def record(self, op: BandedPeriodicOperator, gamma: float) -> StabilityRecord | None:
         """The stretch decided by its bracket [f_lo, f_hi] on c_min, or None.
-        It qualifies with c_2 < 0 (any c_1 once sampled, for N = 1), the
-        first stretch's config and its blend: the same object, or equal
-        values (a pure kind reads a fresh constant blend per stretch)."""
+        A vanished tail decides by c_1 alone, unless c_1 = 0.  Else the
+        stretch qualifies with c_2 < 0, the first stretch's config and its
+        blend: the same object, or equal values (a pure kind reads a fresh
+        constant blend per stretch)."""
         r1 = self.recipe
         r = None if r1 is None else op.recipe
-        same_blend = r is not None and (r.beta is r1.beta or np.array_equal(r.beta, r1.beta))
-        if not same_blend or op.config != self.config:
+        split = None if r is None else self._split(r.coefficients)
+        if split is None:
             return None
-        b, w, t = self._split(r.coefficients)
-        if not (w > 0.0 or (self.config.N == 1 and self.samples)):
+        b, w, t = split
+        if not w:  # c_min = c_1, which decides nothing at 0 (or NaN)
+            return StabilityRecord(gamma, b > 0.0, None, b, "pencil") if abs(b) > 0.0 else None
+        if not (r.beta is r1.beta or np.array_equal(r.beta, r1.beta)) or op.config != self.config:
             return None
         if self.kept is None:
             self._frame(t)
@@ -671,11 +652,8 @@ class _Eigencurve:
                 lo = -math.inf
             else:
                 lo = sum([m * self.samples[i][1] for m, i in zip(found[2], found[1][0])]) - eps
-            if w > 0.0:
-                f_lo, f_hi = b + w * lo, b + w * hi
-            else:  # N = 1, c_1 <= 0: A(1)'s largest eigenvalue is at least hi
-                f_lo, f_hi = -math.inf, w * hi
-            margin = _MARGIN * (abs(b) + abs(w) * (abs(hi) + 1.0))
+            f_lo, f_hi = b + w * lo, b + w * hi
+            margin = _MARGIN * (abs(b) + w * (abs(hi) + 1.0))
             if f_lo > margin or f_hi < -margin:
                 return StabilityRecord(gamma, f_lo > margin, None, f_hi, "pencil", (f_lo, f_hi))
             if last or u in self.points:

@@ -163,21 +163,21 @@ def test_criterion_1_table_factorizations(table1_run):
     assert count <= 50
 
 
-def test_criterion_1_n1_table_takes_one_sample_per_row(monkeypatch):
+def test_criterion_1_n1_table_takes_no_factorization(monkeypatch):
     """The N = 1 table at M = 500: c_min = phi''(gamma) whatever the blend,
     so every row has the atomistic critical stretch, as the sweep that
-    decided every stretch by inertia found with 6,096 factorizations.  One
-    eigencurve sample at gamma = 1 and its count decide each row's
-    stretches: 50 factorizations."""
+    decided every stretch by inertia found with 6,096 factorizations.  The
+    eigencurve reads each stretch's sign off c_1 = phi''(gamma): no
+    factorization."""
     count = counting_factorizations(monkeypatch)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         table = run_critical_strain_table(M=500, N=1)
     gammas = {row[3] for row in table.rows}
-    ok = gammas == {1.0 + 23104 * 1e-5} and len(count) == 50 and not caught
+    ok = gammas == {1.0 + 23104 * 1e-5} and len(count) == 0 and not caught
     announce("1 (N = 1 table)", ok, f"{len(count)} factorizations")
     assert gammas == {1.0 + 23104 * 1e-5}
-    assert len(count) == 50
+    assert len(count) == 0
     assert not caught, [str(w.message) for w in caught]
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import at, csv_text, dense_matrix
 
-from bqcf import experiments
+from bqcf import experiments, stability
 from bqcf.blending import constant_profile, sample_beta, symmetric_profile
 from bqcf.cli import main
 from bqcf.experiments import (
@@ -418,7 +418,17 @@ def test_cli_critical_strain_smoke(tmp_path):
     assert len(table.rows) == 1 + 3 * 8
 
 
-def test_cli_critical_strain_with_coefficients_that_underflow(tmp_path):
+def test_cli_critical_strain_summary_prints_gamma_on_the_grid(tmp_path, capsys):
+    # 1 + 23104 * 1e-5 is 1.2310400000000001 in binary; the CSV keeps it, and
+    # the summary prints the grid point
+    out = tmp_path / "cs.csv"
+    assert run_cli(["critical-strain", "--M", "32", "--N", "1", "--out", str(out)]) == 0
+    table = parse_csv(out.read_text())
+    assert float(table.metadata["gamma_atomistic"]) == 1.0 + 23104 * 1e-5 == 1.2310400000000001
+    assert "atomistic gamma = 1.23104 " in capsys.readouterr().out
+
+
+def test_cli_critical_strain_with_coefficients_that_underflow(tmp_path, monkeypatch):
     # at alpha = 100, c_9 = c_10 = phi''(9) = phi''(10) underflow to exactly 0,
     # so the eigencurve folds those coordinates and divides by none of them;
     # the CSV is byte for byte the one of the sweep that decided every
@@ -428,13 +438,22 @@ def test_cli_critical_strain_with_coefficients_that_underflow(tmp_path):
     assert code == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "9703d7668ab091e15e2a30666b918885b2c1fea583fb6ff6d6004cdb6b7b6b14"
-    # at alpha = 1000 every c_k, k >= 2, underflows, c_2 to -0.0, so t is
-    # undefined: those stretches go to inertia, and the chain is c_1 G/a,
-    # unstable past phi''(gamma) = 0 at gamma = 1 + ln 2 / alpha
+    # at alpha = 1000 every c_k, k >= 2, underflows, c_2 to -0.0, so the
+    # chain is c_1 G/a: the eigencurve decides every stretch by the sign of
+    # c_1 = phi''(gamma), with no factorization, unstable past its zero at
+    # gamma = 1 + ln 2 / alpha
+    factorizations, records = [], []
+    splu, sweep = stability.splu, experiments.critical_strain
+    monkeypatch.setattr(stability, "splu", lambda *a, **k: factorizations.append(1) or splu(*a, **k))
+    monkeypatch.setattr(
+        experiments, "critical_strain", lambda *a, **k: sweep(*a, **k, report_sink=records.append)
+    )
     code = run_cli(["critical-strain", "--M", "32", "--N", "3", "--alpha", "1000", "--out", str(out)])
     assert code == 0
     table = parse_csv(out.read_text())
     assert {row[table.columns.index("gamma_crit")] for row in table.rows} == {1.0 + 69 * 1e-5}
+    assert not factorizations
+    assert records and {r.path for r in records} == {"pencil"}
 
 
 def test_critical_strain_table_records_blends_unstable_at_one():
