@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -180,6 +181,14 @@ class BandedPeriodicOperator:
         return csr_matrix((self.bands.ravel(), (rows, cols)), shape=(n, n))
 
 
+@lru_cache(maxsize=16)
+def _neighbors(N: int) -> np.ndarray:
+    """k = 1..N, read-only: every assembly scales it by gamma."""
+    k = np.arange(1.0, N + 1.0)
+    k.setflags(write=False)
+    return k
+
+
 def assemble_linear(
     which: str,
     pot: Morse,
@@ -207,7 +216,7 @@ def assemble_linear(
             raise ValueError(f"beta has shape {beta.shape}, expected ({config.n_atoms},)")
     else:
         beta = np.full(config.n_atoms, float(which == "atomistic"))
-    coefficients = tuple(pot.phi_xx(np.arange(1, config.N + 1) * gamma).tolist())
+    coefficients = tuple(pot.phi_xx(_neighbors(config.N) * gamma).tolist())
     return BandedPeriodicOperator(config, recipe=OperatorRecipe(beta, coefficients))
 
 

@@ -157,8 +157,9 @@ def _gram(v: np.ndarray, a: float) -> np.ndarray:
 
 
 def _project(x: np.ndarray) -> np.ndarray:
-    """x on mean-zero fields: x less its mean."""
-    return x - x.mean()
+    """x on mean-zero fields: x less its mean, the bits of x.mean() without
+    its wrapper's cost."""
+    return x - np.add.reduce(x) / x.shape[0]
 
 
 def _mode(op: BandedPeriodicOperator, v: np.ndarray):
@@ -337,7 +338,8 @@ def _first_shift(op: BandedPeriodicOperator):
         )
     except EigenSolveError as err:
         raise EigenSolveError(f"{err} in the first shift's estimate") from None
-    theta, s = eigh_tridiagonal(alpha, beta[:-1])  # Ritz pairs, ascending
+    # Ritz pairs, ascending; _lanczos raised on any non-finite step
+    theta, s = eigh_tridiagonal(alpha, beta[:-1], check_finite=False)
     q, r = theta[0], beta[-1] * abs(s[-1, 0])
     return q - r - _ESTIMATE_MARGIN * (abs(q) + 1.0), s[:, 0] @ Q
 
@@ -408,7 +410,7 @@ def coercivity_constant(
         try:
             for alpha, beta, Q in _lanczos(solve, v, config.a, _LANCZOS_STEPS):
                 solves += 1
-                theta, s = eigh_tridiagonal(alpha, beta[:-1])  # Ritz pairs, ascending
+                theta, s = eigh_tridiagonal(alpha, beta[:-1], check_finite=False)  # Ritz pairs, ascending
                 k = 0 if theta[0] < 0.0 else -1  # c_min's 1 / (c - sigma) is T's least if < 0
                 if len(alpha) % 4 == 0 or beta[-1] * abs(s[-1, k]) < 1e-7 * abs(theta[k]):
                     v, lam, res = _mode(op, s[:, k] @ Q)
@@ -493,6 +495,11 @@ class _Eigencurve:
     whose tail underflows) is c_1 G/a, so c_min = c_1, with no sample.  A
     stretch with c_2 >= 0 and a nonzero tail goes to stability_at; a Morse
     chain has none.
+
+    The bounds on h at the last u (without eps, which each stretch adds
+    for its own t) and _walk's find there are kept, so stretches at one u
+    (every N = 2 stretch is at u = ()) reuse them; _refine, where every
+    sample is added and every simplex made or split, drops them.
     """
 
     def __init__(self, op1: BandedPeriodicOperator):
@@ -501,6 +508,7 @@ class _Eigencurve:
         self.points = {}  # u_i -> i
         self.roots = {}  # Kuhn key -> simplex [vertex indices, split weights, children]
         self.kept = self.folded = None  # [(j, t_1j, A(e_j))] and [(j, rho_j)], set by _frame
+        self.bounds = None  # (u, lo, hi, _walk(u)): h's bounds at the last u, without eps
 
     @staticmethod
     def _split(coefficients):
@@ -603,6 +611,7 @@ class _Eigencurve:
         """Take the next round of samples for the stretch op at u, where
         _walk found found: the vertices of u's Kuhn simplex, if one is
         missing, else one at u, which splits the leaf that holds it."""
+        self.bounds = None  # the samples or the simplices change below
         if self.samples and found is not None and found[1] is None:
             key, vertices = found[0], []
             for k in range(len(key) + 1):
@@ -637,7 +646,9 @@ class _Eigencurve:
         b, w, t = split
         if not w:  # c_min = c_1, which decides nothing at 0 (or NaN)
             return StabilityRecord(gamma, b > 0.0, None, b, "pencil") if abs(b) > 0.0 else None
-        if not (r.beta is r1.beta or np.array_equal(r.beta, r1.beta)) or op.config != self.config:
+        if not (r.beta is r1.beta or np.array_equal(r.beta, r1.beta)) or (
+            op.config is not self.config and op.config != self.config
+        ):
             return None
         if self.kept is None:
             self._frame(t)
@@ -646,12 +657,16 @@ class _Eigencurve:
         for last in (False, True):
             if self.recipe is None:  # a sample just taken failed
                 return None
-            hi = eps + min([g + sum(map(mul, s, u)) for _, _, g, s in self.samples], default=math.inf)
-            found = self._walk(u)
-            if found is None or found[1] is None:
-                lo = -math.inf
-            else:
-                lo = sum([m * self.samples[i][1] for m, i in zip(found[2], found[1][0])]) - eps
+            if self.bounds is None or self.bounds[0] != u:
+                hi = min([g + sum(map(mul, s, u)) for _, _, g, s in self.samples], default=math.inf)
+                found = self._walk(u)
+                if found is None or found[1] is None:
+                    lo = -math.inf
+                else:
+                    lo = sum([m * self.samples[i][1] for m, i in zip(found[2], found[1][0])])
+                self.bounds = u, lo, hi, found
+            _, lo, hi, found = self.bounds
+            lo, hi = lo - eps, eps + hi
             f_lo, f_hi = b + w * lo, b + w * hi
             margin = _MARGIN * (abs(b) + w * (abs(hi) + 1.0))
             if f_lo > margin or f_hi < -margin:

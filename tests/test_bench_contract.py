@@ -15,6 +15,7 @@ from bqcf import experiments, stability
 from bqcf.blending import sample_beta, symmetric_profile
 from bqcf.lattice import ChainConfig
 from bqcf.operators import assemble_linear
+from bqcf.potential import Morse
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -80,6 +81,34 @@ def test_reference_sweep_factorizations(tmp_path):
         gamma_c = workload.run_pass(ops, lambda: None)
     assert gamma_c == workloads.SWEEP_GAMMA_C
     assert len(ops) == 199 and count[0] == 2
+
+
+def test_reference_pass_builds_each_stretch_right_before_its_record(tmp_path, monkeypatch):
+    # sweep-ref times an operation from its build to its record, so
+    # critical_strain calls build_operator exactly once per report_sink call,
+    # right before it and for that record's stretch.  A pass, the workload's
+    # set-up included (its Morse check makes 2 phi_xx calls), keeps 199
+    # records, 201 phi_xx calls and 2 factorizations
+    workloads = load("workloads")
+    phi_xx, phi_calls = Morse.phi_xx, []
+    monkeypatch.setattr(Morse, "phi_xx", lambda self, r: phi_calls.append(1) or phi_xx(self, r))
+    events = []
+    with workloads.counting_splu() as count:
+        workload = workloads.make("sweep-ref", 0, tmp_path)
+        build, p = workload.build, workload.p
+
+        def built(gamma):
+            events.append(("build", gamma))
+            return build(gamma)
+
+        gamma_c = stability.critical_strain(
+            built, p["dgamma"], p["gamma_max"], coarse=p["coarse"],
+            report_sink=lambda rec: events.append(("record", rec.gamma)),
+        )
+    assert gamma_c == workloads.SWEEP_GAMMA_C
+    assert events[0::2] == [("build", g) for _, g in events[1::2]]
+    assert [kind for kind, _ in events[1::2]] == ["record"] * 199
+    assert (len(events), len(phi_calls), count[0]) == (398, 201, 2)
 
 
 def test_deform_cli_pass_at_seed_531(tmp_path):

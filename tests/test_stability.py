@@ -1,3 +1,4 @@
+import copy
 import itertools
 import warnings
 from dataclasses import FrozenInstanceError, replace
@@ -24,10 +25,11 @@ from oracles import (
     stability_constant,
 )
 
-from bqcf import cli, operators, stability
+from bqcf import cli, experiments, operators, stability
 from bqcf.blending import constant_profile, one_sided_profile, sample_beta, symmetric_profile
 from bqcf.lattice import ChainConfig, forward_diff
 from bqcf.operators import BandedPeriodicOperator, OperatorRecipe, assemble_linear
+from bqcf.potential import MorseParams
 from bqcf.stability import (
     EigenSolveError,
     StabilityRecord,
@@ -558,6 +560,73 @@ def test_long_range_sweep_folds_its_tail(morse, monkeypatch):
     assert g == 1.0 + 19235 * 1e-5
     assert {r.path for r in records} == {"pencil"}
     assert len(ranges) <= 20 and max(ranges) < cfg.N, ranges
+
+
+def fresh_record(record, curve, op, gamma):
+    """record(fresh, op, gamma) for a fresh eigencurve handed curve's samples
+    and simplices, which keeps no bounds; it must decide without a sample of
+    its own."""
+    fresh = stability._Eigencurve(op)
+    fresh.recipe = curve.recipe
+    for name in ("samples", "points", "roots", "kept", "folded"):
+        setattr(fresh, name, copy.deepcopy(getattr(curve, name)))
+    rec = record(fresh, op, gamma)
+    assert len(fresh.samples) == len(curve.samples)
+    return rec
+
+
+@pytest.mark.parametrize(
+    "M, N, alpha", [(64, 2, 3.0), (64, 3, 3.0), (64, 4, 3.0), (32, 3, 30.0), (32, 10, 100.0)]
+)
+def test_kept_bounds_match_a_fresh_eigencurve(monkeypatch, M, N, alpha):
+    # a record keeps h's bounds at the last u until its samples or simplices
+    # change; every record of a table's sweeps equals a fresh eigencurve's
+    # for that stretch, the stretches right after a sample (nu's, a Kuhn
+    # vertex's or a split's) among them.  alpha = 30 and 100 fold every
+    # coordinate, so every stretch is at u = () and widens the kept bounds
+    # by its own eps
+    record = stability._Eigencurve.record
+    seen = {"records": 0, "after_add": 0, "splits": 0, "folded": 0, "added": False}
+
+    def checked(curve, op, gamma):
+        before, simplices = len(curve.samples), len(curve.roots)
+        rec = record(curve, op, gamma)
+        added = len(curve.samples) > before
+        if rec is not None and rec.path == "pencil":
+            assert fresh_record(record, curve, op, gamma) == rec, (N, gamma)
+            seen["records"] += 1
+            seen["after_add"] += added or seen["added"]
+            seen["splits"] += added and simplices == len(curve.roots) > 0
+            seen["folded"] += bool(curve.folded)
+        seen["added"] = added
+        return rec
+
+    monkeypatch.setattr(stability._Eigencurve, "record", checked)
+    experiments.run_critical_strain_table(
+        M=M, N=N, potential=MorseParams(alpha=alpha), dgamma=1e-4, coarse=1e-2
+    )
+    assert seen["records"] >= 200 and seen["after_add"] >= 50, seen
+    assert (seen["splits"] > 0) == (N > 2 and alpha == 3.0), seen
+    assert (seen["folded"] > 0) == (alpha > 3.0), seen
+
+
+def test_each_stretch_widens_the_kept_bounds_by_its_own_eps():
+    # a Morse chain's folded tail is too small to move a bracket's bits, so
+    # these recipes fold c_3 = 1e-13 |c_2| with c_1 and |c_2| alike: eps,
+    # about 4e-10, shows in the bits of each bracket, and every stretch
+    # after the first reuses the bounds kept at u = () with its own eps
+    cfg = ChainConfig(M=32, N=3)
+    beta = cubic_beta(cfg, 3)
+
+    def op(c1, c3):
+        return BandedPeriodicOperator(cfg, recipe=OperatorRecipe(beta, (c1, -1.0, c3)))
+
+    curve = stability._Eigencurve(op(60.0, -1e-13))
+    assert curve.record(op(60.0, -1e-13), 1.0).path == "pencil" and curve.kept == []
+    for c1, c3 in ((50.0, -5e-14), (40.0, -2e-13), (20.0, -1e-14), (10.0, -1e-13)):
+        rec = curve.record(op(c1, c3), 1.1)
+        assert rec == fresh_record(stability._Eigencurve.record, curve, op(c1, c3), 1.1)
+        assert len(curve.samples) == 1
 
 
 @pytest.mark.parametrize("M", [8, 16])
@@ -1302,8 +1371,8 @@ def test_sliced_returns_no_mode_above_a_counted_shift(morse, monkeypatch):
     # whose quotient lies above the count-1 shift that proved c_min below it
     eigh_tridiagonal = stability.eigh_tridiagonal
 
-    def nonnegative_ritz(d, e):
-        theta, s = eigh_tridiagonal(d, e)
+    def nonnegative_ritz(d, e, **options):
+        theta, s = eigh_tridiagonal(d, e, **options)
         return theta[theta >= 0.0], s[:, theta >= 0.0]
 
     monkeypatch.setattr(stability, "eigh_tridiagonal", nonnegative_ritz)
