@@ -57,9 +57,11 @@ _FLAGS = {
 
 
 def _counts(t) -> str:
-    """The factorizations and solves that a coercivity table's rows took."""
+    """The proven bracket of a coercivity table's least c_min, and the
+    factorizations and solves that its rows took."""
+    lo, hi = min(t.reports, key=lambda rep: rep.c_min).bracket
     f, s = sum(t.column("factorizations")), sum(t.column("iterations"))
-    return f" ({f} factorizations, {s} solves)"
+    return f" in [{float(lo)!r}, {float(hi)!r}] ({f} factorizations, {s} solves)"
 
 
 # scenario -> (help, runner, summary); the runner's parameters other than

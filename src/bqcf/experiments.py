@@ -26,7 +26,7 @@ byte-identical files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -57,11 +57,14 @@ TABLE_BLEND_SIZES = (1, 2, 3, 4, 5, 6, 7, 10)
 
 @dataclass
 class ResultTable:
-    """A scenario's rows and metadata; a NaN or infinity in them raises FloatingPointError."""
+    """A scenario's rows and metadata; a NaN or infinity in them raises
+    FloatingPointError.  reports holds the CoercivityReports behind a
+    coercivity table's rows, which the summary reads and the CSV does not."""
 
     columns: list
     rows: list
     metadata: dict
+    reports: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         if any(len(r) != len(self.columns) for r in self.rows):
@@ -229,6 +232,7 @@ def run_coercivity(
         metadata=_metadata(
             "coercivity", potential, M=M, N=N, family=family, L=L, one_sided=one_sided
         ),
+        reports=[rep],
     )
 
 
@@ -347,4 +351,5 @@ def run_scaling(
         columns=COERCIVITY_COLUMNS,
         rows=[tuple(getattr(r, c) for c in COERCIVITY_COLUMNS) for r in reports],
         metadata=_metadata("scaling", potential, family=family, N=N, L_rule=rule),
+        reports=reports,
     )

@@ -36,19 +36,21 @@ SuperLU's defaults, on which the bits of its CSVs rest.
 
 Every operator, constant-coefficient or blended, is solved by spectrum
 slicing (coercivity_constant): shifts bracketed by that count, the first
-placed by an estimate that factors nothing (Lanczos on G^-1 P S), with a
+placed by an estimate that factors nothing (Lanczos on G^-1 P S), just
+above c_min where one eigenvalue alone is predicted below it, with a
 shift-invert Lanczos run on each factor that has no eigenvalue below its
-shift or, above a count-0 shift, only c_min.  Both are one G-orthonormal
-Lanczos routine (_lanczos), told only how to apply its operator.  The
-solver and each eigencurve sample evaluate their mode by one rule
-(_mode), so c_min is always a mode's quotient.  A critical-strain sweep
-needs only the sign of c_min at each grid stretch: a few samples of one
-concave family in N - 2 parameters bound it at every stretch, gamma = 1
-included, from above by planes and from below on simplices of samples,
-each sample's lower end proven by one count, and where c_2, ..., c_N all
-vanish (N = 1 among them) c_min = c_1 needs no sample (_Eigencurve);
-stability_at reads it off the count at sigma = 0 wherever those bounds
-decide nothing.
+shift or only c_min.  Both are one G-orthonormal Lanczos routine
+(_lanczos), told only how to apply its operator.  The solver and each
+eigencurve sample evaluate their mode by one rule (_mode), so c_min is
+always a mode's quotient, and a count-1 factor proves c_min's lower end
+by Temple's inequality (_temple).  A critical-strain sweep needs only the
+sign of c_min at each grid stretch: a few samples of one concave family in
+N - 2 parameters bound it at every stretch, gamma = 1 included, from above
+by planes and from below on simplices of samples, each sample's lower end
+proven by one count (that of the solve's own factor, where Temple's bound
+clears it), and where c_2, ..., c_N all vanish (N = 1 among them)
+c_min = c_1 needs no sample (_Eigencurve); stability_at reads it off the
+count at sigma = 0 wherever those bounds decide nothing.
 """
 
 from __future__ import annotations
@@ -98,7 +100,9 @@ class CoercivityReport:
     of every operator; iterations counts the linear solves, one per
     Lanczos step, and factorizations the shifted factorizations, trusted
     or not (one per scaling-ladder rung: the estimate's first shift, just
-    below c_min).
+    above c_min).  bracket (lo, c_min) is proven: lo is Temple's bound
+    where the solve ended on a count-1 factor, else the highest count-0
+    shift.  shift is that count-1 factor's shift, or None.
     """
 
     c_min: float
@@ -112,6 +116,8 @@ class CoercivityReport:
     mode: np.ndarray = field(repr=False)
     path: str
     factorizations: int
+    bracket: tuple
+    shift: float | None
 
 
 @dataclass(frozen=True)
@@ -267,7 +273,8 @@ _MAX_FACTORIZATIONS = 40  # shifts per solve; every one counts, trusted or not
 _LANCZOS_STEPS = 16  # Krylov dimension per trusted factor, a multiple of 4
 _NEXT_SHIFT = 0.1  # the next shift lies this many residuals below the quotient
 _ESTIMATE_STEPS = 8  # Lanczos steps of the first shift's estimate, which factors nothing
-_ESTIMATE_MARGIN = 1e-3  # the first shift lies this far below q - r, relative to |q| + 1
+_ESTIMATE_MARGIN = 1e-3  # sigma_0 lies this far below q - r, relative to |q| + 1
+_ABOVE = 1e-4  # a first shift above the estimate lies this far above q, relative to |q| + 1
 _BREAKDOWN = 1e-12  # beta at most this share of the image's G-norm is roundoff
 
 
@@ -313,18 +320,25 @@ def _lanczos(apply, q: np.ndarray, a: float, steps: int):
 
 
 def _first_shift(op: BandedPeriodicOperator):
-    """The first shift of coercivity_constant and its start vector, from an
-    estimate.
+    """The first shift of coercivity_constant, the shift sigma_0 to fall
+    back on or None, and the start vector, from an estimate.
 
     _ESTIMATE_STEPS _lanczos steps on G^-1 P S, self-adjoint in the G
     inner product on mean-zero fields, from the two longest waves
     cos + sin(2 pi l / 2M): each step is one banded S apply and one
     _solve_gram, so no factorization.  The least Ritz value q bounds c_min
-    above; with its residual r = beta |s_k| the shift is
-    q - r - _ESTIMATE_MARGIN (|q| + 1), and the Ritz vector is the start.
-    The run ends where _lanczos ends it (the longest waves are eigenvectors
+    above, and the Ritz vector is the start.  With its residual
+    r = beta |s_k|, sigma_0 = q - r - _ESTIMATE_MARGIN (|q| + 1).  The
+    first shift is sigma = q + _ABOVE (|q| + 1), with sigma_0 to fall back
+    on, where one eigenvalue alone is predicted below it: the recipe's
+    E_b = sum_k k^2 c_k, the long-wave edge of both bulk models' spectra,
+    lies above sigma by more than sigma - q + r^2 / (theta_2 - q), theta_2
+    the second Ritz value (c_min's distance below q, as Kato's bound
+    estimates it).  Elsewhere (an operator with no recipe, a constant blend,
+    N = 1, a blend wide enough to crowd the bulk edge) it is sigma_0.  The
+    run ends where _lanczos ends it (the longest waves are eigenvectors
     of a constant-coefficient operator, an invariant space).  The estimate
-    proves nothing; the solver checks the shift by inertia like any other.
+    proves nothing; the solver checks each shift by inertia like any other.
     """
     config = op.config
     n, a = config.n_atoms, config.a
@@ -341,7 +355,27 @@ def _first_shift(op: BandedPeriodicOperator):
     # Ritz pairs, ascending; _lanczos raised on any non-finite step
     theta, s = eigh_tridiagonal(alpha, beta[:-1], check_finite=False)
     q, r = theta[0], beta[-1] * abs(s[-1, 0])
-    return q - r - _ESTIMATE_MARGIN * (abs(q) + 1.0), s[:, 0] @ Q
+    below, v = q - r - _ESTIMATE_MARGIN * (abs(q) + 1.0), s[:, 0] @ Q
+    sigma = q + _ABOVE * (abs(q) + 1.0)
+    gap = theta[1] - q if len(theta) > 1 else math.inf
+    if op.recipe is not None and gap > 0.0:
+        edge = sum([k * k * c for k, c in enumerate(op.recipe.coefficients, 1)])
+        if edge - sigma > sigma - q + r * r / gap:
+            return sigma, below, v
+    return below, None, v
+
+
+def _temple(op: BandedPeriodicOperator, v: np.ndarray, c: float, sigma: float) -> float:
+    """Temple's lower bound on c_min from a G-normalized mean-zero v of
+    quotient c and a shift sigma > c that proves exactly one eigenvalue
+    below it: c - <w, G^+ w> / (sigma - c), w = P S v - c G v (G. Temple,
+    Proc. R. Soc. A 119, 1928; T. Kato, J. Phys. Soc. Japan 4, 1949); -inf
+    for c >= sigma.  It costs one S apply and one _solve_gram."""
+    if not c < sigma:
+        return -math.inf
+    a = op.config.a
+    w = _project(op.symmetric_part().apply_values(v) * a) - c * _gram(v, a)
+    return c - float(w @ _solve_gram(w, a)) / (sigma - c)
 
 
 def coercivity_constant(
@@ -359,15 +393,18 @@ def coercivity_constant(
     with no eigenvalue below it raises lo to sigma, one with some lowers
     hi to sigma, and every Rayleigh quotient lowers hi.  The first shift
     and start vector come from a Lanczos estimate that factors nothing
-    (_first_shift), placed just below c_min's estimate.  _lanczos builds a
+    (_first_shift): just above c_min's estimate where one eigenvalue alone
+    is predicted below it, else sigma_0, just below; a shift above that
+    counts other than 1 falls back to sigma_0.  _lanczos builds a
     G-orthonormal Krylov basis of T = (S - sigma G)^-1 G on mean-zero
     fields, one bordered solve per step, whose eigenvalue
     1 / (c_min - sigma) is followed by its Ritz value theta.  It runs on
-    every factor with count 0, where theta is T's largest, and on a factor
-    with count 1 above a known lo, where it is T's one negative eigenvalue
-    and so its least.  A converged mode is c_min's only below cap, the
-    least shift whose count proved c_min lies under it.  A larger count,
-    or count 1 with no lo, bisects or widens instead.  The Ritz vector's
+    every factor with count 0, where theta is T's largest, and on every
+    factor with count 1, where it is T's one negative eigenvalue and so
+    its least.  A converged mode is c_min's only below cap, the least
+    shift whose count proved c_min lies under it; on a count-1 factor
+    Temple's bound (_temple) proves the report's lower end.  A larger
+    count bisects, or widens while no lo is known.  The Ritz vector's
     pencil residual is checked every 4th step, and every step once the
     Lanczos estimate falls below 1e-7 |theta|.  One that stops halving
     between checks, the start vector's own counting as the first, is
@@ -375,14 +412,15 @@ def coercivity_constant(
     already an eigenvector stops at its first check.  After _LANCZOS_STEPS
     solves, or an invariant space, the next shift goes _NEXT_SHIFT
     residuals below the quotient, near enough that Lanczos converges in a
-    few steps (to the bracket's midpoint when that is not below hi), and
+    few steps (when that is not below hi, to the bracket's midpoint, or
+    widened below hi while no lo is known), and
     the Ritz vector starts the next basis.  Inverse iteration is the
     one-vector case.  Raises EigenSolveError when the residual is not
     resolved within _MAX_FACTORIZATIONS shifts.
     """
     config = op.config
     n = config.n_atoms
-    sigma, v = _first_shift(op)
+    sigma, below, v = _first_shift(op)
     lo, cap = -math.inf, math.inf  # cap: the least shift with a count
     v, hi, res = _mode(op, v)
     solves = 0
@@ -395,13 +433,17 @@ def coercivity_constant(
     for factorizations in range(1, _MAX_FACTORIZATIONS + 1):
         lu = factored = None  # free the last factor before making the next
         factored = _shifted_ldl(op, sigma)
+        if below is not None and (factored is None or factored[1] != 1):  # not c_min's alone
+            sigma, below = below, None
+            continue
+        below = None
         if factored is None:  # untrusted signs: nudge the shift toward lo
             sigma = lo + 0.5 * (sigma - lo) if lo > -math.inf else sigma - (abs(sigma) + 1.0)
             continue
         lu, neg = factored
-        if neg:  # overshot; with count 1 above lo, c_min is the one eigenvalue below
+        if neg:  # overshot; with count 1, c_min is the one eigenvalue below
             hi, cap = min(hi, sigma), min(cap, sigma)
-            if neg > 1 or lo == -math.inf:  # bisect, or widen while no lo is known
+            if neg > 1:  # bisect, or widen while no lo is known
                 sigma = 0.5 * (lo + hi) if lo > -math.inf else sigma - 2.0 * (abs(sigma) + 1.0)
                 continue
         else:
@@ -420,16 +462,17 @@ def coercivity_constant(
                     # is accepted within the 1e-8 contract; only a mode below cap is c_min
                     converged = res <= _TOL * scale or (res <= 1e-8 * scale and res > 0.5 * prev)
                     if converged and lam < cap:
+                        bound = max(lo, _temple(op, v, lam, sigma)) if neg else lo
                         return CoercivityReport(
-                            lam, gamma, L, family, config.M, config.N,
-                            solves, res, v, "sliced", factorizations,
+                            lam, gamma, L, family, config.M, config.N, solves, res, v,
+                            "sliced", factorizations, (float(bound), lam), float(sigma) if neg else None,
                         )
                     prev = res
         except EigenSolveError as err:
             raise EigenSolveError(f"{err} at shift {sigma:.6g} (last residual {res:.3e})") from None
         sigma = lam - _NEXT_SHIFT * res  # just below the quotient
-        if not sigma < hi:  # known to overshoot
-            sigma = 0.5 * (lo + hi)
+        if not sigma < hi:  # known to overshoot: bisect, or widen while no lo is known
+            sigma = 0.5 * (lo + hi) if lo > -math.inf else hi - 2.0 * (abs(hi) + 1.0)
     raise EigenSolveError(
         f"c_min in [{lo:.6g}, {hi:.6g}] not resolved within "
         f"{_MAX_FACTORIZATIONS} shifted factorizations (last residual {res:.3e})"
@@ -469,7 +512,9 @@ class _Eigencurve:
     solvers' own, whatever the solver reports, so the plane
     g_i + s_i . (t - t_i) bounds g above, s_ij = a <A(e_j) v_i, v_i>
     (Hellmann-Feynman), A(e_j) the unit operator of t_j.  One count proves
-    its lower end, g_i less _MARGIN of its terms, so on a simplex of samples
+    its lower end, g_i less _MARGIN of its terms: the solve's own count-1
+    factor, where Temple's bound from v_i clears that end by half _MARGIN,
+    else a count at it.  So on a simplex of samples
     the barycentric interpolation of their lower ends bounds g below (the
     successive constraint method: Huynh, Rozza, Sen & Patera, C. R. Acad.
     Sci. Paris I 345, 2007), and every bracket returned holds c_min.
@@ -559,8 +604,12 @@ class _Eigencurve:
     def _add(self, op):
         """Sample h at op = b + w A(0, -1, t), w > 0, and return its index,
         or set recipe None.  Every sample, of a constant blend too, proves
-        its lower end by one count at q less _MARGIN of its terms.  A kept
-        j's slope is scaled like u_j."""
+        its lower end q_lo, q less _MARGIN of its terms, by one count.  Where
+        the solve ended on a count-1 factor, Temple's bound from the
+        sample's own v and q on that factor's shift proves it, if it lies
+        within half _MARGIN of q (the other half is left for the rounding of
+        q); else a count at q_lo must read 0.  A kept j's slope is scaled
+        like u_j."""
         try:
             rep = coercivity_constant(op)
         except EigenSolveError:
@@ -568,11 +617,13 @@ class _Eigencurve:
             return None
         v, q, _ = _mode(op, rep.mode)  # q bounds c_min only on mean-zero fields
         slopes = [s * self.config.a * float(v @ unit.apply_values(v)) for _, s, unit in self.kept]
-        q_lo = q - _MARGIN * (abs(q) + 1.0)
-        factored = _shifted_ldl(op, q_lo)
-        if factored is None or factored[1] != 0:
-            self.recipe = None
-            return None
+        scale = abs(q) + 1.0
+        q_lo = q - _MARGIN * scale
+        if rep.shift is None or q - _temple(op, v, q, rep.shift) > 0.5 * _MARGIN * scale:
+            factored = _shifted_ldl(op, q_lo)
+            if factored is None or factored[1] != 0:
+                self.recipe = None
+                return None
         b, w, t = self._split(op.recipe.coefficients)
         u = tuple([t[j] / s for j, s, _ in self.kept])
         plane = (q - b) / w - sum(map(mul, slopes, u))  # g_i's plane at u = 0

@@ -102,6 +102,25 @@ def dense_eigenvalues(op):
     return eigh(Z.T @ dense_sym(op) @ Z, Z.T @ dense_gram(op.config) @ Z, eigvals_only=True)
 
 
+def dense_least_eigenvalues(op, count):
+    """The count least eigenvalues of the pencil (S, G) on mean-zero fields,
+    ascending, on the orthonormal basis of those fields that the Householder
+    reflection H mapping e_n to 1/sqrt(n) gives (its first n - 1 columns), so
+    that each matrix is restricted in O(n^2), as (H B H)[:-1, :-1]."""
+    n = op.config.n_atoms
+    u = np.full(n, 1.0 / math.sqrt(n))
+    u[-1] -= 1.0
+    tau = 2.0 / (u @ u)
+
+    def restrict(B):
+        Bu = B @ u
+        HBH = B - tau * np.outer(u, Bu) - tau * np.outer(Bu, u) + tau * tau * (u @ Bu) * np.outer(u, u)
+        return HBH[:-1, :-1]
+
+    pencil = restrict(dense_sym(op)), restrict(dense_gram(op.config))
+    return eigh(*pencil, eigvals_only=True, subset_by_index=[0, count - 1])
+
+
 def dense_cmin(op):
     """c_min: the smallest eigenvalue of the pencil on mean-zero fields."""
     return float(dense_eigenvalues(op)[0])

@@ -157,10 +157,10 @@ def test_criterion_1_table_values_pinned(table1):
 
 
 def test_criterion_1_table_factorizations(table1_run):
-    """The N = 2 table stays within its budget of 50 factorizations."""
+    """The N = 2 table stays within its budget of 30 factorizations."""
     count = table1_run[2]
-    announce("1 (table factorizations)", count <= 50, f"{count} factorizations")
-    assert count <= 50
+    announce("1 (table factorizations)", count <= 30, f"{count} factorizations")
+    assert count <= 30
 
 
 def test_criterion_1_n1_table_takes_no_factorization(monkeypatch):

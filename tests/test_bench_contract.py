@@ -80,7 +80,7 @@ def test_reference_sweep_factorizations(tmp_path):
     with workloads.counting_splu() as count:
         gamma_c = workload.run_pass(ops, lambda: None)
     assert gamma_c == workloads.SWEEP_GAMMA_C
-    assert len(ops) == 199 and count[0] == 2
+    assert len(ops) == 199 and count[0] == 1
 
 
 def test_reference_pass_builds_each_stretch_right_before_its_record(tmp_path, monkeypatch):
@@ -88,7 +88,7 @@ def test_reference_pass_builds_each_stretch_right_before_its_record(tmp_path, mo
     # critical_strain calls build_operator exactly once per report_sink call,
     # right before it and for that record's stretch.  A pass, the workload's
     # set-up included (its Morse check makes 2 phi_xx calls), keeps 199
-    # records, 201 phi_xx calls and 2 factorizations
+    # records, 201 phi_xx calls and 1 factorization
     workloads = load("workloads")
     phi_xx, phi_calls = Morse.phi_xx, []
     monkeypatch.setattr(Morse, "phi_xx", lambda self, r: phi_calls.append(1) or phi_xx(self, r))
@@ -108,7 +108,7 @@ def test_reference_pass_builds_each_stretch_right_before_its_record(tmp_path, mo
     assert gamma_c == workloads.SWEEP_GAMMA_C
     assert events[0::2] == [("build", g) for _, g in events[1::2]]
     assert [kind for kind, _ in events[1::2]] == ["record"] * 199
-    assert (len(events), len(phi_calls), count[0]) == (398, 201, 2)
+    assert (len(events), len(phi_calls), count[0]) == (398, 201, 1)
 
 
 def test_deform_cli_pass_at_seed_531(tmp_path):

@@ -318,6 +318,20 @@ def test_cli_coercivity_pure_atomistic(tmp_path, capsys):
     table = parse_csv(out.read_text())
     c_min = table.rows[0][table.columns.index("c_min")]
     assert c_min == pytest.approx(54.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("args", [["coercivity", "--M", "500"], ["scaling", "--family", "cubic"]])
+def test_cli_summaries_print_the_proven_bracket(tmp_path, capsys, args):
+    # the summary prints the least c_min's proven bracket, which ends at the
+    # CSV's c_min; the CSV keeps its columns
+    out = tmp_path / "c.csv"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    summary = capsys.readouterr().out
+    lo, hi = map(float, summary.split(" in [")[1].split("]")[0].split(", "))
+    table = parse_csv(out.read_text())
+    assert list(table.columns) == list(experiments.COERCIVITY_COLUMNS)
+    c_min = min(table.column("c_min"))
+    assert lo <= hi == c_min and c_min - lo <= 1e-8 * (abs(c_min) + 1.0)
     assert table.rows[0][table.columns.index("path")] == "sliced"
 
 

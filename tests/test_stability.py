@@ -16,6 +16,7 @@ from oracles import (
     dense_critical_strain,
     dense_eigenvalues,
     dense_gram,
+    dense_least_eigenvalues,
     dense_matrix,
     dense_negative_count,
     dense_sym,
@@ -1030,12 +1031,12 @@ def test_sliced_matches_dense_on_untrusted_pivots(morse, leading):
 )
 def test_sliced_factorization_counts(morse, stability_lu, M, gamma):
     # the scaling ladder's budget (cubic, L = ceil(M^(1/3))), its near-critical
-    # rung included: the estimate places the one shift just below c_min, and
-    # Lanczos converges on it
+    # rung included: the estimate places the one shift just above c_min, its
+    # factor counts 1, and Lanczos converges on it in at most 7 solves
     (rep,) = scaling_study("cubic", "M^(1/3)", [M], morse, 2, gamma=gamma)
     assert rep.path == "sliced"
     assert rep.factorizations == stability_lu.factorizations == 1
-    assert rep.iterations == stability_lu.solves <= 12
+    assert rep.iterations == stability_lu.solves <= 7
     cfg = ChainConfig(M=M, N=2)
     rep = coercivity_constant(assemble_linear("bqcf", morse, cfg, beta_one(cfg), 1.0))
     assert (rep.path, rep.factorizations, rep.iterations) == ("sliced", 1, 1)
@@ -1061,6 +1062,72 @@ def test_sliced_clustered_spectra_factorizations(morse, stability_lu, M, family,
     c = CLUSTERED_CMIN[M, family, L]
     assert abs(rep.c_min - c) <= 1e-10 * (abs(c) + 1.0)
     assert rep.factorizations == stability_lu.factorizations <= 2
+
+
+# (M, N, blend, L) -> (factorizations, solves) of the spectra whose count
+# just above c_min's estimate is not 1: the wide blends of the clustered
+# table, beta = 1 and N = 1.  The first shift stays sigma_0 there, with the
+# counts it took before the shift above the estimate; None where the solve
+# raises at the constant-blend floor (beta = 1 at M = 32,000)
+SIGMA_0_ROUTED = {
+    (2000, 2, "cubic", 80): (2, 19),
+    (2000, 2, "cubic", 320): (3, 34),
+    (8000, 2, "cubic", 80): (2, 18),
+    (8000, 2, "cubic", 320): (2, 27),
+    (2000, 2, "linear", 320): (1, 15),
+    (32000, 2, "cubic", 320): (2, 22),
+    (32000, 2, "cubic", 1280): (3, 42),
+    **{(M, N, "one", 0): (1, 1) for M in (2000, 8000) for N in (2, 3)},
+    **{(32000, N, "one", 0): None for N in (2, 3)},
+    **{(M, 1, blend, L): (1, 1) for M in (2000, 32000) for blend, L in (("one", 0), ("cubic", 5))},
+}
+
+
+def routed_operator(morse, M, N, blend, L, gamma=1.0, make_profile=symmetric_profile):
+    cfg = ChainConfig(M=M, N=N)
+    beta = beta_one(cfg) if blend == "one" else sample_beta(make_profile(cfg, blend, L), cfg)
+    return assemble_linear("bqcf", morse, cfg, beta, gamma)
+
+
+@pytest.mark.parametrize("case", list(SIGMA_0_ROUTED), ids=lambda case: "-".join(map(str, case)))
+def test_crowded_spectra_keep_sigma_0(morse, stability_lu, case):
+    op = routed_operator(morse, *case)
+    assert stability._first_shift(op)[1] is None
+    if SIGMA_0_ROUTED[case] is not None:
+        rep = coercivity_constant(op)
+        assert (rep.factorizations, rep.iterations) == SIGMA_0_ROUTED[case]
+        assert rep.shift is None and rep.bracket[0] < rep.c_min
+
+
+ABOVE_ROUTED = [
+    *((M, 2, "cubic", blend_size_for_rule("M^(1/3)", M)) for M in (500, 1000, 2000, 4000, 8000)),
+    (8000, 2, "cubic", 20, 1.1414584158358552),
+    *(
+        (2000, 2, family, L, 1.0, make_profile)
+        for family in ("linear", "cubic", "quintic")
+        for L in (1, 2, 3, 4, 5, 6, 7, 10)
+        for make_profile in (symmetric_profile, one_sided_profile)
+    ),
+    *((2000, 3, "cubic", L) for L in (2, 5, 10)),
+    # clustered cases the edge test leaves open: 1 factorization, as before
+    (2000, 2, "cubic", 5),
+    (2000, 2, "cubic", 20),
+    (2000, 2, "linear", 80),
+]
+
+
+def test_separated_spectra_shift_above_the_estimate(morse, stability_lu):
+    # the ladder rungs, the M = 2000 table's first stretches (both layouts)
+    # and N = 3 cubic blends: the first shift lies above the estimate, its
+    # factor counts 1, the solve ends on it, and Temple's bound clears the
+    # sample margin
+    for case in ABOVE_ROUTED:
+        op = routed_operator(morse, *case)
+        stability_lu.counts.clear()
+        rep = coercivity_constant(op)
+        assert stability_lu.counts == [1] and rep.factorizations == 1, case
+        assert rep.shift > rep.c_min, case
+        assert rep.c_min - rep.bracket[0] <= 0.5 * stability._MARGIN * (abs(rep.c_min) + 1.0), case
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -1319,8 +1386,8 @@ def test_untrusted_factors_end_at_the_factorization_limit(morse, monkeypatch, ca
 
 def far_start(op):
     """The solver's start before its estimate: a shift below every spectrum
-    here and a seed-7 random vector."""
-    return -200.0, np.random.default_rng(7).standard_normal(op.config.n_atoms)
+    here, no shift to fall back on, and a seed-7 random vector."""
+    return -200.0, None, np.random.default_rng(7).standard_normal(op.config.n_atoms)
 
 
 def test_ladder_rung_runs_lanczos_on_a_count_one_factor(morse, stability_lu, monkeypatch):
@@ -1338,8 +1405,9 @@ def test_sliced_matches_dense_oracle_across_counts(morse, stability_lu, monkeypa
     # far start the second factors count 1 (Lanczos on both sides of c_min)
     # or 2 (c_min is not T's least eigenvalue there, so that factor must
     # bisect).  The estimate's vector at a shift between the least two or
-    # the second and third eigenvalues makes the first factor count 1 or 2,
-    # and with no lower end known the solver widens
+    # the second and third eigenvalues makes the first factor count 1 or 2:
+    # Lanczos runs on the count-1 factor, and from the count-2 one, with no
+    # lower end known, the solver widens
     first_shift = stability._first_shift
     cases = itertools.product(
         (2, 3), (symmetric_profile, one_sided_profile), (4, 7), (1.0, 1.1, 1.19)
@@ -1352,7 +1420,7 @@ def test_sliced_matches_dense_oracle_across_counts(morse, stability_lu, monkeypa
         lam = dense_eigenvalues(op)
         c = lam[0]
         starts = [far_start] + [
-            lambda op, i=i: (0.5 * (lam[i - 1] + lam[i]), first_shift(op)[1]) for i in (1, 2)
+            lambda op, i=i: (0.5 * (lam[i - 1] + lam[i]), None, first_shift(op)[2]) for i in (1, 2)
         ]
         for count, start in enumerate(starts):
             monkeypatch.setattr(stability, "_first_shift", start)
@@ -1366,14 +1434,16 @@ def test_sliced_matches_dense_oracle_across_counts(morse, stability_lu, monkeypa
 
 
 def test_sliced_returns_no_mode_above_a_counted_shift(morse, monkeypatch):
-    # with T's negative Ritz values dropped, a count-1 factor follows the
+    # with T's negative Ritz values dropped (all but the largest where all
+    # are negative, so that each step has one), a count-1 factor follows the
     # largest, and the next (count-0) factor converges to the second mode,
     # whose quotient lies above the count-1 shift that proved c_min below it
     eigh_tridiagonal = stability.eigh_tridiagonal
 
     def nonnegative_ritz(d, e, **options):
         theta, s = eigh_tridiagonal(d, e, **options)
-        return theta[theta >= 0.0], s[:, theta >= 0.0]
+        keep = theta >= min(0.0, theta[-1])
+        return theta[keep], s[:, keep]
 
     monkeypatch.setattr(stability, "eigh_tridiagonal", nonnegative_ritz)
     cfg = ChainConfig(M=64, N=2)
@@ -1381,6 +1451,114 @@ def test_sliced_returns_no_mode_above_a_counted_shift(morse, monkeypatch):
     rep = coercivity_constant(op)
     c = dense_cmin(op)
     assert abs(rep.c_min - c) <= 1e-10 * (abs(c) + 1.0)
+
+
+@pytest.mark.parametrize("M", [64, 300])
+def test_count_one_solves_match_dense_oracle(morse, M):
+    # every solve that ends on a count-1 factor: its lower end, Temple's
+    # bound, lies below the dense c_min up to roundoff, and so far inside
+    # _MARGIN that an eigencurve sample skips its count; its shift lies below
+    # the second eigenvalue, as the count proved; and c_min is the dense one
+    cases = itertools.product(
+        (2, 3), (symmetric_profile, one_sided_profile), ("cubic", "linear"), (2, 4, 7), (1.0, 1.1, 1.19)
+    )
+    ended = 0
+    for N, make_profile, family, L, gamma in cases:
+        cfg = ChainConfig(M=M, N=N)
+        beta = sample_beta(make_profile(cfg, family, L), cfg)
+        op = assemble_linear("bqcf", morse, cfg, beta, gamma)
+        rep = coercivity_constant(op)
+        lam1, lam2 = dense_least_eigenvalues(op, 2)
+        case = (N, make_profile.__name__, family, L, gamma)
+        scale = abs(lam1) + 1.0
+        assert abs(rep.c_min - lam1) <= 1e-10 * scale, case
+        assert rep.bracket[0] <= lam1 + 1e-10 * scale and rep.bracket[1] == rep.c_min, case
+        if rep.shift is not None:
+            ended += 1
+            assert rep.shift <= lam2, case
+            assert rep.c_min - rep.bracket[0] <= 0.5 * stability._MARGIN * scale, case
+    assert ended == 72
+
+
+def test_a_count_two_first_factor_falls_back_to_sigma_0(morse, monkeypatch):
+    # the eigencurve's first sample: on the estimate's own shift its factor
+    # counts 1 and proves the sample's lower end.  Placed between the second
+    # and third eigenvalues, the first shift counts 2: the solver takes
+    # sigma_0 (one factorization more), its report names no count-1 shift,
+    # and the sample proves its lower end by the count at q_lo
+    cfg = ChainConfig(M=64, N=2)
+    op = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 4), 1.0)
+    lam = dense_least_eigenvalues(op, 3)
+    first_shift, shifted_ldl, counts = stability._first_shift, stability._shifted_ldl, []
+    monkeypatch.setattr(
+        stability, "_shifted_ldl", lambda op, s: counts.append(s) or shifted_ldl(op, s)
+    )
+    curve = stability._Eigencurve(op)
+    assert curve.record(op, 1.0).path == "pencil"
+    assert len(counts) == 1 and lam[0] < counts[0] < lam[1]
+    counts.clear()
+    monkeypatch.setattr(
+        stability, "_first_shift", lambda op: (0.5 * (lam[1] + lam[2]), *first_shift(op)[1:])
+    )
+    curve = stability._Eigencurve(op)
+    assert curve.record(op, 1.0).path == "pencil"
+    b, w, _ = curve._split(op.recipe.coefficients)
+    above, below, q_lo = counts
+    assert [shifted_ldl(op, s)[1] for s in counts] == [2, 0, 0]
+    assert below < q_lo < lam[0] and (q_lo - b) / w == curve.samples[0][1]
+
+
+@pytest.mark.parametrize("offset", [0.0, -1.0])
+def test_a_shift_at_or_below_the_quotient_proves_nothing(morse, monkeypatch, offset):
+    # Temple's bound needs the quotient below the count-1 shift: a report
+    # whose shift is the sample's quotient itself, or lies below it, leaves
+    # the sample to prove its lower end by the count at q_lo
+    cfg = ChainConfig(M=64, N=2)
+    op = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 4), 1.0)
+    exact, shifted_ldl, counts = stability.coercivity_constant, stability._shifted_ldl, []
+
+    def shift_at_quotient(op, **kwargs):
+        rep = exact(op, **kwargs)
+        assert rep.shift is not None
+        return replace(rep, shift=stability._mode(op, rep.mode)[1] + offset)
+
+    monkeypatch.setattr(stability, "coercivity_constant", shift_at_quotient)
+    monkeypatch.setattr(
+        stability, "_shifted_ldl", lambda op, s: counts.append(s) or shifted_ldl(op, s)
+    )
+    curve = stability._Eigencurve(op)
+    assert curve.record(op, 1.0).path == "pencil"
+    b, w, _ = curve._split(op.recipe.coefficients)
+    assert len(counts) == 2 and (counts[-1] - b) / w == curve.samples[0][1]
+
+
+def test_a_wrong_mode_below_the_shift_falls_back_to_its_count(morse, monkeypatch):
+    # the solver's mode mixed with a higher wave: its quotient lies above
+    # c_min by far more than _MARGIN, yet below the count-1 shift.  Temple's
+    # bound from it holds but is loose, so the sample takes the count at its
+    # q_lo, which finds c_min below it, and the eigencurve ends
+    cfg = ChainConfig(M=64, N=2)
+    op = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 4), 1.0)
+    (c,) = dense_least_eigenvalues(op, 1)
+    wave = np.cos(7.0 * np.pi * cfg.positions())
+    exact, shifted_ldl, counts, reports = stability.coercivity_constant, stability._shifted_ldl, [], []
+
+    def mixed_mode(op, **kwargs):
+        rep = exact(op, **kwargs)
+        reports.append(replace(rep, mode=rep.mode + 0.003 * (wave - wave.mean())))
+        return reports[-1]
+
+    monkeypatch.setattr(stability, "coercivity_constant", mixed_mode)
+    monkeypatch.setattr(
+        stability, "_shifted_ldl", lambda op, s: counts.append(s) or shifted_ldl(op, s)
+    )
+    curve = stability._Eigencurve(op)
+    assert curve.record(op, 1.0) is None and curve.recipe is None
+    (rep,) = reports
+    q = stability._mode(op, rep.mode)[1]
+    assert c + 1e-6 * (abs(c) + 1.0) < q < rep.shift
+    assert q - stability._temple(op, stability._mode(op, rep.mode)[0], q, rep.shift) > 1e-6
+    assert counts[-1] == q - stability._MARGIN * (abs(q) + 1.0)
 
 
 def test_non_finite_solve_raises(morse, stability_lu):
