@@ -35,15 +35,19 @@ to 1.7 times slower.  The deform solve factors the full pattern with
 SuperLU's defaults, on which the bits of its CSVs rest.
 
 Every operator, constant-coefficient or blended, is solved by spectrum
-slicing (coercivity_constant): shifts bracketed by that count, the first
-placed by an estimate that factors nothing (Lanczos on G^-1 P S), just
-above c_min where one eigenvalue alone is predicted below it, with a
-shift-invert Lanczos run on each factor that has no eigenvalue below its
-shift or only c_min.  Both are one G-orthonormal Lanczos routine
-(_lanczos), told only how to apply its operator.  The solver and each
-eigencurve sample evaluate their mode by one rule (_mode), so c_min is
-always a mode's quotient, and a count-1 factor proves c_min's lower end
-by Temple's inequality (_temple).  A critical-strain sweep needs only the
+slicing (coercivity_constant): each factor's count moves a bracket on
+c_min, and one rule moves the shift, to a target inside the bracket
+(the estimate's fallback, or just below the last quotient) or else to
+the bracket's middle.  The first shift is placed by an estimate that
+factors nothing (Lanczos on G^-1 P S), just above c_min where one
+eigenvalue alone is predicted below it, and a shift-invert Lanczos run
+follows c_min on each factor that has no eigenvalue below its shift or
+only c_min.  Both are one G-orthonormal Lanczos routine (_lanczos), told
+only how to apply its operator.  The solver and each eigencurve sample
+evaluate their mode by one rule (_mode), so c_min is always a mode's
+quotient, and a count-1 factor proves c_min's lower end by Temple's
+inequality (_temple), read off the residual _mode computed.  A
+critical-strain sweep needs only the
 sign of c_min at each grid stretch: a few samples of one concave family in
 N - 2 parameters bound it at every stretch, gamma = 1 included, from above
 by planes and from below on simplices of samples, each sample's lower end
@@ -172,15 +176,15 @@ def _mode(op: BandedPeriodicOperator, v: np.ndarray):
     """Evaluate v as a mode of op, S being a * op.symmetric_part(): the
     G-normalized mean-zero v, its quotient c = a <A v, v> (= <S v, v>, but
     A's row sums vanish exactly where A^T's carry roundoff) and the pencil
-    residual |P S v - c G v| / |G v| (eigenvalue units)."""
+    residual |w| / |G v| (eigenvalue units) with w = P S v - c G v itself."""
     a = op.config.a
     v = _project(v)
     gv = _gram(v, a)
     norm = math.sqrt(v @ gv)
     v, gv = v / norm, gv / norm
     c = float(v @ op.apply_values(v)) * a
-    sv = _project(op.symmetric_part().apply_values(v) * a)
-    return v, c, float(np.linalg.norm(sv - c * gv) / np.linalg.norm(gv))
+    w = _project(op.symmetric_part().apply_values(v) * a) - c * gv
+    return v, c, float(np.linalg.norm(w) / np.linalg.norm(gv)), w
 
 
 @lru_cache(maxsize=8)
@@ -320,8 +324,8 @@ def _lanczos(apply, q: np.ndarray, a: float, steps: int):
 
 
 def _first_shift(op: BandedPeriodicOperator):
-    """The first shift of coercivity_constant, the shift sigma_0 to fall
-    back on or None, and the start vector, from an estimate.
+    """The first shift of coercivity_constant, its factor's target (see
+    there) and the start vector, from an estimate.
 
     _ESTIMATE_STEPS _lanczos steps on G^-1 P S, self-adjoint in the G
     inner product on mean-zero fields, from the two longest waves
@@ -329,13 +333,14 @@ def _first_shift(op: BandedPeriodicOperator):
     _solve_gram, so no factorization.  The least Ritz value q bounds c_min
     above, and the Ritz vector is the start.  With its residual
     r = beta |s_k|, sigma_0 = q - r - _ESTIMATE_MARGIN (|q| + 1).  The
-    first shift is sigma = q + _ABOVE (|q| + 1), with sigma_0 to fall back
-    on, where one eigenvalue alone is predicted below it: the recipe's
-    E_b = sum_k k^2 c_k, the long-wave edge of both bulk models' spectra,
-    lies above sigma by more than sigma - q + r^2 / (theta_2 - q), theta_2
-    the second Ritz value (c_min's distance below q, as Kato's bound
-    estimates it).  Elsewhere (an operator with no recipe, a constant blend,
-    N = 1, a blend wide enough to crowd the bulk edge) it is sigma_0.  The
+    first shift is sigma = q + _ABOVE (|q| + 1), with target sigma_0 (where
+    a first factor that runs no Lanczos goes next), where one eigenvalue
+    alone is predicted below it: the recipe's E_b = sum_k k^2 c_k, the
+    long-wave edge of both bulk models' spectra, lies above sigma by more
+    than sigma - q + r^2 / (theta_2 - q), theta_2 the second Ritz value
+    (c_min's distance below q, as Kato's bound estimates it).  Elsewhere
+    (an operator with no recipe, a constant blend, N = 1, a blend wide
+    enough to crowd the bulk edge) it is sigma_0, with no target.  The
     run ends where _lanczos ends it (the longest waves are eigenvectors
     of a constant-coefficient operator, an invariant space).  The estimate
     proves nothing; the solver checks each shift by inertia like any other.
@@ -355,26 +360,25 @@ def _first_shift(op: BandedPeriodicOperator):
     # Ritz pairs, ascending; _lanczos raised on any non-finite step
     theta, s = eigh_tridiagonal(alpha, beta[:-1], check_finite=False)
     q, r = theta[0], beta[-1] * abs(s[-1, 0])
-    below, v = q - r - _ESTIMATE_MARGIN * (abs(q) + 1.0), s[:, 0] @ Q
+    sigma_0, v = q - r - _ESTIMATE_MARGIN * (abs(q) + 1.0), s[:, 0] @ Q
     sigma = q + _ABOVE * (abs(q) + 1.0)
     gap = theta[1] - q if len(theta) > 1 else math.inf
     if op.recipe is not None and gap > 0.0:
         edge = sum([k * k * c for k, c in enumerate(op.recipe.coefficients, 1)])
         if edge - sigma > sigma - q + r * r / gap:
-            return sigma, below, v
-    return below, None, v
+            return sigma, sigma_0, v
+    return sigma_0, None, v
 
 
-def _temple(op: BandedPeriodicOperator, v: np.ndarray, c: float, sigma: float) -> float:
-    """Temple's lower bound on c_min from a G-normalized mean-zero v of
-    quotient c and a shift sigma > c that proves exactly one eigenvalue
-    below it: c - <w, G^+ w> / (sigma - c), w = P S v - c G v (G. Temple,
-    Proc. R. Soc. A 119, 1928; T. Kato, J. Phys. Soc. Japan 4, 1949); -inf
-    for c >= sigma.  It costs one S apply and one _solve_gram."""
+def _temple(w: np.ndarray, c: float, sigma: float, a: float) -> float:
+    """Temple's lower bound on c_min from a G-normalized mean-zero mode of
+    quotient c and pencil residual w = P S v - c G v (as _mode returns
+    them) and a shift sigma > c that proves exactly one eigenvalue below
+    it: c - <w, G^+ w> / (sigma - c) (G. Temple, Proc. R. Soc. A 119,
+    1928; T. Kato, J. Phys. Soc. Japan 4, 1949); -inf for c >= sigma.  It
+    costs one _solve_gram."""
     if not c < sigma:
         return -math.inf
-    a = op.config.a
-    w = _project(op.symmetric_part().apply_values(v) * a) - c * _gram(v, a)
     return c - float(w @ _solve_gram(w, a)) / (sigma - c)
 
 
@@ -389,40 +393,42 @@ def coercivity_constant(
     by shifted Lanczos with inertia checks; gamma, L and family are copied
     into the report, whose fields fill the coercivity and scaling rows.
 
-    Keeps a bracket lo <= c_min <= hi: a trusted factorization at sigma
-    with no eigenvalue below it raises lo to sigma, one with some lowers
-    hi to sigma, and every Rayleigh quotient lowers hi.  The first shift
-    and start vector come from a Lanczos estimate that factors nothing
-    (_first_shift): just above c_min's estimate where one eigenvalue alone
-    is predicted below it, else sigma_0, just below; a shift above that
-    counts other than 1 falls back to sigma_0.  _lanczos builds a
-    G-orthonormal Krylov basis of T = (S - sigma G)^-1 G on mean-zero
-    fields, one bordered solve per step, whose eigenvalue
-    1 / (c_min - sigma) is followed by its Ritz value theta.  It runs on
-    every factor with count 0, where theta is T's largest, and on every
-    factor with count 1, where it is T's one negative eigenvalue and so
-    its least.  A converged mode is c_min's only below cap, the least
-    shift whose count proved c_min lies under it; on a count-1 factor
-    Temple's bound (_temple) proves the report's lower end.  A larger
-    count bisects, or widens while no lo is known.  The Ritz vector's
-    pencil residual is checked every 4th step, and every step once the
-    Lanczos estimate falls below 1e-7 |theta|.  One that stops halving
-    between checks, the start vector's own counting as the first, is
-    accepted within the 1e-8 (|c| + 1) contract, so a start that is
-    already an eigenvector stops at its first check.  After _LANCZOS_STEPS
-    solves, or an invariant space, the next shift goes _NEXT_SHIFT
-    residuals below the quotient, near enough that Lanczos converges in a
-    few steps (when that is not below hi, to the bracket's midpoint, or
-    widened below hi while no lo is known), and
-    the Ritz vector starts the next basis.  Inverse iteration is the
-    one-vector case.  Raises EigenSolveError when the residual is not
-    resolved within _MAX_FACTORIZATIONS shifts.
+    The first shift, its target and the start vector come from an
+    estimate that factors nothing (_first_shift).  The solver keeps a
+    bracket lo <= c_min <= hi and cap, the least shift whose count proved
+    c_min below it.  Each factorization at sigma first moves them: a
+    count of 0 raises lo to sigma, a count of 1 or more lowers hi and cap
+    to sigma, and an untrusted one moves nothing; every Rayleigh quotient
+    lowers hi.  On a count of 0 or 1, _lanczos builds a G-orthonormal
+    Krylov basis of T = (S - sigma G)^-1 G on mean-zero fields, one
+    bordered solve per step, from the last mode or the start, and follows T's
+    eigenvalue 1 / (c_min - sigma) by its Ritz value theta: T's largest at
+    count 0, its one negative eigenvalue, so its least, at count 1.  The
+    Ritz vector's pencil residual is checked every 4th step, and every
+    step once the Lanczos estimate falls below 1e-7 |theta|.  One that
+    stops halving between checks, the start vector's own counting as the
+    first, is accepted within the 1e-8 (|c| + 1) contract, so a start that
+    is already an eigenvector stops at its first check.  A converged mode
+    is c_min's only below cap; on a count-1 factor Temple's bound
+    (_temple, from the residual _mode returned) proves the report's lower
+    end.
+
+    A factor that does not end the solve sets the next shift by one rule:
+    its target where that lies inside (lo, hi), else the bracket's
+    midpoint, or 2 (|hi| + 1) below hi while no lo is known.  The first
+    factor's target is _first_shift's (sigma_0 above the estimate); after
+    a Lanczos run (_LANCZOS_STEPS solves, or an invariant space) it is
+    _NEXT_SHIFT residuals below the quotient, near enough that Lanczos
+    converges in a few steps; an untrusted factor or a count above 1 has
+    none.  So every shift after the first lies in [lo, hi], and lo never
+    decreases.  Raises EigenSolveError when the residual is not resolved
+    within _MAX_FACTORIZATIONS shifts.
     """
     config = op.config
     n = config.n_atoms
-    sigma, below, v = _first_shift(op)
+    sigma, target, v = _first_shift(op)
     lo, cap = -math.inf, math.inf  # cap: the least shift with a count
-    v, hi, res = _mode(op, v)
+    v, hi, res, _ = _mode(op, v)
     solves = 0
     rhs = np.zeros(n + 1)  # [G q, 0], refilled for every bordered solve
 
@@ -431,48 +437,41 @@ def coercivity_constant(
         return lu.solve(rhs)[:n]
 
     for factorizations in range(1, _MAX_FACTORIZATIONS + 1):
-        lu = factored = None  # free the last factor before making the next
-        factored = _shifted_ldl(op, sigma)
-        if below is not None and (factored is None or factored[1] != 1):  # not c_min's alone
-            sigma, below = below, None
-            continue
-        below = None
-        if factored is None:  # untrusted signs: nudge the shift toward lo
-            sigma = lo + 0.5 * (sigma - lo) if lo > -math.inf else sigma - (abs(sigma) + 1.0)
-            continue
-        lu, neg = factored
-        if neg:  # overshot; with count 1, c_min is the one eigenvalue below
-            hi, cap = min(hi, sigma), min(cap, sigma)
-            if neg > 1:  # bisect, or widen while no lo is known
-                sigma = 0.5 * (lo + hi) if lo > -math.inf else sigma - 2.0 * (abs(sigma) + 1.0)
-                continue
-        else:
+        lu = None  # free the last factor before making the next
+        lu, neg = _shifted_ldl(op, sigma) or (None, None)  # neg None: untrusted signs
+        if neg == 0:
             lo = sigma
-        prev = res
-        try:
-            for alpha, beta, Q in _lanczos(solve, v, config.a, _LANCZOS_STEPS):
-                solves += 1
-                theta, s = eigh_tridiagonal(alpha, beta[:-1], check_finite=False)  # Ritz pairs, ascending
-                k = 0 if theta[0] < 0.0 else -1  # c_min's 1 / (c - sigma) is T's least if < 0
-                if len(alpha) % 4 == 0 or beta[-1] * abs(s[-1, k]) < 1e-7 * abs(theta[k]):
-                    v, lam, res = _mode(op, s[:, k] @ Q)
-                    hi = min(hi, lam)
-                    scale = abs(lam) + 1.0
-                    # a residual stagnating at its floor (1e-9 relative at M = 8000)
-                    # is accepted within the 1e-8 contract; only a mode below cap is c_min
-                    converged = res <= _TOL * scale or (res <= 1e-8 * scale and res > 0.5 * prev)
-                    if converged and lam < cap:
-                        bound = max(lo, _temple(op, v, lam, sigma)) if neg else lo
-                        return CoercivityReport(
-                            lam, gamma, L, family, config.M, config.N, solves, res, v,
-                            "sliced", factorizations, (float(bound), lam), float(sigma) if neg else None,
-                        )
-                    prev = res
-        except EigenSolveError as err:
-            raise EigenSolveError(f"{err} at shift {sigma:.6g} (last residual {res:.3e})") from None
-        sigma = lam - _NEXT_SHIFT * res  # just below the quotient
-        if not sigma < hi:  # known to overshoot: bisect, or widen while no lo is known
-            sigma = 0.5 * (lo + hi) if lo > -math.inf else hi - 2.0 * (abs(hi) + 1.0)
+        elif neg:  # c_min lies below sigma; with count 1 it is the one eigenvalue there
+            hi, cap = min(hi, sigma), min(cap, sigma)
+        if neg in (0, 1):
+            prev = res
+            try:
+                for alpha, beta, Q in _lanczos(solve, v, config.a, _LANCZOS_STEPS):
+                    solves += 1
+                    theta, s = eigh_tridiagonal(alpha, beta[:-1], check_finite=False)  # Ritz pairs, ascending
+                    k = 0 if theta[0] < 0.0 else -1  # c_min's 1 / (c - sigma) is T's least if < 0
+                    if len(alpha) % 4 == 0 or beta[-1] * abs(s[-1, k]) < 1e-7 * abs(theta[k]):
+                        v, lam, res, w = _mode(op, s[:, k] @ Q)
+                        hi = min(hi, lam)
+                        scale = abs(lam) + 1.0
+                        # a residual stagnating at its floor (1e-9 relative at M = 8000)
+                        # is accepted within the 1e-8 contract; only a mode below cap is c_min
+                        converged = res <= _TOL * scale or (res <= 1e-8 * scale and res > 0.5 * prev)
+                        if converged and lam < cap:
+                            bound = max(lo, _temple(w, lam, sigma, config.a)) if neg else lo
+                            return CoercivityReport(
+                                lam, gamma, L, family, config.M, config.N, solves, res, v,
+                                "sliced", factorizations, (float(bound), lam), float(sigma) if neg else None,
+                            )
+                        prev = res
+            except EigenSolveError as err:
+                raise EigenSolveError(f"{err} at shift {sigma:.6g} (last residual {res:.3e})") from None
+            target = lam - _NEXT_SHIFT * res  # just below the quotient
+        # the one rule: the target inside (lo, hi), else the bracket's midpoint,
+        # or below hi by 2 (|hi| + 1) while no lo is known
+        if target is None or not lo < target < hi:
+            target = 0.5 * (lo + hi) if lo > -math.inf else hi - 2.0 * (abs(hi) + 1.0)
+        sigma, target = target, None
     raise EigenSolveError(
         f"c_min in [{lo:.6g}, {hi:.6g}] not resolved within "
         f"{_MAX_FACTORIZATIONS} shifted factorizations (last residual {res:.3e})"
@@ -606,7 +605,8 @@ class _Eigencurve:
         or set recipe None.  Every sample, of a constant blend too, proves
         its lower end q_lo, q less _MARGIN of its terms, by one count.  Where
         the solve ended on a count-1 factor, Temple's bound from the
-        sample's own v and q on that factor's shift proves it, if it lies
+        residual of the sample's own mode (v, q), which _mode returns with
+        them, on that factor's shift proves it, if it lies
         within half _MARGIN of q (the other half is left for the rounding of
         q); else a count at q_lo must read 0.  A kept j's slope is scaled
         like u_j."""
@@ -615,11 +615,11 @@ class _Eigencurve:
         except EigenSolveError:
             self.recipe = None
             return None
-        v, q, _ = _mode(op, rep.mode)  # q bounds c_min only on mean-zero fields
+        v, q, _, r = _mode(op, rep.mode)  # q bounds c_min only on mean-zero fields
         slopes = [s * self.config.a * float(v @ unit.apply_values(v)) for _, s, unit in self.kept]
         scale = abs(q) + 1.0
         q_lo = q - _MARGIN * scale
-        if rep.shift is None or q - _temple(op, v, q, rep.shift) > 0.5 * _MARGIN * scale:
+        if rep.shift is None or q - _temple(r, q, rep.shift, self.config.a) > 0.5 * _MARGIN * scale:
             factored = _shifted_ldl(op, q_lo)
             if factored is None or factored[1] != 0:
                 self.recipe = None

@@ -733,6 +733,70 @@ def test_wrong_sample_mode_is_rejected_by_its_count(morse, monkeypatch, N):
     assert {r.path for r in records[1:]} == {"inertia"}
 
 
+@pytest.mark.parametrize("N", [2, 3])
+def test_stretches_undecided_after_their_own_sample_go_to_inertia(morse, monkeypatch, N):
+    # with _MARGIN at 1e-2 the stretches nearest gamma_c stay undecided
+    # after the eigencurve's last round: for N = 2 their u = () is already
+    # a sample, for N = 3 each takes a sample at its own u first.  Those
+    # stretches, and only those, are decided by inertia, and the sweep
+    # gives the dense answer without a warning
+    cfg = ChainConfig(M=64, N=N)
+    beta = cubic_beta(cfg, 4)
+
+    def build(gamma):
+        return assemble_linear("bqcf", morse, cfg, beta, gamma)
+
+    want, evaluated = dense_critical_strain(build, 1e-3, 1.3, 1e-2)
+    record, undecided = stability._Eigencurve.record, {}
+
+    def spy(self, op, gamma):
+        taken = len(self.samples)
+        rec = record(self, op, gamma)
+        if rec is None and self.recipe is not None and self.bounds[0] in self.points:
+            undecided[gamma] = len(self.samples) - taken
+        return rec
+
+    monkeypatch.setattr(stability, "_MARGIN", 1e-2)
+    monkeypatch.setattr(stability._Eigencurve, "record", spy)
+    records = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = critical_strain(build, 1e-3, 1.3, coarse=1e-2, report_sink=records.append)
+    assert g == want and [r.gamma for r in records] == list(evaluated)
+    assert undecided and set(undecided.values()) == {0 if N == 2 else 1}
+    assert {r.gamma for r in records if r.path == "inertia"} == set(undecided)
+    assert {r.path for r in records} == {"pencil", "inertia"}
+
+
+@pytest.mark.parametrize("N, scales", [(3, [(1.5,), (3.0,)]), (4, [(1.2, 0.5), (2.0, 2.0), (0.5, 1.5)])])
+def test_stretch_outside_the_unit_box_takes_a_sample_of_its_own(morse, N, scales):
+    # a Morse sweep keeps u in the unit box; stretches whose kept tail
+    # coefficients are scaled up put u outside it, where _walk finds no
+    # simplex, so each is decided by a sample at its own u, and every
+    # bracket holds the dense c_min
+    cfg = ChainConfig(M=64, N=N)
+    op1 = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 4), 1.0)
+    curve = stability._Eigencurve(op1)
+    stretches = [op1]
+    c1, c2, *tail = op1.recipe.coefficients
+    for scale in scales:
+        c = (c1, c2, *[x * y for x, y in zip(scale, tail)])
+        stretches.append(BandedPeriodicOperator(cfg, recipe=replace(op1.recipe, coefficients=c)))
+    for op in stretches:
+        taken = len(curve.samples)
+        if taken:
+            _, _, t = curve._split(op.recipe.coefficients)
+            u = tuple([t[j] / s for j, s, _ in curve.kept])
+            assert max(u) > 1.0 and curve._walk(u) is None, u
+        rec = curve.record(op, 1.0)
+        assert rec.path == "pencil" and len(curve.samples) == taken + 1
+        if taken:
+            assert curve.samples[-1][0] == u
+        c = dense_cmin(op)
+        tol = 1e-10 * (abs(c) + 1.0)
+        assert rec.bracket[0] - tol <= c <= rec.bracket[1] + tol
+
+
 def test_atomistic_sweep_takes_the_pencil_without_factorizing(morse, monkeypatch):
     # the atomistic nu takes one factorization for its solve, the longest
     # waves being its mode, and one for the count that proves its lower
@@ -1433,6 +1497,72 @@ def test_sliced_matches_dense_oracle_across_counts(morse, stability_lu, monkeypa
     assert {1, 2} <= after_far
 
 
+def test_one_shift_rule_keeps_every_shift_inside_the_bracket(morse, monkeypatch):
+    # the factors the solver tries from six starts, some made untrusted,
+    # logged beside every quotient it evaluates: each count-0 shift lies at
+    # or above the last (lo never decreases), every shift after the first
+    # lies inside (lo, hi), hi the least counted shift or quotient so far,
+    # and a first factor above the estimate that is untrusted or counts 2
+    # moves to sigma_0.  A next shift 1e6 residuals below the quotient
+    # lands far below the far start's lo, so that run bisects instead.
+    # Every solve ends at the dense c_min
+    cfg = ChainConfig(M=64, N=2)
+    op = assemble_linear("bqcf", morse, cfg, cubic_beta(cfg, 4), 1.0)
+    lam = dense_least_eigenvalues(op, 3)
+    first_shift, shifted_ldl, mode = stability._first_shift, stability._shifted_ldl, stability._mode
+    sigma_0 = first_shift(op)[1]
+    assert sigma_0 is not None  # this operator's first shift lies above the estimate
+
+    def between_2_3(target):
+        return lambda op: (0.5 * (lam[1] + lam[2]), target, first_shift(op)[2])
+
+    starts = [
+        (first_shift, {1}, stability._NEXT_SHIFT),
+        (first_shift, {1, 2}, stability._NEXT_SHIFT),
+        (between_2_3(sigma_0), set(), stability._NEXT_SHIFT),
+        (between_2_3(None), {2}, stability._NEXT_SHIFT),
+        (far_start, {2}, stability._NEXT_SHIFT),
+        (far_start, set(), 1e6),
+    ]
+    seen = set()
+    for case, (start, untrusted, next_shift) in enumerate(starts):
+        events = []
+
+        def counted(op, sigma):
+            factored = None if len(events) + 1 in untrusted else shifted_ldl(op, sigma)
+            events.append((sigma, None if factored is None else factored[1]))
+            return factored
+
+        def quoted(op, v):
+            evaluated = mode(op, v)
+            events.append((evaluated[1], "quotient"))
+            return evaluated
+
+        monkeypatch.setattr(stability, "_first_shift", start)
+        monkeypatch.setattr(stability, "_shifted_ldl", lambda op, sigma: counted(op, sigma))
+        monkeypatch.setattr(stability, "_mode", quoted)
+        monkeypatch.setattr(stability, "_NEXT_SHIFT", next_shift)
+        rep = coercivity_constant(op)
+        assert abs(rep.c_min - lam[0]) <= 1e-10 * (abs(lam[0]) + 1.0), case
+        shifts = [(x, count) for x, count in events if count != "quotient"]
+        lo, hi, tried = -np.inf, np.inf, 0
+        for x, count in events:
+            if count == "quotient":
+                hi = min(hi, x)
+                continue
+            if tried:
+                assert lo < x < hi, (case, x, lo, hi)
+            tried += 1
+            seen.add(count if count is None else min(count, 2))
+            if count == 0:
+                lo = x
+            elif count:
+                hi = min(hi, x)
+        if start(op)[1] is not None and shifts[0][1] != 1:
+            assert shifts[1][0] == sigma_0, case
+    assert seen == {None, 0, 1, 2}
+
+
 def test_sliced_returns_no_mode_above_a_counted_shift(morse, monkeypatch):
     # with T's negative Ritz values dropped (all but the largest where all
     # are negative, so that each step has one), a count-1 factor follows the
@@ -1557,7 +1687,7 @@ def test_a_wrong_mode_below_the_shift_falls_back_to_its_count(morse, monkeypatch
     (rep,) = reports
     q = stability._mode(op, rep.mode)[1]
     assert c + 1e-6 * (abs(c) + 1.0) < q < rep.shift
-    assert q - stability._temple(op, stability._mode(op, rep.mode)[0], q, rep.shift) > 1e-6
+    assert q - stability._temple(stability._mode(op, rep.mode)[3], q, rep.shift, cfg.a) > 1e-6
     assert counts[-1] == q - stability._MARGIN * (abs(q) + 1.0)
 
 
